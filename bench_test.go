@@ -8,6 +8,7 @@ package dandelion_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strconv"
@@ -264,7 +265,7 @@ composition I(In) => Result {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Invoke("I", input); err != nil {
+		if _, err := p.Invoke(context.Background(), dandelion.Request{Composition: "I", Inputs: input}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,7 +359,7 @@ composition I(In) => Result {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < batch; j++ {
-				if _, err := p.Invoke("I", input); err != nil {
+				if _, err := p.Invoke(context.Background(), dandelion.Request{Composition: "I", Inputs: input}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -367,11 +368,11 @@ composition I(In) => Result {
 	})
 	b.Run("batch", func(b *testing.B) {
 		p := newP(b)
-		reqs := dandelion.BatchOf("I", "In", payloads...)
+		reqs := dandelion.BatchOf("", "I", "In", payloads...)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := p.InvokeBatch(reqs)
+			res := p.InvokeBatch(context.Background(), reqs)
 			for _, r := range res {
 				if r.Err != nil {
 					b.Fatal(r.Err)
@@ -384,11 +385,11 @@ composition I(In) => Result {
 	// are handed off between contexts instead of cloned.
 	b.Run("batch-zerocopy", func(b *testing.B) {
 		p := newP(b, func(o *dandelion.Options) { o.ZeroCopy = true })
-		reqs := dandelion.BatchOf("I", "In", payloads...)
+		reqs := dandelion.BatchOf("", "I", "In", payloads...)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := p.InvokeBatch(reqs)
+			res := p.InvokeBatch(context.Background(), reqs)
 			for _, r := range res {
 				if r.Err != nil {
 					b.Fatal(r.Err)

@@ -27,8 +27,11 @@
 //	composition Hello(Name) => Greeting {
 //	    Greet(x = all Name) => (Greeting = Out);
 //	}`)
-//	out, _ := p.Invoke("Hello", map[string][]dandelion.Item{
-//	    "Name": {{Name: "n", Data: []byte("world")}},
+//	out, _ := p.Invoke(context.Background(), dandelion.Request{
+//	    Composition: "Hello",
+//	    Inputs: map[string][]dandelion.Item{
+//	        "Name": {{Name: "n", Data: []byte("world")}},
+//	    },
 //	})
 //	fmt.Println(string(out["Greeting"][0].Data))
 package dandelion
@@ -74,8 +77,8 @@ type Stats = core.Stats
 type TenantStats = sched.TenantStats
 
 // DefaultTenant is the identity invocations run under when none is
-// given: Invoke and InvokeBatch requests without a Tenant, and HTTP
-// requests without an X-Tenant header.
+// given: requests without a Tenant, and HTTP requests without an
+// X-Tenant header.
 const DefaultTenant = core.DefaultTenant
 
 // ErrDraining rejects new invocations while a node drains (see
@@ -103,16 +106,19 @@ var ErrExpired = core.ErrExpired
 // such errors to 504.
 func IsTimeout(err error) bool { return core.IsTimeout(err) }
 
-// BatchRequest is one composition invocation inside a
-// Platform.InvokeBatch call.
-type BatchRequest = core.BatchRequest
+// Request is one composition invocation — the argument of
+// Platform.Invoke and the element of a Platform.InvokeBatch call. It
+// names the composition, the tenant it is scheduled under (empty means
+// DefaultTenant), an optional idempotency key (see docs/JOURNAL.md),
+// and the inputs; the deadline lives in the call's context.
+type Request = core.Request
 
-// BatchResult is the per-request outcome of a batched invocation;
-// requests fail independently.
-type BatchResult = core.BatchResult
+// Result is the per-request outcome of a batched invocation; requests
+// fail independently.
+type Result = core.Result
 
 // Region is a reference-counted lease on externally pooled memory that
-// a BatchRequest's inputs alias (BatchRequest.Borrow): the release
+// a Request's inputs alias (Request.Borrow): the release
 // hook — typically a decoder-buffer recycle — fires exactly once, when
 // the creator and every compute context that borrowed the memory have
 // all released. See memctx's borrowed-region docs.

@@ -1,6 +1,7 @@
 package dandelion_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,9 +45,9 @@ composition Hello(Name) => Greeting {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("Hello", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "Hello", Inputs: map[string][]dandelion.Item{
 		"Name": {{Name: "n", Data: []byte("world")}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +90,9 @@ composition E(In) => Result {
 }`); err != nil {
 			t.Fatal(err)
 		}
-		out, err := p.Invoke("E", map[string][]dandelion.Item{
+		out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "E", Inputs: map[string][]dandelion.Item{
 			"In": {{Name: "x", Data: []byte(b)}},
-		})
+		}})
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -193,9 +194,9 @@ composition RenderLogs(AccessToken) => HTMLOutput {
 		t.Fatal(err)
 	}
 
-	out, err := p.Invoke("RenderLogs", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "RenderLogs", Inputs: map[string][]dandelion.Item{
 		"AccessToken": {{Name: "t", Data: []byte("token-42")}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +208,9 @@ composition RenderLogs(AccessToken) => HTMLOutput {
 	}
 
 	// Bad token: auth returns 401, FanOut fails, the invocation errors.
-	if _, err := p.Invoke("RenderLogs", map[string][]dandelion.Item{
+	if _, err := p.Invoke(context.Background(), dandelion.Request{Composition: "RenderLogs", Inputs: map[string][]dandelion.Item{
 		"AccessToken": {{Name: "t", Data: []byte("wrong")}},
-	}); err == nil || !strings.Contains(err.Error(), "auth failed") {
+	}}); err == nil || !strings.Contains(err.Error(), "auth failed") {
 		t.Fatalf("bad token err = %v", err)
 	}
 }
@@ -228,7 +229,7 @@ composition C(In) => Result {
     Mk(x = all In) => (req = Request);
     HTTP(Request = each req) => (Result = Response);
 }`)
-	_, err := p.Invoke("C", map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}})
+	_, err := p.Invoke(context.Background(), dandelion.Request{Composition: "C", Inputs: map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}}})
 	if err == nil || !strings.Contains(err.Error(), "not permitted") {
 		t.Fatalf("err = %v, want host denial", err)
 	}
@@ -258,9 +259,9 @@ composition U(In) => Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := m.Invoke("U", map[string][]dandelion.Item{
+			out, err := m.Invoke(context.Background(), dandelion.Request{Composition: "U", Inputs: map[string][]dandelion.Item{
 				"In": {{Name: "x", Data: []byte("dandelion")}},
-			})
+			}})
 			if err == nil && string(out["Result"][0].Data) != "DANDELION" {
 				err = errors.New("bad result")
 			}

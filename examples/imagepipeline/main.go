@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -122,9 +123,9 @@ composition Pipeline(Start) => Result {
 	}
 
 	start := time.Now()
-	out, err := p.Invoke("Pipeline", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "Pipeline", Inputs: map[string][]dandelion.Item{
 		"Start": {{Name: "go", Data: []byte("1")}},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

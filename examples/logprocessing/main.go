@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -118,9 +119,9 @@ composition RenderLogs(AccessToken) => HTMLOutput {
 		log.Fatal(err)
 	}
 
-	out, err := p.Invoke("RenderLogs", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "RenderLogs", Inputs: map[string][]dandelion.Item{
 		"AccessToken": {{Name: "t", Data: []byte("token-42")}},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

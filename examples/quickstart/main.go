@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -48,13 +49,13 @@ composition ShoutAll(Words) => Result {
 		log.Fatal(err)
 	}
 
-	out, err := p.Invoke("ShoutAll", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "ShoutAll", Inputs: map[string][]dandelion.Item{
 		"Words": {
 			{Name: "w0", Data: []byte("dandelion")},
 			{Name: "w1", Data: []byte("is")},
 			{Name: "w2", Data: []byte("elastic")},
 		},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

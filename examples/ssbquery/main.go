@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -114,9 +115,9 @@ composition SSBQ11(Start) => Result {
 	}
 
 	start := time.Now()
-	out, err := p.Invoke("SSBQ11", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "SSBQ11", Inputs: map[string][]dandelion.Item{
 		"Start": {{Name: "go", Data: []byte("1")}},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,11 +34,11 @@ const (
 	defaultBreakerCooldown  = time.Second
 )
 
-// BreakerNode is the optional circuit-breaker interface of a worker:
+// BreakerNode is the optional transport-health interface of a worker:
 // the manager skips workers reporting BreakerOpen when picking routes,
-// and AggregateStats surfaces the state and counters per worker. A
-// RemoteNode satisfies it; in-process platforms (which have no
-// transport to fail) do not.
+// and AggregateStats surfaces the breaker state, its counters, and the
+// transport's in-place retries per worker. A RemoteNode satisfies it;
+// in-process platforms (which have no transport to fail) do not.
 type BreakerNode interface {
 	// BreakerState reports "closed", "open", or "half-open". An open
 	// breaker whose cooldown has expired reports half-open even before
@@ -49,6 +49,9 @@ type BreakerNode interface {
 	// including half-open probes that failed) and fast-fails (calls
 	// refused locally while open).
 	BreakerCounters() (trips, fastFails uint64)
+	// Retries reports in-place transport retries issued (not the
+	// original attempts).
+	Retries() uint64
 }
 
 // breaker is a closed/open/half-open circuit breaker. A nil breaker or

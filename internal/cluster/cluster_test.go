@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -12,36 +13,55 @@ import (
 	"dandelion/internal/sched"
 )
 
+// fakeNode is a scripted two-method Node: it counts calls and records
+// every request it was handed, so tests can assert what arrived.
+// InvokeBatch runs the chunk through Invoke and counts the batched call.
 type fakeNode struct {
 	calls    atomic.Int64
 	inflight atomic.Int64
-	peak     atomic.Int64
 	delay    time.Duration
+	gate     chan struct{} // when non-nil, Invoke holds until it closes
 	fail     bool
+
+	batchCalls atomic.Int64
+	mu         sync.Mutex
+	seen       []core.Request
 }
 
-func (f *fakeNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
+func (f *fakeNode) Invoke(ctx context.Context, req core.Request) (map[string][]memctx.Item, error) {
 	f.calls.Add(1)
-	c := f.inflight.Add(1)
-	for {
-		p := f.peak.Load()
-		if c <= p || f.peak.CompareAndSwap(p, c) {
-			break
-		}
-	}
+	f.mu.Lock()
+	f.seen = append(f.seen, req)
+	f.mu.Unlock()
+	f.inflight.Add(1)
 	if f.delay > 0 {
 		time.Sleep(f.delay)
+	}
+	if f.gate != nil {
+		<-f.gate
 	}
 	f.inflight.Add(-1)
 	if f.fail {
 		return nil, errors.New("boom")
 	}
-	return map[string][]memctx.Item{"Out": {{Name: "r", Data: []byte(name)}}}, nil
+	return map[string][]memctx.Item{"Out": {{Name: "r", Data: []byte(req.Composition)}}}, nil
 }
+
+func (f *fakeNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
+	f.batchCalls.Add(1)
+	out := make([]core.Result, len(reqs))
+	for i, r := range reqs {
+		outs, err := f.Invoke(ctx, r)
+		out[i] = core.Result{Outputs: outs, Err: err}
+	}
+	return out
+}
+
+var bg = context.Background()
 
 func TestNoWorkers(t *testing.T) {
 	m := NewManager(RoundRobin)
-	if _, err := m.Invoke("X", nil); !errors.Is(err, ErrNoWorkers) {
+	if _, err := m.Invoke(bg, core.Request{Composition: "X"}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -73,7 +93,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 		m.Register(string(rune('a'+i)), n)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := m.Invoke("C", nil); err != nil {
+		if _, err := m.Invoke(bg, core.Request{Composition: "C"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,22 +106,31 @@ func TestRoundRobinSpreads(t *testing.T) {
 
 func TestLeastLoadedPrefersIdle(t *testing.T) {
 	m := NewManager(LeastLoaded)
-	slow := &fakeNode{delay: 50 * time.Millisecond}
+	slow := &fakeNode{gate: make(chan struct{})}
 	fast := &fakeNode{}
 	m.Register("slow", slow)
 	m.Register("fast", fast)
 
+	// Occupy "slow" (the tie-break pick of an idle cluster) with one
+	// held invocation, then fire more: each must see slow's in-flight
+	// count and go to the idle node.
 	var wg sync.WaitGroup
-	// Occupy "slow" with one long invocation, then fire more.
 	wg.Add(1)
-	go func() { defer wg.Done(); m.Invoke("C", nil) }()
-	time.Sleep(5 * time.Millisecond)
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); m.Invoke("C", nil) }()
+	go func() { defer wg.Done(); m.Invoke(bg, core.Request{Composition: "C"}) }()
+	for deadline := time.Now().Add(5 * time.Second); slow.inflight.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("held invocation never reached the slow node")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	for i := 0; i < 10; i++ {
+		if _, err := m.Invoke(bg, core.Request{Composition: "C"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(slow.gate)
 	wg.Wait()
-	if fast.calls.Load() < 9 {
+	if fast.calls.Load() != 10 || slow.calls.Load() != 1 {
 		t.Fatalf("least-loaded did not prefer idle node: fast=%d slow=%d",
 			fast.calls.Load(), slow.calls.Load())
 	}
@@ -115,7 +144,7 @@ func TestStatsAndFailures(t *testing.T) {
 	m.Register("bad", bad)
 	var failures int
 	for i := 0; i < 10; i++ {
-		if _, err := m.Invoke("C", nil); err != nil {
+		if _, err := m.Invoke(bg, core.Request{Composition: "C"}); err != nil {
 			failures++
 		}
 	}
@@ -152,7 +181,7 @@ func TestConcurrentInvocations(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := m.Invoke("C", nil); err != nil {
+			if _, err := m.Invoke(bg, core.Request{Composition: "C"}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -168,39 +197,22 @@ func TestConcurrentInvocations(t *testing.T) {
 	}
 }
 
-// fakeBatchNode counts batched calls to verify the manager prefers the
-// BatchNode fast path over per-request Invoke.
-type fakeBatchNode struct {
-	fakeNode
-	batchCalls atomic.Int64
-	batchSizes []int
-	mu         sync.Mutex
-}
-
-func (f *fakeBatchNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	f.batchCalls.Add(1)
-	f.mu.Lock()
-	f.batchSizes = append(f.batchSizes, len(reqs))
-	f.mu.Unlock()
-	out := make([]core.BatchResult, len(reqs))
-	for i, r := range reqs {
-		outs, err := f.Invoke(r.Composition, r.Inputs)
-		out[i] = core.BatchResult{Outputs: outs, Err: err}
+// batchReqs builds n requests of one composition under one tenant,
+// request i carrying the letter 'a'+i.
+func batchReqs(tenant, name string, n int) []core.Request {
+	reqs := make([]core.Request, n)
+	for i := range reqs {
+		reqs[i] = core.Request{
+			Composition: name, Tenant: tenant,
+			Inputs: map[string][]memctx.Item{"In": {{Name: "x", Data: []byte{'a' + byte(i)}}}},
+		}
 	}
-	return out
-}
-
-func batchInputs(n int) []map[string][]memctx.Item {
-	in := make([]map[string][]memctx.Item, n)
-	for i := range in {
-		in[i] = map[string][]memctx.Item{"In": {{Name: "x", Data: []byte{byte(i)}}}}
-	}
-	return in
+	return reqs
 }
 
 func TestInvokeBatchNoWorkers(t *testing.T) {
 	m := NewManager(RoundRobin)
-	res := m.InvokeBatch("X", batchInputs(3))
+	res := m.InvokeBatch(bg, batchReqs("", "X", 3))
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrNoWorkers) {
 			t.Fatalf("result %d err = %v", i, r.Err)
@@ -210,13 +222,13 @@ func TestInvokeBatchNoWorkers(t *testing.T) {
 
 func TestInvokeBatchRoundRobinSplits(t *testing.T) {
 	m := NewManager(RoundRobin)
-	nodes := []*fakeBatchNode{{}, {}, {}}
+	nodes := []*fakeNode{{}, {}, {}}
 	for i, n := range nodes {
 		if err := m.Register(string(rune('a'+i)), n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res := m.InvokeBatch("C", batchInputs(9))
+	res := m.InvokeBatch(bg, batchReqs("", "C", 9))
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("result %d: %v", i, r.Err)
@@ -236,7 +248,7 @@ func TestInvokeBatchRoundRobinSplits(t *testing.T) {
 
 func TestInvokeBatchLeastLoadedPicksIdleWorker(t *testing.T) {
 	m := NewManager(LeastLoaded)
-	busy, idle := &fakeBatchNode{}, &fakeBatchNode{}
+	busy, idle := &fakeNode{}, &fakeNode{}
 	if err := m.Register("busy", busy); err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +261,10 @@ func TestInvokeBatchLeastLoadedPicksIdleWorker(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		m.Invoke("C", batchInputs(1)[0])
+		m.Invoke(bg, batchReqs("", "C", 1)[0])
 	}()
 	time.Sleep(20 * time.Millisecond) // let the slow call land on "busy"
-	res := m.InvokeBatch("C", batchInputs(4))
+	res := m.InvokeBatch(bg, batchReqs("", "C", 4))
 	wg.Wait()
 	for i, r := range res {
 		if r.Err != nil {
@@ -265,34 +277,13 @@ func TestInvokeBatchLeastLoadedPicksIdleWorker(t *testing.T) {
 	}
 }
 
-func TestInvokeBatchFallsBackToInvoke(t *testing.T) {
-	// A plain Node without InvokeBatch must still serve batches.
-	m := NewManager(RoundRobin)
-	n := &fakeNode{}
-	if err := m.Register("plain", n); err != nil {
-		t.Fatal(err)
-	}
-	res := m.InvokeBatch("C", batchInputs(5))
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
-		}
-		if string(r.Outputs["Out"][0].Data) != "C" {
-			t.Fatalf("result %d payload = %q", i, r.Outputs["Out"][0].Data)
-		}
-	}
-	if n.calls.Load() != 5 {
-		t.Fatalf("fallback calls = %d, want 5", n.calls.Load())
-	}
-}
-
 func TestInvokeBatchCountsFailures(t *testing.T) {
 	m := NewManager(RoundRobin)
 	n := &fakeNode{fail: true}
 	if err := m.Register("w", n); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatch("C", batchInputs(3))
+	res := m.InvokeBatch(bg, batchReqs("", "C", 3))
 	for i, r := range res {
 		if r.Err == nil {
 			t.Fatalf("result %d unexpectedly succeeded", i)
@@ -304,34 +295,25 @@ func TestInvokeBatchCountsFailures(t *testing.T) {
 	}
 }
 
-// fakeTenantNode records the tenant identities it was invoked under.
-type fakeTenantNode struct {
-	fakeNode
-	mu      sync.Mutex
-	tenants []string
-}
-
-func (f *fakeTenantNode) InvokeAs(tenant, name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	f.mu.Lock()
-	f.tenants = append(f.tenants, tenant)
-	f.mu.Unlock()
-	return f.Invoke(name, in)
-}
-
-func TestInvokeThreadsTenant(t *testing.T) {
+// TestInvokeThreadsRequest: the manager hands the worker the request it
+// was given — tenant and key included — on both calls.
+func TestInvokeThreadsRequest(t *testing.T) {
 	m := NewManager(RoundRobin)
-	n := &fakeTenantNode{}
+	n := &fakeNode{}
 	if err := m.Register("w", n); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.InvokeAs("alice", "C", nil); err != nil {
+	if _, err := m.Invoke(bg, core.Request{Composition: "C", Tenant: "alice", Key: "k1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Invoke("C", nil); err != nil {
-		t.Fatal(err)
+	reqs := batchReqs("bob", "C", 1)
+	reqs[0].Key = "k2"
+	if res := m.InvokeBatch(bg, reqs); res[0].Err != nil {
+		t.Fatal(res[0].Err)
 	}
-	if len(n.tenants) != 2 || n.tenants[0] != "alice" || n.tenants[1] != core.DefaultTenant {
-		t.Fatalf("tenants seen = %v", n.tenants)
+	if len(n.seen) != 2 || n.seen[0].Tenant != "alice" || n.seen[0].Key != "k1" ||
+		n.seen[1].Tenant != "bob" || n.seen[1].Key != "k2" {
+		t.Fatalf("requests seen = %+v", n.seen)
 	}
 }
 
@@ -340,13 +322,13 @@ type failingBatchNode struct {
 	batchCalls atomic.Int64
 }
 
-func (f *failingBatchNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
+func (f *failingBatchNode) Invoke(ctx context.Context, req core.Request) (map[string][]memctx.Item, error) {
 	return nil, errors.New("node down")
 }
 
-func (f *failingBatchNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
+func (f *failingBatchNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
 	f.batchCalls.Add(1)
-	out := make([]core.BatchResult, len(reqs))
+	out := make([]core.Result, len(reqs))
 	for i := range out {
 		out[i].Err = errors.New("node down")
 	}
@@ -359,14 +341,14 @@ func (f *failingBatchNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchRes
 func TestInvokeBatchReroutesFailedChunk(t *testing.T) {
 	m := NewManager(RoundRobin)
 	dead := &failingBatchNode{}
-	good := &fakeBatchNode{}
+	good := &fakeNode{}
 	if err := m.Register("dead", dead); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Register("good", good); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatchAs("alice", "C", batchInputs(8))
+	res := m.InvokeBatch(bg, batchReqs("alice", "C", 8))
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("result %d not rerouted: %v", i, r.Err)
@@ -396,11 +378,11 @@ func TestInvokeBatchReroutesFailedChunk(t *testing.T) {
 // TestInvokeBatchKeepsPerRequestErrors: per-request application errors
 // (not a wholesale chunk failure) must NOT trigger re-routing.
 type halfFailNode struct {
-	fakeBatchNode
+	fakeNode
 }
 
-func (f *halfFailNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	out := make([]core.BatchResult, len(reqs))
+func (f *halfFailNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
+	out := make([]core.Result, len(reqs))
 	for i := range reqs {
 		if i%2 == 0 {
 			out[i].Err = errors.New("bad input")
@@ -415,7 +397,7 @@ func (f *halfFailNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult 
 func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 	m := NewManager(LeastLoaded)
 	flaky := &halfFailNode{}
-	spare := &fakeBatchNode{}
+	spare := &fakeNode{}
 	if err := m.Register("flaky", flaky); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +406,7 @@ func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 	}
 	// LeastLoaded sends the whole batch to one worker; half its requests
 	// fail with application errors, which must stand (no retry).
-	res := m.InvokeBatch("C", batchInputs(4))
+	res := m.InvokeBatch(bg, batchReqs("", "C", 4))
 	errs := 0
 	for _, r := range res {
 		if r.Err != nil {
@@ -445,14 +427,14 @@ func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 func TestInvokeBatchNoRerouteForSingleRequestChunk(t *testing.T) {
 	m := NewManager(LeastLoaded)
 	dead := &failingBatchNode{}
-	spare := &fakeBatchNode{}
+	spare := &fakeNode{}
 	if err := m.Register("dead", dead); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Register("spare", spare); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatch("C", batchInputs(1))
+	res := m.InvokeBatch(bg, batchReqs("", "C", 1))
 	if res[0].Err == nil {
 		t.Fatal("single-request chunk was retried")
 	}
@@ -467,7 +449,7 @@ func TestInvokeBatchNoRerouteForSingleRequestChunk(t *testing.T) {
 	}
 }
 
-// statsFake is a Node + StatsNode whose snapshot is scripted: it can
+// statsFake is a Node + Admin whose snapshot is scripted: it can
 // report fixed gauges, error, or block until released — the shapes the
 // aggregation hardening is tested against.
 type statsFake struct {
@@ -477,6 +459,8 @@ type statsFake struct {
 	block   chan struct{} // when non-nil, NodeStats waits on it
 	polled  atomic.Int64
 }
+
+func (f *statsFake) SetTenantWeight(string, int) {}
 
 func (f *statsFake) NodeStats() (core.Stats, error) {
 	f.polled.Add(1)
@@ -491,7 +475,7 @@ func tstats(tenant string, weight int, completed uint64) []sched.TenantStats {
 }
 
 // TestAggregateStatsMergesWorkers: counters sum, per-tenant gauges
-// merge across workers, and workers without StatsNode are ignored.
+// merge across workers, and workers without Admin are ignored.
 func TestAggregateStatsMergesWorkers(t *testing.T) {
 	m := NewManager(RoundRobin)
 	w1 := &statsFake{stats: core.Stats{
@@ -502,9 +486,7 @@ func TestAggregateStatsMergesWorkers(t *testing.T) {
 		Invocations: 5, Batches: 1, ComputeEngines: 4, ComputeQueueLen: 1,
 		EngineResizes: 2, Tenants: tstats("alice", 2, 7),
 	}}
-	plain := &fakeNode{} // no StatsNode: routing only
-	m.Register("w1", &w1.fakeNode)
-	m.Deregister("w1") // re-register the StatsNode-capable wrapper
+	plain := &fakeNode{} // no Admin: routing only
 	m.Register("w1", w1)
 	m.Register("w2", w2)
 	m.Register("plain", plain)
@@ -596,8 +578,8 @@ func TestAggregateStatsMidFlightDeregister(t *testing.T) {
 }
 
 // TestSetTenantWeightFanOut: the manager applies a weight update on
-// every WeightNode worker and reports the count; non-WeightNode workers
-// are skipped, not failed.
+// every Admin worker and reports the count; non-Admin workers are
+// skipped, not failed.
 func TestSetTenantWeightFanOut(t *testing.T) {
 	m := NewManager(RoundRobin)
 	w1, err := core.NewPlatform(core.Options{})

@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -54,27 +55,22 @@ type lossyNode struct {
 	drops atomic.Int32
 }
 
-func (l *lossyNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return l.p.Invoke(name, in)
+func (l *lossyNode) Invoke(ctx context.Context, req core.Request) (map[string][]memctx.Item, error) {
+	return l.p.Invoke(ctx, req)
 }
 
-func (l *lossyNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	res := l.p.InvokeBatch(reqs)
+func (l *lossyNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
+	res := l.p.InvokeBatch(ctx, reqs)
 	if l.drops.Add(1) == 1 {
 		for i := range res {
-			res[i] = core.BatchResult{Err: errors.New("cluster: response lost")}
+			res[i] = core.Result{Err: errors.New("cluster: response lost")}
 		}
 	}
 	return res
 }
 
-func keyedInputs(n int) []map[string][]memctx.Item {
-	in := make([]map[string][]memctx.Item, n)
-	for i := range in {
-		in[i] = map[string][]memctx.Item{"In": {{Name: "x", Data: []byte{'a' + byte(i)}}}}
-	}
-	return in
-}
+// upperReqs builds n requests of the U composition under tenant alice.
+func upperReqs(n int) []core.Request { return batchReqs("alice", "U", n) }
 
 // TestKeyedSingleRequestRetrySameWorker: without keys a single-request
 // chunk is never retried; with EnableKeyedRetries it is, and with no
@@ -90,7 +86,7 @@ func TestKeyedSingleRequestRetrySameWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := m.InvokeBatchAs("alice", "U", keyedInputs(1))
+	res := m.InvokeBatch(bg, upperReqs(1))
 	if res[0].Err != nil {
 		t.Fatalf("keyed single-request chunk not recovered: %v", res[0].Err)
 	}
@@ -120,7 +116,7 @@ func TestUnkeyedSingleRequestStillNotRetried(t *testing.T) {
 	if err := m.Register("w1", &lossyNode{p: p}); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatchAs("alice", "U", keyedInputs(1))
+	res := m.InvokeBatch(bg, upperReqs(1))
 	if res[0].Err == nil {
 		t.Fatal("unkeyed single-request chunk was retried")
 	}
@@ -137,9 +133,9 @@ type keyedSabotageNode struct {
 	once   sync.Once
 }
 
-func (s *keyedSabotageNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
+func (s *keyedSabotageNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
 	s.once.Do(func() { s.m.Deregister(s.victim) })
-	return s.lossyNode.InvokeBatch(reqs)
+	return s.lossyNode.InvokeBatch(ctx, reqs)
 }
 
 // TestKeyedRerouteSkipsDeregisteredSurvivorDedups re-runs the PR-6
@@ -154,7 +150,7 @@ func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 	m := NewManager(LeastLoaded)
 	m.EnableKeyedRetries("life1")
 	dying := &keyedSabotageNode{lossyNode: lossyNode{p: p}, m: m, victim: "stale"}
-	stale := &fakeBatchNode{}
+	stale := &fakeNode{}
 	live := &lossyNode{p: p}
 	live.drops.Store(1) // never drop: only "dying" loses its response
 	if err := m.Register("dying", dying); err != nil {
@@ -167,7 +163,7 @@ func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := m.InvokeBatchAs("alice", "U", keyedInputs(6))
+	res := m.InvokeBatch(bg, upperReqs(6))
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("result %d not recovered: %v", i, r.Err)
@@ -185,76 +181,66 @@ func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchKeyedAsCallerKeys: caller-supplied keys flow through
-// to the workers' BatchRequests verbatim, mismatched lengths disable
-// keying rather than panicking, and partially keyed chunks keep the
-// multi-request-only retry heuristic.
-func TestInvokeBatchKeyedAsCallerKeys(t *testing.T) {
-	var got []string
-	var mu sync.Mutex
-	n := &fakeBatchNode{}
-	rec := recordKeysNode{inner: n, keys: &got, mu: &mu}
+// keysSeen lists the keys of the requests a fake was handed, in order.
+func keysSeen(n *fakeNode) []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	keys := make([]string, len(n.seen))
+	for i, r := range n.seen {
+		keys[i] = r.Key
+	}
+	return keys
+}
+
+// TestInvokeBatchCallerKeys: caller-supplied keys flow through to the
+// workers' requests verbatim — a partially keyed batch stays partially
+// keyed — and EnableKeyedRetries fills only the empty ones, leaving the
+// caller's slice untouched.
+func TestInvokeBatchCallerKeys(t *testing.T) {
+	n := &fakeNode{}
 	m := NewManager(RoundRobin)
-	if err := m.Register("w1", rec); err != nil {
+	if err := m.Register("w1", n); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatchKeyedAs("alice", "U", []string{"k0", "", "k2"}, keyedInputs(3))
-	for i, r := range res {
+	reqs := upperReqs(3)
+	reqs[0].Key, reqs[2].Key = "k0", "k2"
+	for i, r := range m.InvokeBatch(bg, reqs) {
 		if r.Err != nil {
 			t.Fatalf("result %d: %v", i, r.Err)
 		}
 	}
-	mu.Lock()
-	if len(got) != 3 || got[0] != "k0" || got[1] != "" || got[2] != "k2" {
-		mu.Unlock()
+	if got := keysSeen(n); len(got) != 3 || got[0] != "k0" || got[1] != "" || got[2] != "k2" {
 		t.Fatalf("worker saw keys %v", got)
 	}
-	mu.Unlock()
-	// Length mismatch: keys dropped, batch still runs.
-	res = m.InvokeBatchKeyedAs("alice", "U", []string{"only-one"}, keyedInputs(2))
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("mismatched-keys result %d: %v", i, r.Err)
-		}
+
+	m.EnableKeyedRetries("life1")
+	m.InvokeBatch(bg, reqs)
+	got := keysSeen(n)[3:]
+	if len(got) != 3 || got[0] != "k0" || got[1] != journal.ChunkKey("life1-1", 1) || got[2] != "k2" {
+		t.Fatalf("with keyed retries the worker saw keys %v", got)
+	}
+	if reqs[1].Key != "" {
+		t.Fatalf("manager wrote key %q into the caller's slice", reqs[1].Key)
 	}
 }
 
-// recordKeysNode records the keys its BatchRequests carry.
-type recordKeysNode struct {
-	inner *fakeBatchNode
-	keys  *[]string
-	mu    *sync.Mutex
-}
-
-func (r recordKeysNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return r.inner.Invoke(name, in)
-}
-
-func (r recordKeysNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	r.mu.Lock()
-	for _, q := range reqs {
-		*r.keys = append(*r.keys, q.Key)
-	}
-	r.mu.Unlock()
-	return r.inner.InvokeBatch(reqs)
-}
-
-// TestManagerInvokeKeyedAs: single keyed invocations reach KeyedNode
-// workers with the key intact and dedup re-sends.
-func TestManagerInvokeKeyedAs(t *testing.T) {
+// TestManagerInvokeKeyed: a single keyed invocation reaches the worker
+// with the key intact and dedups re-sends.
+func TestManagerInvokeKeyed(t *testing.T) {
 	p := upperPlatform(t, core.Options{Journal: journal.NewMemory()})
 	m := NewManager(RoundRobin)
 	if err := m.Register("w1", p); err != nil {
 		t.Fatal(err)
 	}
-	in := map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("hi")}}}
-	out, err := m.InvokeKeyedAs("alice", "U", "req-1", in)
-	if err != nil || string(out["Result"][0].Data) != "HI" {
+	req := upperReqs(1)[0]
+	req.Key = "req-1"
+	out, err := m.Invoke(bg, req)
+	if err != nil || string(out["Result"][0].Data) != "A" {
 		t.Fatalf("keyed invoke: %v %v", out, err)
 	}
 	// The re-send replays cached outputs without executing.
-	out, err = m.InvokeKeyedAs("alice", "U", "req-1", in)
-	if err != nil || string(out["Result"][0].Data) != "HI" {
+	out, err = m.Invoke(bg, req)
+	if err != nil || string(out["Result"][0].Data) != "A" {
 		t.Fatalf("keyed re-send: %v %v", out, err)
 	}
 	if st := p.Stats(); st.Invocations != 1 || st.DedupHits != 1 {

@@ -101,12 +101,12 @@ type RemoteOptions struct {
 }
 
 // RemoteNode is an HTTP client for one worker frontend, implementing
-// Node, TenantNode, BatchNode, WeightNode, and StatsNode against the
-// worker's /invoke, /invoke-batch, /admin/tenants/{name}, and /stats
-// routes. A Manager routes to it exactly as it routes to an in-process
-// *core.Platform; transport failures surface as ErrRemote-wrapped
-// per-request errors, which is what trips the manager's wholesale-
-// failure reroute heuristic when a worker dies mid-batch.
+// Node, Admin, and BreakerNode against the worker's /invoke,
+// /invoke-batch, /admin/tenants/{name}, and /stats routes. A Manager
+// routes to it exactly as it routes to an in-process *core.Platform;
+// transport failures surface as ErrRemote-wrapped per-request errors,
+// which is what trips the manager's wholesale-failure reroute heuristic
+// when a worker dies mid-batch.
 type RemoteNode struct {
 	base   string
 	token  string
@@ -133,7 +133,7 @@ type RemoteNode struct {
 	wireMode atomic.Int32
 
 	// ctlErrs counts control-plane calls (SetTenantWeight) that failed
-	// on the wire; the WeightNode interface has no error return, so the
+	// on the wire; Admin.SetTenantWeight has no error return, so the
 	// counter is the only trace.
 	ctlErrs atomic.Uint64
 
@@ -203,7 +203,7 @@ func (rn *RemoteNode) URL() string { return rn.base }
 // the wire.
 func (rn *RemoteNode) ControlErrors() uint64 { return rn.ctlErrs.Load() }
 
-// Retries reports in-place transport retries issued (RetryNode).
+// Retries reports in-place transport retries issued (BreakerNode).
 func (rn *RemoteNode) Retries() uint64 { return rn.retries.Load() }
 
 // BreakerState reports the worker breaker's routing-visible state
@@ -379,43 +379,21 @@ func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant str
 	return resp, nil
 }
 
-// Invoke routes one invocation to the worker under the default tenant.
-func (rn *RemoteNode) Invoke(name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeAsCtx(context.Background(), core.DefaultTenant, name, inputs)
-}
-
-// InvokeAs routes one invocation to the worker under a tenant identity,
-// using the frontend's full-fidelity JSON invoke mode (every input set
-// travels; the full output-set map comes back).
-func (rn *RemoteNode) InvokeAs(tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeKeyedAsCtx(context.Background(), tenant, name, "", inputs)
-}
-
-// InvokeAsCtx is InvokeAs under a caller context: the request carries
-// the context (cancelling it aborts the call) and its remaining budget
-// as X-Deadline-Ms, so the worker inherits the deadline.
-func (rn *RemoteNode) InvokeAsCtx(ctx context.Context, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeKeyedAsCtx(ctx, tenant, name, "", inputs)
-}
-
-// InvokeKeyedAs routes one idempotency-keyed invocation: the key
-// travels in the JSON body's key field (the same field the batch wire
-// shape uses), so a re-send after a lost response is answered from the
-// worker's completed-key dedup table instead of re-executing.
-func (rn *RemoteNode) InvokeKeyedAs(tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeKeyedAsCtx(context.Background(), tenant, name, key, inputs)
-}
-
-// InvokeKeyedAsCtx is InvokeKeyedAs under a caller context (see
-// InvokeAsCtx). Keyed invocations are retry-eligible: the worker's
-// dedup table absorbs a re-execution, so a transport failure is retried
-// in place before surfacing.
-func (rn *RemoteNode) InvokeKeyedAsCtx(ctx context.Context, tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	body, err := json.Marshal(wire.BatchRequest{Inputs: wire.FromSets(inputs), Key: key})
+// Invoke routes one invocation to the worker's full-fidelity JSON invoke
+// mode (every input set travels; the full output-set map comes back).
+// The tenant rides the X-Tenant header, the context's remaining budget
+// X-Deadline-Ms (cancelling ctx aborts the call), and the idempotency
+// key the JSON body's key field (the same field the batch wire shape
+// uses), so a re-send after a lost response is answered from the
+// worker's completed-key dedup table instead of re-executing. Keyed
+// invocations are retry-eligible for the same reason: a transport
+// failure is retried in place before surfacing.
+func (rn *RemoteNode) Invoke(ctx context.Context, req core.Request) (map[string][]memctx.Item, error) {
+	body, err := json.Marshal(wire.BatchRequest{Inputs: wire.FromSets(req.Inputs), Key: req.Key})
 	if err != nil {
 		return nil, fmt.Errorf("%w: encoding request: %v", ErrRemote, err)
 	}
-	payload, err := rn.do(ctx, http.MethodPost, "/invoke/"+url.PathEscape(name), tenant, body, key != "")
+	payload, err := rn.do(ctx, http.MethodPost, "/invoke/"+url.PathEscape(req.Composition), req.Tenant, body, req.Key != "")
 	if err != nil {
 		return nil, err
 	}
@@ -429,20 +407,15 @@ func (rn *RemoteNode) InvokeKeyedAsCtx(ctx context.Context, tenant, name, key st
 	return wire.ToSets(res.Outputs), nil
 }
 
-// InvokeBatch routes a batch to the worker's /invoke-batch route.
-// Requests are grouped into maximal runs sharing one composition and
-// tenant (the manager always sends uniform chunks, so this is one POST
-// per call); each group fails or succeeds per request, and a transport
-// failure errors every request of its group — the all-failed signature
-// the manager's reroute heuristic keys on.
-func (rn *RemoteNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	return rn.InvokeBatchCtx(context.Background(), reqs)
-}
-
-// InvokeBatchCtx is InvokeBatch under a caller context (see
-// InvokeAsCtx). Fully-keyed groups are retry-eligible in place.
-func (rn *RemoteNode) InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult {
-	results := make([]core.BatchResult, len(reqs))
+// InvokeBatch routes a batch to the worker's /invoke-batch route under
+// the caller's context (see Invoke). Requests are grouped into maximal
+// runs sharing one composition and tenant (one POST per run); each
+// group fails or succeeds per request, and a transport failure errors
+// every request of its group — the all-failed signature the manager's
+// reroute heuristic keys on. Fully-keyed groups are retry-eligible in
+// place.
+func (rn *RemoteNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
+	results := make([]core.Result, len(reqs))
 	for lo := 0; lo < len(reqs); {
 		hi := lo + 1
 		for hi < len(reqs) && reqs[hi].Composition == reqs[lo].Composition && reqs[hi].Tenant == reqs[lo].Tenant {
@@ -460,23 +433,17 @@ func (rn *RemoteNode) InvokeBatchCtx(ctx context.Context, reqs []core.BatchReque
 // a JSON body whose Accept header offers the binary type, so the
 // worker's response Content-Type settles the mode without ever sending
 // an old worker a body it would reject.
-func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.BatchRequest, results []core.BatchResult) {
+func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.Request, results []core.Result) {
 	fail := func(err error) {
 		for i := range results {
-			results[i] = core.BatchResult{Err: err}
+			results[i] = core.Result{Err: err}
 		}
 	}
 	path := "/invoke-batch/" + url.PathEscape(reqs[0].Composition)
 	mode := rn.wireMode.Load()
 	// A group is retry-eligible only when every request carries an
 	// idempotency key (the worker's dedup absorbs re-execution).
-	idempotent := true
-	for i := range reqs {
-		if reqs[i].Key == "" {
-			idempotent = false
-			break
-		}
-	}
+	idempotent := fullyKeyed(reqs)
 
 	buf := remoteBufPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -555,9 +522,9 @@ func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.BatchReq
 			}
 			if n < len(results) {
 				if errMsg != "" {
-					results[n] = core.BatchResult{Err: errors.New(errMsg)}
+					results[n] = core.Result{Err: errors.New(errMsg)}
 				} else {
-					results[n] = core.BatchResult{Outputs: outputs}
+					results[n] = core.Result{Outputs: outputs}
 				}
 			}
 			n++
@@ -580,15 +547,15 @@ func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.BatchReq
 	}
 	for i, r := range wireRes {
 		if r.Error != "" {
-			results[i] = core.BatchResult{Err: errors.New(r.Error)}
+			results[i] = core.Result{Err: errors.New(r.Error)}
 			continue
 		}
-		results[i] = core.BatchResult{Outputs: wire.ToSets(r.Outputs)}
+		results[i] = core.Result{Outputs: wire.ToSets(r.Outputs)}
 	}
 }
 
 // SetTenantWeight fans one tenant-weight update to the worker's admin
-// surface. The WeightNode interface has no error return; wire failures
+// surface. Admin.SetTenantWeight has no error return; wire failures
 // are counted in ControlErrors.
 func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) {
 	body, err := json.Marshal(map[string]int{"weight": weight})
@@ -603,7 +570,7 @@ func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) {
 }
 
 // NodeStats fetches the worker's gauge snapshot from GET /stats, the
-// remote StatsNode proxy that lets AggregateStats span machines.
+// remote Admin proxy that lets AggregateStats span machines.
 func (rn *RemoteNode) NodeStats() (core.Stats, error) {
 	payload, err := rn.do(context.Background(), http.MethodGet, "/stats", "", nil, true)
 	if err != nil {

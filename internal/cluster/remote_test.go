@@ -49,9 +49,9 @@ func TestRemoteNodeInvoke(t *testing.T) {
 	p, srv := newWorker(t, "")
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
 
-	out, err := rn.InvokeAs("alice", "E", map[string][]dandelion.Item{
+	out, err := rn.Invoke(context.Background(), dandelion.Request{Composition: "E", Tenant: "alice", Inputs: map[string][]dandelion.Item{
 		"In": {{Name: "x", Data: []byte("over the wire")}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,13 @@ func TestRemoteNodeInvoke(t *testing.T) {
 		t.Fatalf("outputs = %v", out)
 	}
 
-	// The tenant identity crossed the wire: the worker accounted the
-	// invocation under alice.
+	// The tenant identity crossed the wire: the worker dispatched the
+	// invocation under alice. (Dispatched, not Completed: the scheduler
+	// releases a task's slot only after its body returns, so Completed
+	// can still lag the response by one.)
 	found := false
 	for _, ts := range p.Stats().Tenants {
-		if ts.Tenant == "alice" && ts.Completed > 0 {
+		if ts.Tenant == "alice" && ts.Dispatched > 0 {
 			found = true
 		}
 	}
@@ -71,7 +73,7 @@ func TestRemoteNodeInvoke(t *testing.T) {
 		t.Fatalf("tenant alice not accounted on the worker: %+v", p.Stats().Tenants)
 	}
 
-	if _, err := rn.Invoke("Ghost", nil); err == nil {
+	if _, err := rn.Invoke(context.Background(), dandelion.Request{Composition: "Ghost"}); err == nil {
 		t.Fatal("unknown composition must error")
 	} else if errors.Is(err, cluster.ErrRemote) {
 		t.Fatalf("application rejection mis-tagged as transport error: %v", err)
@@ -82,16 +84,16 @@ func TestRemoteNodeInvokeBatch(t *testing.T) {
 	_, srv := newWorker(t, "")
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
 
-	reqs := make([]dandelion.BatchRequest, 5)
+	reqs := make([]dandelion.Request, 5)
 	for i := 0; i < 4; i++ {
-		reqs[i] = dandelion.BatchRequest{
+		reqs[i] = dandelion.Request{
 			Composition: "E", Tenant: "bob",
 			Inputs: map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte{byte('a' + i)}}}},
 		}
 	}
-	reqs[4] = dandelion.BatchRequest{Composition: "Ghost", Tenant: "bob"}
+	reqs[4] = dandelion.Request{Composition: "Ghost", Tenant: "bob"}
 
-	res := rn.InvokeBatch(reqs)
+	res := rn.InvokeBatch(context.Background(), reqs)
 	if len(res) != 5 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -113,7 +115,7 @@ func TestRemoteNodeTransportFailure(t *testing.T) {
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
 	srv.Close()
 
-	res := rn.InvokeBatch([]dandelion.BatchRequest{
+	res := rn.InvokeBatch(context.Background(), []dandelion.Request{
 		{Composition: "E"}, {Composition: "E"},
 	})
 	for i, r := range res {
@@ -130,9 +132,9 @@ func TestRemoteNodeStatsAndWeight(t *testing.T) {
 	p, srv := newWorker(t, "sesame")
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{Token: "sesame"})
 
-	if _, err := rn.Invoke("E", map[string][]dandelion.Item{
+	if _, err := rn.Invoke(context.Background(), dandelion.Request{Composition: "E", Inputs: map[string][]dandelion.Item{
 		"In": {{Name: "x", Data: []byte("hi")}},
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := rn.NodeStats()
@@ -231,13 +233,13 @@ func TestRemoteNodeBinaryNegotiation(t *testing.T) {
 		t.Fatalf("mode before first batch = %q, want probing", got)
 	}
 
-	mkBatch := func(payload string) []dandelion.BatchRequest {
-		return []dandelion.BatchRequest{{
+	mkBatch := func(payload string) []dandelion.Request {
+		return []dandelion.Request{{
 			Composition: "E",
 			Inputs:      map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte(payload)}}},
 		}}
 	}
-	res := rn.InvokeBatch(mkBatch("probe"))
+	res := rn.InvokeBatch(context.Background(), mkBatch("probe"))
 	if res[0].Err != nil {
 		t.Fatalf("probe batch: %v", res[0].Err)
 	}
@@ -249,7 +251,7 @@ func TestRemoteNodeBinaryNegotiation(t *testing.T) {
 	}
 
 	// Second batch travels the binary framing; results still decode.
-	res = rn.InvokeBatch(mkBatch("framed"))
+	res = rn.InvokeBatch(context.Background(), mkBatch("framed"))
 	if res[0].Err != nil {
 		t.Fatalf("binary batch: %v", res[0].Err)
 	}
@@ -279,7 +281,7 @@ func TestRemoteNodeJSONFallback(t *testing.T) {
 
 	rn := cluster.NewRemoteNode(stub.URL, cluster.RemoteOptions{})
 	for i := 0; i < 2; i++ {
-		res := rn.InvokeBatch([]dandelion.BatchRequest{{
+		res := rn.InvokeBatch(context.Background(), []dandelion.Request{{
 			Composition: "E",
 			Inputs:      map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("legacy")}}},
 		}})

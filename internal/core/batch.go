@@ -79,57 +79,16 @@ func (c *programCache) size() int {
 	return len(c.progs)
 }
 
-// BatchRequest is one composition invocation within a batch.
-type BatchRequest struct {
-	// Composition names the registered composition to run.
-	Composition string
-	// Tenant is the identity the request is scheduled under; empty
-	// means DefaultTenant. Requests of different tenants may share one
-	// InvokeBatch call — they are grouped and accounted separately.
-	Tenant string
-	// Inputs maps the composition's input names to items.
-	Inputs map[string][]memctx.Item
-	// Key is the request's idempotency key; empty opts out. A keyed
-	// request is checked against the completed-key dedup table before
-	// execution (a duplicate is answered from the table, never
-	// re-executed) and, on a journaling platform, written to the
-	// durable journal (see journal.go). cluster.Manager assigns chunk
-	// keys "base#i" so rerouted chunks retry safely.
-	Key string
-	// Borrow, when non-nil, marks Inputs as aliasing externally pooled
-	// memory (decoded wire buffers) leased under the given region. The
-	// zero-copy data plane then adopts the payloads borrowed
-	// (memctx.AdoptInputSetBorrowed): every compute context that
-	// aliases them retains the region for the duration of its use, so
-	// the owner's recycle hook cannot fire while the bytes are live.
-	// The caller keeps its own reference until it has consumed the
-	// results. Ignored (and safe) with ZeroCopy off — the copying path
-	// clones at the context boundary and never aliases the lease.
-	Borrow *memctx.Region
-}
-
-// BatchResult is the outcome of one request in a batch. Requests fail
-// independently: one request's error never aborts its batch-mates.
-type BatchResult struct {
-	Outputs map[string][]memctx.Item
-	Err     error
-}
-
 // InvokeBatch runs a batch of composition requests, returning one
 // result per request in request order. Requests naming the same
 // composition under the same tenant execute together through the
 // batched dispatch path; distinct groups proceed concurrently, each
-// scheduled in its tenant's DRR share.
-func (p *Platform) InvokeBatch(reqs []BatchRequest) []BatchResult {
-	return p.InvokeBatchCtx(context.Background(), reqs)
-}
-
-// InvokeBatchCtx is InvokeBatch under a caller context: the deadline
-// rides on every chunk dispatch (expired chunks are dropped unexecuted
-// by the scheduling plane) and cancellation stops new statements.
-// Deadline-class per-request failures tick Stats.TimedOut.
-func (p *Platform) InvokeBatchCtx(ctx context.Context, reqs []BatchRequest) []BatchResult {
-	results := make([]BatchResult, len(reqs))
+// scheduled in its tenant's DRR share. The context's deadline rides on
+// every chunk dispatch (expired chunks are dropped unexecuted by the
+// scheduling plane), cancellation stops new statements, and
+// deadline-class per-request failures tick Stats.TimedOut.
+func (p *Platform) InvokeBatch(ctx context.Context, reqs []Request) []Result {
+	results := make([]Result, len(reqs))
 	if len(reqs) == 0 {
 		return results
 	}
@@ -157,10 +116,7 @@ func (p *Platform) InvokeBatchCtx(ctx context.Context, reqs []BatchRequest) []Ba
 		if kb != nil && kb.skip[i] {
 			continue
 		}
-		key := groupKey{comp: r.Composition, tenant: r.Tenant}
-		if key.tenant == "" {
-			key.tenant = DefaultTenant
-		}
+		key := groupKey{comp: r.Composition, tenant: tenantOrDefault(r.Tenant)}
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
@@ -210,32 +166,11 @@ func (p *Platform) InvokeBatchCtx(ctx context.Context, reqs []BatchRequest) []Ba
 	return results
 }
 
-// InvokeBatchAs runs a batch under one tenant identity, overriding any
-// per-request Tenant fields — the server-side entry point for a batch
-// admitted from a single tenant's connection.
-func (p *Platform) InvokeBatchAs(tenant string, reqs []BatchRequest) []BatchResult {
-	return p.InvokeBatchAsCtx(context.Background(), tenant, reqs)
-}
-
-// InvokeBatchAsCtx is InvokeBatchAs under a caller context (see
-// InvokeBatchCtx).
-func (p *Platform) InvokeBatchAsCtx(ctx context.Context, tenant string, reqs []BatchRequest) []BatchResult {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	tagged := make([]BatchRequest, len(reqs))
-	for i, r := range reqs {
-		r.Tenant = tenant
-		tagged[i] = r
-	}
-	return p.InvokeBatchCtx(ctx, tagged)
-}
-
 // batchState tracks the per-request dataflow of one composition group.
 type batchState struct {
 	stores []*valueStore
 	// borrows, when non-nil, carries each request's wire-memory lease
-	// (BatchRequest.Borrow, parallel to stores); compute instances of
+	// (Request.Borrow, parallel to stores); compute instances of
 	// the request adopt their inputs under it on the zero-copy path.
 	borrows []*memctx.Region
 	mu      sync.Mutex

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -38,16 +39,16 @@ func TestInvokeBatchMatchesInvoke(t *testing.T) {
 			p := newPlatform(t, Options{ComputeEngines: 4, ZeroCopy: zc})
 			registerUpperPipeline(t, p)
 
-			reqs := make([]BatchRequest, 16)
+			reqs := make([]Request, 16)
 			for i := range reqs {
-				reqs[i] = BatchRequest{
+				reqs[i] = Request{
 					Composition: "Pipe",
 					Inputs: map[string][]memctx.Item{
 						"In": items(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
 					},
 				}
 			}
-			got := p.InvokeBatch(reqs)
+			got := p.InvokeBatch(context.Background(), reqs)
 			if len(got) != len(reqs) {
 				t.Fatalf("got %d results, want %d", len(got), len(reqs))
 			}
@@ -55,7 +56,7 @@ func TestInvokeBatchMatchesInvoke(t *testing.T) {
 				if res.Err != nil {
 					t.Fatalf("request %d failed: %v", i, res.Err)
 				}
-				want, err := p.Invoke("Pipe", reqs[i].Inputs)
+				want, err := p.Invoke(context.Background(), Request{Composition: "Pipe", Inputs: reqs[i].Inputs})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,11 +109,11 @@ composition H(In) => Result {
 }`); err != nil {
 			t.Fatal(err)
 		}
-		_, err := p.Invoke("H", map[string][]memctx.Item{"In": items("x")})
+		_, err := p.Invoke(context.Background(), Request{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}})
 		if !errors.Is(err, memctx.ErrOutOfBounds) {
 			t.Fatalf("zc=%v: oversized output err = %v, want ErrOutOfBounds", zc, err)
 		}
-		res := p.InvokeBatch([]BatchRequest{{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}}})
+		res := p.InvokeBatch(context.Background(), []Request{{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}}})
 		if !errors.Is(res[0].Err, memctx.ErrOutOfBounds) {
 			t.Fatalf("zc=%v: batched oversized output err = %v, want ErrOutOfBounds", zc, res[0].Err)
 		}
@@ -140,11 +141,11 @@ composition F(In) => Result {
 }`); err != nil {
 			t.Fatal(err)
 		}
-		reqs := []BatchRequest{
+		reqs := []Request{
 			{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("a", "b", "c")}},
 			{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("x", "y")}},
 		}
-		got := p.InvokeBatch(reqs)
+		got := p.InvokeBatch(context.Background(), reqs)
 		outs := make([]string, len(got))
 		for i, res := range got {
 			if res.Err != nil {
@@ -183,14 +184,14 @@ composition B(In) => Result {
 		t.Fatal(err)
 	}
 
-	reqs := []BatchRequest{
+	reqs := []Request{
 		{Composition: "B", Inputs: map[string][]memctx.Item{"In": items("fine")}},
 		{Composition: "B", Inputs: map[string][]memctx.Item{"In": items("explode")}},
 		{Composition: "NoSuch", Inputs: map[string][]memctx.Item{"In": items("x")}},
 		{Composition: "B", Inputs: map[string][]memctx.Item{"Wrong": items("x")}},
 		{Composition: "Pipe", Inputs: map[string][]memctx.Item{"In": items("ok")}},
 	}
-	got := p.InvokeBatch(reqs)
+	got := p.InvokeBatch(context.Background(), reqs)
 	if got[0].Err != nil {
 		t.Fatalf("healthy request failed: %v", got[0].Err)
 	}
@@ -221,11 +222,11 @@ composition E(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	reqs := []BatchRequest{
+	reqs := []Request{
 		{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("a", "b", "c")}},
 		{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("x", "y")}},
 	}
-	got := p.InvokeBatch(reqs)
+	got := p.InvokeBatch(context.Background(), reqs)
 	join := func(its []memctx.Item) string {
 		var parts []string
 		for _, it := range its {
@@ -259,13 +260,13 @@ composition E(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]BatchRequest, 8)
+	reqs := make([]Request, 8)
 	for i := range reqs {
-		reqs[i] = BatchRequest{Composition: "E", Inputs: map[string][]memctx.Item{
+		reqs[i] = Request{Composition: "E", Inputs: map[string][]memctx.Item{
 			"In": items(fmt.Sprintf("payload-%d", i)),
 		}}
 	}
-	got := p.InvokeBatch(reqs)
+	got := p.InvokeBatch(context.Background(), reqs)
 	for i, res := range got {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
@@ -289,12 +290,12 @@ composition Solo(In) => Result {
 		t.Fatal(err)
 	}
 	before := p.Stats()
-	reqs := []BatchRequest{
+	reqs := []Request{
 		{Composition: "Pipe", Inputs: map[string][]memctx.Item{"In": items("p")}},
 		{Composition: "Solo", Inputs: map[string][]memctx.Item{"In": items("s")}},
 		{Composition: "Pipe", Inputs: map[string][]memctx.Item{"In": items("q")}},
 	}
-	got := p.InvokeBatch(reqs)
+	got := p.InvokeBatch(context.Background(), reqs)
 	for i, res := range got {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
@@ -321,10 +322,10 @@ composition Outer(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	if res := p.InvokeBatch(nil); len(res) != 0 {
+	if res := p.InvokeBatch(context.Background(), nil); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
-	got := p.InvokeBatch([]BatchRequest{
+	got := p.InvokeBatch(context.Background(), []Request{
 		{Composition: "Outer", Inputs: map[string][]memctx.Item{"In": items("deep")}},
 	})
 	if got[0].Err != nil {
@@ -365,13 +366,13 @@ func TestInvokeBatchMixedTenants(t *testing.T) {
 	p := newPlatform(t, Options{ComputeEngines: 2})
 	registerUpperPipeline(t, p)
 
-	var reqs []BatchRequest
+	var reqs []Request
 	for i := 0; i < 6; i++ {
 		tenant := "alice"
 		if i%2 == 1 {
 			tenant = "bob"
 		}
-		reqs = append(reqs, BatchRequest{
+		reqs = append(reqs, Request{
 			Composition: "Pipe",
 			Tenant:      tenant,
 			Inputs: map[string][]memctx.Item{
@@ -379,7 +380,7 @@ func TestInvokeBatchMixedTenants(t *testing.T) {
 			},
 		})
 	}
-	results := p.InvokeBatch(reqs)
+	results := p.InvokeBatch(context.Background(), reqs)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("result %d: %v", i, res.Err)
@@ -401,37 +402,8 @@ func TestInvokeBatchMixedTenants(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchAsOverridesTenant: the server-side entry point stamps
-// one tenant over the whole batch.
-func TestInvokeBatchAsOverridesTenant(t *testing.T) {
-	p := newPlatform(t, Options{ComputeEngines: 2})
-	registerUpperPipeline(t, p)
-
-	reqs := []BatchRequest{{
-		Composition: "Pipe",
-		Tenant:      "spoofed",
-		Inputs:      map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("a")}}},
-	}}
-	results := p.InvokeBatchAs("real", reqs)
-	if results[0].Err != nil {
-		t.Fatal(results[0].Err)
-	}
-	var realSeen bool
-	for _, ts := range p.Stats().Tenants {
-		if ts.Tenant == "spoofed" && ts.Dispatched > 0 {
-			t.Fatalf("request ran under the spoofed tenant: %+v", ts)
-		}
-		if ts.Tenant == "real" {
-			realSeen = ts.Completed > 0
-		}
-	}
-	if !realSeen {
-		t.Fatalf("request not accounted to the real tenant: %+v", p.Stats().Tenants)
-	}
-}
-
 // TestInvokeBatchBorrowedRegionLifetime: requests whose inputs alias
-// externally pooled memory (BatchRequest.Borrow) must keep the lease
+// externally pooled memory (Request.Borrow) must keep the lease
 // alive for the whole execution in both data-plane modes, and the
 // release hook must fire exactly once — at the creator's release, since
 // every compute context drops its retain when it is reset or recycled
@@ -444,9 +416,9 @@ func TestInvokeBatchBorrowedRegionLifetime(t *testing.T) {
 
 			recycled := false
 			region := memctx.NewRegion(func() { recycled = true })
-			reqs := make([]BatchRequest, 8)
+			reqs := make([]Request, 8)
 			for i := range reqs {
-				reqs[i] = BatchRequest{
+				reqs[i] = Request{
 					Composition: "Pipe",
 					Inputs: map[string][]memctx.Item{
 						"In": items(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
@@ -454,7 +426,7 @@ func TestInvokeBatchBorrowedRegionLifetime(t *testing.T) {
 					Borrow: region,
 				}
 			}
-			results := p.InvokeBatch(reqs)
+			results := p.InvokeBatch(context.Background(), reqs)
 			for i, res := range results {
 				if res.Err != nil {
 					t.Fatalf("request %d failed: %v", i, res.Err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -84,7 +85,7 @@ composition Up(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("Up", map[string][]memctx.Item{"In": items("hello", "world")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "Up", Inputs: map[string][]memctx.Item{"In": items("hello", "world")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ composition F(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("F", map[string][]memctx.Item{"In": items("seed")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("seed")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ composition K(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("K", map[string][]memctx.Item{"In": items("seed")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "K", Inputs: map[string][]memctx.Item{"In": items("seed")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ composition S(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("S", map[string][]memctx.Item{"In": items("x")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "S", Inputs: map[string][]memctx.Item{"In": items("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ composition O(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("O", map[string][]memctx.Item{"In": items("x")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "O", Inputs: map[string][]memctx.Item{"In": items("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ composition E(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("E", map[string][]memctx.Item{"In": items("payload")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("payload")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestDvmSyscallAborts(t *testing.T) {
 composition V(In) => Result {
     Evil(x = all In) => (Result = out0);
 }`)
-	_, err := p.Invoke("V", map[string][]memctx.Item{"In": items("x")})
+	_, err := p.Invoke(context.Background(), Request{Composition: "V", Inputs: map[string][]memctx.Item{"In": items("x")}})
 	if !errors.Is(err, dvm.ErrSyscallAttempt) {
 		t.Fatalf("err = %v, want syscall trap", err)
 	}
@@ -244,7 +245,7 @@ func TestGoPanicConfined(t *testing.T) {
 composition B(In) => Result {
     Boom(x = all In) => (Result = Out);
 }`)
-	_, err := p.Invoke("B", map[string][]memctx.Item{"In": items("x")})
+	_, err := p.Invoke(context.Background(), Request{Composition: "B", Inputs: map[string][]memctx.Item{"In": items("x")}})
 	if err == nil || !strings.Contains(err.Error(), "crashed") {
 		t.Fatalf("err = %v, want crash report", err)
 	}
@@ -254,7 +255,7 @@ composition B(In) => Result {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("U", map[string][]memctx.Item{"In": items("ok")}); err != nil {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("ok")}}); err != nil {
 		t.Fatalf("platform dead after user crash: %v", err)
 	}
 }
@@ -293,7 +294,7 @@ composition C(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("C", map[string][]memctx.Item{"In": items("seed")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "C", Inputs: map[string][]memctx.Item{"In": items("seed")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ composition Outer(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("Outer", map[string][]memctx.Item{"In": items("deep")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "Outer", Inputs: map[string][]memctx.Item{"In": items("deep")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestDepthLimit(t *testing.T) {
 	if err := p.RegisterComposition(c); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.Invoke("Rec", map[string][]memctx.Item{"In": items("x")})
+	_, err := p.Invoke(context.Background(), Request{Composition: "Rec", Inputs: map[string][]memctx.Item{"In": items("x")}})
 	if !errors.Is(err, ErrTooDeep) {
 		t.Fatalf("err = %v, want ErrTooDeep", err)
 	}
@@ -361,10 +362,10 @@ func TestErrors(t *testing.T) {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("Nope", nil); !errors.Is(err, ErrNotRegistered) {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "Nope"}); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("unknown composition err = %v", err)
 	}
-	if _, err := p.Invoke("U", map[string][]memctx.Item{}); !errors.Is(err, ErrMissingInput) {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{}}); !errors.Is(err, ErrMissingInput) {
 		t.Fatalf("missing input err = %v", err)
 	}
 	// Unknown function inside a composition.
@@ -372,7 +373,7 @@ composition U(In) => Result {
 composition G(In) => Result {
     Ghost(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("G", map[string][]memctx.Item{"In": items("x")}); !errors.Is(err, ErrNotRegistered) {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "G", Inputs: map[string][]memctx.Item{"In": items("x")}}); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("ghost function err = %v", err)
 	}
 }
@@ -384,18 +385,18 @@ func TestFanoutMismatch(t *testing.T) {
 composition M(A, B) => Result {
     Join(a = each A, b = each B) => (Result = Out);
 }`)
-	_, err := p.Invoke("M", map[string][]memctx.Item{
+	_, err := p.Invoke(context.Background(), Request{Composition: "M", Inputs: map[string][]memctx.Item{
 		"A": items("1", "2", "3"),
 		"B": items("x", "y"),
-	})
+	}})
 	if !errors.Is(err, ErrInstanceFanout) {
 		t.Fatalf("err = %v, want ErrInstanceFanout", err)
 	}
 	// Matching counts zip.
-	out, err := p.Invoke("M", map[string][]memctx.Item{
+	out, err := p.Invoke(context.Background(), Request{Composition: "M", Inputs: map[string][]memctx.Item{
 		"A": items("1", "2"),
 		"B": items("x", "y"),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +460,7 @@ composition U(In) => Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := p.Invoke("U", map[string][]memctx.Item{"In": items(fmt.Sprintf("v%d", i))})
+			out, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items(fmt.Sprintf("v%d", i))}})
 			if err == nil && string(out["Result"][0].Data) != fmt.Sprintf("resp:V%d", i) {
 				err = fmt.Errorf("bad result %q", out["Result"][0].Data)
 			}
@@ -484,7 +485,7 @@ func TestMemoryAccounting(t *testing.T) {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("U", map[string][]memctx.Item{"In": items("12345678")}); err != nil {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("12345678")}}); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -506,7 +507,7 @@ composition U(In) => Result {
     Upper(x = all In) => (up = Out);
     Join(x = all up) => (Result = Out);
 }`)
-		out, err := p.Invoke("U", map[string][]memctx.Item{"In": items("a", "b")})
+		out, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("a", "b")}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +536,7 @@ composition D(In) => Result {
     Lower(x = all In) => (l = Out);
     Join(a = all u, b = all l) => (Result = Out);
 }`)
-	out, err := p.Invoke("D", map[string][]memctx.Item{"In": items("MiXeD")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "D", Inputs: map[string][]memctx.Item{"In": items("MiXeD")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +552,7 @@ func TestBalancedPlatformOption(t *testing.T) {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("U", map[string][]memctx.Item{"In": items("x")}); err != nil {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("x")}}); err != nil {
 		t.Fatal(err)
 	}
 }

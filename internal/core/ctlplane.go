@@ -103,7 +103,7 @@ func (p *Platform) EngineResizes() uint64 {
 // Options.Autoscale); tests drive StepOnce through it.
 func (p *Platform) Elasticity() *ctlplane.Elasticity { return p.elastic }
 
-// NodeStats adapts Stats to the cluster manager's StatsNode interface;
+// NodeStats adapts Stats to the cluster manager's Admin interface;
 // an in-process platform snapshot cannot fail, so the error is always
 // nil (remote node proxies are where it earns its keep).
 func (p *Platform) NodeStats() (Stats, error) { return p.Stats(), nil }
@@ -127,7 +127,7 @@ func (p *Platform) SetAdmissionClamp(min, max int) {
 // AdmissionClamp reports the batch admission plane's current clamp.
 func (p *Platform) AdmissionClamp() (min, max int) { return p.adm.Clamp() }
 
-// Drain stops admitting new invocations: Invoke/InvokeAs and
+// Drain stops admitting new invocations: Invoke and
 // InvokeBatch reject with ErrDraining while in-flight work (including
 // every statement of already-admitted compositions) completes normally.
 func (p *Platform) Drain() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func TestReconfigureEngineCountsLive(t *testing.T) {
 		t.Fatalf("EngineCounts after clamp = (%d, %d), want (1, 1)", c, m)
 	}
 	// The node still serves after both resizes.
-	out, err := p.Invoke("U", map[string][]memctx.Item{"In": items("live")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("live")}})
 	if err != nil || string(out["Result"][0].Data) != "LIVE" {
 		t.Fatalf("invoke after resize: %v %v", out, err)
 	}
@@ -73,10 +74,10 @@ func TestDrainRejectsNewWorkAndResumes(t *testing.T) {
 	if !p.Draining() || !p.Stats().Draining {
 		t.Fatal("Draining not reported")
 	}
-	if _, err := p.Invoke("U", in); !errors.Is(err, ErrDraining) {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: in}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Invoke while draining = %v, want ErrDraining", err)
 	}
-	res := p.InvokeBatch([]BatchRequest{{Composition: "U", Inputs: in}, {Composition: "U", Inputs: in}})
+	res := p.InvokeBatch(context.Background(), []Request{{Composition: "U", Inputs: in}, {Composition: "U", Inputs: in}})
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrDraining) {
 			t.Fatalf("batch result %d while draining = %v, want ErrDraining", i, r.Err)
@@ -87,7 +88,7 @@ func TestDrainRejectsNewWorkAndResumes(t *testing.T) {
 	if p.Draining() {
 		t.Fatal("still draining after Resume")
 	}
-	out, err := p.Invoke("U", in)
+	out, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: in})
 	if err != nil || string(out["Result"][0].Data) != "X" {
 		t.Fatalf("invoke after resume: %v %v", out, err)
 	}
@@ -142,7 +143,7 @@ composition S(In) => Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Invoke("S", map[string][]memctx.Item{"In": items("x")})
+			p.Invoke(context.Background(), Request{Composition: "S", Inputs: map[string][]memctx.Item{"In": items("x")}})
 		}()
 	}
 	defer func() {
@@ -211,18 +212,18 @@ composition C(A, B) => Joined {
 	}
 
 	for i := 0; i < 50; i++ {
-		out, err := p.Invoke("U", map[string][]memctx.Item{"In": items("ab")})
+		out, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("ab")}})
 		if err != nil || string(out["Result"][0].Data) != "AB" {
 			t.Fatalf("iter %d: U = %v %v", i, out, err)
 		}
-		out, err = p.Invoke("C", map[string][]memctx.Item{"A": items("1"), "B": items("2")})
+		out, err = p.Invoke(context.Background(), Request{Composition: "C", Inputs: map[string][]memctx.Item{"A": items("1"), "B": items("2")}})
 		if err != nil || string(out["Joined"][0].Data) != "1|2" {
 			t.Fatalf("iter %d: C = %v %v", i, out, err)
 		}
-		res := p.InvokeBatch([]BatchRequest{
+		res := p.InvokeBatch(context.Background(), []Request{
 			{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("x")}},
 			{Composition: "C", Inputs: map[string][]memctx.Item{"A": items("l"), "B": items("r")}},
-			{Composition: "U", Inputs: map[string][]memctx.Item{}}, // missing input: fails alone
+			{Composition: "U", Inputs: map[string][]memctx.Item{}},
 		})
 		if res[0].Err != nil || string(res[0].Outputs["Result"][0].Data) != "X" {
 			t.Fatalf("iter %d: batch[0] = %+v", i, res[0])

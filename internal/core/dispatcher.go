@@ -410,40 +410,94 @@ func (p *Platform) Stats() Stats {
 	}
 }
 
-// Invoke runs a registered composition with the given input items and
-// returns its output sets keyed by output name. It runs under
-// DefaultTenant; multi-tenant callers use InvokeAs.
-func (p *Platform) Invoke(name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeAsCtx(context.Background(), DefaultTenant, name, inputs)
+// Request is one composition invocation: the single argument of Invoke
+// and the element of an InvokeBatch call. The deadline is not a field —
+// it lives in the context the call is made under.
+type Request struct {
+	// Composition names the registered composition to run.
+	Composition string
+	// Tenant is the identity the request is scheduled and accounted
+	// under; empty means DefaultTenant. Requests of different tenants may
+	// share one InvokeBatch call — they are grouped and accounted
+	// separately.
+	Tenant string
+	// Key is the request's idempotency key; empty opts out and keeps the
+	// request on the journal-free path. A keyed request is checked
+	// against the completed-key dedup table before execution (a
+	// duplicate is answered from the table, never re-executed) and, on a
+	// journaling platform, written to the durable journal (see
+	// journal.go). cluster.Manager assigns chunk keys "base#i" so
+	// rerouted chunks retry safely.
+	Key string
+	// Inputs maps the composition's input names to items.
+	Inputs map[string][]memctx.Item
+	// Borrow, when non-nil, marks Inputs as aliasing externally pooled
+	// memory (decoded wire buffers) leased under the given region. The
+	// zero-copy data plane then adopts the payloads borrowed
+	// (memctx.AdoptInputSetBorrowed): every compute context that
+	// aliases them retains the region for the duration of its use, so
+	// the owner's recycle hook cannot fire while the bytes are live.
+	// The caller keeps its own reference until it has consumed the
+	// results. Only InvokeBatch consults it, and it is ignored (and safe)
+	// with ZeroCopy off — the copying path clones at the context boundary
+	// and never aliases the lease.
+	Borrow *memctx.Region
 }
 
-// InvokeCtx is Invoke under a caller context: the context's deadline is
-// attached to every engine dispatch the invocation causes (expired work
-// is dropped unexecuted by the scheduling plane) and cancellation stops
-// new statements from starting.
-func (p *Platform) InvokeCtx(ctx context.Context, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeAsCtx(ctx, DefaultTenant, name, inputs)
+// Result is the outcome of one request in a batch. Requests fail
+// independently: one request's error never aborts its batch-mates.
+type Result struct {
+	Outputs map[string][]memctx.Item
+	Err     error
 }
 
-// InvokeAs runs a registered composition under a tenant identity: every
-// engine dispatch it causes is scheduled in that tenant's DRR share and
-// accounted in its gauges. An empty tenant means DefaultTenant.
-func (p *Platform) InvokeAs(tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeAsCtx(context.Background(), tenant, name, inputs)
+// tenantOrDefault is the one place an empty tenant becomes
+// DefaultTenant for everything core records under a tenant name (batch
+// grouping, journal records); the scheduling plane spells it the same.
+func tenantOrDefault(t string) string {
+	if t == "" {
+		return DefaultTenant
+	}
+	return t
 }
 
-// InvokeAsCtx is InvokeAs under a caller context (see InvokeCtx).
-// Deadline-class failures tick Stats.TimedOut.
-func (p *Platform) InvokeAsCtx(ctx context.Context, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
+// Invoke runs a registered composition and returns its output sets
+// keyed by output name. Every engine dispatch it causes is scheduled in
+// the request tenant's DRR share and carries the context's deadline
+// (expired work is dropped unexecuted by the scheduling plane);
+// cancellation stops new statements from starting, and deadline-class
+// failures tick Stats.TimedOut.
+//
+// A request with a Key runs under it: a key that already completed
+// answers from the dedup table (cached outputs, or ErrDuplicate when
+// only the journaled digest survives) without re-executing; a key still
+// executing answers ErrInFlight; a fresh key executes with begin/end
+// journaling. A failed keyed invocation — deadline-class included —
+// releases its key, so a retry may re-execute.
+func (p *Platform) Invoke(ctx context.Context, req Request) (map[string][]memctx.Item, error) {
 	if p.draining.Load() {
 		return nil, ErrDraining
 	}
-	comp, err := p.reg.composition(name)
+	comp, err := p.reg.composition(req.Composition)
 	if err != nil {
 		return nil, err
 	}
+	tenant := tenantOrDefault(req.Tenant)
+	if req.Key != "" {
+		outs, derr, execute := p.dedup.Reserve(req.Key)
+		if !execute {
+			return outs, derr
+		}
+		p.journalAppend(journal.Record{
+			Kind: journal.KindInvokeBegin, Tenant: tenant, Comp: req.Composition, Key: req.Key,
+			Digest: journal.DigestSets(req.Inputs),
+		})
+	}
 	p.ctrs.shard().invocations.Add(1)
-	outs, err := p.invoke(ctx, tenant, p.planFor(comp), inputs, 0)
+	outs, err := p.invoke(ctx, tenant, p.planFor(comp), req.Inputs, 0)
+	if req.Key != "" {
+		p.settleKey(tenant, req.Composition, req.Key, outs, err)
+	}
 	p.noteTimeout(err)
 	return outs, err
 }
@@ -466,9 +520,6 @@ func (p *Platform) noteTimeout(err error) {
 func (p *Platform) ShouldShed(tenant string, budget time.Duration) bool {
 	if budget <= 0 {
 		return false
-	}
-	if tenant == "" {
-		tenant = DefaultTenant
 	}
 	if p.computeSched.OldestWait(tenant) <= budget {
 		return false
@@ -861,7 +912,7 @@ func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([
 // boundaries within one batch — receives the producer's buffers.
 //
 // borrow, when non-nil, is the wire-memory lease of the request the
-// instance belongs to (BatchRequest.Borrow): zero-copy input adoption
+// instance belongs to (Request.Borrow): zero-copy input adoption
 // then goes through AdoptInputSetBorrowed, so the context retains the
 // lease until its Reset/Recycle and the decoder slabs the inputs alias
 // cannot be recycled mid-execution.

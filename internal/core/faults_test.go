@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -74,9 +75,9 @@ composition Robust(In) => Report {
 
 func TestHappyPathSkipsErrorBranch(t *testing.T) {
 	p := faultPlatform(t)
-	out, err := p.Invoke("Robust", map[string][]memctx.Item{
+	out, err := p.Invoke(context.Background(), Request{Composition: "Robust", Inputs: map[string][]memctx.Item{
 		"In": {{Name: "a", Data: []byte("fine")}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +89,9 @@ func TestHappyPathSkipsErrorBranch(t *testing.T) {
 
 func TestErrorBranchSkipsHappyPath(t *testing.T) {
 	p := faultPlatform(t)
-	out, err := p.Invoke("Robust", map[string][]memctx.Item{
+	out, err := p.Invoke(context.Background(), Request{Composition: "Robust", Inputs: map[string][]memctx.Item{
 		"In": {{Name: "a", Data: []byte("bad:token")}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +103,12 @@ func TestErrorBranchSkipsHappyPath(t *testing.T) {
 
 func TestMixedInputsTakeBothBranches(t *testing.T) {
 	p := faultPlatform(t)
-	out, err := p.Invoke("Robust", map[string][]memctx.Item{
+	out, err := p.Invoke(context.Background(), Request{Composition: "Robust", Inputs: map[string][]memctx.Item{
 		"In": {
 			{Name: "a", Data: []byte("fine")},
 			{Name: "b", Data: []byte("bad:x")},
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ composition D(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("D", map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("x")}}})
+	out, err := p.Invoke(context.Background(), Request{Composition: "D", Inputs: map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("x")}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestGasLimitPreemptsRunawayFunction(t *testing.T) {
 composition S(In) => Result {
     Spin(x = all In) => (Result = out0);
 }`)
-	_, err := p.Invoke("S", map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("x")}}})
+	_, err := p.Invoke(context.Background(), Request{Composition: "S", Inputs: map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("x")}}}})
 	if !errors.Is(err, dvm.ErrGasExhausted) {
 		t.Fatalf("err = %v, want gas exhaustion", err)
 	}
@@ -175,7 +176,7 @@ composition S(In) => Result {
 composition O(In) => Result {
     Ok(x = all In) => (Result = Out);
 }`)
-	out, err := p.Invoke("O", map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("alive")}}})
+	out, err := p.Invoke(context.Background(), Request{Composition: "O", Inputs: map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("alive")}}}})
 	if err != nil || string(out["Result"][0].Data) != "ok:alive" {
 		t.Fatalf("platform dead after preemption: %v", err)
 	}

@@ -4,6 +4,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -61,7 +62,7 @@ func TestStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
 					defer wg.Done()
 					tenant := fmt.Sprintf("t%d", g%3)
 					for i := 0; i < perG; i++ {
-						out, err := p.InvokeAs(tenant, "E", input(payload))
+						out, err := p.Invoke(context.Background(), Request{Composition: "E", Tenant: tenant, Inputs: input(payload)})
 						if err != nil {
 							t.Error(err)
 							return
@@ -132,11 +133,11 @@ func TestStatsCounterConsistencyConcurrentBatches(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < perG; i++ {
-						reqs := make([]BatchRequest, batch)
+						reqs := make([]Request, batch)
 						for j := range reqs {
-							reqs[j] = BatchRequest{Composition: "E", Inputs: input("x")}
+							reqs[j] = Request{Composition: "E", Inputs: input("x")}
 						}
-						for _, res := range p.InvokeBatch(reqs) {
+						for _, res := range p.InvokeBatch(context.Background(), reqs) {
 							if res.Err != nil {
 								t.Error(res.Err)
 								return
@@ -190,7 +191,7 @@ composition L(In) => Result {
 		t.Fatal(err)
 	}
 	in := map[string][]memctx.Item{"In": {{Name: "i", Data: []byte("v")}}}
-	if _, err := p.Invoke("L", in); err == nil {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "L", Inputs: in}); err == nil {
 		t.Fatal("invoke before function registration should fail")
 	}
 	err := p.RegisterFunction(ComputeFunc{Name: "Late", Go: func(in []memctx.Set) ([]memctx.Set, error) {
@@ -199,7 +200,7 @@ composition L(In) => Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("L", in)
+	out, err := p.Invoke(context.Background(), Request{Composition: "L", Inputs: in})
 	if err != nil {
 		t.Fatalf("invoke after late registration: %v", err)
 	}

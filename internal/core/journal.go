@@ -15,8 +15,6 @@
 package core
 
 import (
-	"context"
-
 	"dandelion/internal/ctlplane"
 	"dandelion/internal/journal"
 	"dandelion/internal/memctx"
@@ -83,54 +81,6 @@ func (p *Platform) JournalReplayed() uint64 { return p.jReplayed }
 // completed-key table.
 func (p *Platform) DedupHits() uint64 { return p.dedup.Hits() }
 
-// InvokeKeyed is InvokeKeyedAs under DefaultTenant.
-func (p *Platform) InvokeKeyed(name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeKeyedAs(DefaultTenant, name, key, inputs)
-}
-
-// InvokeKeyedAs runs a composition under an idempotency key: a key
-// that already completed answers from the dedup table (cached outputs,
-// or ErrDuplicate when only the journaled digest survives) without
-// re-executing; a key still executing answers ErrInFlight; a fresh key
-// executes with begin/end journaling. An empty key degrades to
-// InvokeAs.
-func (p *Platform) InvokeKeyedAs(tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeKeyedAsCtx(context.Background(), tenant, name, key, inputs)
-}
-
-// InvokeKeyedAsCtx is InvokeKeyedAs under a caller context (see
-// InvokeCtx). A keyed invocation that fails deadline-class releases its
-// key like any other failure, so a retry with a fresh budget may
-// re-execute.
-func (p *Platform) InvokeKeyedAsCtx(ctx context.Context, tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	if key == "" {
-		return p.InvokeAsCtx(ctx, tenant, name, inputs)
-	}
-	if p.draining.Load() {
-		return nil, ErrDraining
-	}
-	comp, err := p.reg.composition(name)
-	if err != nil {
-		return nil, err
-	}
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	outs, derr, execute := p.dedup.Reserve(key)
-	if !execute {
-		return outs, derr
-	}
-	p.journalAppend(journal.Record{
-		Kind: journal.KindInvokeBegin, Tenant: tenant, Comp: name, Key: key,
-		Digest: journal.DigestSets(inputs),
-	})
-	p.ctrs.shard().invocations.Add(1)
-	outs, err = p.invoke(ctx, tenant, p.planFor(comp), inputs, 0)
-	p.settleKey(tenant, name, key, outs, err)
-	p.noteTimeout(err)
-	return outs, err
-}
-
 // settleKey resolves one executed key: success completes it (dedup
 // entry caches the outputs, journal gets the outcome digest), failure
 // releases it so a retry may re-execute (the end record's A=1 keeps
@@ -170,7 +120,7 @@ type keyedBatch struct {
 // .. "base#lo+n-1", as assigned by cluster.Manager) defers journaling
 // to a single KindChunkDone record at completion instead of
 // per-request begin/end pairs.
-func (p *Platform) beginKeyedBatch(reqs []BatchRequest, results []BatchResult) *keyedBatch {
+func (p *Platform) beginKeyedBatch(reqs []Request, results []Result) *keyedBatch {
 	anyKey := false
 	allKeyed := true
 	for i := range reqs {
@@ -198,7 +148,7 @@ func (p *Platform) beginKeyedBatch(reqs []BatchRequest, results []BatchResult) *
 		}
 		outs, derr, execute := p.dedup.Reserve(key)
 		if !execute {
-			results[i] = BatchResult{Outputs: outs, Err: derr}
+			results[i] = Result{Outputs: outs, Err: derr}
 			kb.skip[i] = true
 			continue
 		}
@@ -218,7 +168,7 @@ func (p *Platform) beginKeyedBatch(reqs []BatchRequest, results []BatchResult) *
 // chunk-shaped batch journals one KindChunkDone record covering the
 // whole key run (combined outcome digest: XOR of the per-request
 // digests); anything else settles per request.
-func (p *Platform) finishKeyedBatch(kb *keyedBatch, reqs []BatchRequest, results []BatchResult) {
+func (p *Platform) finishKeyedBatch(kb *keyedBatch, reqs []Request, results []Result) {
 	if len(kb.executed) == 0 {
 		return
 	}
@@ -248,11 +198,4 @@ func (p *Platform) finishKeyedBatch(kb *keyedBatch, reqs []BatchRequest, results
 	for _, i := range kb.executed {
 		p.settleKey(tenantOrDefault(reqs[i].Tenant), reqs[i].Composition, reqs[i].Key, results[i].Outputs, results[i].Err)
 	}
-}
-
-func tenantOrDefault(t string) string {
-	if t == "" {
-		return DefaultTenant
-	}
-	return t
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -29,13 +30,13 @@ func TestKeyedInvokeDedup(t *testing.T) {
 	p := journaledPlatform(t, journal.NewMemory(), Options{})
 	in := map[string][]memctx.Item{"In": items("hi")}
 
-	out, err := p.InvokeKeyedAs("alice", "U", "k1", in)
+	out, err := p.Invoke(context.Background(), Request{Composition: "U", Tenant: "alice", Key: "k1", Inputs: in})
 	if err != nil || string(out["Result"][0].Data) != "HI" {
 		t.Fatalf("first keyed invoke: %v %v", out, err)
 	}
 	// The duplicate replays the cached outputs without executing.
 	before := p.Stats().Invocations
-	out2, err := p.InvokeKeyedAs("alice", "U", "k1", in)
+	out2, err := p.Invoke(context.Background(), Request{Composition: "U", Tenant: "alice", Key: "k1", Inputs: in})
 	if err != nil || string(out2["Result"][0].Data) != "HI" {
 		t.Fatalf("duplicate keyed invoke: %v %v", out2, err)
 	}
@@ -58,10 +59,10 @@ func TestKeyedInvokeFailureIsRetryable(t *testing.T) {
 	p := journaledPlatform(t, journal.NewMemory(), Options{})
 	// Unknown input name fails the invocation; the key must be released
 	// so a corrected retry can execute.
-	if _, err := p.InvokeKeyedAs("", "U", "k", map[string][]memctx.Item{"Wrong": items("x")}); err == nil {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Key: "k", Inputs: map[string][]memctx.Item{"Wrong": items("x")}}); err == nil {
 		t.Fatal("bad invoke succeeded")
 	}
-	out, err := p.InvokeKeyedAs("", "U", "k", map[string][]memctx.Item{"In": items("ok")})
+	out, err := p.Invoke(context.Background(), Request{Composition: "U", Key: "k", Inputs: map[string][]memctx.Item{"In": items("ok")}})
 	if err != nil || string(out["Result"][0].Data) != "OK" {
 		t.Fatalf("retry after failure: %v %v", out, err)
 	}
@@ -74,7 +75,7 @@ func TestJournalReplayRestoresReconfigAndDedup(t *testing.T) {
 	p.SetEngineCounts(3, 2)
 	p.SetAdmissionClamp(2, 8)
 	in := map[string][]memctx.Item{"In": items("v")}
-	if _, err := p.InvokeKeyedAs("alice", "U", "done-key", in); err != nil {
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Tenant: "alice", Key: "done-key", Inputs: in}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,7 +96,7 @@ func TestJournalReplayRestoresReconfigAndDedup(t *testing.T) {
 		t.Fatal("no records replayed")
 	}
 	before := p2.Stats().Invocations
-	if _, err := p2.InvokeKeyedAs("alice", "U", "done-key", in); !errors.Is(err, ErrDuplicate) {
+	if _, err := p2.Invoke(context.Background(), Request{Composition: "U", Tenant: "alice", Key: "done-key", Inputs: in}); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("replayed key = %v, want ErrDuplicate", err)
 	}
 	if got := p2.Stats().Invocations; got != before {
@@ -110,15 +111,16 @@ func TestKeyedBatchChunkRecordAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := journaledPlatform(t, jrnl, Options{})
-	reqs := make([]BatchRequest, 4)
+	reqs := make([]Request, 4)
 	for i := range reqs {
-		reqs[i] = BatchRequest{
+		reqs[i] = Request{
 			Composition: "U",
+			Tenant:      "alice",
 			Inputs:      map[string][]memctx.Item{"In": items(fmt.Sprintf("v%d", i))},
 			Key:         journal.ChunkKey("chunk-1", i),
 		}
 	}
-	for i, r := range p.InvokeBatchAs("alice", reqs) {
+	for i, r := range p.InvokeBatch(context.Background(), reqs) {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
 		}
@@ -130,7 +132,7 @@ func TestKeyedBatchChunkRecordAndReplay(t *testing.T) {
 	}
 	// Whole-chunk retry: answered from the dedup table, zero executions.
 	before := p.Stats().Invocations
-	for i, r := range p.InvokeBatchAs("alice", reqs) {
+	for i, r := range p.InvokeBatch(context.Background(), reqs) {
 		if r.Err != nil || string(r.Outputs["Result"][0].Data) != fmt.Sprintf("V%d", i) {
 			t.Fatalf("retried request %d: %v %v", i, r.Outputs, r.Err)
 		}
@@ -148,7 +150,7 @@ func TestKeyedBatchChunkRecordAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := journaledPlatform(t, jrnl2, Options{})
-	res := p2.InvokeBatchAs("alice", reqs)
+	res := p2.InvokeBatch(context.Background(), reqs)
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrDuplicate) {
 			t.Fatalf("replayed chunk request %d = %v, want ErrDuplicate", i, r.Err)
@@ -161,12 +163,12 @@ func TestKeyedBatchChunkRecordAndReplay(t *testing.T) {
 
 func TestMixedKeyedBatch(t *testing.T) {
 	p := journaledPlatform(t, journal.NewMemory(), Options{})
-	mk := func(key, val string) BatchRequest {
-		return BatchRequest{Composition: "U", Key: key,
+	mk := func(key, val string) Request {
+		return Request{Composition: "U", Key: key,
 			Inputs: map[string][]memctx.Item{"In": items(val)}}
 	}
 	// Non-contiguous keys + an unkeyed rider: per-request journaling.
-	res := p.InvokeBatch([]BatchRequest{mk("a", "x"), mk("", "y"), mk("z-9", "z")})
+	res := p.InvokeBatch(context.Background(), []Request{mk("a", "x"), mk("", "y"), mk("z-9", "z")})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
@@ -177,7 +179,7 @@ func TestMixedKeyedBatch(t *testing.T) {
 		t.Fatalf("journal appends = %d, want 4", st.JournalAppends)
 	}
 	// Retrying just the keyed ones dedups; the unkeyed one re-executes.
-	res = p.InvokeBatch([]BatchRequest{mk("a", "x"), mk("", "y")})
+	res = p.InvokeBatch(context.Background(), []Request{mk("a", "x"), mk("", "y")})
 	if res[0].Err != nil || res[1].Err != nil {
 		t.Fatalf("retry: %v / %v", res[0].Err, res[1].Err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -127,9 +128,9 @@ composition Pipe(In) => Result {
 		const iters = 40
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if _, err := p.Invoke("Pipe", map[string][]dandelion.Item{
+			if _, err := p.Invoke(context.Background(), dandelion.Request{Composition: "Pipe", Inputs: map[string][]dandelion.Item{
 				"In": {{Name: "seed", Data: []byte("x")}},
-			}); err != nil {
+			}}); err != nil {
 				t.Notes = append(t.Notes, err.Error())
 				break
 			}
@@ -213,10 +214,10 @@ composition PipeB(In) => Result {
 	for i := range payloads {
 		payloads[i] = []byte{byte(i)}
 	}
-	reqs := dandelion.BatchOf("PipeB", "In", payloads...)
+	reqs := dandelion.BatchOf("", "PipeB", "In", payloads...)
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		for _, res := range p.InvokeBatch(reqs) {
+		for _, res := range p.InvokeBatch(context.Background(), reqs) {
 			if res.Err != nil {
 				return 0, 0, res.Err
 			}

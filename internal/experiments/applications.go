@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -195,9 +196,9 @@ composition Text2SQL(Prompt) => Result {
 		return nil, err
 	}
 
-	out, err := p.Invoke("Text2SQL", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "Text2SQL", Inputs: map[string][]dandelion.Item{
 		"Prompt": {{Name: "q", Data: []byte("What is the total amount per region?")}},
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}

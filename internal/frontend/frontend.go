@@ -122,7 +122,10 @@ const DefaultMaxBodyBytes int64 = 64 << 20
 // server binds the platform, the admission plane, the control-plane
 // config, and the clock.
 type server struct {
-	p            *dandelion.Platform
+	p *dandelion.Platform
+	// target is where invocations go, chosen once at construction: the
+	// local platform, or — in coordinator mode — the cluster manager.
+	target       cluster.Node
 	adm          *autoscale.Admission
 	adminToken   string
 	cluster      *cluster.Manager
@@ -224,6 +227,10 @@ func NewWithConfig(p *dandelion.Platform, cfg Config) http.Handler {
 		// Without a manager there is nothing to route across.
 		s.routeCluster = false
 	}
+	s.target = p.Platform
+	if s.routeCluster {
+		s.target = s.cluster
+	}
 	if s.adm == nil {
 		// The platform's own admission plane, so the control plane's
 		// SetAdmissionClamp reaches the batch route of this frontend.
@@ -310,7 +317,7 @@ func (s *server) shed(w http.ResponseWriter, tenant string, budget time.Duration
 	if budget <= 0 || s.routeCluster {
 		return false
 	}
-	if !s.p.ShouldShed(admitName(tenant), budget) {
+	if !s.p.ShouldShed(tenant, budget) {
 		return false
 	}
 	w.Header().Set("Retry-After", "1")
@@ -425,25 +432,14 @@ func (s *server) handleRegisterComposition(w http.ResponseWriter, r *http.Reques
 	fmt.Fprintf(w, "registered compositions: %s\n", strings.Join(names, ", "))
 }
 
-// invokeAs dispatches one invocation where this frontend serves from:
-// the local platform, or — in coordinator mode — across the cluster.
-// The coordinator's own drain switch still gates admission either way.
-// A non-empty idempotency key routes through the keyed entry points so
-// re-sends deduplicate at whichever node executes.
-func (s *server) invokeAs(ctx context.Context, tenant, name, key string, inputs map[string][]dandelion.Item) (map[string][]dandelion.Item, error) {
-	if s.routeCluster {
-		if s.p.Draining() {
-			return nil, dandelion.ErrDraining
-		}
-		if key != "" {
-			return s.cluster.InvokeKeyedAsCtx(ctx, tenant, name, key, inputs)
-		}
-		return s.cluster.InvokeAsCtx(ctx, tenant, name, inputs)
+// invoke dispatches one invocation to the frontend's target. The
+// node's own drain switch gates admission whichever target serves — a
+// draining coordinator must refuse work its workers would accept.
+func (s *server) invoke(ctx context.Context, req dandelion.Request) (map[string][]dandelion.Item, error) {
+	if s.p.Draining() {
+		return nil, dandelion.ErrDraining
 	}
-	if key != "" {
-		return s.p.InvokeKeyedAsCtx(ctx, tenant, name, key, inputs)
-	}
-	return s.p.InvokeAsCtx(ctx, tenant, name, inputs)
+	return s.target.Invoke(ctx, req)
 }
 
 // knownComposition reports whether an invocation route should admit the
@@ -483,8 +479,9 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, "", err)
 		return
 	}
-	out, err := s.invokeAs(ctx, tenantOf(r), name, keyOf(r), map[string][]dandelion.Item{
-		input: {{Name: "item0", Data: body}},
+	out, err := s.invoke(ctx, dandelion.Request{
+		Composition: name, Tenant: tenantOf(r), Key: keyOf(r),
+		Inputs: map[string][]dandelion.Item{input: {{Name: "item0", Data: body}}},
 	})
 	if err != nil {
 		jsonError(w, invokeStatus(err), err.Error())
@@ -524,7 +521,7 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 // handleInvokeJSON is the full-fidelity form of the invoke route, used
 // by cluster.RemoteNode: every input set travels in the body and the
 // whole output-set map comes back, so nothing is lost proxying an
-// InvokeAs across machines.
+// Invoke across machines.
 func (s *server) handleInvokeJSON(w http.ResponseWriter, r *http.Request, name string) {
 	if !s.knownComposition(name) {
 		jsonError(w, http.StatusBadRequest, fmt.Sprintf("unknown composition %q", name))
@@ -544,7 +541,9 @@ func (s *server) handleInvokeJSON(w http.ResponseWriter, r *http.Request, name s
 	if key == "" {
 		key = keyOf(r)
 	}
-	out, err := s.invokeAs(ctx, tenantOf(r), name, key, wire.ToSets(req.Inputs))
+	out, err := s.invoke(ctx, dandelion.Request{
+		Composition: name, Tenant: tenantOf(r), Key: key, Inputs: wire.ToSets(req.Inputs),
+	})
 	if err != nil {
 		jsonError(w, invokeStatus(err), err.Error())
 		return
@@ -571,33 +570,6 @@ type WireBatchRequest = wire.BatchRequest
 
 // WireBatchResult is one slot of a batch response, in request order.
 type WireBatchResult = wire.BatchResult
-
-// invokeBatchAs dispatches one uniform sub-batch where this frontend
-// serves from: the local platform, or — in coordinator mode — split
-// across the cluster's workers. keys, when non-nil, carries one
-// idempotency key per request (parallel to inputs; empty entries opt
-// out). borrow, when non-nil, is the wire-memory lease of the decoded
-// bodies (BatchRequest.Borrow): the binary route passes the region
-// guarding its decoder buffers so the zero-copy data plane may alias
-// them through compute. Coordinator mode ignores it — cluster routing
-// re-serializes the inputs before this call returns, and the caller
-// still holds its own reference until after the response is encoded.
-func (s *server) invokeBatchAs(ctx context.Context, tenant, name string, keys []string, inputs []map[string][]dandelion.Item, borrow *dandelion.Region) []dandelion.BatchResult {
-	if s.routeCluster {
-		if keys != nil {
-			return s.cluster.InvokeBatchKeyedAsCtx(ctx, tenant, name, keys, inputs)
-		}
-		return s.cluster.InvokeBatchAsCtx(ctx, tenant, name, inputs)
-	}
-	reqs := make([]dandelion.BatchRequest, len(inputs))
-	for i, in := range inputs {
-		reqs[i] = dandelion.BatchRequest{Composition: name, Tenant: tenant, Inputs: in, Borrow: borrow}
-		if keys != nil {
-			reqs[i].Key = keys[i]
-		}
-	}
-	return s.p.InvokeBatchCtx(ctx, reqs)
-}
 
 // setsBytes sums the decoded payload bytes of one request's input
 // sets — the sample the byte-aware admission window divides against.
@@ -659,54 +631,43 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantOf(r)
-	inputs := make([]map[string][]dandelion.Item, len(wireReqs))
-	var keys []string
+	reqs := make([]dandelion.Request, len(wireReqs))
 	var batchBytes int64
 	baseKey := keyOf(r)
 	for i, wr := range wireReqs {
-		inputs[i] = wire.ToSets(wr.Inputs)
-		batchBytes += setsBytes(inputs[i])
 		// Per-request body keys win; an Idempotency-Key header supplies
 		// a base expanded to "<base>#<i>" for requests without one.
-		k := wr.Key
-		if k == "" && baseKey != "" {
-			k = journal.ChunkKey(baseKey, i)
+		key := wr.Key
+		if key == "" && baseKey != "" {
+			key = journal.ChunkKey(baseKey, i)
 		}
-		if k != "" && keys == nil {
-			keys = make([]string, len(wireReqs))
-		}
-		if keys != nil {
-			keys[i] = k
-		}
+		reqs[i] = dandelion.Request{Composition: name, Tenant: tenant, Key: key, Inputs: wire.ToSets(wr.Inputs)}
+		batchBytes += setsBytes(reqs[i].Inputs)
 	}
 
 	// Admit the batch: record demand (count and payload bytes — the
 	// window narrows for byte-heavy tenants), then drive it through the
-	// platform in admission-window-sized sub-batches. The window is
+	// target in admission-window-sized sub-batches. The window is
 	// re-read between sub-batches so a sustained burst widens it while
 	// it is still being drained.
 	admitTenant := admitName(tenant)
-	window := s.adm.AdmitBytes(admitTenant, len(inputs), batchBytes, s.clockSeconds())
-	results := make([]dandelion.BatchResult, 0, len(inputs))
-	for lo := 0; lo < len(inputs); {
+	window := s.adm.AdmitBytes(admitTenant, len(reqs), batchBytes, s.clockSeconds())
+	results := make([]dandelion.Result, 0, len(reqs))
+	for lo := 0; lo < len(reqs); {
 		if window < 1 {
 			window = 1
 		}
 		hi := lo + window
-		if hi > len(inputs) {
-			hi = len(inputs)
+		if hi > len(reqs) {
+			hi = len(reqs)
 		}
-		var ks []string
-		if keys != nil {
-			ks = keys[lo:hi]
-		}
-		results = append(results, s.invokeBatchAs(ctx, tenant, name, ks, inputs[lo:hi], nil)...)
+		results = append(results, s.target.InvokeBatch(ctx, reqs[lo:hi])...)
 		lo = hi
-		if lo < len(inputs) {
+		if lo < len(reqs) {
 			window = s.adm.Window(admitTenant, s.clockSeconds())
 		}
 	}
-	s.adm.Finish(admitTenant, len(inputs), s.clockSeconds())
+	s.adm.Finish(admitTenant, len(reqs), s.clockSeconds())
 
 	// A JSON request whose Accept offers the binary framing gets a
 	// framed response: that asymmetry is the negotiation probe —
@@ -746,7 +707,7 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 // read, so a slow uploader observes its first results mid-upload.
 // Decoder buffers are recycled per sub-batch through a borrowed-region
 // lease (dandelion.Region wrapping dec.Recycle): each sub-batch's
-// requests carry the region as BatchRequest.Borrow so every compute
+// requests carry the region as Request.Borrow so every compute
 // context that aliases the decoded payloads under the zero-copy data
 // plane retains it, and the frontend drops its own creator reference
 // only after the sub-batch's result frames — which may alias the same
@@ -777,9 +738,7 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 	enc := wire.NewEncoder(w)
 	defer enc.Release()
 
-	inputs := make([]map[string][]dandelion.Item, 0, 16)
-	keys := make([]string, 0, 16)
-	anyKey := false
+	reqs := make([]dandelion.Request, 0, 16)
 	reqIdx := 0 // running request index, for Idempotency-Key expansion
 	var pendingBytes int64
 	add := func(sets map[string][]dandelion.Item, key string) {
@@ -788,11 +747,7 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 		if key == "" && baseKey != "" {
 			key = journal.ChunkKey(baseKey, reqIdx)
 		}
-		if key != "" {
-			anyKey = true
-		}
-		inputs = append(inputs, sets)
-		keys = append(keys, key)
+		reqs = append(reqs, dandelion.Request{Composition: name, Tenant: tenant, Key: key, Inputs: sets})
 		pendingBytes += setsBytes(sets)
 		reqIdx++
 	}
@@ -808,7 +763,7 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 			window = 1
 		}
 		var streamErr error
-		for len(inputs) < window {
+		for len(reqs) < window {
 			sets, key, derr := dec.DecodeKeyedRequest()
 			if derr != nil {
 				streamErr = derr
@@ -816,15 +771,20 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 			}
 			add(sets, key)
 		}
-		if len(inputs) > 0 {
-			var ks []string
-			if anyKey {
-				ks = keys
-			}
-			s.adm.AdmitBytes(admitTenant, len(inputs), pendingBytes, s.clockSeconds())
+		if len(reqs) > 0 {
+			s.adm.AdmitBytes(admitTenant, len(reqs), pendingBytes, s.clockSeconds())
 			pendingBytes = 0
+			// The sub-batch's inputs alias the decoder's buffers: lease
+			// them to every request so compute contexts that adopt the
+			// payloads zero-copy keep the buffers alive. A coordinator's
+			// remote workers ignore the lease — they re-serialize the
+			// inputs before InvokeBatch returns, and this frame holds the
+			// creator reference until the results are encoded.
 			borrow := dandelion.NewRegion(dec.Recycle)
-			for _, res := range s.invokeBatchAs(ctx, tenant, name, ks, inputs, borrow) {
+			for i := range reqs {
+				reqs[i].Borrow = borrow
+			}
+			for _, res := range s.target.InvokeBatch(ctx, reqs) {
 				if res.Err != nil {
 					enc.EncodeError(res.Err.Error())
 				} else {
@@ -833,9 +793,8 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 			}
 			rc.Flush()
 			borrow.Release()
-			s.adm.Finish(admitTenant, len(inputs), s.clockSeconds())
-			inputs = inputs[:0]
-			keys = keys[:0]
+			s.adm.Finish(admitTenant, len(reqs), s.clockSeconds())
+			reqs = reqs[:0]
 		}
 		if streamErr == io.EOF {
 			break

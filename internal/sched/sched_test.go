@@ -249,6 +249,11 @@ func TestConcurrentSubmitWithPool(t *testing.T) {
 	if executed.Load() != tenants*perTenant {
 		t.Fatalf("executed = %d", executed.Load())
 	}
+	// done fires inside Task.Do, but the scheduler releases a task's
+	// slot only after Do returns: drain the pool (Shutdown waits for the
+	// workers, and with them every completion hook) before reading the
+	// gauges, or the last few tasks still count as Running.
+	pool.Shutdown()
 	var total uint64
 	for _, st := range s.Stats() {
 		if st.Queued != 0 || st.Running != 0 {

@@ -2,6 +2,7 @@ package workloads_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"image/png"
 	"strings"
@@ -67,10 +68,10 @@ func TestSSBQueryServedMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range ssb.Queries() {
-		out, err := p.Invoke(workloads.WorkloadSSBQuery, map[string][]dandelion.Item{
+		out, err := p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadSSBQuery, Inputs: map[string][]dandelion.Item{
 			"Query":  {workloads.MakeSSBQuery(q)},
 			"Chunks": in,
-		})
+		}})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -100,10 +101,10 @@ func TestSSBQueryRejectsUnknownQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Invoke(workloads.WorkloadSSBQuery, map[string][]dandelion.Item{
+	_, err = p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadSSBQuery, Inputs: map[string][]dandelion.Item{
 		"Query":  {{Name: "query", Data: []byte("Q9.9")}},
 		"Chunks": in,
-	})
+	}})
 	if err == nil {
 		t.Fatal("unknown query accepted")
 	}
@@ -112,9 +113,9 @@ func TestSSBQueryRejectsUnknownQuery(t *testing.T) {
 func TestImagePipelineServed(t *testing.T) {
 	p := newPlatform(t, "image")
 	in := workloads.MakeImages(3, 96, 64)
-	out, err := p.Invoke(workloads.WorkloadImagePipeline, map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadImagePipeline, Inputs: map[string][]dandelion.Item{
 		"Images": in,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +137,9 @@ func TestStorageScanServed(t *testing.T) {
 	p := newPlatform(t, "storage")
 	const nBlobs, blobSize = 4, 64 << 10
 	in := workloads.MakeScanBlobs(nBlobs, blobSize)
-	out, err := p.Invoke(workloads.WorkloadStorageScan, map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadStorageScan, Inputs: map[string][]dandelion.Item{
 		"Blobs": in,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +149,9 @@ func TestStorageScanServed(t *testing.T) {
 		t.Fatalf("summary %q, want prefix %q", summary, wantPrefix)
 	}
 	// Deterministic inputs make the digest reproducible across runs.
-	out2, err := p.Invoke(workloads.WorkloadStorageScan, map[string][]dandelion.Item{
+	out2, err := p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadStorageScan, Inputs: map[string][]dandelion.Item{
 		"Blobs": workloads.MakeScanBlobs(nBlobs, blobSize),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +163,9 @@ func TestStorageScanServed(t *testing.T) {
 func TestStorageFetchServed(t *testing.T) {
 	p := newPlatform(t, "storage")
 	const nBlobs, blobSize = 3, 256 << 10
-	out, err := p.Invoke(workloads.WorkloadStorageFetch, map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadStorageFetch, Inputs: map[string][]dandelion.Item{
 		"Sizes": workloads.MakeFetchSizes(nBlobs, blobSize),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,20 +55,13 @@ func FileFunc(quota int, fn func(fs *FS) error) GoFunc {
 
 // BatchOf builds a homogeneous batch for Platform.InvokeBatch: one
 // request per payload, each carrying a single item under inputSet of
-// the named composition. It is the batched analogue of the one-item
-// /invoke HTTP shortcut. The requests run as DefaultTenant; use
-// BatchAs (or Platform.InvokeBatchAs) to schedule them under a tenant.
-func BatchOf(composition, inputSet string, payloads ...[]byte) []BatchRequest {
-	return BatchAs("", composition, inputSet, payloads...)
-}
-
-// BatchAs is BatchOf with a tenant identity: every request is tagged so
-// Platform.InvokeBatch schedules and accounts it under that tenant's
-// DRR share. An empty tenant means DefaultTenant.
-func BatchAs(tenant, composition, inputSet string, payloads ...[]byte) []BatchRequest {
-	reqs := make([]BatchRequest, len(payloads))
+// the named composition, scheduled and accounted under tenant's DRR
+// share (empty means DefaultTenant). It is the batched analogue of the
+// one-item /invoke HTTP shortcut.
+func BatchOf(tenant, composition, inputSet string, payloads ...[]byte) []Request {
+	reqs := make([]Request, len(payloads))
 	for i, p := range payloads {
-		reqs[i] = BatchRequest{
+		reqs[i] = Request{
 			Composition: composition,
 			Tenant:      tenant,
 			Inputs: map[string][]Item{

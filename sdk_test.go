@@ -2,6 +2,7 @@ package dandelion_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"image/png"
 	"strings"
@@ -42,13 +43,13 @@ composition C(Parts) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("C", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "C", Inputs: map[string][]dandelion.Item{
 		"Parts": {
 			{Name: "a", Data: []byte("dan")},
 			{Name: "b", Data: []byte("de")},
 			{Name: "c", Data: []byte("lion")},
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestFileFuncWriteOutsideOutFails(t *testing.T) {
 composition B(In) => Result {
     Bad(x = all In) => (Result = Out);
 }`)
-	_, err := p.Invoke("B", map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}})
+	_, err := p.Invoke(context.Background(), dandelion.Request{Composition: "B", Inputs: map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}}})
 	if err == nil || !strings.Contains(err.Error(), "/out") {
 		t.Fatalf("err = %v, want write confinement", err)
 	}
@@ -121,7 +122,7 @@ composition CompressAll(Images) => Result {
 			Data: qoiimg.Encode(img),
 		})
 	}
-	out, err := p.Invoke("CompressAll", map[string][]dandelion.Item{"Images": items})
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "CompressAll", Inputs: map[string][]dandelion.Item{"Images": items}})
 	if err != nil {
 		t.Fatal(err)
 	}

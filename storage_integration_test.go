@@ -2,6 +2,7 @@ package dandelion_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -72,12 +73,12 @@ composition RoundTrip(In) => Result {
 		t.Fatal(err)
 	}
 
-	out, err := p.Invoke("RoundTrip", map[string][]dandelion.Item{
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: "RoundTrip", Inputs: map[string][]dandelion.Item{
 		"In": {
 			{Name: "k1", Data: []byte("alpha")},
 			{Name: "k2", Data: []byte("beta")},
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ composition C(In) => Result {
     Mk(x = all In) => (ops = Ops);
     Storage(Ops = all ops) => (Result = Results);
 }`)
-	_, err := p.Invoke("C", map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}})
+	_, err := p.Invoke(context.Background(), dandelion.Request{Composition: "C", Inputs: map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}}})
 	if err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("err = %v, want not-registered", err)
 	}
@@ -130,7 +131,7 @@ composition E(In) => Result {
     Evil(x = all In) => (ops = Ops);
     Storage(Ops = all ops) => (Result = Results);
 }`)
-	_, err = p.Invoke("E", map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}})
+	_, err = p.Invoke(context.Background(), dandelion.Request{Composition: "E", Inputs: map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("x")}}}})
 	if err == nil || !strings.Contains(err.Error(), "invalid bucket/key") {
 		t.Fatalf("err = %v, want sanitization failure", err)
 	}
