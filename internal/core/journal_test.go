@@ -161,6 +161,39 @@ func TestKeyedBatchChunkRecordAndReplay(t *testing.T) {
 	}
 }
 
+// TestDedupReplyOutlivesBorrowedSlab: the completed-key table must own
+// what it caches. A keyed request whose input aliases a borrowed wire
+// slab runs through an identity function, so its output aliases the
+// slab too. Once the lease is released and the slab recycled (the hook
+// scribbles it here), a duplicate of the key — batched or single —
+// must still get the first reply's bytes.
+func TestDedupReplyOutlivesBorrowedSlab(t *testing.T) {
+	p := newPlatform(t, Options{ZeroCopy: true})
+	input := registerEcho(t, p)
+	const want = "hello-wire-slab"
+	in := input(want)
+	slab := in["In"][0].Data
+	region := memctx.NewRegion(func() {
+		for i := range slab {
+			slab[i] = 'X'
+		}
+	})
+	first := p.InvokeBatch(context.Background(), []Request{{Composition: "E", Key: "k1", Inputs: in, Borrow: region}})
+	if first[0].Err != nil || string(first[0].Outputs["Result"][0].Data) != want {
+		t.Fatalf("first k1 = %v %v", first[0].Outputs, first[0].Err)
+	}
+	region.Release()
+
+	dup := p.InvokeBatch(context.Background(), []Request{{Composition: "E", Key: "k1", Inputs: input("other")}})
+	if dup[0].Err != nil || string(dup[0].Outputs["Result"][0].Data) != want {
+		t.Fatalf("batched duplicate k1 = %q (err %v), want %q", dup[0].Outputs["Result"][0].Data, dup[0].Err, want)
+	}
+	out, err := p.Invoke(context.Background(), Request{Composition: "E", Key: "k1", Inputs: input("other")})
+	if err != nil || string(out["Result"][0].Data) != want {
+		t.Fatalf("single duplicate k1 = %q (err %v), want %q", out["Result"][0].Data, err, want)
+	}
+}
+
 func TestMixedKeyedBatch(t *testing.T) {
 	p := journaledPlatform(t, journal.NewMemory(), Options{})
 	mk := func(key, val string) Request {
