@@ -262,6 +262,10 @@ type Dedup struct {
 	order   []string // completed keys in completion order (FIFO eviction)
 	max     int
 	hits    atomic.Uint64
+	// copiedSets / copiedBytes count the output sets and payload bytes
+	// Complete cloned into the table.
+	copiedSets  atomic.Uint64
+	copiedBytes atomic.Uint64
 }
 
 type dedupEntry struct {
@@ -284,8 +288,9 @@ func NewDedup(max int) *Dedup {
 }
 
 // Reserve claims key for execution. outs/err report a duplicate: a
-// completed key returns its cached outputs (or ErrDuplicate when only
-// the digest survives), an executing key returns ErrInFlight — both
+// completed key returns its cached outputs — the table's own copy,
+// which callers must not mutate — (or ErrDuplicate when only the
+// digest survives), an executing key returns ErrInFlight — both
 // count as dedup hits and execute=false. A fresh key is marked
 // in-flight and returns execute=true; the caller must follow with
 // Complete or Release.
@@ -310,19 +315,54 @@ func (d *Dedup) Reserve(key string) (outs map[string][]memctx.Item, err error, e
 }
 
 // Complete marks a reserved key done, caching its outputs for
-// transparent duplicate replies (unless oversized).
+// transparent duplicate replies (unless oversized). The table keeps a
+// clone, never outs itself: the caller's payloads may alias memory that
+// is recycled once the reply is sent (a wire decoder's slab, an SDK
+// caller's reused buffer), and a duplicate must repeat the first
+// reply's bytes.
 func (d *Dedup) Complete(key string, digest uint64, outs map[string][]memctx.Item) {
-	if outputBytes(outs) > maxCachedOutputBytes {
-		outs = nil
+	var owned map[string][]memctx.Item
+	n := outputBytes(outs)
+	if n <= maxCachedOutputBytes {
+		owned = cloneOutputs(outs, n)
 	}
 	d.mu.Lock()
 	delete(d.pending, key)
-	if _, ok := d.done[key]; !ok {
-		d.done[key] = &dedupEntry{digest: digest, outputs: outs}
+	_, dup := d.done[key]
+	if !dup {
+		d.done[key] = &dedupEntry{digest: digest, outputs: owned}
 		d.order = append(d.order, key)
 		d.evictLocked()
 	}
 	d.mu.Unlock()
+	if !dup && owned != nil {
+		d.copiedSets.Add(uint64(len(owned)))
+		d.copiedBytes.Add(uint64(n))
+	}
+}
+
+// cloneOutputs deep-copies outs, whose payloads total n bytes, into one
+// exact-size backing buffer (capped sub-slices, as memctx.Set.Clone
+// does). A nil map stays nil.
+func cloneOutputs(outs map[string][]memctx.Item, n int) map[string][]memctx.Item {
+	if outs == nil {
+		return nil
+	}
+	buf := make([]byte, n)
+	owned := make(map[string][]memctx.Item, len(outs))
+	for name, items := range outs {
+		cp := make([]memctx.Item, len(items))
+		for i, it := range items {
+			cp[i] = it
+			if it.Data != nil { // a nil payload stays nil, so replies encode alike
+				end := copy(buf, it.Data)
+				cp[i].Data = buf[:end:end]
+				buf = buf[end:]
+			}
+		}
+		owned[name] = cp
+	}
+	return owned
 }
 
 // Release frees a reserved key after a failed execution so a retry may
@@ -354,6 +394,12 @@ func (d *Dedup) evictLocked() {
 
 // Hits reports how many duplicate reservations the table absorbed.
 func (d *Dedup) Hits() uint64 { return d.hits.Load() }
+
+// Copied reports the output sets and payload bytes Complete has cloned
+// into the table.
+func (d *Dedup) Copied() (sets, bytes uint64) {
+	return d.copiedSets.Load(), d.copiedBytes.Load()
+}
 
 // Len reports the number of completed keys currently held.
 func (d *Dedup) Len() int {

@@ -314,6 +314,47 @@ func TestDedupLifecycle(t *testing.T) {
 	}
 }
 
+// TestDedupOwnsCachedOutputs: Complete keeps its own copy, so a caller
+// that reuses its buffer afterwards cannot change the cached reply; an
+// oversized outcome keeps only its digest and copies nothing.
+func TestDedupOwnsCachedOutputs(t *testing.T) {
+	d := NewDedup(0)
+	buf := []byte("original")
+	d.Reserve("k")
+	d.Complete("k", 1, map[string][]memctx.Item{
+		"Out":   {{Name: "a", Data: buf[:4]}, {Name: "b", Data: buf[4:]}},
+		"Empty": {{Name: "nil"}},
+	})
+	copy(buf, "XXXXXXXX")
+	got, err, execute := d.Reserve("k")
+	if execute || err != nil {
+		t.Fatalf("reserve: execute=%v err=%v", execute, err)
+	}
+	if a, b := string(got["Out"][0].Data), string(got["Out"][1].Data); a != "orig" || b != "inal" {
+		t.Fatalf("cached reply = %q %q, want \"orig\" \"inal\"", a, b)
+	}
+	// Items are capped: growing one cached payload cannot overwrite the next.
+	_ = append(got["Out"][0].Data, '!')
+	if b := string(got["Out"][1].Data); b != "inal" {
+		t.Fatalf("append bled into neighbour: %q", b)
+	}
+	if got["Empty"][0].Data != nil {
+		t.Fatalf("nil payload cached as %q", got["Empty"][0].Data)
+	}
+	if sets, bytes := d.Copied(); sets != 2 || bytes != 8 {
+		t.Fatalf("copied = %d sets %d bytes, want 2 8", sets, bytes)
+	}
+
+	d.Reserve("big")
+	d.Complete("big", 2, map[string][]memctx.Item{"Out": {{Data: make([]byte, maxCachedOutputBytes+1)}}})
+	if _, err, _ := d.Reserve("big"); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("oversized reserve err = %v, want ErrDuplicate", err)
+	}
+	if sets, bytes := d.Copied(); sets != 2 || bytes != 8 {
+		t.Fatalf("oversized outcome copied: %d sets %d bytes", sets, bytes)
+	}
+}
+
 func TestDedupEviction(t *testing.T) {
 	d := NewDedup(4)
 	for i := 0; i < 10; i++ {
