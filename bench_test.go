@@ -167,19 +167,6 @@ func BenchmarkAblationBinaryCache(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationZeroCopy(b *testing.B) {
-	if testing.Short() {
-		b.Skip("real-platform ablation")
-	}
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationZeroCopy()
-		b.ReportMetric(mustCell(b, t, "copy (paper default)", 3), "copy_ms_per_inv")
-		b.ReportMetric(mustCell(b, t, "zero-copy handoff", 3), "zc_ms_per_inv")
-		b.ReportMetric(mustCell(b, t, "copy batched", 3), "copy_batched_ms_per_inv")
-		b.ReportMetric(mustCell(b, t, "zero-copy batched", 3), "zc_batched_ms_per_inv")
-	}
-}
-
 // Microbenchmarks of the core building blocks.
 
 func BenchmarkDvmMatMul16(b *testing.B) {
@@ -328,12 +315,8 @@ composition RenderLogs(AccessToken) => HTMLOutput {
 // invocations/sec over the sequential loop).
 func BenchmarkInvokeBatch(b *testing.B) {
 	const batch = 64
-	newP := func(b *testing.B, opts ...func(*dandelion.Options)) *dandelion.Platform {
-		o := dandelion.Options{ComputeEngines: 4}
-		for _, f := range opts {
-			f(&o)
-		}
-		p, err := dandelion.New(o)
+	newP := func(b *testing.B) *dandelion.Platform {
+		p, err := dandelion.New(dandelion.Options{ComputeEngines: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -368,23 +351,6 @@ composition I(In) => Result {
 	})
 	b.Run("batch", func(b *testing.B) {
 		p := newP(b)
-		reqs := dandelion.BatchOf("", "I", "In", payloads...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := p.InvokeBatch(context.Background(), reqs)
-			for _, r := range res {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "inv/s")
-	})
-	// Same batched path with the zero-copy data plane: statement outputs
-	// are handed off between contexts instead of cloned.
-	b.Run("batch-zerocopy", func(b *testing.B) {
-		p := newP(b, func(o *dandelion.Options) { o.ZeroCopy = true })
 		reqs := dandelion.BatchOf("", "I", "In", payloads...)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -59,7 +59,6 @@ func main() {
 	commEngines := flag.Int("comm-engines", 0, "initial communication engines (0 = default)")
 	balance := flag.Bool("balance", true, "enable the PI-controller core balancer")
 	cache := flag.Bool("cache-binaries", true, "keep decoded binaries in memory")
-	zeroCopy := flag.Bool("zero-copy", false, "hand statement outputs off between memory contexts instead of copying (functions must treat inputs as immutable)")
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant DRR dispatch weights, e.g. 'alice=2,bob=1' (unlisted tenants get 1)")
 	byteFairness := flag.Bool("byte-fairness", false, "charge DRR dispatch deficits in payload bytes instead of task counts, so large-payload tenants cannot starve interactive ones")
 	autoscale := flag.Bool("autoscale", false, "grow/shrink the compute-engine pool with load (elasticity controller)")
@@ -88,7 +87,6 @@ func main() {
 		CommEngines:    *commEngines,
 		Balance:        *balance,
 		CacheBinaries:  *cache,
-		ZeroCopy:       *zeroCopy,
 		TenantWeights:  weights,
 		ByteFairness:   *byteFairness,
 		Autoscale:      *autoscale,

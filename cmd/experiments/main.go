@@ -45,7 +45,6 @@ func main() {
 		experiments.AblationWarmCache,
 		experiments.AblationStaticSplit,
 		experiments.AblationBinaryCache,
-		experiments.AblationZeroCopy,
 	}
 
 	args := flag.Args()

@@ -139,13 +139,6 @@ type Options struct {
 	CommEngines    int
 	// CacheBinaries keeps decoded function binaries in memory.
 	CacheBinaries bool
-	// ZeroCopy hands statement outputs off between memory contexts
-	// (ownership moves) instead of cloning them, on both the single
-	// Invoke and the batched InvokeBatch data paths. Functions must
-	// treat their input items as immutable when this is on: payloads
-	// may be shared with other instances. The /stats counters
-	// ZeroCopyHandoffs and ZeroCopyHandoffBytes report what it saves.
-	ZeroCopy bool
 	// Balance enables the PI-controller core re-balancer.
 	Balance bool
 	// Autoscale starts the elasticity controller: the compute-engine
@@ -219,7 +212,6 @@ func New(opts Options) (*Platform, error) {
 		ComputeEngines: opts.ComputeEngines,
 		CommEngines:    opts.CommEngines,
 		CacheBinaries:  opts.CacheBinaries,
-		ZeroCopy:       opts.ZeroCopy,
 		Balance:        opts.Balance,
 		TenantWeights:  opts.TenantWeights,
 		ByteFairness:   opts.ByteFairness,

@@ -8,17 +8,15 @@
 // queue round trips, context allocations, and binary decodes — the hot
 // path the serving harness in internal/loadgen measures.
 //
-// Under Options.ZeroCopy the batch data plane also stops copying
-// payloads between statements: a chunk's per-statement output sets are
-// handed off out of the producing context (memctx.TakeOutputs, the
-// dispatcher-mediated form of memctx.HandoffOutput) into the per-request
-// value store, and the consuming statement's instances adopt them
-// (memctx.AdoptInputSet) without cloning — including across chunk
-// boundaries, when the producing and consuming chunks run on different
-// engines. Ownership tracking in memctx guarantees a handed-off set is
-// never re-read from or re-released by its producer. With ZeroCopy off,
-// every one of those boundaries is a clone (the paper's default copying
-// path); see docs/ARCHITECTURE.md for the full data-path map.
+// Payloads are never copied between statements: a chunk's per-statement
+// output sets are handed off out of the producing context
+// (memctx.TakeOutputs, the dispatcher-mediated form of
+// memctx.HandoffOutput) into the per-request value store, and the
+// consuming statement's instances adopt them (memctx.AdoptInputSet) —
+// including across chunk boundaries, when the producing and consuming
+// chunks run on different engines. Ownership tracking in memctx
+// guarantees a handed-off set is never re-read from or re-released by
+// its producer; see docs/ARCHITECTURE.md for the data-path map.
 package core
 
 import (
@@ -171,7 +169,7 @@ type batchState struct {
 	stores []*valueStore
 	// borrows, when non-nil, carries each request's wire-memory lease
 	// (Request.Borrow, parallel to stores); compute instances of
-	// the request adopt their inputs under it on the zero-copy path.
+	// the request adopt their inputs under it.
 	borrows []*memctx.Region
 	mu      sync.Mutex
 	errs    []error
@@ -264,7 +262,7 @@ func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan,
 		}
 		out := make(map[string][]memctx.Item, len(comp.Outputs))
 		for _, b := range comp.Outputs {
-			out[b.Name] = st.stores[r].get(b.Value, false)
+			out[b.Name] = st.stores[r].get(b.Value)
 		}
 		outs[r] = out
 	}
@@ -349,15 +347,10 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		return
 	}
 
-	// Compute path (v.fn != nil past this point, so no comm-function
-	// gather clone to worry about): gather every live request's
-	// instances into one flat work list (recycled through
-	// batchItemsPool). The gather aliases the store's items in both
-	// data-plane modes: under ZeroCopy the instances adopt the
-	// producer's handed-off buffers, and on the copying path each
-	// instance's one value-semantics clone happens at the context
-	// boundary (AddInputSet), so cloning here as well would be a second
-	// copy.
+	// Compute path: gather every live request's instances into one flat
+	// work list (recycled through batchItemsPool). The gather aliases the
+	// store's items; the instances adopt the producer's handed-off
+	// buffers.
 	itemsBuf := batchItemsPool.Get().(*[]batchItem)
 	items := (*itemsBuf)[:0]
 	defer func() {
@@ -374,7 +367,7 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		argItems := make([][]memctx.Item, len(st.Args))
 		skip := false
 		for ai, a := range st.Args {
-			argItems[ai] = bst.stores[r].get(a.Value, false)
+			argItems[ai] = bst.stores[r].get(a.Value)
 			if len(argItems[ai]) == 0 && !a.Optional {
 				skip = true
 			}
@@ -571,9 +564,9 @@ func chunkBoundsByBytes(items []batchItem, chunks int, total int64) []int {
 // runComputeChunk executes a chunk of same-function instances
 // back-to-back on the calling compute engine, reusing one pooled
 // memory context (Reset between instances, Recycle at the end) and one
-// decoded program. Reuse is safe in both data-plane modes: each
-// instance's output sets are taken out of the context (ownership moved
-// to the dispatcher) before the next instance Resets it, and the
+// decoded program. Reuse is safe: each instance's output sets are
+// taken out of the context (ownership moved to the dispatcher) before
+// the next instance Resets it, and the
 // payloads are either independent heap buffers or — for borrowed wire
 // memory — leased under a memctx.Region whose owner holds a reference
 // until the results are consumed, so neither Reset nor a later pooled

@@ -31,138 +31,115 @@ composition Pipe(In) => Result {
 }
 
 // TestInvokeBatchMatchesInvoke: batch-vs-invoke equivalence on a
-// two-stage pipeline, in both data-plane modes — the copying default
-// and the zero-copy handoff plane must produce identical results.
+// two-stage pipeline, with every context-boundary crossing accounted as
+// a handoff and nothing copied (no request is keyed).
 func TestInvokeBatchMatchesInvoke(t *testing.T) {
-	for _, zc := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ZeroCopy=%v", zc), func(t *testing.T) {
-			p := newPlatform(t, Options{ComputeEngines: 4, ZeroCopy: zc})
-			registerUpperPipeline(t, p)
+	p := newPlatform(t, Options{ComputeEngines: 4})
+	registerUpperPipeline(t, p)
 
-			reqs := make([]Request, 16)
-			for i := range reqs {
-				reqs[i] = Request{
-					Composition: "Pipe",
-					Inputs: map[string][]memctx.Item{
-						"In": items(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
-					},
-				}
-			}
-			got := p.InvokeBatch(context.Background(), reqs)
-			if len(got) != len(reqs) {
-				t.Fatalf("got %d results, want %d", len(got), len(reqs))
-			}
-			for i, res := range got {
-				if res.Err != nil {
-					t.Fatalf("request %d failed: %v", i, res.Err)
-				}
-				want, err := p.Invoke(context.Background(), Request{Composition: "Pipe", Inputs: reqs[i].Inputs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				g := string(res.Outputs["Result"][0].Data)
-				w := string(want["Result"][0].Data)
-				if g != w {
-					t.Fatalf("request %d: batch %q != invoke %q", i, g, w)
-				}
-				if !strings.Contains(g, strings.ToUpper(fmt.Sprintf("a%d", i))) {
-					t.Fatalf("request %d: wrong payload %q", i, g)
-				}
-			}
+	reqs := make([]Request, 16)
+	for i := range reqs {
+		reqs[i] = Request{
+			Composition: "Pipe",
+			Inputs: map[string][]memctx.Item{
+				"In": items(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
+			},
+		}
+	}
+	got := p.InvokeBatch(context.Background(), reqs)
+	if len(got) != len(reqs) {
+		t.Fatalf("got %d results, want %d", len(got), len(reqs))
+	}
+	for i, res := range got {
+		if res.Err != nil {
+			t.Fatalf("request %d failed: %v", i, res.Err)
+		}
+		want, err := p.Invoke(context.Background(), Request{Composition: "Pipe", Inputs: reqs[i].Inputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := string(res.Outputs["Result"][0].Data)
+		w := string(want["Result"][0].Data)
+		if g != w {
+			t.Fatalf("request %d: batch %q != invoke %q", i, g, w)
+		}
+		if !strings.Contains(g, strings.ToUpper(fmt.Sprintf("a%d", i))) {
+			t.Fatalf("request %d: wrong payload %q", i, g)
+		}
+	}
 
-			// The data plane must account its boundary crossings to the
-			// mode that is actually active.
-			st := p.Stats()
-			if zc {
-				if st.ZeroCopyHandoffs == 0 || st.ZeroCopyHandoffBytes == 0 {
-					t.Fatalf("zero-copy mode recorded no handoffs: %+v", st)
-				}
-				if st.CopiedSets != 0 {
-					t.Fatalf("zero-copy mode cloned %d sets", st.CopiedSets)
-				}
-			} else {
-				if st.CopiedSets == 0 || st.CopiedBytes == 0 {
-					t.Fatalf("copying mode recorded no copies: %+v", st)
-				}
-				if st.ZeroCopyHandoffs != 0 {
-					t.Fatalf("copying mode recorded %d handoffs", st.ZeroCopyHandoffs)
-				}
-			}
-		})
+	st := p.Stats()
+	if st.ZeroCopyHandoffs == 0 || st.ZeroCopyHandoffBytes == 0 {
+		t.Fatalf("no handoffs recorded: %+v", st)
+	}
+	if st.CopiedSets != 0 || st.CopiedBytes != 0 {
+		t.Fatalf("unkeyed requests copied %d sets (%d bytes)", st.CopiedSets, st.CopiedBytes)
 	}
 }
 
-// TestZeroCopyEnforcesMemoryLimit: zero-copy changes how bytes move,
-// not how much memory a function may hold — a function whose outputs
-// exceed its declared MemBytes must fail identically in both modes.
+// TestZeroCopyEnforcesMemoryLimit: ownership moves change how bytes
+// move, not how much memory a function may hold — a function whose
+// outputs exceed its declared MemBytes must fail on both entry points.
 func TestZeroCopyEnforcesMemoryLimit(t *testing.T) {
-	for _, zc := range []bool{false, true} {
-		p := newPlatform(t, Options{ComputeEngines: 2, ZeroCopy: zc})
-		if err := p.RegisterFunction(ComputeFunc{Name: "Huge", MemBytes: 1 << 10, Go: func(in []memctx.Set) ([]memctx.Set, error) {
-			return []memctx.Set{{Name: "Out", Items: []memctx.Item{{Name: "x", Data: make([]byte, 1<<20)}}}}, nil
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.reg.addCompositionText(`
+	p := newPlatform(t, Options{ComputeEngines: 2})
+	if err := p.RegisterFunction(ComputeFunc{Name: "Huge", MemBytes: 1 << 10, Go: func(in []memctx.Set) ([]memctx.Set, error) {
+		return []memctx.Set{{Name: "Out", Items: []memctx.Item{{Name: "x", Data: make([]byte, 1<<20)}}}}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.reg.addCompositionText(`
 composition H(In) => Result {
     Huge(x = all In) => (Result = Out);
 }`); err != nil {
-			t.Fatal(err)
-		}
-		_, err := p.Invoke(context.Background(), Request{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}})
-		if !errors.Is(err, memctx.ErrOutOfBounds) {
-			t.Fatalf("zc=%v: oversized output err = %v, want ErrOutOfBounds", zc, err)
-		}
-		res := p.InvokeBatch(context.Background(), []Request{{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}}})
-		if !errors.Is(res[0].Err, memctx.ErrOutOfBounds) {
-			t.Fatalf("zc=%v: batched oversized output err = %v, want ErrOutOfBounds", zc, res[0].Err)
-		}
+		t.Fatal(err)
+	}
+	_, err := p.Invoke(context.Background(), Request{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}})
+	if !errors.Is(err, memctx.ErrOutOfBounds) {
+		t.Fatalf("oversized output err = %v, want ErrOutOfBounds", err)
+	}
+	res := p.InvokeBatch(context.Background(), []Request{{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}}})
+	if !errors.Is(res[0].Err, memctx.ErrOutOfBounds) {
+		t.Fatalf("batched oversized output err = %v, want ErrOutOfBounds", res[0].Err)
 	}
 }
 
-// TestInvokeBatchZeroCopyFanout: the zero-copy plane must survive the
+// TestInvokeBatchZeroCopyFanout: the handoff plane must survive the
 // distribution keywords — `each` fan-out splits a handed-off set's
 // items across instances (partial consumption of a moved set), and the
 // fan-in merge re-assembles instance outputs — with results identical
-// to the copying path.
+// to single invokes.
 func TestInvokeBatchZeroCopyFanout(t *testing.T) {
-	run := func(zc bool) []string {
-		p := newPlatform(t, Options{ComputeEngines: 3, ZeroCopy: zc})
-		if err := p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper}); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.RegisterFunction(ComputeFunc{Name: "Concat", Go: concat}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.reg.addCompositionText(`
+	p := newPlatform(t, Options{ComputeEngines: 3})
+	if err := p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RegisterFunction(ComputeFunc{Name: "Concat", Go: concat}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.reg.addCompositionText(`
 composition F(In) => Result {
     Upper(x = each In) => (Mid = Out);
     Concat(y = all Mid) => (Result = Out);
 }`); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []Request{
+		{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("a", "b", "c")}},
+		{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("x", "y")}},
+	}
+	want := []string{"A|B|C", "X|Y"}
+	for i, res := range p.InvokeBatch(context.Background(), reqs) {
+		if res.Err != nil {
+			t.Fatalf("request %d: %v", i, res.Err)
+		}
+		single, err := p.Invoke(context.Background(), reqs[i])
+		if err != nil {
 			t.Fatal(err)
 		}
-		reqs := []Request{
-			{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("a", "b", "c")}},
-			{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("x", "y")}},
+		b, s := string(res.Outputs["Result"][0].Data), string(single["Result"][0].Data)
+		if b != want[i] || s != want[i] {
+			t.Fatalf("request %d: batch %q, invoke %q, want %q", i, b, s, want[i])
 		}
-		got := p.InvokeBatch(context.Background(), reqs)
-		outs := make([]string, len(got))
-		for i, res := range got {
-			if res.Err != nil {
-				t.Fatalf("zc=%v request %d: %v", zc, i, res.Err)
-			}
-			outs[i] = string(res.Outputs["Result"][0].Data)
-		}
-		return outs
-	}
-	copied, moved := run(false), run(true)
-	for i := range copied {
-		if copied[i] != moved[i] {
-			t.Fatalf("request %d: copy %q != zero-copy %q", i, copied[i], moved[i])
-		}
-	}
-	if moved[0] != "A|B|C" || moved[1] != "X|Y" {
-		t.Fatalf("fan-out results = %v", moved)
 	}
 }
 
@@ -403,52 +380,47 @@ func TestInvokeBatchMixedTenants(t *testing.T) {
 }
 
 // TestInvokeBatchBorrowedRegionLifetime: requests whose inputs alias
-// externally pooled memory (Request.Borrow) must keep the lease
-// alive for the whole execution in both data-plane modes, and the
-// release hook must fire exactly once — at the creator's release, since
-// every compute context drops its retain when it is reset or recycled
-// before InvokeBatch returns.
+// externally pooled memory (Request.Borrow) must keep the lease alive
+// for the whole execution, and the release hook must fire exactly once
+// — at the creator's release, since every compute context drops its
+// retain when it is reset or recycled before InvokeBatch returns.
 func TestInvokeBatchBorrowedRegionLifetime(t *testing.T) {
-	for _, zc := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ZeroCopy=%v", zc), func(t *testing.T) {
-			p := newPlatform(t, Options{ComputeEngines: 4, ZeroCopy: zc})
-			registerUpperPipeline(t, p)
+	p := newPlatform(t, Options{ComputeEngines: 4})
+	registerUpperPipeline(t, p)
 
-			recycled := false
-			region := memctx.NewRegion(func() { recycled = true })
-			reqs := make([]Request, 8)
-			for i := range reqs {
-				reqs[i] = Request{
-					Composition: "Pipe",
-					Inputs: map[string][]memctx.Item{
-						"In": items(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
-					},
-					Borrow: region,
-				}
-			}
-			results := p.InvokeBatch(context.Background(), reqs)
-			for i, res := range results {
-				if res.Err != nil {
-					t.Fatalf("request %d failed: %v", i, res.Err)
-				}
-				if !strings.Contains(string(res.Outputs["Result"][0].Data), strings.ToUpper(fmt.Sprintf("a%d", i))) {
-					t.Fatalf("request %d: wrong payload %q", i, res.Outputs["Result"][0].Data)
-				}
-			}
-			// Every context retain must be balanced by the time the batch
-			// returns: only the creator's reference is left, and the hook
-			// has not fired — the caller may still be reading the outputs.
-			if got := region.Refs(); got != 1 {
-				t.Fatalf("refs after InvokeBatch = %d, want 1 (creator)", got)
-			}
-			if recycled {
-				t.Fatal("release hook fired before the creator released")
-			}
-			region.Release()
-			if !recycled {
-				t.Fatal("release hook did not fire at the creator's release")
-			}
-		})
+	recycled := false
+	region := memctx.NewRegion(func() { recycled = true })
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		reqs[i] = Request{
+			Composition: "Pipe",
+			Inputs: map[string][]memctx.Item{
+				"In": items(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
+			},
+			Borrow: region,
+		}
+	}
+	results := p.InvokeBatch(context.Background(), reqs)
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("request %d failed: %v", i, res.Err)
+		}
+		if !strings.Contains(string(res.Outputs["Result"][0].Data), strings.ToUpper(fmt.Sprintf("a%d", i))) {
+			t.Fatalf("request %d: wrong payload %q", i, res.Outputs["Result"][0].Data)
+		}
+	}
+	// Every context retain must be balanced by the time the batch
+	// returns: only the creator's reference is left, and the hook has
+	// not fired — the caller may still be reading the outputs.
+	if got := region.Refs(); got != 1 {
+		t.Fatalf("refs after InvokeBatch = %d, want 1 (creator)", got)
+	}
+	if recycled {
+		t.Fatal("release hook fired before the creator released")
+	}
+	region.Release()
+	if !recycled {
+		t.Fatal("release hook did not fire at the creator's release")
 	}
 }
 

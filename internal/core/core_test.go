@@ -497,23 +497,21 @@ composition U(In) => Result {
 	}
 }
 
-func TestZeroCopyOptionProducesSameResults(t *testing.T) {
-	for _, zc := range []bool{false, true} {
-		p := newPlatform(t, Options{ZeroCopy: zc})
-		p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper})
-		p.RegisterFunction(ComputeFunc{Name: "Join", Go: concat})
-		p.RegisterCompositionText(`
+func TestTwoStagePipeline(t *testing.T) {
+	p := newPlatform(t, Options{})
+	p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper})
+	p.RegisterFunction(ComputeFunc{Name: "Join", Go: concat})
+	p.RegisterCompositionText(`
 composition U(In) => Result {
     Upper(x = all In) => (up = Out);
     Join(x = all up) => (Result = Out);
 }`)
-		out, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("a", "b")}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(out["Result"][0].Data) != "A|B" {
-			t.Fatalf("zeroCopy=%v: result = %+v", zc, out["Result"])
-		}
+	out, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("a", "b")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out["Result"][0].Data) != "A|B" {
+		t.Fatalf("result = %+v", out["Result"])
 	}
 }
 

@@ -23,11 +23,9 @@ type hotShard struct {
 	batches     atomic.Uint64
 	zcHandoffs  atomic.Uint64
 	zcBytes     atomic.Uint64
-	copiedSets  atomic.Uint64
-	copiedBytes atomic.Uint64
 	ctxReused   atomic.Uint64
 	ctxFresh    atomic.Uint64
-	_           [stats.CacheLinePad - 64]byte
+	_           [stats.CacheLinePad - 48]byte
 }
 
 // hotCounters is the sharded counter set: one hotShard per
@@ -60,10 +58,9 @@ func (c *hotCounters) shardAt(i int) *hotShard {
 // hotTotals is the lazily merged view of every shard, consumed by
 // Platform.Stats.
 type hotTotals struct {
-	invocations, batches    uint64
-	zcHandoffs, zcBytes     uint64
-	copiedSets, copiedBytes uint64
-	ctxReused, ctxFresh     uint64
+	invocations, batches uint64
+	zcHandoffs, zcBytes  uint64
+	ctxReused, ctxFresh  uint64
 }
 
 // merge sums the shards.
@@ -75,8 +72,6 @@ func (c *hotCounters) merge() hotTotals {
 		t.batches += s.batches.Load()
 		t.zcHandoffs += s.zcHandoffs.Load()
 		t.zcBytes += s.zcBytes.Load()
-		t.copiedSets += s.copiedSets.Load()
-		t.copiedBytes += s.copiedBytes.Load()
 		t.ctxReused += s.ctxReused.Load()
 		t.ctxFresh += s.ctxFresh.Load()
 	}

@@ -57,15 +57,6 @@ type Options struct {
 	CommEngines    int
 	// CacheBinaries keeps decoded programs in memory (§7.4 "cached").
 	CacheBinaries bool
-	// ZeroCopy routes the data plane through ownership moves instead of
-	// copies (§6.1's future-work data path): statement outputs are
-	// handed off out of the producing memory context (memctx.TakeOutputs
-	// / memctx.HandoffOutput) and adopted by the consuming statement's
-	// context (memctx.AdoptInputSet) without cloning item payloads, on
-	// both the single-invoke and the chunked batch paths. Functions must
-	// treat input items as immutable under this option — payloads may be
-	// shared with other instances of the same batch.
-	ZeroCopy bool
 	// Balance starts the PI-controller core balancer.
 	Balance bool
 	// MaxDepth bounds nested composition recursion (default 16).
@@ -302,14 +293,14 @@ type Stats struct {
 	ComputeCompleted uint64
 	CommCompleted    uint64
 	CachedPrograms   int
-	// ZeroCopyHandoffs counts output/input sets that crossed a memory-
-	// context boundary by ownership move (zero-copy handoff) instead of
-	// by clone; ZeroCopyHandoffBytes is their summed payload size — the
-	// bytes whose copy was avoided. Non-zero only with Options.ZeroCopy.
+	// ZeroCopyHandoffs counts the input and output sets that crossed a
+	// memory-context boundary — every crossing is an ownership move, no
+	// payload copy; ZeroCopyHandoffBytes is their summed payload size.
 	ZeroCopyHandoffs     uint64
 	ZeroCopyHandoffBytes uint64
-	// CopiedSets / CopiedBytes are the copying-path counterparts: sets
-	// and payload bytes cloned across context boundaries.
+	// CopiedSets / CopiedBytes count the one copy the data plane makes:
+	// the output sets and payload bytes the completed-key dedup table
+	// clones when it caches a keyed invocation's reply.
 	CopiedSets  uint64
 	CopiedBytes uint64
 	// PooledContextReuses / PooledContextAllocs split the hot path's
@@ -368,6 +359,7 @@ func (p *Platform) Stats() Stats {
 		jBytes = s.Size()
 	}
 	tenants := sched.MergeStats(p.computeSched.Stats(), p.commSched.Stats())
+	copiedSets, copiedBytes := p.dedup.Copied()
 	var expired uint64
 	for _, ts := range tenants {
 		expired += ts.Expired
@@ -403,8 +395,8 @@ func (p *Platform) Stats() Stats {
 
 		ZeroCopyHandoffs:     t.zcHandoffs,
 		ZeroCopyHandoffBytes: t.zcBytes,
-		CopiedSets:           t.copiedSets,
-		CopiedBytes:          t.copiedBytes,
+		CopiedSets:           copiedSets,
+		CopiedBytes:          copiedBytes,
 		PooledContextReuses:  t.ctxReused,
 		PooledContextAllocs:  t.ctxFresh,
 	}
@@ -432,15 +424,13 @@ type Request struct {
 	// Inputs maps the composition's input names to items.
 	Inputs map[string][]memctx.Item
 	// Borrow, when non-nil, marks Inputs as aliasing externally pooled
-	// memory (decoded wire buffers) leased under the given region. The
-	// zero-copy data plane then adopts the payloads borrowed
-	// (memctx.AdoptInputSetBorrowed): every compute context that
-	// aliases them retains the region for the duration of its use, so
-	// the owner's recycle hook cannot fire while the bytes are live.
-	// The caller keeps its own reference until it has consumed the
-	// results. Only InvokeBatch consults it, and it is ignored (and safe)
-	// with ZeroCopy off — the copying path clones at the context boundary
-	// and never aliases the lease.
+	// memory (decoded wire buffers) leased under the given region.
+	// Compute contexts adopt the payloads borrowed
+	// (memctx.AdoptInputSetBorrowed): every context that aliases them
+	// retains the region for the duration of its use, so the owner's
+	// recycle hook cannot fire while the bytes are live. Outputs may
+	// alias the inputs, so the caller keeps its own reference until it
+	// has consumed the results. Only InvokeBatch consults it.
 	Borrow *memctx.Region
 }
 
@@ -536,13 +526,8 @@ func (p *Platform) HasComposition(name string) bool {
 }
 
 // valueStore holds the dataflow values of one invocation. Values are
-// exchanged by reference: producers deposit the sets they harvested
-// (private clones on the copying path, handed-off buffers under
-// ZeroCopy) and consumers receive aliases — every value-semantics copy
-// the copying data path owes is paid exactly once, at the context
-// boundary (Context.AddInputSet / Context.SetOutputs) for compute
-// functions, or at the gather (clone=true) for communication
-// functions, which have no context.
+// exchanged by reference: producers deposit the sets handed off out of
+// their contexts and consumers receive aliases.
 type valueStore struct {
 	mu   sync.Mutex
 	vals map[string][]memctx.Item
@@ -574,18 +559,10 @@ func putValueStore(s *valueStore) {
 	valueStorePool.Put(s)
 }
 
-func (s *valueStore) get(name string, clone bool) []memctx.Item {
+func (s *valueStore) get(name string) []memctx.Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	items := s.vals[name]
-	if !clone {
-		return items
-	}
-	out := make([]memctx.Item, len(items))
-	for i, it := range items {
-		out[i] = it.Clone()
-	}
-	return out
+	return s.vals[name]
 }
 
 func (s *valueStore) set(name string, items []memctx.Item) {
@@ -657,7 +634,7 @@ func (p *Platform) invoke(ctx context.Context, tenant string, pl *compPlan, inpu
 
 	out := make(map[string][]memctx.Item, len(comp.Outputs))
 	for _, b := range comp.Outputs {
-		out[b.Name] = store.get(b.Value, false)
+		out[b.Name] = store.get(b.Value)
 	}
 	return out, nil
 }
@@ -678,18 +655,10 @@ func (p *Platform) runStatement(ctx context.Context, tenant string, sp *stmtPlan
 
 	// Gather argument items; decide skip (§4.4): any non-optional input
 	// set with zero items suppresses execution, defining empty outputs.
-	// For compute functions and nested compositions the gather aliases
-	// the store's items — the one value-semantics clone each instance is
-	// owed happens at the context boundary (AddInputSet), not here.
-	// Communication functions have no memory context, so on the copying
-	// path their one clone is paid here instead (under ZeroCopy they
-	// receive aliases and must not mutate them, per the CommFunc
-	// contract).
-	cloneGather := v.comm != nil && !p.opts.ZeroCopy
 	argItems := make([][]memctx.Item, len(st.Args))
 	skip := false
 	for ai, a := range st.Args {
-		argItems[ai] = store.get(a.Value, cloneGather)
+		argItems[ai] = store.get(a.Value)
 		if len(argItems[ai]) == 0 && !a.Optional {
 			skip = true
 		}
@@ -885,9 +854,11 @@ func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([
 		sh.ctxFresh.Add(1)
 	}
 	outs, err := p.runComputeIn(ctx, f, f.prepared, inst, nil, sh)
-	// Safe to recycle in both data-plane modes: harvested outputs were
-	// moved out of (or cloned by) the context, and their payloads are
-	// independent heap buffers, never region-backed.
+	// Safe to recycle: the harvested outputs were moved out of the
+	// context, and recycling drops only its descriptors. The payloads
+	// may still alias the inputs, and through them a borrowed wire slab
+	// (a nested composition inside a batch carrying Request.Borrow);
+	// they stay valid for as long as the batch caller holds its lease.
 	memctx.Recycle(ctx)
 	return outs, err
 }
@@ -896,53 +867,32 @@ func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([
 // the batch path reuses (via Reset) across the instances of a chunk.
 // prepared, when non-nil, skips the per-execution binary decode.
 //
-// The data plane has two modes, and in both each boundary crossing
-// costs at most one memcpy. The copying path (default) clones the
-// instance's input sets into the context (AddInputSet — the copy into
-// the function's memory, preserving value semantics), lets the function
-// read the context's private copy in place (ShareInputSets — the
-// context IS the function's memory; re-cloning it for the function
-// would be a second copy the model doesn't charge), clones the outputs
-// into the context (SetOutputs — the copy out of the function's
-// memory), and moves that clone to the dispatcher without another copy
-// (TakeOutputs). Under Options.ZeroCopy even those two clones become
-// ownership moves: inputs are adopted (AdoptInputSet) and outputs
+// Every boundary crossing is an ownership move, never a memcpy: the
+// context adopts the instance's input sets (AdoptInputSetBorrowed), the
+// function reads them in place (ShareInputSets), and its outputs are
 // handed off (AdoptOutputs + TakeOutputs), so the dispatcher — and
 // through it the consuming statement's context, also across chunk
-// boundaries within one batch — receives the producer's buffers.
+// boundaries within one batch — receives the producer's buffers. Moves
+// keep the limit enforcement and committed-bytes accounting a copy
+// would have. The functions' side of the bargain is the GoFunc
+// contract: inputs are read-only.
 //
 // borrow, when non-nil, is the wire-memory lease of the request the
-// instance belongs to (Request.Borrow): zero-copy input adoption
-// then goes through AdoptInputSetBorrowed, so the context retains the
-// lease until its Reset/Recycle and the decoder slabs the inputs alias
-// cannot be recycled mid-execution.
+// instance belongs to (Request.Borrow): the context retains it until
+// its Reset/Recycle, so the decoder slabs the inputs alias cannot be
+// recycled mid-execution.
 func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, prepared *dvm.Program, inst instance, borrow *memctx.Region, sh *hotShard) (outs []memctx.Set, err error) {
-	memBytes := funcMemBytes(f)
 	for _, s := range inst {
-		if p.opts.ZeroCopy {
-			if err := ctx.AdoptInputSetBorrowed(s, borrow); err != nil {
-				return nil, err
-			}
-			sh.zcHandoffs.Add(1)
-			sh.zcBytes.Add(uint64(s.TotalBytes()))
-		} else {
-			if err := ctx.AddInputSet(s); err != nil {
-				return nil, err
-			}
-			sh.copiedSets.Add(1)
-			sh.copiedBytes.Add(uint64(s.TotalBytes()))
+		if err := ctx.AdoptInputSetBorrowed(s, borrow); err != nil {
+			return nil, err
 		}
+		sh.zcHandoffs.Add(1)
+		sh.zcBytes.Add(uint64(s.TotalBytes()))
 	}
 	charge := int64(ctx.CommittedBytes())
 	p.chargeMemory(charge)
 	defer p.releaseMemory(&charge)
 
-	// Both modes read the context's sets in place. On the copying path
-	// these are the context's private clones (the function may scribble
-	// on them; the context is reset or recycled after harvest); under
-	// ZeroCopy they are shared payloads the function must treat as
-	// immutable.
-	funcInputs := ctx.ShareInputSets
 	if f.Go != nil {
 		defer func() {
 			if r := recover(); r != nil {
@@ -950,13 +900,13 @@ func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, prepared
 				outs = nil
 			}
 		}()
-		outs, err = f.Go(funcInputs())
+		outs, err = f.Go(ctx.ShareInputSets())
 	} else {
 		task := isolation.Task{
 			Binary:   f.Binary,
 			Prepared: prepared,
-			MemBytes: memBytes,
-			Inputs:   funcInputs(),
+			MemBytes: funcMemBytes(f),
+			Inputs:   ctx.ShareInputSets(),
 			GasLimit: f.GasLimit,
 		}
 		outs, err = p.backend.Execute(task)
@@ -973,11 +923,7 @@ func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, prepared
 			}
 		}
 	}
-	if p.opts.ZeroCopy {
-		if err := ctx.AdoptOutputs(outs); err != nil {
-			return nil, err
-		}
-	} else if err := ctx.SetOutputs(outs); err != nil {
+	if err := ctx.AdoptOutputs(outs); err != nil {
 		return nil, err
 	}
 	ctx.Seal()
@@ -989,13 +935,8 @@ func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, prepared
 		return nil, err
 	}
 	for _, s := range taken {
-		if p.opts.ZeroCopy {
-			sh.zcHandoffs.Add(1)
-			sh.zcBytes.Add(uint64(s.TotalBytes()))
-		} else {
-			sh.copiedSets.Add(1)
-			sh.copiedBytes.Add(uint64(s.TotalBytes()))
-		}
+		sh.zcHandoffs.Add(1)
+		sh.zcBytes.Add(uint64(s.TotalBytes()))
 	}
 	return taken, nil
 }

@@ -38,143 +38,135 @@ composition E(In) => Result {
 }
 
 // TestStatsCounterConsistencyConcurrentInvokes drives concurrent
-// single invokes in both data-plane modes and requires the merged
-// sharded counters to equal the completed work exactly — increments
-// are atomic per shard and never sampled, so nothing may be lost.
-// Run under -race this also checks the shards themselves.
+// single invokes, then one keyed invoke and its duplicate, and requires
+// the merged sharded counters to equal the completed work exactly —
+// increments are atomic per shard and never sampled, so nothing may be
+// lost. Every boundary crossing is a handoff; the one copy is the dedup
+// table's clone of the keyed reply. Run under -race this also checks
+// the shards themselves.
 func TestStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
 	const goroutines = 8
 	const perG = 40
 	const payload = "0123456789" // 10 bytes in, 10 bytes out per invoke
-	for _, zc := range []bool{false, true} {
-		name := "copy"
-		if zc {
-			name = "zerocopy"
+	p := newPlatform(t, Options{ComputeEngines: 4})
+	input := registerEcho(t, p)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tenant := fmt.Sprintf("t%d", g%3)
+			for i := 0; i < perG; i++ {
+				out, err := p.Invoke(context.Background(), Request{Composition: "E", Tenant: tenant, Inputs: input(payload)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if string(out["Result"][0].Data) != payload {
+					t.Errorf("bad result %q", out["Result"][0].Data)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 2; i++ { // the second is answered by the dedup table
+		out, err := p.Invoke(context.Background(), Request{Composition: "E", Key: "k", Inputs: input(payload)})
+		if err != nil || string(out["Result"][0].Data) != payload {
+			t.Fatalf("keyed invoke %d = %v %v", i, out, err)
 		}
-		t.Run(name, func(t *testing.T) {
-			p := newPlatform(t, Options{ComputeEngines: 4, ZeroCopy: zc})
-			input := registerEcho(t, p)
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					tenant := fmt.Sprintf("t%d", g%3)
-					for i := 0; i < perG; i++ {
-						out, err := p.Invoke(context.Background(), Request{Composition: "E", Tenant: tenant, Inputs: input(payload)})
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if string(out["Result"][0].Data) != payload {
-							t.Errorf("bad result %q", out["Result"][0].Data)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
+	}
 
-			const invokes = goroutines * perG
-			const sets = 2 * invokes                    // one input + one output set each
-			const setBytes = 2 * len(payload) * invokes // 10 bytes each way
-			st := p.Stats()
-			if st.Invocations != invokes {
-				t.Errorf("Invocations = %d, want %d", st.Invocations, invokes)
-			}
-			if zc {
-				if st.ZeroCopyHandoffs != sets || st.ZeroCopyHandoffBytes != uint64(setBytes) {
-					t.Errorf("handoffs = %d (%d bytes), want %d (%d bytes)",
-						st.ZeroCopyHandoffs, st.ZeroCopyHandoffBytes, sets, setBytes)
-				}
-				if st.CopiedSets != 0 || st.CopiedBytes != 0 {
-					t.Errorf("zero-copy mode cloned %d sets (%d bytes)", st.CopiedSets, st.CopiedBytes)
-				}
-			} else {
-				if st.CopiedSets != sets || st.CopiedBytes != uint64(setBytes) {
-					t.Errorf("copies = %d (%d bytes), want %d (%d bytes)",
-						st.CopiedSets, st.CopiedBytes, sets, setBytes)
-				}
-				if st.ZeroCopyHandoffs != 0 || st.ZeroCopyHandoffBytes != 0 {
-					t.Errorf("copying mode recorded %d handoffs", st.ZeroCopyHandoffs)
-				}
-			}
-			// Every invoke acquires exactly one context, pooled or fresh.
-			if got := st.PooledContextReuses + st.PooledContextAllocs; got != invokes {
-				t.Errorf("context acquisitions = %d (%d reused + %d fresh), want %d",
-					got, st.PooledContextReuses, st.PooledContextAllocs, invokes)
-			}
-			if st.Batches != 0 {
-				t.Errorf("Batches = %d, want 0", st.Batches)
-			}
-		})
+	const invokes = goroutines*perG + 1         // the duplicate does not execute
+	const sets = 2 * invokes                    // one input + one output set each
+	const setBytes = 2 * len(payload) * invokes // 10 bytes each way
+	st := p.Stats()
+	if st.Invocations != invokes {
+		t.Errorf("Invocations = %d, want %d", st.Invocations, invokes)
+	}
+	if st.ZeroCopyHandoffs != sets || st.ZeroCopyHandoffBytes != uint64(setBytes) {
+		t.Errorf("handoffs = %d (%d bytes), want %d (%d bytes)",
+			st.ZeroCopyHandoffs, st.ZeroCopyHandoffBytes, sets, setBytes)
+	}
+	if st.CopiedSets != 1 || st.CopiedBytes != uint64(len(payload)) {
+		t.Errorf("copies = %d (%d bytes), want 1 (%d bytes): the keyed reply",
+			st.CopiedSets, st.CopiedBytes, len(payload))
+	}
+	if st.DedupHits != 1 {
+		t.Errorf("DedupHits = %d, want 1", st.DedupHits)
+	}
+	// Every executed invoke acquires exactly one context, pooled or fresh.
+	if got := st.PooledContextReuses + st.PooledContextAllocs; got != invokes {
+		t.Errorf("context acquisitions = %d (%d reused + %d fresh), want %d",
+			got, st.PooledContextReuses, st.PooledContextAllocs, invokes)
+	}
+	if st.Batches != 0 {
+		t.Errorf("Batches = %d, want 0", st.Batches)
 	}
 }
 
 // TestStatsCounterConsistencyConcurrentBatches mirrors the invoke test
 // on the chunked batch path, where contexts are acquired per chunk
-// rather than per instance.
+// rather than per instance; its keyed request is one more batch whose
+// requests carry chunk keys.
 func TestStatsCounterConsistencyConcurrentBatches(t *testing.T) {
 	const goroutines = 4
 	const perG = 10
 	const batch = 16
-	for _, zc := range []bool{false, true} {
-		name := "copy"
-		if zc {
-			name = "zerocopy"
-		}
-		t.Run(name, func(t *testing.T) {
-			p := newPlatform(t, Options{ComputeEngines: 4, ZeroCopy: zc})
-			input := registerEcho(t, p)
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < perG; i++ {
-						reqs := make([]Request, batch)
-						for j := range reqs {
-							reqs[j] = Request{Composition: "E", Inputs: input("x")}
-						}
-						for _, res := range p.InvokeBatch(context.Background(), reqs) {
-							if res.Err != nil {
-								t.Error(res.Err)
-								return
-							}
-						}
+	p := newPlatform(t, Options{ComputeEngines: 4})
+	input := registerEcho(t, p)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				reqs := make([]Request, batch)
+				for j := range reqs {
+					reqs[j] = Request{Composition: "E", Inputs: input("x")}
+				}
+				for _, res := range p.InvokeBatch(context.Background(), reqs) {
+					if res.Err != nil {
+						t.Error(res.Err)
+						return
 					}
-				}()
+				}
 			}
-			wg.Wait()
+		}()
+	}
+	wg.Wait()
+	keyed := make([]Request, batch)
+	for j := range keyed {
+		keyed[j] = Request{Composition: "E", Key: fmt.Sprintf("b#%d", j), Inputs: input("x")}
+	}
+	for _, res := range p.InvokeBatch(context.Background(), keyed) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
 
-			const batches = goroutines * perG
-			const invokes = batches * batch
-			const sets = 2 * invokes
-			st := p.Stats()
-			if st.Batches != batches {
-				t.Errorf("Batches = %d, want %d", st.Batches, batches)
-			}
-			if st.Invocations != invokes {
-				t.Errorf("Invocations = %d, want %d", st.Invocations, invokes)
-			}
-			moved, other := st.CopiedSets, st.ZeroCopyHandoffs
-			if zc {
-				moved, other = st.ZeroCopyHandoffs, st.CopiedSets
-			}
-			if moved != sets {
-				t.Errorf("boundary crossings = %d, want %d", moved, sets)
-			}
-			if other != 0 {
-				t.Errorf("wrong-path crossings = %d, want 0", other)
-			}
-			// Chunked: at least one context per batch, at most one per
-			// instance; the exact count depends on the chunk split.
-			acq := st.PooledContextReuses + st.PooledContextAllocs
-			if acq < batches || acq > invokes {
-				t.Errorf("context acquisitions = %d, want within [%d, %d]", acq, batches, invokes)
-			}
-		})
+	const batches = goroutines*perG + 1
+	const invokes = batches * batch
+	const sets = 2 * invokes
+	st := p.Stats()
+	if st.Batches != batches {
+		t.Errorf("Batches = %d, want %d", st.Batches, batches)
+	}
+	if st.Invocations != invokes {
+		t.Errorf("Invocations = %d, want %d", st.Invocations, invokes)
+	}
+	if st.ZeroCopyHandoffs != sets || st.ZeroCopyHandoffBytes != sets {
+		t.Errorf("handoffs = %d (%d bytes), want %d (%d bytes)", st.ZeroCopyHandoffs, st.ZeroCopyHandoffBytes, sets, sets)
+	}
+	if st.CopiedSets != batch || st.CopiedBytes != batch {
+		t.Errorf("copies = %d (%d bytes), want %d (%d bytes): the keyed replies", st.CopiedSets, st.CopiedBytes, batch, batch)
+	}
+	// Chunked: at least one context per batch, at most one per
+	// instance; the exact count depends on the chunk split.
+	acq := st.PooledContextReuses + st.PooledContextAllocs
+	if acq < batches || acq > invokes {
+		t.Errorf("context acquisitions = %d, want within [%d, %d]", acq, batches, invokes)
 	}
 }
 

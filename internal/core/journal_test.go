@@ -168,7 +168,7 @@ func TestKeyedBatchChunkRecordAndReplay(t *testing.T) {
 // scribbles it here), a duplicate of the key — batched or single —
 // must still get the first reply's bytes.
 func TestDedupReplyOutlivesBorrowedSlab(t *testing.T) {
-	p := newPlatform(t, Options{ZeroCopy: true})
+	p := newPlatform(t, Options{})
 	input := registerEcho(t, p)
 	const want = "hello-wire-slab"
 	in := input(want)

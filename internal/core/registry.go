@@ -29,15 +29,21 @@ var (
 // analogue of the paper's C/C++ SDK functions. The platform treats it
 // like any other compute function — it runs on a compute engine, may
 // not perform I/O, and exchanges data exclusively through sets.
+//
+// The data contract, binding on every compute and communication
+// function: inputs are read-only; outputs may alias inputs until the
+// request's Borrow is released. The platform moves sets between
+// functions instead of copying them, so an input payload may be shared
+// with other instances of the same batch, with the caller's request, or
+// with a decoded wire buffer (Request.Borrow). dvm programs honour the
+// contract by construction: their host interface only copies out of
+// inputs.
 type GoFunc func(inputs []memctx.Set) ([]memctx.Set, error)
 
 // CommFunc is a trusted communication function (§6.3). Implementations
 // are platform-provided; user compositions may invoke but not define
-// them. Under Options.ZeroCopy the input sets passed to Invoke alias
-// payloads shared with other consumers and must not be mutated (on the
-// copying path they are the function's private clones); returned
-// output sets must always be freshly allocated, never aliases of the
-// inputs.
+// them. They follow the GoFunc data contract: inputs are read-only;
+// outputs may alias inputs until the request's Borrow is released.
 type CommFunc interface {
 	Name() string
 	Invoke(inputs []memctx.Set) ([]memctx.Set, error)

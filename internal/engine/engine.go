@@ -38,10 +38,9 @@ func (k Kind) String() string {
 // reduced here to the closure that performs the execution and delivers
 // results back to the dispatcher. Chunk results route through the
 // closure, not the queue: a batched compute chunk writes each
-// instance's output sets (cloned out of — or, under the zero-copy data
-// plane, handed off out of — its memory context) into the dispatcher's
-// batch store before Do returns, so the engine layer never copies or
-// owns payload data.
+// instance's output sets (handed off out of its memory context) into
+// the dispatcher's batch store before Do returns, so the engine layer
+// never copies or owns payload data.
 type Task struct {
 	// Do performs the work. Exactly one of Do and DoSharded must be
 	// non-nil.

@@ -18,10 +18,10 @@
 // the batched dispatch path.
 //
 // GET /stats serializes the platform's gauge snapshot (dandelion.Stats)
-// as JSON, including the per-tenant scheduling gauges and the zero-copy
-// data-plane counters (ZeroCopyHandoffs / ZeroCopyHandoffBytes vs
-// CopiedSets / CopiedBytes). The full field-by-field schema is
-// documented in docs/STATS.md.
+// as JSON, including the per-tenant scheduling gauges and the data-plane
+// counters (ZeroCopyHandoffs / ZeroCopyHandoffBytes for context-boundary
+// moves, CopiedSets / CopiedBytes for the dedup table's reply copies).
+// The full field-by-field schema is documented in docs/STATS.md.
 package frontend
 
 import (
@@ -708,11 +708,10 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 // Decoder buffers are recycled per sub-batch through a borrowed-region
 // lease (dandelion.Region wrapping dec.Recycle): each sub-batch's
 // requests carry the region as Request.Borrow so every compute
-// context that aliases the decoded payloads under the zero-copy data
-// plane retains it, and the frontend drops its own creator reference
-// only after the sub-batch's result frames — which may alias the same
-// buffers — are encoded. The recycle hook fires at the last release,
-// wherever that happens.
+// context that aliases the decoded payloads retains it, and the
+// frontend drops its own creator reference only after the sub-batch's
+// result frames — which may alias the same buffers — are encoded. The
+// recycle hook fires at the last release, wherever that happens.
 func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
 	tenant := tenantOf(r)
 	admitTenant := admitName(tenant)
@@ -776,7 +775,7 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 			pendingBytes = 0
 			// The sub-batch's inputs alias the decoder's buffers: lease
 			// them to every request so compute contexts that adopt the
-			// payloads zero-copy keep the buffers alive. A coordinator's
+			// payloads keep the buffers alive. A coordinator's
 			// remote workers ignore the lease — they re-serialize the
 			// inputs before InvokeBatch returns, and this frame holds the
 			// creator reference until the results are encoded.
