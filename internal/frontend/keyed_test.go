@@ -8,12 +8,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"dandelion"
+	"dandelion/internal/autoscale"
 	"dandelion/internal/wire"
 )
 
@@ -148,6 +151,134 @@ func TestBatchPerRequestBodyKeys(t *testing.T) {
 	if st.Invocations != 3 || st.DedupHits != 1 {
 		t.Fatalf("invocations=%d hits=%d, want 3/1", st.Invocations, st.DedupHits)
 	}
+}
+
+// TestBinaryBatchKeyedResendByteIdentical: a keyed binary batch through
+// an echo composition replies with outputs that alias the decoder's
+// pooled buffers, which are recycled once the reply is flushed. The
+// re-sent stream must get the first reply byte for byte, even while a
+// second stream has taken those buffers from the pool and overwritten
+// them: the dedup table answers from its own copy.
+func TestBinaryBatchKeyedResendByteIdentical(t *testing.T) {
+	batch := func(prefix string) []map[string][]dandelion.Item {
+		reqs := make([]map[string][]dandelion.Item, 4)
+		for i := range reqs {
+			reqs[i] = map[string][]dandelion.Item{"In": {{Name: "i", Data: []byte(fmt.Sprintf("%s-%d", prefix, i))}}}
+		}
+		return reqs
+	}
+	keyed := encodeBatchBinary(t, batch("first"))
+	other := encodeBatchBinary(t, batch("other"))
+	// cut is the length of other's header and first record.
+	cut := len(encodeBatchBinary(t, batch("other")[:1])) - (len(encodeBatchBinary(t, nil)) - 2)
+
+	// A window of 8 makes the server read past a stream's first record
+	// before it executes anything. The unkeyed stream's body signals
+	// once the server has consumed that record and asks for more: its
+	// payload then sits in a pooled buffer (most likely the one the
+	// first reply aliased), which the server holds while it waits.
+	p, h := newEchoServer(t, Config{Admission: autoscale.NewAdmission(autoscale.AdmissionConfig{MinBatch: 8})})
+	held := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(IdempotencyKeyHeader) == "" {
+			r.Body = &signalReader{ReadCloser: r.Body, n: cut, reached: held}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	send := func(body io.Reader, key string) ([]byte, error) {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/invoke-batch/E", body)
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
+		if key != "" {
+			req.Header.Set(IdempotencyKeyHeader, key)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, b)
+		}
+		return b, err
+	}
+	checkReply := func(body []byte, prefix string) {
+		t.Helper()
+		outs, errs := decodeResultsBinary(t, bytes.NewReader(body))
+		if len(outs) != 4 {
+			t.Fatalf("%s reply: %d results, want 4", prefix, len(outs))
+		}
+		for i := range outs {
+			if got := string(outs[i]["Result"][0].Data); errs[i] != "" || got != fmt.Sprintf("%s-%d", prefix, i) {
+				t.Fatalf("%s reply %d = %q %q", prefix, i, got, errs[i])
+			}
+		}
+	}
+
+	first, err := send(bytes.NewReader(keyed), "resend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReply(first, "first")
+
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() }) // runs before srv.Close, which waits for this stream
+	type reply struct {
+		body []byte
+		err  error
+	}
+	otherDone := make(chan reply, 1)
+	go func() {
+		b, err := send(pr, "")
+		otherDone <- reply{b, err}
+	}()
+	if _, err := pw.Write(other[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+
+	again, err := send(bytes.NewReader(keyed), "resend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatalf("re-sent reply differs from the first:\n first %q\n again %q", first, again)
+	}
+
+	if _, err := pw.Write(other[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	r := <-otherDone
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	checkReply(r.body, "other")
+	if st := p.Stats(); st.Invocations != 8 || st.DedupHits != 4 {
+		t.Fatalf("invocations=%d hits=%d, want 8/4", st.Invocations, st.DedupHits)
+	}
+}
+
+// signalReader closes reached on the first Read after at least n bytes
+// have been delivered: its consumer has used them up and asks for more.
+type signalReader struct {
+	io.ReadCloser
+	n       int
+	reached chan struct{}
+	once    sync.Once
+}
+
+func (s *signalReader) Read(p []byte) (int, error) {
+	if s.n <= 0 {
+		s.once.Do(func() { close(s.reached) })
+	}
+	k, err := s.ReadCloser.Read(p)
+	s.n -= k
+	return k, err
 }
 
 // TestInvokeDuplicateConflict: a completed key whose outputs are gone
