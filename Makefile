@@ -28,9 +28,11 @@ race:
 	$(GO) test -race ./...
 
 # flake repeats the concurrent packages' tests twenty times under the
-# race detector: a test that passes "usually" fails here.
+# race detector: a test that passes "usually" fails here. memctx is in
+# the set because its ownership moves (adopt, take, borrowed regions)
+# are the only data path.
 flake:
-	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal
+	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx
 
 # bench tracks the serving-path trajectory: batched dispatch vs looped
 # single invokes, plus the core microbenchmarks.
@@ -39,8 +41,8 @@ bench:
 
 # bench-smoke is a short single-iteration run of the batched dispatch
 # and HTTP serving benchmarks: not a performance measurement, just
-# proof the hot paths still execute end to end — both data-plane modes
-# (batch, batch-zerocopy), both wire framings (json, binary) across
+# proof the hot paths still execute end to end — looped single invokes
+# and the batch path, both wire framings (json, binary) across
 # every payload size, the mixed multi-tenant workload shape, the
 # journaled serving modes (off / on-unkeyed / on-keyed), and the
 # journal append path itself (memory vs file, with/without batching).
@@ -71,7 +73,7 @@ bench-e2e:
 # performance with bench-e2e.
 #
 # bench-baseline snapshots the serving-path numbers (inv/s and allocs/op
-# for the single, batch, and batch+zerocopy dispatch paths, wire MB/s
+# for the single and batch dispatch paths, wire MB/s
 # for the JSON-vs-binary HTTP framings up to 1 MiB payloads, the
 # per-scenario mixed-tenant rows, the journal-off vs journal-on
 # serving delta and journal append costs, plus the sharded-vs-mutex

@@ -36,7 +36,7 @@ for sym in $(grep -ho '`[A-Z][a-z][A-Za-z0-9]\{2,\}`' $docs | tr -d '`' | sort -
   fi
 done
 
-# Rule 3: CLI flags in backticks (`-zero-copy`): the flag name must be
+# Rule 3: CLI flags in backticks (`-byte-fairness`): the flag name must be
 # declared in cmd/ (flag.X("name", ...)) or appear in the Makefile
 # (go-tool flags like `-race`).
 for f in $(grep -ho '`-[a-z][a-z0-9-]*`' $docs | tr -d '`' | sort -u); do
