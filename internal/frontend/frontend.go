@@ -775,9 +775,9 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 			pendingBytes = 0
 			// The sub-batch's inputs alias the decoder's buffers: lease
 			// them to every request so compute contexts that adopt the
-			// payloads keep the buffers alive. A coordinator's
-			// remote workers ignore the lease — they re-serialize the
-			// inputs before InvokeBatch returns, and this frame holds the
+			// payloads keep the buffers alive. A coordinator's remote
+			// workers ignore the lease — they re-serialize the inputs
+			// before InvokeBatch returns, and this frame holds the
 			// creator reference until the results are encoded.
 			borrow := dandelion.NewRegion(dec.Recycle)
 			for i := range reqs {

@@ -379,7 +379,8 @@ func (c *Context) OutputSets() []Set {
 }
 
 // TransferOutput copies the named output set of c into dst as an input
-// set named dstName. This is the default copying data path (§6.1).
+// set named dstName: the paper's copying data path (§6.1). The
+// dispatcher moves sets with HandoffOutput / TakeOutputs instead.
 func (c *Context) TransferOutput(setName string, dst *Context, dstName string) error {
 	s, err := c.OutputSet(setName)
 	if err != nil {

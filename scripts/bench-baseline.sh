@@ -6,8 +6,8 @@
 # trajectory across PRs.
 #
 # Records, per benchmark: ns/op, inv/s (where reported), B/op, and
-# allocs/op for the single-invoke and batched dispatch paths (both
-# data-plane modes), the HTTP-level serving benchmark crossing the two
+# allocs/op for the single-invoke and batched dispatch paths, the
+# HTTP-level serving benchmark crossing the two
 # wire framings (JSON vs binary, docs/WIRE.md) with payloads from 64 B
 # to 1 MiB (the ISSUE 10 large-payload rows), the per-scenario rows of
 # the mixed multi-tenant benchmark (interactive transcodes vs an SSB
