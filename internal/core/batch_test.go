@@ -34,6 +34,12 @@ composition Pipe(In) => Result {
 // two-stage pipeline, with every context-boundary crossing accounted as
 // a handoff and nothing copied (no request is keyed).
 func TestInvokeBatchMatchesInvoke(t *testing.T) {
+	t.Run("ZeroCopy=true", testInvokeBatchMatchesInvoke)
+}
+
+// testInvokeBatchMatchesInvoke is the zero-copy case; ownership moves are the
+// only data plane.
+func testInvokeBatchMatchesInvoke(t *testing.T) {
 	p := newPlatform(t, Options{ComputeEngines: 4})
 	registerUpperPipeline(t, p)
 
@@ -385,6 +391,12 @@ func TestInvokeBatchMixedTenants(t *testing.T) {
 // — at the creator's release, since every compute context drops its
 // retain when it is reset or recycled before InvokeBatch returns.
 func TestInvokeBatchBorrowedRegionLifetime(t *testing.T) {
+	t.Run("ZeroCopy=true", testInvokeBatchBorrowedRegionLifetime)
+}
+
+// testInvokeBatchBorrowedRegionLifetime is the zero-copy case; ownership moves are the
+// only data plane.
+func testInvokeBatchBorrowedRegionLifetime(t *testing.T) {
 	p := newPlatform(t, Options{ComputeEngines: 4})
 	registerUpperPipeline(t, p)
 

@@ -45,6 +45,12 @@ composition E(In) => Result {
 // table's clone of the keyed reply. Run under -race this also checks
 // the shards themselves.
 func TestStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
+	t.Run("zerocopy", testStatsCounterConsistencyConcurrentInvokes)
+}
+
+// testStatsCounterConsistencyConcurrentInvokes is the zero-copy case; ownership moves are the
+// only data plane.
+func testStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
 	const goroutines = 8
 	const perG = 40
 	const payload = "0123456789" // 10 bytes in, 10 bytes out per invoke
@@ -111,6 +117,12 @@ func TestStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
 // rather than per instance; its keyed request is one more batch whose
 // requests carry chunk keys.
 func TestStatsCounterConsistencyConcurrentBatches(t *testing.T) {
+	t.Run("zerocopy", testStatsCounterConsistencyConcurrentBatches)
+}
+
+// testStatsCounterConsistencyConcurrentBatches is the zero-copy case; ownership moves are the
+// only data plane.
+func testStatsCounterConsistencyConcurrentBatches(t *testing.T) {
 	const goroutines = 4
 	const perG = 10
 	const batch = 16
