@@ -127,6 +127,27 @@ func TestWindowAverage(t *testing.T) {
 	}
 }
 
+// TestWindowAverageHasNoEventLag: an event sets the concurrency level
+// from its own instant onward, so the average must not see the level
+// that held before it.
+func TestWindowAverageHasNoEventLag(t *testing.T) {
+	s := NewFnScaler(Config{StableWindowS: 10})
+	s.Arrive(0)
+	s.Tick(10)
+	if got := s.windowAvg(10, 10); math.Abs(got-1) > 1e-9 {
+		t.Fatalf("one request in flight over [0,10): avg = %v, want 1", got)
+	}
+
+	s = NewFnScaler(Config{StableWindowS: 10})
+	s.Arrive(0)
+	s.Arrive(0)
+	s.Done(5)
+	s.Done(5)
+	if got := s.windowAvg(5, 5); math.Abs(got-2) > 1e-9 {
+		t.Fatalf("two requests in flight over [0,5): avg = %v, want 2", got)
+	}
+}
+
 func TestDoneWithoutArriveIsSafe(t *testing.T) {
 	s := NewFnScaler(Config{})
 	s.Done(0)
