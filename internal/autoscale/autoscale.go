@@ -86,8 +86,8 @@ func (s *FnScaler) Concurrency() int { return s.concurrency }
 // is available, so one must be created on the critical path (the
 // autoscaler also scales up to cover it).
 func (s *FnScaler) Arrive(now float64) (cold bool) {
-	s.observe(now)
 	s.concurrency++
+	s.observe(now)
 	capacity := float64(s.replicas) * s.cfg.TargetConcurrency
 	if float64(s.concurrency) > capacity {
 		s.replicas++
@@ -98,10 +98,10 @@ func (s *FnScaler) Arrive(now float64) (cold bool) {
 
 // Done records a request completion at time now.
 func (s *FnScaler) Done(now float64) {
-	s.observe(now)
 	if s.concurrency > 0 {
 		s.concurrency--
 	}
+	s.observe(now)
 }
 
 // Tick runs one autoscaler evaluation at time now, scaling down when the
@@ -144,7 +144,8 @@ func (s *FnScaler) Tick(now float64) {
 	s.trim(now)
 }
 
-// observe appends a concurrency sample.
+// observe appends a concurrency sample: the level from now onward, so
+// callers record it after the event has changed it.
 func (s *FnScaler) observe(now float64) {
 	s.samples = append(s.samples, sample{t: now, conc: s.concurrency})
 }
