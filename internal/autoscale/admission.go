@@ -100,7 +100,8 @@ func (a *Admission) tenantLocked(tenant string) *tenantAdmission {
 }
 
 // Admit records the arrival of n invocations for tenant at time now and
-// returns the batch window the caller should split the work into.
+// returns the batch window the caller should split the work into. The
+// n arrivals are one scaler event, so the cost does not grow with n.
 // Callers that know the payload size use AdmitBytes instead, so the
 // byte clamp sees fresh data.
 func (a *Admission) Admit(tenant string, n int, now float64) int {
@@ -115,9 +116,7 @@ func (a *Admission) AdmitBytes(tenant string, n int, bytes int64, now float64) i
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t := a.tenantLocked(tenant)
-	for i := 0; i < n; i++ {
-		t.scaler.Arrive(now)
-	}
+	t.scaler.arrive(now, n)
 	if n > 0 && bytes > 0 {
 		per := float64(bytes) / float64(n)
 		if t.avgBytes == 0 {
@@ -136,9 +135,7 @@ func (a *Admission) Finish(tenant string, n int, now float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t := a.tenantLocked(tenant)
-	for i := 0; i < n; i++ {
-		t.scaler.Done(now)
-	}
+	t.scaler.done(now, n)
 	t.scaler.Tick(now)
 }
 

@@ -1,6 +1,11 @@
 package autoscale
 
-import "testing"
+import (
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+)
 
 func TestAdmissionDefaultsAndClamps(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{})
@@ -118,5 +123,106 @@ func TestAdmissionAdmitWithoutBytesLeavesEWMA(t *testing.T) {
 	a.Admit("t", 64, 1)
 	if w := a.Window("t", 1); w != 1 {
 		t.Fatalf("window after size-unknown admits = %d, want 1", w)
+	}
+}
+
+// TestAdmissionStateIsFlat: ten virtual minutes of 600 requests/s leave
+// a tenant's scaler exactly as large as after its first request — the
+// same checkpoint ring, no log — and a steady request costs no
+// allocation.
+func TestAdmissionStateIsFlat(t *testing.T) {
+	const rate, seconds = 600, 600
+	a := NewAdmission(AdmissionConfig{})
+	a.AdmitBytes("t", 4, 4<<18, 0)
+	a.Finish("t", 4, 0.5/rate)
+	s := a.tenants["t"].scaler
+	ring := &s.checkpoints[0]
+	slots, capacity := len(s.checkpoints), cap(s.checkpoints)
+
+	for i := 1; i < rate*seconds; i++ {
+		now := float64(i) / rate
+		a.AdmitBytes("t", 4, 4<<18, now)
+		a.Finish("t", 4, now+0.5/rate)
+		a.Window("t", now+0.5/rate)
+	}
+	if a.tenants["t"].scaler != s || &s.checkpoints[0] != ring || len(s.checkpoints) != slots || cap(s.checkpoints) != capacity {
+		t.Fatalf("scaler state changed: %d/%d slots, want the first request's %d/%d", len(s.checkpoints), cap(s.checkpoints), slots, capacity)
+	}
+	if got := s.Concurrency(); got != 0 {
+		t.Fatalf("concurrency = %d after balanced admits and finishes", got)
+	}
+
+	now := float64(seconds)
+	allocs := testing.AllocsPerRun(1000, func() {
+		now += 1.0 / rate
+		a.AdmitBytes("t", 4, 4<<18, now)
+		a.Finish("t", 4, now)
+		a.Window("t", now)
+	})
+	if allocs != 0 {
+		t.Fatalf("AdmitBytes+Finish+Window allocate %v times per request, want 0", allocs)
+	}
+}
+
+// TestAdmissionConcurrentJitteredClocks: callers read their clock
+// before taking the admission lock, so concurrent callers reach the
+// scaler slightly out of order. Under -race, with every clock jittered
+// by up to ±2 ms, the windows stay inside the clamp and the tenants'
+// books balance.
+func TestAdmissionConcurrentJitteredClocks(t *testing.T) {
+	a := NewAdmission(AdmissionConfig{MaxBatch: 32})
+	start := time.Now()
+	tenants := []string{"a", "b"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			clock := func() float64 {
+				return time.Since(start).Seconds() + (rng.Float64()-0.5)*0.004
+			}
+			for i := 0; i < 2000; i++ {
+				tenant, n := tenants[(g+i)%len(tenants)], 1+rng.Intn(8)
+				if w := a.AdmitBytes(tenant, n, int64(n)<<10, clock()); w < 1 || w > 32 {
+					t.Errorf("window %d outside [1, 32]", w)
+					return
+				}
+				if w := a.Window(tenant, clock()); w < 1 || w > 32 {
+					t.Errorf("window %d outside [1, 32]", w)
+					return
+				}
+				a.Finish(tenant, n, clock())
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, tenant := range tenants {
+		if c := a.tenants[tenant].scaler.Concurrency(); c != 0 {
+			t.Fatalf("tenant %s: concurrency %d after every admit finished", tenant, c)
+		}
+	}
+}
+
+// BenchmarkAdmission: one batch request's admission work — AdmitBytes,
+// a Window re-read and Finish — on a tenant with 60 s of history at
+// 600 requests/s already behind it.
+func BenchmarkAdmission(b *testing.B) {
+	const rate = 600
+	a := NewAdmission(AdmissionConfig{})
+	now := 0.0
+	request := func() {
+		a.AdmitBytes("t", 4, 4<<18, now)
+		a.Window("t", now)
+		a.Finish("t", 4, now+0.5/rate)
+		now += 1.0 / rate
+	}
+	for i := 0; i < 60*rate; i++ {
+		request()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
 	}
 }

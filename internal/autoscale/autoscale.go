@@ -9,6 +9,23 @@
 // the stable window has justified it continuously for the scale-down
 // delay, mimicking Knative's conservative down-scaling that keeps idle
 // sandboxes in memory.
+//
+// The window averages cost O(1) however long or fast a function has
+// been invoked, and a scaler's state has a fixed size. It keeps the
+// running concurrency-time integral I(t) and checkpoints it on a fixed
+// time grid, in a ring covering the longer window. An average over W is
+// (I(now) − I(now−W)) / W, with I(now−W) interpolated linearly between
+// the two checkpoints around now−W. The grid step g is PanicWindowS/120
+// (50 ms at the defaults: a 1202-slot ring, 9.6 KiB), coarsened only
+// where the ring would otherwise exceed 4096 slots. The interpolation is
+// exact when no event falls strictly inside the grid cell holding
+// now−W; otherwise the average is off by at most (cmax−cmin)·g/(4W),
+// where cmin and cmax bound the concurrency inside that cell. That is
+// ≤ 2.1e-4 per unit of concurrency swing on the default 60 s window and
+// ≤ 2.1e-3 on the 6 s panic window. Where such an error carries an
+// average across an integer, ceil moves the desired count by one; the
+// disagreement with an exact average then lasts until the next
+// scale-down decision (reference_test.go checks this bound).
 package autoscale
 
 import (
@@ -52,6 +69,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// The checkpoint grid: stepsPerPanicWindow grid steps per panic window,
+// unless covering the longer window would then take more than
+// maxCheckpoints slots.
+const (
+	stepsPerPanicWindow = 120
+	maxCheckpoints      = 4096
+)
+
+// ceilSlack is subtracted before the ceil that turns an average into a
+// replica count. The integral's difference carries rounding noise far
+// below it, and without the slack an exactly integral average could
+// read as 2.0000000000001 and provision a phantom replica.
+const ceilSlack = 1e-6
+
 // FnScaler autoscales one function. Callers drive it with Arrive/Done
 // events and periodic Tick calls carrying the simulation clock.
 type FnScaler struct {
@@ -61,18 +92,31 @@ type FnScaler struct {
 	concurrency  int     // in-flight requests
 	lastDecrease float64 // last time a scale-down happened or was blocked
 
-	// Concurrency-time accumulators for windowed averages.
-	samples []sample
-}
-
-type sample struct {
-	t    float64
-	conc int
+	// The concurrency-time integral: area is its value at lastT, the
+	// latest event. checkpoints[slot(k)] holds its value at grid time
+	// k·step for the len(checkpoints) grid points up to lastK, the last
+	// one not after lastT. Before the first event (started false) the
+	// integral is 0, as the zeroed ring says.
+	started     bool
+	lastT       float64
+	area        float64
+	step        float64
+	lastK       int64
+	checkpoints []float64
 }
 
 // NewFnScaler creates a scaler starting at zero replicas.
 func NewFnScaler(cfg Config) *FnScaler {
-	return &FnScaler{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	span := math.Max(cfg.StableWindowS, cfg.PanicWindowS)
+	step := cfg.PanicWindowS / stepsPerPanicWindow
+	if span/step > maxCheckpoints {
+		step = span / maxCheckpoints
+	}
+	// Two spare slots: the checkpoint below now−span and the one at or
+	// below now.
+	slots := int(math.Ceil(span/step)) + 2
+	return &FnScaler{cfg: cfg, step: step, checkpoints: make([]float64, slots)}
 }
 
 // Replicas reports the current warm replica count.
@@ -86,33 +130,77 @@ func (s *FnScaler) Concurrency() int { return s.concurrency }
 // is available, so one must be created on the critical path (the
 // autoscaler also scales up to cover it).
 func (s *FnScaler) Arrive(now float64) (cold bool) {
-	s.concurrency++
-	s.observe(now)
-	capacity := float64(s.replicas) * s.cfg.TargetConcurrency
-	if float64(s.concurrency) > capacity {
-		s.replicas++
-		cold = true
+	return s.arrive(now, 1) > 0
+}
+
+// arrive records n arrivals at time now as one event and returns how
+// many were cold starts: the replicas grow exactly as n Arrive calls
+// would grow them.
+func (s *FnScaler) arrive(now float64, n int) (cold int) {
+	s.advance(now)
+	if n <= 0 {
+		return 0
 	}
+	cold = s.coldStarts(n)
+	s.concurrency += n
+	s.replicas += cold
 	return cold
+}
+
+// coldStarts reports how many of n arrivals, landing one at a time,
+// would each find concurrency above capacity and add a replica.
+func (s *FnScaler) coldStarts(n int) int {
+	target := s.cfg.TargetConcurrency
+	// The first arrivals fit in the capacity the replicas already have.
+	fit := int(math.Floor(float64(s.replicas)*target)) - s.concurrency
+	if fit >= n {
+		return 0
+	}
+	if fit < 0 {
+		fit = 0
+	}
+	overflow := n - fit
+	if target < 1 {
+		// A replica holds less than one request: from the first
+		// overflow on, every arrival adds one.
+		return overflow
+	}
+	// A replica holds at least one request, and Arrive and Tick keep
+	// replicas × target ≥ concurrency: replicas end at the fewest that
+	// cover the new concurrency, at least one more than now.
+	c := float64(s.concurrency + n)
+	r := int(math.Ceil(c / target))
+	for float64(r)*target < c {
+		r++
+	}
+	for r > s.replicas+1 && float64(r-1)*target >= c {
+		r--
+	}
+	return min(max(r-s.replicas, 1), overflow)
 }
 
 // Done records a request completion at time now.
 func (s *FnScaler) Done(now float64) {
-	if s.concurrency > 0 {
-		s.concurrency--
+	s.done(now, 1)
+}
+
+// done records n completions at time now as one event.
+func (s *FnScaler) done(now float64, n int) {
+	s.advance(now)
+	if n > 0 {
+		s.concurrency -= min(n, s.concurrency)
 	}
-	s.observe(now)
 }
 
 // Tick runs one autoscaler evaluation at time now, scaling down when the
 // windowed average justifies it.
 func (s *FnScaler) Tick(now float64) {
-	s.observe(now)
+	now = s.advance(now)
 	stableAvg := s.windowAvg(now, s.cfg.StableWindowS)
 	panicAvg := s.windowAvg(now, s.cfg.PanicWindowS)
 
-	desired := int(math.Ceil(stableAvg / s.cfg.TargetConcurrency))
-	panicDesired := int(math.Ceil(panicAvg / s.cfg.TargetConcurrency))
+	desired := int(math.Ceil(stableAvg/s.cfg.TargetConcurrency - ceilSlack))
+	panicDesired := int(math.Ceil(panicAvg/s.cfg.TargetConcurrency - ceilSlack))
 	// Panic mode: bursts hold the higher of the two.
 	if float64(panicDesired) >= s.cfg.PanicThreshold*math.Max(1, float64(desired)) {
 		desired = panicDesired
@@ -141,49 +229,74 @@ func (s *FnScaler) Tick(now float64) {
 	default:
 		s.lastDecrease = now
 	}
-	s.trim(now)
 }
 
-// observe appends a concurrency sample: the level from now onward, so
-// callers record it after the event has changed it.
-func (s *FnScaler) observe(now float64) {
-	s.samples = append(s.samples, sample{t: now, conc: s.concurrency})
+// advance carries the integral forward to now and returns the time the
+// event is recorded at. A now behind the latest event is clamped to it:
+// callers read the clock before taking the admission lock, so racing
+// callers arrive slightly out of order, and time must not run
+// backwards inside the scaler.
+func (s *FnScaler) advance(now float64) float64 {
+	if !s.started {
+		s.started = true
+		s.lastT, s.lastK = now, s.gridIndex(now)
+		return now
+	}
+	if now <= s.lastT {
+		return s.lastT
+	}
+	c := float64(s.concurrency)
+	if k := s.gridIndex(now); k > s.lastK {
+		// Checkpoint every grid point passed; after an idle gap longer
+		// than the ring, only the last ring's worth.
+		from := s.lastK + 1
+		if n := int64(len(s.checkpoints)); k-from >= n {
+			from = k - n + 1
+		}
+		for j := from; j <= k; j++ {
+			s.checkpoints[s.slot(j)] = s.area + c*(float64(j)*s.step-s.lastT)
+		}
+		s.lastK = k
+	}
+	s.area += c * (now - s.lastT)
+	s.lastT = now
+	return now
 }
 
 // windowAvg computes the time-weighted average concurrency over the
 // trailing window.
 func (s *FnScaler) windowAvg(now, window float64) float64 {
-	start := now - window
-	var area float64
-	prevT := start
-	prevC := 0
-	// Find the concurrency level at window start: last sample <= start.
-	for _, sm := range s.samples {
-		if sm.t <= start {
-			prevC = sm.conc
-			continue
-		}
-		if sm.t > now {
-			break
-		}
-		area += float64(prevC) * (sm.t - prevT)
-		prevT, prevC = sm.t, sm.conc
-	}
-	area += float64(prevC) * (now - prevT)
 	if window <= 0 {
 		return 0
 	}
-	return area / window
+	return (s.integral(now) - s.integral(now-window)) / window
 }
 
-// trim discards samples older than the stable window.
-func (s *FnScaler) trim(now float64) {
-	cutoff := now - s.cfg.StableWindowS - 1
-	i := 0
-	for i < len(s.samples)-1 && s.samples[i+1].t < cutoff {
-		i++
+// integral returns the concurrency-time integral up to t, for a t no
+// further back than the ring reaches: exact from the latest event on,
+// interpolated between checkpoints before it.
+func (s *FnScaler) integral(t float64) float64 {
+	if t >= s.lastT {
+		return s.area + float64(s.concurrency)*(t-s.lastT)
 	}
-	if i > 0 {
-		s.samples = append(s.samples[:0], s.samples[i:]...)
+	k := s.gridIndex(t)
+	lo, loT := s.checkpoints[s.slot(k)], float64(k)*s.step
+	hi, hiT := s.area, s.lastT
+	if k < s.lastK {
+		hi, hiT = s.checkpoints[s.slot(k+1)], float64(k+1)*s.step
 	}
+	if hiT <= loT {
+		return lo
+	}
+	return lo + (hi-lo)*(t-loT)/(hiT-loT)
+}
+
+func (s *FnScaler) gridIndex(t float64) int64 { return int64(math.Floor(t / s.step)) }
+
+func (s *FnScaler) slot(k int64) int {
+	i := int(k % int64(len(s.checkpoints)))
+	if i < 0 {
+		i += len(s.checkpoints)
+	}
+	return i
 }

@@ -177,15 +177,3 @@ func TestColdFractionUnderPoissonLoad(t *testing.T) {
 		t.Fatalf("cold fraction = %v, want < 0.1", frac)
 	}
 }
-
-func TestSampleTrim(t *testing.T) {
-	s := NewFnScaler(Config{StableWindowS: 10})
-	for now := 0.0; now < 1000; now++ {
-		s.Arrive(now)
-		s.Done(now + 0.5)
-		s.Tick(now + 0.9)
-	}
-	if len(s.samples) > 200 {
-		t.Fatalf("samples not trimmed: %d", len(s.samples))
-	}
-}
