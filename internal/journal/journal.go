@@ -14,6 +14,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -257,7 +258,7 @@ const maxCachedOutputBytes = 1 << 20
 // digest and answer retries with ErrDuplicate.
 type Dedup struct {
 	mu      sync.Mutex
-	done    map[string]*dedupEntry
+	done    map[string]dedupEntry
 	pending map[string]struct{}
 	order   []string // completed keys in completion order (FIFO eviction)
 	max     int
@@ -268,10 +269,13 @@ type Dedup struct {
 	copiedBytes atomic.Uint64
 }
 
+// dedupEntry is held by value: every completed key in the window stays
+// resident, so its size is the table's footprint.
 type dedupEntry struct {
-	digest   uint64
-	outputs  map[string][]memctx.Item // nil once evicted or when replayed
-	replayed bool
+	digest uint64
+	// outputs are the cached outputs packed by packOutputs; nil when
+	// none are cached (replayed, oversized, or completed without outputs).
+	outputs []byte
 }
 
 // NewDedup returns a table bounded to max completed keys
@@ -281,17 +285,17 @@ func NewDedup(max int) *Dedup {
 		max = DefaultDedupEntries
 	}
 	return &Dedup{
-		done:    make(map[string]*dedupEntry),
+		done:    make(map[string]dedupEntry),
 		pending: make(map[string]struct{}),
 		max:     max,
 	}
 }
 
 // Reserve claims key for execution. outs/err report a duplicate: a
-// completed key returns its cached outputs — the table's own copy,
-// which callers must not mutate — (or ErrDuplicate when only the
-// digest survives), an executing key returns ErrInFlight — both
-// count as dedup hits and execute=false. A fresh key is marked
+// completed key returns its cached outputs — unpacked from the table's
+// own copy, whose payloads callers must not mutate — (or ErrDuplicate
+// when only the digest survives), an executing key returns ErrInFlight
+// — both count as dedup hits and execute=false. A fresh key is marked
 // in-flight and returns execute=true; the caller must follow with
 // Complete or Release.
 func (d *Dedup) Reserve(key string) (outs map[string][]memctx.Item, err error, execute bool) {
@@ -300,7 +304,7 @@ func (d *Dedup) Reserve(key string) (outs map[string][]memctx.Item, err error, e
 		d.mu.Unlock()
 		d.hits.Add(1)
 		if e.outputs != nil {
-			return e.outputs, nil, false
+			return unpackOutputs(e.outputs), nil, false
 		}
 		return nil, fmt.Errorf("%w: key %q already completed (outcome digest %016x)", ErrDuplicate, key, e.digest), false
 	}
@@ -316,54 +320,109 @@ func (d *Dedup) Reserve(key string) (outs map[string][]memctx.Item, err error, e
 
 // Complete marks a reserved key done, caching its outputs for
 // transparent duplicate replies (unless oversized). The table keeps a
-// clone, never outs itself: the caller's payloads may alias memory that
-// is recycled once the reply is sent (a wire decoder's slab, an SDK
-// caller's reused buffer), and a duplicate must repeat the first
-// reply's bytes.
+// packed copy, never outs itself: the caller's payloads may alias
+// memory that is recycled once the reply is sent (a wire decoder's
+// slab, an SDK caller's reused buffer), and a duplicate must repeat the
+// first reply's bytes.
 func (d *Dedup) Complete(key string, digest uint64, outs map[string][]memctx.Item) {
-	var owned map[string][]memctx.Item
+	var packed []byte
 	n := outputBytes(outs)
-	if n <= maxCachedOutputBytes {
-		owned = cloneOutputs(outs, n)
+	if outs != nil && n <= maxCachedOutputBytes {
+		packed = packOutputs(outs)
 	}
 	d.mu.Lock()
 	delete(d.pending, key)
 	_, dup := d.done[key]
 	if !dup {
-		d.done[key] = &dedupEntry{digest: digest, outputs: owned}
+		d.done[key] = dedupEntry{digest: digest, outputs: packed}
 		d.order = append(d.order, key)
 		d.evictLocked()
 	}
 	d.mu.Unlock()
-	if !dup && owned != nil {
-		d.copiedSets.Add(uint64(len(owned)))
+	if !dup && packed != nil {
+		d.copiedSets.Add(uint64(len(outs)))
 		d.copiedBytes.Add(uint64(n))
 	}
 }
 
-// cloneOutputs deep-copies outs, whose payloads total n bytes, into one
-// exact-size backing buffer (capped sub-slices, as memctx.Set.Clone
-// does). A nil map stays nil.
-func cloneOutputs(outs map[string][]memctx.Item, n int) map[string][]memctx.Item {
-	if outs == nil {
-		return nil
-	}
-	buf := make([]byte, n)
-	owned := make(map[string][]memctx.Item, len(outs))
+// packOutputs copies outs into one exact-size buffer: the set count,
+// then per set its name and item count, then per item its Name, its Key
+// and its payload. Strings are uvarint-length-prefixed; a payload's
+// prefix is its length + 1, and 0 marks a nil payload, so replies
+// encode as the first one did.
+func packOutputs(outs map[string][]memctx.Item) []byte {
+	size := uvarintLen(len(outs))
 	for name, items := range outs {
-		cp := make([]memctx.Item, len(items))
-		for i, it := range items {
-			cp[i] = it
-			if it.Data != nil { // a nil payload stays nil, so replies encode alike
-				end := copy(buf, it.Data)
-				cp[i].Data = buf[:end:end]
-				buf = buf[end:]
+		size += stringLen(name) + uvarintLen(len(items))
+		for _, it := range items {
+			size += stringLen(it.Name) + stringLen(it.Key) + uvarintLen(len(it.Data)+1) + len(it.Data)
+		}
+	}
+	p := make([]byte, 0, size)
+	p = binary.AppendUvarint(p, uint64(len(outs)))
+	for name, items := range outs {
+		p = appendString(p, name)
+		p = binary.AppendUvarint(p, uint64(len(items)))
+		for _, it := range items {
+			p = appendString(p, it.Name)
+			p = appendString(p, it.Key)
+			if it.Data == nil {
+				p = append(p, 0)
+				continue
+			}
+			p = binary.AppendUvarint(p, uint64(len(it.Data))+1)
+			p = append(p, it.Data...)
+		}
+	}
+	return p
+}
+
+// unpackOutputs rebuilds the outputs packOutputs packed. Payloads alias
+// p, capped so that appending to one cannot overwrite the next.
+func unpackOutputs(p []byte) map[string][]memctx.Item {
+	u := unpacker(p)
+	sets := u.uvarint()
+	outs := make(map[string][]memctx.Item, sets)
+	for ; sets > 0; sets-- {
+		name := string(u.next(u.uvarint()))
+		items := make([]memctx.Item, u.uvarint())
+		for i := range items {
+			items[i].Name = string(u.next(u.uvarint()))
+			items[i].Key = string(u.next(u.uvarint()))
+			if tag := u.uvarint(); tag > 0 {
+				items[i].Data = u.next(tag - 1)
 			}
 		}
-		owned[name] = cp
+		outs[name] = items
 	}
-	return owned
+	return outs
 }
+
+// unpacker reads a buffer packOutputs wrote; the table wrote it itself,
+// so it is well-formed.
+type unpacker []byte
+
+func (u *unpacker) uvarint() int {
+	x, n := binary.Uvarint(*u)
+	*u = (*u)[n:]
+	return int(x)
+}
+
+func (u *unpacker) next(n int) []byte {
+	b := (*u)[:n:n]
+	*u = (*u)[n:]
+	return b
+}
+
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+func stringLen(s string) int { return uvarintLen(len(s)) + len(s) }
 
 // Release frees a reserved key after a failed execution so a retry may
 // re-execute it.
@@ -378,7 +437,7 @@ func (d *Dedup) Release(key string) {
 func (d *Dedup) MarkReplayed(key string, digest uint64) {
 	d.mu.Lock()
 	if _, ok := d.done[key]; !ok {
-		d.done[key] = &dedupEntry{digest: digest, replayed: true}
+		d.done[key] = dedupEntry{digest: digest}
 		d.order = append(d.order, key)
 		d.evictLocked()
 	}

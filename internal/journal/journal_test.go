@@ -1,10 +1,14 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -353,6 +357,72 @@ func TestDedupOwnsCachedOutputs(t *testing.T) {
 	if sets, bytes := d.Copied(); sets != 2 || bytes != 8 {
 		t.Fatalf("oversized outcome copied: %d sets %d bytes", sets, bytes)
 	}
+}
+
+// TestDedupPackedRoundTrip: a cached reply unpacks to exactly what was
+// completed — several sets and items, Item.Key, a nil payload distinct
+// from an empty one, a payload past one uvarint byte — from one
+// exact-size buffer.
+func TestDedupPackedRoundTrip(t *testing.T) {
+	for name, outs := range map[string]map[string][]memctx.Item{
+		"multi": {
+			"Out": {
+				{Name: "a", Key: "k/a", Data: []byte("alpha")},
+				{Name: "nil"},
+				{Name: "empty", Data: []byte{}},
+				{Name: "big", Key: strings.Repeat("κ", 100), Data: bytes.Repeat([]byte{7}, 300)},
+			},
+			"Log":   {{Name: "line", Data: []byte("ok\n")}},
+			"":      {{Data: []byte("unnamed set")}},
+			"Empty": {},
+		},
+		"no sets": {},
+	} {
+		p := packOutputs(outs)
+		if len(p) != cap(p) {
+			t.Fatalf("%s: packed into %d bytes of a %d-byte buffer, want exact size", name, len(p), cap(p))
+		}
+		got := unpackOutputs(p)
+		if !reflect.DeepEqual(got, outs) {
+			t.Fatalf("%s: unpacked %#v, want %#v", name, got, outs)
+		}
+		// Payloads are capped: growing one cannot write into the
+		// packed buffer the next duplicate unpacks.
+		for _, items := range got {
+			for _, it := range items {
+				_ = append(it.Data, 0xff)
+			}
+		}
+		if again := unpackOutputs(p); !reflect.DeepEqual(again, outs) {
+			t.Fatalf("%s: appends to a reply changed the cached copy: %#v", name, again)
+		}
+	}
+}
+
+// TestDedupBytesPerKey: every completed key in the window stays
+// resident, so the table's live heap per key (entry, key string, FIFO
+// slot and packed reply) bounds how peak memory follows keyed
+// throughput. For a 260-byte reply it must stay within 512 bytes.
+func TestDedupBytesPerKey(t *testing.T) {
+	const keys, limit = 20000, 512
+	payload := make([]byte, 260)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewDedup(0)
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("bench-31-%d#0", i)
+		d.Reserve(k)
+		d.Complete(k, uint64(i), map[string][]memctx.Item{"Images": {{Name: "img017.qoi", Data: payload}}})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / keys
+	runtime.KeepAlive(d)
+	if per > limit {
+		t.Fatalf("%.0f bytes of live heap per completed key, want <= %d", per, limit)
+	}
+	t.Logf("%.0f bytes of live heap per completed key", per)
 }
 
 func TestDedupEviction(t *testing.T) {
