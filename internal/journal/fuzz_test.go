@@ -22,9 +22,9 @@ func FuzzJournalReplay(f *testing.F) {
 		valid = appendFrame(valid, &rec)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-2])                  // torn tail
-	f.Add([]byte{FileMagic, FileVersion})        // header only
-	f.Add([]byte{FileMagic, FileVersion, 0xFF})  // dangling length byte
+	f.Add(valid[:len(valid)-2])                                                                       // torn tail
+	f.Add([]byte{FileMagic, FileVersion})                                                             // header only
+	f.Add([]byte{FileMagic, FileVersion, 0xFF})                                                       // dangling length byte
 	f.Add([]byte{FileMagic, FileVersion, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // huge length
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0xA5 // flipped CRC byte
