@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race flake bench bench-smoke bench-e2e fuzz-smoke bench-baseline e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+.PHONY: ci fmt build vet test race flake bench bench-smoke bench-e2e fuzz-smoke bench-baseline e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
 
 # ci is the tier-1 gate: everything must build, vet clean, pass under
 # the race detector, stay green when the concurrent packages' tests
@@ -11,9 +11,13 @@ GO ?= go
 # (e2e-cluster), keep crash recovery honest (e2e-journal), keep the
 # deadline/retry/breaker machinery honest under injected faults
 # (e2e-chaos), keep byte-fair scheduling honest under a mixed
-# large-payload load (e2e-mixed), and keep the docs honest (docs-check
-# catches references to removed symbols).
-ci: build vet race flake bench-smoke fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+# large-payload load (e2e-mixed), keep the docs honest (docs-check
+# catches references to removed symbols), and keep every Go file gofmt
+# clean (fmt).
+ci: fmt build vet race flake bench-smoke fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -30,9 +34,10 @@ race:
 # flake repeats the concurrent packages' tests twenty times under the
 # race detector: a test that passes "usually" fails here. memctx is in
 # the set because its ownership moves (adopt, take, borrowed regions)
-# are the only data path.
+# are the only data path; autoscale because every batch request's
+# admission runs through it under one lock, with racing clock reads.
 flake:
-	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx
+	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale
 
 # bench tracks the serving-path trajectory: batched dispatch vs looped
 # single invokes, plus the core microbenchmarks.
