@@ -221,8 +221,7 @@ func BenchmarkAdmission(b *testing.B) {
 		request()
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		request()
 	}
 }

@@ -135,48 +135,18 @@ func (s *FnScaler) Arrive(now float64) (cold bool) {
 
 // arrive records n arrivals at time now as one event and returns how
 // many were cold starts: the replicas grow exactly as n Arrive calls
-// would grow them.
+// would grow them, each arrival that finds concurrency above capacity
+// adding one.
 func (s *FnScaler) arrive(now float64, n int) (cold int) {
 	s.advance(now)
-	if n <= 0 {
-		return 0
+	for i := 0; i < n; i++ {
+		s.concurrency++
+		if float64(s.concurrency) > float64(s.replicas)*s.cfg.TargetConcurrency {
+			s.replicas++
+			cold++
+		}
 	}
-	cold = s.coldStarts(n)
-	s.concurrency += n
-	s.replicas += cold
 	return cold
-}
-
-// coldStarts reports how many of n arrivals, landing one at a time,
-// would each find concurrency above capacity and add a replica.
-func (s *FnScaler) coldStarts(n int) int {
-	target := s.cfg.TargetConcurrency
-	// The first arrivals fit in the capacity the replicas already have.
-	fit := int(math.Floor(float64(s.replicas)*target)) - s.concurrency
-	if fit >= n {
-		return 0
-	}
-	if fit < 0 {
-		fit = 0
-	}
-	overflow := n - fit
-	if target < 1 {
-		// A replica holds less than one request: from the first
-		// overflow on, every arrival adds one.
-		return overflow
-	}
-	// A replica holds at least one request, and Arrive and Tick keep
-	// replicas × target ≥ concurrency: replicas end at the fewest that
-	// cover the new concurrency, at least one more than now.
-	c := float64(s.concurrency + n)
-	r := int(math.Ceil(c / target))
-	for float64(r)*target < c {
-		r++
-	}
-	for r > s.replicas+1 && float64(r-1)*target >= c {
-		r--
-	}
-	return min(max(r-s.replicas, 1), overflow)
 }
 
 // Done records a request completion at time now.
