@@ -25,7 +25,8 @@
 // ≤ 2.1e-3 on the 6 s panic window. Where such an error carries an
 // average across an integer, ceil moves the desired count by one; the
 // disagreement with an exact average then lasts until the next
-// scale-down decision (reference_test.go checks this bound).
+// scale-down decision. differential_test.go checks both bounds against
+// the walked-log scaler this design replaced, kept in reference_test.go.
 package autoscale
 
 import (
