@@ -94,6 +94,28 @@ func TestMemoryBounds(t *testing.T) {
 	}
 }
 
+// Accesses whose end lies past MaxInt64 must fault, not wrap around the
+// bounds compare and panic in a slice expression or makeslice.
+func TestMemoryBoundsNearMaxInt64(t *testing.T) {
+	cases := map[string]string{
+		"ld":     "li r1, 0x7ffffffffffffffc\nld r2, r1, 0\nhalt\n",
+		"st":     "li r1, 0x7ffffffffffffffc\nst r1, r1, 0\nhalt\n",
+		"ldb":    "li r1, 0x7fffffffffffffff\nldb r2, r1, 1\nhalt\n",
+		"stb":    "li r1, 0x7fffffffffffffff\nstb r1, r1, 1\nhalt\n",
+		"host 4": "li r1, 0\nli r2, 0\nli r3, 0x7ffffffffffffffc\nhost 4\nhalt\n",
+		"host 5": "li r1, 0\nli r2, 1\nli r3, 0x7fffffffffffffff\nli r4, 0\nhost 5\nhalt\n",
+		"host 6": "li r1, 0\nli r2, 0x7ffffffffffffffe\nhost 6\nhalt\n",
+		"host 7": "li r1, 0\nli r2, 0\nli r3, 0x7ffffffffffffffe\nhost 7\nhalt\n",
+	}
+	in := []memctx.Set{{Name: "set", Items: []memctx.Item{{Name: "item", Data: []byte("12345678")}}}}
+	for name, src := range cases {
+		p := mustAssemble(t, src)
+		if _, err := Run(p, 64, in, 0); !errors.Is(err, ErrMemFault) {
+			t.Errorf("%s: err = %v, want ErrMemFault", name, err)
+		}
+	}
+}
+
 func TestDivByZero(t *testing.T) {
 	for _, src := range []string{
 		"li r1, 5\nli r2, 0\ndiv r0, r1, r2\nhalt\n",

@@ -81,6 +81,47 @@ composition E(In) => Result {
 	}
 }
 
+// A binary registered over HTTP whose accesses end past MaxInt64 is
+// answered with an error, and the node keeps serving: untrusted code
+// must not be able to panic the process.
+func TestHostileBinaryDoesNotKillNode(t *testing.T) {
+	_, srv := newServer(t)
+	hostile := map[string]string{
+		"Load":  "li r1, 0x7ffffffffffffffc\nld r2, r1, 0\nhalt\n",
+		"Write": "li r1, 0\nli r2, 1\nli r3, 0x7fffffffffffffff\nli r4, 0\nhost 5\nhalt\n",
+	}
+	fns := map[string][]byte{"Echo": dvm.EchoProgram().Encode()}
+	for name, src := range hostile {
+		p, err := dvm.Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fns[name] = p.Encode()
+	}
+	for name, bin := range fns {
+		code, body := post(t, srv.URL+"/register/function/"+name,
+			map[string]string{"X-Memory-Bytes": "64", "X-Output-Sets": "Out"}, bin)
+		if code != 200 {
+			t.Fatalf("register %s: %d %s", name, code, body)
+		}
+		code, body = post(t, srv.URL+"/register/composition", nil, []byte(fmt.Sprintf(
+			"composition C%s(In) => Result { %s(x = all In) => (Result = Out); }", name, name)))
+		if code != 200 {
+			t.Fatalf("register composition C%s: %d %s", name, code, body)
+		}
+	}
+	for name := range hostile {
+		code, body := post(t, srv.URL+"/invoke/C"+name+"?input=In", nil, []byte("12345678"))
+		if code != http.StatusInternalServerError || !strings.Contains(body, "out of bounds") {
+			t.Fatalf("invoke C%s = %d %q, want 500 with a memory fault", name, code, body)
+		}
+		code, body = post(t, srv.URL+"/invoke/CEcho?input=In", nil, []byte("still here"))
+		if code != 200 || body != "still here" {
+			t.Fatalf("echo after C%s = %d %q", name, code, body)
+		}
+	}
+}
+
 func TestFrontendErrors(t *testing.T) {
 	_, srv := newServer(t)
 	cases := []struct {
