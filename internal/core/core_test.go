@@ -11,6 +11,7 @@ import (
 
 	"dandelion/internal/dvm"
 	"dandelion/internal/graph"
+	"dandelion/internal/isolation"
 	"dandelion/internal/memctx"
 )
 
@@ -257,6 +258,36 @@ composition U(In) => Result {
 }`)
 	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("ok")}}); err != nil {
 		t.Fatalf("platform dead after user crash: %v", err)
+	}
+}
+
+// panicBackend is a sandbox with an interpreter bug: every execution
+// panics on the engine goroutine.
+type panicBackend struct{ isolation.Backend }
+
+func (panicBackend) Execute(isolation.Task) ([]memctx.Set, error) { panic("sandbox bug") }
+
+func TestSandboxPanicConfined(t *testing.T) {
+	cheri, err := isolation.New("cheri")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPlatform(t, Options{Backend: panicBackend{cheri}})
+	p.RegisterFunction(ComputeFunc{Name: "Echo", Binary: dvm.EchoProgram().Encode(), MemBytes: 64})
+	p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper})
+	p.RegisterCompositionText(`
+composition E(In) => Result {
+    Echo(x = all In) => (Result = out0);
+}
+composition U(In) => Result {
+    Upper(x = all In) => (Result = Out);
+}`)
+	_, err = p.Invoke(context.Background(), Request{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("x")}})
+	if err == nil || !strings.Contains(err.Error(), "crashed") {
+		t.Fatalf("err = %v, want crash report", err)
+	}
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("ok")}}); err != nil {
+		t.Fatalf("platform dead after sandbox crash: %v", err)
 	}
 }
 
