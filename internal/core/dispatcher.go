@@ -893,13 +893,16 @@ func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, prepared
 	p.chargeMemory(charge)
 	defer p.releaseMemory(&charge)
 
+	// One recover for both kinds: a panic in a Go function or in the
+	// sandbox running an untrusted binary fails this invocation, never
+	// the engine goroutine and with it the process.
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: function %q crashed: %v", f.Name, r)
+			outs = nil
+		}
+	}()
 	if f.Go != nil {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("core: function %q crashed: %v", f.Name, r)
-				outs = nil
-			}
-		}()
 		outs, err = f.Go(ctx.ShareInputSets())
 	} else {
 		task := isolation.Task{

@@ -80,7 +80,7 @@ func Run(p *Program, memBytes int, inputs []memctx.Set, gasLimit int64) (*Result
 	n := int64(len(p.Code))
 
 	checkMem := func(addr, size int64) error {
-		if addr < 0 || size < 0 || addr+size > int64(len(mem)) {
+		if addr < 0 || size < 0 || size > int64(len(mem)) || addr > int64(len(mem))-size {
 			return fmt.Errorf("%w: [%d,%d) of %d", ErrMemFault, addr, addr+size, len(mem))
 		}
 		return nil
