@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +118,45 @@ func TestMemoryBoundsNearMaxInt64(t *testing.T) {
 	}
 }
 
+// Memory is committed as it is touched: growing the committed extent
+// keeps what was written below it, untouched memory reads zero, and
+// the declared limit — not the committed extent or the buffer's size
+// class — is what faults.
+func TestMemoryCommittedOnTouch(t *testing.T) {
+	p := mustAssemble(t, `
+		li r1, 16
+		li r2, 42
+		st r1, r2, 0    ; committed: the smallest class
+		li r1, 5000
+		ld r5, r1, 0    ; an untouched load grows it to 8 KiB
+		li r1, 65528
+		li r2, 7
+		st r1, r2, 0    ; and a store at the top to 64 KiB
+		li r1, 16
+		ld r6, r1, 0
+		li r1, 0
+		st r1, r6, 0
+		st r1, r5, 8
+		li r1, 0
+		li r2, 0
+		li r3, 16
+		li r4, 0
+		host 5
+		halt
+	`)
+	res, err := Run(p, 64<<10, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Outputs[0].Items[0].Data, i64s(42, 0); string(got) != string(want) {
+		t.Fatalf("output = %v, want %v", got, want)
+	}
+	fault := mustAssemble(t, "li r1, 60\nld r0, r1, 0\nhalt\n")
+	if _, err := Run(fault, 64, nil, 0); !errors.Is(err, ErrMemFault) || !strings.Contains(err.Error(), "[60,68) of 64") {
+		t.Fatalf("err = %v, want a fault at [60,68) of 64", err)
+	}
+}
+
 func TestDivByZero(t *testing.T) {
 	for _, src := range []string{
 		"li r1, 5\nli r2, 0\ndiv r0, r1, r2\nhalt\n",
@@ -193,6 +234,41 @@ func TestHostBadIndices(t *testing.T) {
 		if _, err := Run(p, 64, in, 0); !errors.Is(err, ErrBadHostCall) {
 			t.Errorf("program %q err = %v, want ErrBadHostCall", src, err)
 		}
+	}
+}
+
+// Output sets come back in set-index order whatever order they were
+// first written in, named out<n>, with items named item<n> in write
+// order and keyed by r4.
+func TestHostWriteOutputOrder(t *testing.T) {
+	p := mustAssemble(t, `
+		li r2, 0
+		li r3, 1
+		li r1, 200
+		li r4, 7
+		host 5
+		li r1, 3
+		li r4, -1
+		host 5
+		li r1, 200
+		li r4, 12
+		host 5
+		halt
+		.data "ab"
+	`)
+	res, err := Run(p, 64, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []memctx.Set{
+		{Name: "out3", Items: []memctx.Item{{Name: "item0", Key: "-1", Data: []byte("a")}}},
+		{Name: "out200", Items: []memctx.Item{
+			{Name: "item0", Key: "7", Data: []byte("a")},
+			{Name: "item1", Key: "12", Data: []byte("a")},
+		}},
+	}
+	if !reflect.DeepEqual(res.Outputs, want) {
+		t.Fatalf("outputs = %+v, want %+v", res.Outputs, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"dandelion/internal/memctx"
 )
@@ -57,7 +58,9 @@ type Result struct {
 
 // Run interprets the program against the given memory size and inputs.
 // memBytes bounds the byte-addressable function memory; the program's
-// read-only data segment is mapped at address 0 of this memory.
+// read-only data segment is mapped at address 0 of this memory. The
+// bound is not an allocation: memory is committed from pooled buffers
+// as the program touches it (see machine).
 func Run(p *Program, memBytes int, inputs []memctx.Set, gasLimit int64) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -68,23 +71,19 @@ func Run(p *Program, memBytes int, inputs []memctx.Set, gasLimit int64) (*Result
 	if memBytes < len(p.Data) {
 		return nil, fmt.Errorf("%w: data segment (%d bytes) exceeds memory (%d)", ErrMemFault, len(p.Data), memBytes)
 	}
-	mem := make([]byte, memBytes)
-	copy(mem, p.Data)
+	m := acquire(int64(memBytes), p.Data)
+	res, err := m.run(p, inputs, gasLimit)
+	m.release()
+	return res, err
+}
 
+// run interprets p on the machine until it halts, falls off the end of
+// the code segment, or traps.
+func (m *machine) run(p *Program, inputs []memctx.Set, gasLimit int64) (*Result, error) {
 	var regs [NumRegs]int64
-	var stack []int64
-	outputs := map[int64]*memctx.Set{}
-
 	pc := int64(0)
 	gas := int64(0)
 	n := int64(len(p.Code))
-
-	checkMem := func(addr, size int64) error {
-		if addr < 0 || size < 0 || size > int64(len(mem)) || addr > int64(len(mem))-size {
-			return fmt.Errorf("%w: [%d,%d) of %d", ErrMemFault, addr, addr+size, len(mem))
-		}
-		return nil
-	}
 
 	for pc < n {
 		gas++
@@ -95,7 +94,7 @@ func Run(p *Program, memBytes int, inputs []memctx.Set, gasLimit int64) (*Result
 		next := pc + 1
 		switch ins.Op {
 		case OpHalt:
-			return finish(outputs, gas, true), nil
+			return m.finish(gas, true), nil
 		case OpLi:
 			regs[ins.Rd] = ins.Imm
 		case OpMov:
@@ -132,28 +131,28 @@ func Run(p *Program, memBytes int, inputs []memctx.Set, gasLimit int64) (*Result
 			regs[ins.Rd] = regs[ins.Rs] * ins.Imm
 		case OpLd:
 			addr := regs[ins.Rs] + ins.Imm
-			if err := checkMem(addr, 8); err != nil {
+			if err := m.checkMem(addr, 8); err != nil {
 				return nil, err
 			}
-			regs[ins.Rd] = int64(binary.LittleEndian.Uint64(mem[addr:]))
+			regs[ins.Rd] = int64(binary.LittleEndian.Uint64(m.mem[addr:]))
 		case OpSt:
 			addr := regs[ins.Rd] + ins.Imm
-			if err := checkMem(addr, 8); err != nil {
+			if err := m.checkMem(addr, 8); err != nil {
 				return nil, err
 			}
-			binary.LittleEndian.PutUint64(mem[addr:], uint64(regs[ins.Rs]))
+			binary.LittleEndian.PutUint64(m.mem[addr:], uint64(regs[ins.Rs]))
 		case OpLdb:
 			addr := regs[ins.Rs] + ins.Imm
-			if err := checkMem(addr, 1); err != nil {
+			if err := m.checkMem(addr, 1); err != nil {
 				return nil, err
 			}
-			regs[ins.Rd] = int64(mem[addr])
+			regs[ins.Rd] = int64(m.mem[addr])
 		case OpStb:
 			addr := regs[ins.Rd] + ins.Imm
-			if err := checkMem(addr, 1); err != nil {
+			if err := m.checkMem(addr, 1); err != nil {
 				return nil, err
 			}
-			mem[addr] = byte(regs[ins.Rs])
+			m.mem[addr] = byte(regs[ins.Rs])
 		case OpJmp:
 			next = ins.Imm
 		case OpBeq:
@@ -173,22 +172,22 @@ func Run(p *Program, memBytes int, inputs []memctx.Set, gasLimit int64) (*Result
 				next = ins.Imm
 			}
 		case OpCall:
-			if len(stack) >= callStackLimit {
+			if len(m.stack) >= callStackLimit {
 				return nil, ErrStackOverflow
 			}
-			stack = append(stack, pc+1)
+			m.stack = append(m.stack, pc+1)
 			next = ins.Imm
 		case OpRet:
-			if len(stack) == 0 {
+			if len(m.stack) == 0 {
 				return nil, ErrStackUnderflow
 			}
-			next = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+			next = m.stack[len(m.stack)-1]
+			m.stack = m.stack[:len(m.stack)-1]
 		case OpSyscall:
 			// The entire point: user code cannot reach the host kernel.
 			return nil, fmt.Errorf("%w (number %d)", ErrSyscallAttempt, ins.Imm)
 		case OpHost:
-			if err := hostCall(ins.Imm, &regs, mem, inputs, outputs, checkMem); err != nil {
+			if err := m.hostCall(ins.Imm, &regs, inputs); err != nil {
 				return nil, err
 			}
 		default:
@@ -196,11 +195,10 @@ func Run(p *Program, memBytes int, inputs []memctx.Set, gasLimit int64) (*Result
 		}
 		pc = next
 	}
-	return finish(outputs, gas, false), nil
+	return m.finish(gas, false), nil
 }
 
-func hostCall(num int64, regs *[NumRegs]int64, mem []byte, inputs []memctx.Set,
-	outputs map[int64]*memctx.Set, checkMem func(addr, size int64) error) error {
+func (m *machine) hostCall(num int64, regs *[NumRegs]int64, inputs []memctx.Set) error {
 	getSet := func(idx int64) (*memctx.Set, error) {
 		if idx < 0 || idx >= int64(len(inputs)) {
 			return nil, fmt.Errorf("%w: set index %d of %d", ErrBadHostCall, idx, len(inputs))
@@ -218,10 +216,10 @@ func hostCall(num int64, regs *[NumRegs]int64, mem []byte, inputs []memctx.Set,
 		return &s.Items[itemIdx], nil
 	}
 	copyOut := func(dst int64, b []byte) error {
-		if err := checkMem(dst, int64(len(b))); err != nil {
+		if err := m.checkMem(dst, int64(len(b))); err != nil {
 			return err
 		}
-		copy(mem[dst:], b)
+		copy(m.mem[dst:], b)
 		return nil
 	}
 
@@ -254,19 +252,15 @@ func hostCall(num int64, regs *[NumRegs]int64, mem []byte, inputs []memctx.Set,
 		if setIdx < 0 || setIdx > 255 {
 			return fmt.Errorf("%w: output set index %d", ErrBadHostCall, setIdx)
 		}
-		if err := checkMem(src, length); err != nil {
+		if err := m.checkMem(src, length); err != nil {
 			return err
 		}
-		out := outputs[setIdx]
-		if out == nil {
-			out = &memctx.Set{Name: fmt.Sprintf("out%d", setIdx)}
-			outputs[setIdx] = out
-		}
+		out := m.output(setIdx)
 		data := make([]byte, length)
-		copy(data, mem[src:src+length])
+		copy(data, m.mem[src:])
 		out.Items = append(out.Items, memctx.Item{
-			Name: fmt.Sprintf("item%d", len(out.Items)),
-			Key:  fmt.Sprintf("%d", regs[4]),
+			Name: "item" + strconv.Itoa(len(out.Items)),
+			Key:  strconv.FormatInt(regs[4], 10),
 			Data: data,
 		})
 		regs[0] = 0
@@ -292,14 +286,4 @@ func hostCall(num int64, regs *[NumRegs]int64, mem []byte, inputs []memctx.Set,
 		return fmt.Errorf("%w: number %d", ErrBadHostCall, num)
 	}
 	return nil
-}
-
-func finish(outputs map[int64]*memctx.Set, gas int64, halted bool) *Result {
-	res := &Result{GasUsed: gas, Halted: halted}
-	for i := int64(0); i <= 255; i++ {
-		if s, ok := outputs[i]; ok {
-			res.Outputs = append(res.Outputs, *s)
-		}
-	}
-	return res
 }

@@ -151,10 +151,11 @@ func loadProgram(t Task) (*dvm.Program, error) {
 }
 
 // kvmBackend models the minimal-hypervisor backend: each function runs
-// in a fresh "guest physical address space" (a new memory region) with
-// identity mapping; vCPU state is reset between launches by reusing the
-// interpreter with a cleared register file (dvm.Run always starts from
-// zeroed state, matching the Virtines-style structure reuse).
+// in its own "guest physical address space" with identity mapping;
+// memory and vCPU state are reset between launches by reusing pooled
+// interpreter state (dvm.Run starts from zeroed registers and memory,
+// re-zeroing what a run touched before reuse, matching the
+// Virtines-style structure reuse).
 type kvmBackend struct {
 	profile CostProfile
 }
