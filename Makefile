@@ -35,9 +35,11 @@ race:
 # race detector: a test that passes "usually" fails here. memctx is in
 # the set because its ownership moves (adopt, take, borrowed regions)
 # are the only data path; autoscale because every batch request's
-# admission runs through it under one lock, with racing clock reads.
+# admission runs through it under one lock, with racing clock reads;
+# dvm and isolation because every engine draws sandbox memory from the
+# same pools.
 flake:
-	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale
+	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation
 
 # bench tracks the serving-path trajectory: batched dispatch vs looped
 # single invokes, plus the core microbenchmarks.
