@@ -58,8 +58,6 @@ func TestWarmExecuteAllocatesNoMemoryBuffer(t *testing.T) {
 	}
 }
 
-var executeSink []memctx.Set
-
 // BenchmarkExecute times one warm echo execution per declared memory
 // size. The declaration is a bound, so all three should cost the same.
 func BenchmarkExecute(b *testing.B) {
@@ -79,11 +77,9 @@ func BenchmarkExecute(b *testing.B) {
 			task := echoAt(c.memBytes)
 			b.ReportAllocs()
 			for b.Loop() {
-				out, err := backend.Execute(task)
-				if err != nil {
+				if _, err := backend.Execute(task); err != nil {
 					b.Fatal(err)
 				}
-				executeSink = out
 			}
 		})
 	}
