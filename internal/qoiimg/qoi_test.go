@@ -111,6 +111,38 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// One op byte encodes at most a 62-pixel run, so a header declaring
+// more than 62 pixels per body byte cannot be valid; Decode must say so
+// before allocating the image.
+func TestDecodeRejectsPixelsBeyondData(t *testing.T) {
+	header := func(w, h uint32, body int) []byte {
+		b := append([]byte("qoif"), byte(w>>24), byte(w>>16), byte(w>>8), byte(w),
+			byte(h>>24), byte(h>>16), byte(h>>8), byte(h), 4, 0)
+		for i := 0; i < body; i++ {
+			b = append(b, opRun|61)
+		}
+		return append(b, endMarker[:]...)
+	}
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"65536x65536, no body", header(1<<16, 1<<16, 0)},
+		{"63 pixels in one byte", header(63, 1, 1)},
+		{"65536x65536 in 1000 bytes", header(1<<16, 1<<16, 1000)},
+	}
+	for _, c := range cases {
+		if _, err := Decode(c.data); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", c.name, err)
+		}
+	}
+	// 62 pixels in one run byte is the densest valid image.
+	img, err := Decode(header(62, 1, 1))
+	if err != nil || img.Bounds().Dx() != 62 {
+		t.Fatalf("62-pixel run: %v", err)
+	}
+}
+
 func TestToPNG(t *testing.T) {
 	img := TestImage(96, 64)
 	qoi := Encode(img)

@@ -133,6 +133,30 @@ func TestImagePipelineServed(t *testing.T) {
 	}
 }
 
+// A 22-byte QOI image — a header declaring 65536×65536 pixels and the
+// end marker — must be answered with an error, not a 16 GiB allocation
+// (a fatal out-of-memory no recover catches), and the node must go on
+// serving.
+func TestImagePipelineRejectsPixelBomb(t *testing.T) {
+	p := newPlatform(t, "image")
+	bomb := []byte{'q', 'o', 'i', 'f', 0, 1, 0, 0, 0, 1, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1}
+	_, err := p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadImagePipeline, Inputs: map[string][]dandelion.Item{
+		"Images": {{Name: "bomb.qoi", Data: bomb}},
+	}})
+	if err == nil {
+		t.Fatal("65536×65536 image with no pixel data accepted")
+	}
+	out, err := p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadImagePipeline, Inputs: map[string][]dandelion.Item{
+		"Images": workloads.MakeImages(1, 32, 32),
+	}})
+	if err != nil {
+		t.Fatalf("node stopped serving after the bomb: %v", err)
+	}
+	if got := len(out["PNGs"]); got != 1 {
+		t.Fatalf("PNGs = %d items, want 1", got)
+	}
+}
+
 func TestStorageScanServed(t *testing.T) {
 	p := newPlatform(t, "storage")
 	const nBlobs, blobSize = 4, 64 << 10
