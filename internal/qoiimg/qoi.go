@@ -33,6 +33,8 @@ const (
 	opDiff  = 0x40 // 2-bit tag 01
 	opLuma  = 0x80 // 2-bit tag 10
 	opRun   = 0xC0 // 2-bit tag 11
+
+	maxRun = 62 // longest run one opRun byte encodes
 )
 
 var endMarker = [8]byte{0, 0, 0, 0, 0, 0, 0, 1}
@@ -64,11 +66,17 @@ func Decode(data []byte) (*image.NRGBA, error) {
 	if colorspace > 1 {
 		return nil, fmt.Errorf("%w: colorspace %d", ErrBadHeader, colorspace)
 	}
+	// One op byte encodes at most a 62-pixel run, so the body between
+	// the header and the end marker bounds the pixel count. Checking it
+	// before allocating keeps a few bytes from asking for 16 GiB.
+	npx := int(w) * int(h)
+	if npx > maxRun*(len(data)-len(endMarker)-14) {
+		return nil, fmt.Errorf("%w: %dx%d pixels in %d bytes", ErrTruncated, w, h, len(data))
+	}
 
 	img := image.NewNRGBA(image.Rect(0, 0, int(w), int(h)))
 	var index [64]pixel
 	cur := pixel{0, 0, 0, 255}
-	npx := int(w) * int(h)
 	pos := 14
 	px := 0
 	for px < npx {
@@ -165,7 +173,7 @@ func Encode(src image.Image) []byte {
 		cur := getPix(img, i)
 		if cur == prev {
 			run++
-			if run == 62 || i == npx-1 {
+			if run == maxRun || i == npx-1 {
 				out = append(out, byte(opRun|(run-1)))
 				run = 0
 			}
