@@ -192,6 +192,16 @@ func TestEncodeDecodePartials(t *testing.T) {
 	}
 }
 
+// A partial row's numbers are whole fields: a number followed or
+// preceded by anything else is malformed, not a shorter number.
+func TestDecodeGroupSumRejectsMalformedNumbers(t *testing.T) {
+	for _, row := range []string{"k\t12abc\t1", "k\t 5\t1", "k\t5\t1 2", "k\t5\t1x"} {
+		if g, err := DecodeGroupSum([]byte(row)); err == nil {
+			t.Errorf("DecodeGroupSum(%q) accepted: %+v", row, g.Rows())
+		}
+	}
+}
+
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(sums []int64) bool {
 		g := NewGroupSum()
