@@ -16,6 +16,7 @@ import (
 	"image"
 	"image/color"
 	"image/png"
+	"sync"
 )
 
 // Format errors.
@@ -211,6 +212,27 @@ func Encode(src image.Image) []byte {
 	return out
 }
 
+// pngEncoder is png.Encode's default encoder with its per-call state —
+// the zlib compressor, row buffers and bufio writer — kept in a pool,
+// the standard library's own mechanism for reusing it. The compression
+// level stays the default, so the bytes are png.Encode's.
+var pngEncoder = png.Encoder{BufferPool: new(encoderPool)}
+
+type encoderPool struct{ p sync.Pool }
+
+func (e *encoderPool) Get() *png.EncoderBuffer {
+	b, _ := e.p.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (e *encoderPool) Put(b *png.EncoderBuffer) { e.p.Put(b) }
+
+// pngOut holds the buffers PNGs are encoded into before the exactly
+// sized copy ToPNG returns; one grown past maxPooledPNG is dropped.
+var pngOut = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledPNG = 1 << 20
+
 // ToPNG transcodes a QOI image to PNG — the compute-intensive workload
 // of §7.6.
 func ToPNG(qoiData []byte) ([]byte, error) {
@@ -218,11 +240,17 @@ func ToPNG(qoiData []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, img); err != nil {
+	buf := pngOut.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledPNG {
+			pngOut.Put(buf)
+		}
+	}()
+	if err := pngEncoder.Encode(buf, img); err != nil {
 		return nil, fmt.Errorf("qoiimg: png encode: %w", err)
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // TestImage synthesizes a deterministic RGBA test image with gradients

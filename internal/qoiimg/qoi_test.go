@@ -3,10 +3,12 @@ package qoiimg
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"image"
 	"image/color"
 	"image/png"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -213,5 +215,89 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector drops pooled
+// objects at random, so allocation bounds only hold without it.
+var raceEnabled bool
+
+// ToPNG encodes through a pooled encoder; its bytes must be
+// png.Encode's, at every size and from goroutines sharing the pool.
+func TestToPNGMatchesPNGEncode(t *testing.T) {
+	type size struct{ w, h int }
+	sizes := []size{{1, 1}, {32, 32}, {96, 64}, {257, 3}}
+	qoi := make([][]byte, len(sizes))
+	want := make([][]byte, len(sizes))
+	for i, s := range sizes {
+		qoi[i] = Encode(TestImage(s.w, s.h))
+		img, err := Decode(qoi[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, img); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+	const workers, rounds = 8, 12
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for r := 0; r < rounds; r++ {
+				i := (w + r) % len(sizes)
+				got, err := ToPNG(qoi[i])
+				if err == nil && !bytes.Equal(got, want[i]) {
+					err = fmt.Errorf("%dx%d: ToPNG differs from png.Encode", sizes[i].w, sizes[i].h)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// A warm 32×32 transcode allocates the decoded image and the returned
+// PNG, not a compressor: png.Encode builds an ~850 KB one per call.
+func TestWarmToPNGAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoders at random")
+	}
+	qoi := Encode(TestImage(32, 32))
+	if _, err := ToPNG(qoi); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := ToPNG(qoi); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("ToPNG 32x32: %.0f allocs, %d B per call", allocs, perRun)
+	if perRun >= 16<<10 {
+		t.Fatalf("ToPNG 32x32 allocates %d B per call, want < 16 KiB", perRun)
+	}
+}
+
+func BenchmarkToPNG(b *testing.B) {
+	qoi := Encode(TestImage(32, 32))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ToPNG(qoi); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -32,36 +32,42 @@ func EncodeChunk(l *LineOrders) []byte {
 
 // DecodeChunk parses an encoded fact-table slice.
 func DecodeChunk(data []byte) (*LineOrders, error) {
+	l := &LineOrders{}
+	if _, err := l.decode(data, nil); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// decode parses data into l, whose ten columns become consecutive
+// windows of one buffer: buf when its capacity suffices, else a new
+// one. It returns the buffer, so a caller can reuse it for the next
+// chunk.
+func (l *LineOrders) decode(data []byte, buf []int32) ([]int32, error) {
 	if len(data) < 8 || data[0] != chunkMagic[0] || data[1] != chunkMagic[1] ||
 		data[2] != chunkMagic[2] || data[3] != chunkMagic[3] {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadChunk)
+		return buf, fmt.Errorf("%w: bad magic", ErrBadChunk)
 	}
 	n := int(binary.LittleEndian.Uint32(data[4:8]))
 	if n < 0 || 8+n*BytesPerRow != len(data) {
-		return nil, fmt.Errorf("%w: %d rows vs %d bytes", ErrBadChunk, n, len(data))
+		return buf, fmt.Errorf("%w: %d rows vs %d bytes", ErrBadChunk, n, len(data))
 	}
-	l := &LineOrders{}
-	off := 8
-	for _, col := range l.columnPtrs() {
-		*col = make([]int32, n)
-		for i := 0; i < n; i++ {
-			(*col)[i] = int32(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-		}
+	if cap(buf) < 10*n {
+		buf = make([]int32, 10*n)
 	}
-	return l, nil
+	buf = buf[:10*n]
+	for i := range buf {
+		buf[i] = int32(binary.LittleEndian.Uint32(data[8+4*i:]))
+	}
+	col := func(c int) []int32 { return buf[c*n : (c+1)*n : (c+1)*n] }
+	l.OrderKey, l.CustKey, l.PartKey, l.SuppKey, l.OrderDate = col(0), col(1), col(2), col(3), col(4)
+	l.Quantity, l.ExtendedPrice, l.Discount, l.Revenue, l.SupplyCost = col(5), col(6), col(7), col(8), col(9)
+	return buf, nil
 }
 
 func (l *LineOrders) columns() [][]int32 {
 	return [][]int32{
 		l.OrderKey, l.CustKey, l.PartKey, l.SuppKey, l.OrderDate,
 		l.Quantity, l.ExtendedPrice, l.Discount, l.Revenue, l.SupplyCost,
-	}
-}
-
-func (l *LineOrders) columnPtrs() []*[]int32 {
-	return []*[]int32{
-		&l.OrderKey, &l.CustKey, &l.PartKey, &l.SuppKey, &l.OrderDate,
-		&l.Quantity, &l.ExtendedPrice, &l.Discount, &l.Revenue, &l.SupplyCost,
 	}
 }

@@ -1,9 +1,14 @@
 package ssb
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // This file is the columnar query engine: selection vectors over the
@@ -14,13 +19,27 @@ import (
 type Selection []int32
 
 // ScanAll selects every row of the chunk.
-func ScanAll(f *LineOrders) Selection {
-	sel := make(Selection, f.Len())
+func ScanAll(f *LineOrders) Selection { return scanAllInto(nil, f.Len()) }
+
+// scanAllInto selects rows [0, n), reusing sel's capacity.
+func scanAllInto(sel Selection, n int) Selection {
+	if cap(sel) < n {
+		sel = make(Selection, n)
+	}
+	sel = sel[:n]
 	for i := range sel {
 		sel[i] = int32(i)
 	}
 	return sel
 }
+
+// maxPooledRows caps the scratch a pool keeps: a chunk of at most this
+// many rows reuses its selection and columns, a larger one leaves them
+// to the collector (the fact table a worker serves has 2^16 rows).
+const maxPooledRows = 1 << 16
+
+// selPool holds the selection vectors Partial filters in place.
+var selPool = sync.Pool{New: func() any { return new(Selection) }}
 
 // Filter retains the rows where pred holds.
 func Filter(f *LineOrders, sel Selection, pred func(i int32) bool) Selection {
@@ -96,6 +115,19 @@ func (g *GroupSum) Add(key string, value int64) {
 	a.N++
 }
 
+// addKey is Add for a key built in a reusable buffer: the lookup does
+// not allocate, and the key is copied into a string only for a new
+// group.
+func (g *GroupSum) addKey(key []byte, sum, n int64) {
+	a, ok := g.groups[string(key)]
+	if !ok {
+		a = &Agg{Key: string(key)}
+		g.groups[a.Key] = a
+	}
+	a.Sum += sum
+	a.N += n
+}
+
 // Merge folds another partial aggregation into g — the combine step
 // when query chunks execute as parallel Dandelion instances.
 func (g *GroupSum) Merge(o *GroupSum) {
@@ -116,45 +148,67 @@ func (g *GroupSum) Rows() []Agg {
 	for _, a := range g.groups {
 		out = append(out, *a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b Agg) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
 // Encode serializes the partial aggregation as lines "key\tsum\tn", the
-// wire format between partial and merge compute functions.
+// wire format between partial and merge compute functions, into one
+// exactly sized buffer.
 func (g *GroupSum) Encode() []byte {
-	var b strings.Builder
-	for _, a := range g.Rows() {
-		fmt.Fprintf(&b, "%s\t%d\t%d\n", a.Key, a.Sum, a.N)
+	rows := g.Rows()
+	var digits [20]byte
+	size := 0
+	for _, a := range rows {
+		size += len(a.Key) + len(strconv.AppendInt(digits[:0], a.Sum, 10)) +
+			len(strconv.AppendInt(digits[:0], a.N, 10)) + 3
 	}
-	return []byte(b.String())
+	out := make([]byte, 0, size)
+	for _, a := range rows {
+		out = append(out, a.Key...)
+		out = append(out, '\t')
+		out = strconv.AppendInt(out, a.Sum, 10)
+		out = append(out, '\t')
+		out = strconv.AppendInt(out, a.N, 10)
+		out = append(out, '\n')
+	}
+	return out
 }
 
 // DecodeGroupSum parses the Encode format.
 func DecodeGroupSum(data []byte) (*GroupSum, error) {
 	g := NewGroupSum()
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if line == "" {
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("ssb: malformed partial row %q", line)
-		}
-		var sum, n int64
-		if _, err := fmt.Sscanf(parts[1], "%d", &sum); err != nil {
-			return nil, fmt.Errorf("ssb: bad sum in %q", line)
-		}
-		if _, err := fmt.Sscanf(parts[2], "%d", &n); err != nil {
-			return nil, fmt.Errorf("ssb: bad count in %q", line)
-		}
-		a, ok := g.groups[parts[0]]
-		if !ok {
-			g.groups[parts[0]] = &Agg{Key: parts[0], Sum: sum, N: n}
-		} else {
-			a.Sum += sum
-			a.N += n
-		}
+	if err := g.MergeEncoded(data); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// MergeEncoded folds an Encode output into g: DecodeGroupSum and Merge
+// without the intermediate GroupSum. Every row is "key\tsum\tn\n" (the
+// last newline optional) with a key that is not empty and does not
+// start with white space, and two base-10 int64 fields with nothing
+// else in them. On a malformed row it returns an error and g holds the
+// rows before it.
+func (g *GroupSum) MergeEncoded(data []byte) error {
+	for len(data) > 0 {
+		line, rest, _ := bytes.Cut(data, []byte{'\n'})
+		data = rest
+		key, nums, ok := bytes.Cut(line, []byte{'\t'})
+		sumField, nField, ok2 := bytes.Cut(nums, []byte{'\t'})
+		if r, _ := utf8.DecodeRune(key); !ok || !ok2 || len(key) == 0 || unicode.IsSpace(r) ||
+			bytes.IndexByte(nField, '\t') >= 0 {
+			return fmt.Errorf("ssb: malformed partial row %q", line)
+		}
+		sum, err := strconv.ParseInt(string(sumField), 10, 64)
+		if err != nil {
+			return fmt.Errorf("ssb: bad sum in %q", line)
+		}
+		n, err := strconv.ParseInt(string(nField), 10, 64)
+		if err != nil {
+			return fmt.Errorf("ssb: bad count in %q", line)
+		}
+		g.addKey(key, sum, n)
+	}
+	return nil
 }

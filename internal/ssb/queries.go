@@ -1,6 +1,10 @@
 package ssb
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"sync"
+)
 
 // The four SSB queries of Figure 9. Each query is expressed as a
 // partial-aggregation function over a fact-table chunk plus the shared
@@ -84,10 +88,23 @@ func NewPlan(db *DB, id QueryID) (*Plan, error) {
 }
 
 // Partial processes one fact chunk, returning its partial aggregation.
+// The selection it filters in place comes from a pool and goes back
+// before it returns; the GroupSum references neither it nor the chunk.
 func (p *Plan) Partial(chunk *LineOrders) *GroupSum {
-	sel := ScanAll(chunk)
+	pooled := selPool.Get().(*Selection)
+	sel := scanAllInto(*pooled, chunk.Len())
+	*pooled = sel[:0]
+	defer func() {
+		if cap(*pooled) <= maxPooledRows {
+			selPool.Put(pooled)
+		}
+	}()
+
 	db := p.db
 	g := NewGroupSum()
+	// Group keys are built here, on the stack; addKey allocates a key
+	// string only for a group the chunk has not seen yet.
+	var buf [64]byte
 	switch p.ID {
 	case Q11:
 		sel = Filter(chunk, sel, func(i int32) bool {
@@ -107,8 +124,9 @@ func (p *Plan) Partial(chunk *LineOrders) *GroupSum {
 				continue
 			}
 			pi, _ := p.partJoin.Lookup(chunk.PartKey[i])
-			key := fmt.Sprintf("%d|%s", db.Dates[di].Year, db.Parts[pi].Brand)
-			g.Add(key, int64(chunk.Revenue[i]))
+			key := strconv.AppendInt(buf[:0], int64(db.Dates[di].Year), 10)
+			key = append(append(key, '|'), db.Parts[pi].Brand...)
+			g.addKey(key, int64(chunk.Revenue[i]), 1)
 		}
 	case Q31:
 		sel = p.custJoin.Probe(sel, chunk.CustKey)
@@ -118,9 +136,10 @@ func (p *Plan) Partial(chunk *LineOrders) *GroupSum {
 			ci, _ := p.custJoin.Lookup(chunk.CustKey[i])
 			si, _ := p.suppJoin.Lookup(chunk.SuppKey[i])
 			di, _ := p.dateJoin.Lookup(chunk.OrderDate[i])
-			key := fmt.Sprintf("%s|%s|%d", db.Customers[ci].Nation,
-				db.Suppliers[si].Nation, db.Dates[di].Year)
-			g.Add(key, int64(chunk.Revenue[i]))
+			key := append(append(buf[:0], db.Customers[ci].Nation...), '|')
+			key = append(append(key, db.Suppliers[si].Nation...), '|')
+			key = strconv.AppendInt(key, int64(db.Dates[di].Year), 10)
+			g.addKey(key, int64(chunk.Revenue[i]), 1)
 		}
 	case Q41:
 		sel = p.custJoin.Probe(sel, chunk.CustKey)
@@ -132,11 +151,37 @@ func (p *Plan) Partial(chunk *LineOrders) *GroupSum {
 				continue
 			}
 			ci, _ := p.custJoin.Lookup(chunk.CustKey[i])
-			key := fmt.Sprintf("%d|%s", db.Dates[di].Year, db.Customers[ci].Nation)
-			g.Add(key, int64(chunk.Revenue[i])-int64(chunk.SupplyCost[i]))
+			key := strconv.AppendInt(buf[:0], int64(db.Dates[di].Year), 10)
+			key = append(append(key, '|'), db.Customers[ci].Nation...)
+			g.addKey(key, int64(chunk.Revenue[i])-int64(chunk.SupplyCost[i]), 1)
 		}
 	}
 	return g
+}
+
+// chunkScratch is the decode target PartialChunk reuses across calls.
+type chunkScratch struct {
+	rows LineOrders
+	cols []int32
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunkScratch) }}
+
+// PartialChunk decodes an encoded chunk and returns the encoded partial
+// aggregation of the query over it — Partial(DecodeChunk(data)).Encode()
+// byte for byte — decoding into columns pooled for the next call.
+func (p *Plan) PartialChunk(data []byte) ([]byte, error) {
+	s := chunkPool.Get().(*chunkScratch)
+	defer func() {
+		if cap(s.cols) <= 10*maxPooledRows {
+			chunkPool.Put(s)
+		}
+	}()
+	var err error
+	if s.cols, err = s.rows.decode(data, s.cols); err != nil {
+		return nil, err
+	}
+	return p.Partial(&s.rows).Encode(), nil
 }
 
 // RunQuery executes the query over the whole fact table in nChunks

@@ -155,13 +155,11 @@ func registerSSB(p Registrar) error {
 		}
 		out := memctx.Set{Name: "Out"}
 		for _, it := range chunks.Items {
-			chunk, err := ssb.DecodeChunk(it.Data)
+			partial, err := plan.PartialChunk(it.Data)
 			if err != nil {
 				return nil, err
 			}
-			out.Items = append(out.Items, memctx.Item{
-				Name: it.Name, Data: plan.Partial(chunk).Encode(),
-			})
+			out.Items = append(out.Items, memctx.Item{Name: it.Name, Data: partial})
 		}
 		return []memctx.Set{out}, nil
 	}})
@@ -172,11 +170,9 @@ func registerSSB(p Registrar) error {
 		merged := ssb.NewGroupSum()
 		for _, s := range in {
 			for _, it := range s.Items {
-				g, err := ssb.DecodeGroupSum(it.Data)
-				if err != nil {
+				if err := merged.MergeEncoded(it.Data); err != nil {
 					return nil, err
 				}
-				merged.Merge(g)
 			}
 		}
 		return []memctx.Set{{Name: "Out", Items: []memctx.Item{
