@@ -37,9 +37,10 @@ race:
 # are the only data path; autoscale because every batch request's
 # admission runs through it under one lock, with racing clock reads;
 # dvm and isolation because every engine draws sandbox memory from the
-# same pools.
+# same pools; ssb, qoiimg and workloads because every engine's served
+# kernels share the PNG encoder, chunk column and selection pools.
 flake:
-	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation
+	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
 # bench tracks the serving-path trajectory: batched dispatch vs looped
 # single invokes, plus the core microbenchmarks.
@@ -59,12 +60,15 @@ bench-smoke:
 
 # fuzz-smoke runs the codec fuzzers briefly: long enough to replay the
 # corpus and probe a few thousand mutations each of the binary framing
-# grammar (internal/wire FuzzWireRoundTrip) and the journal file format
+# grammar (internal/wire FuzzWireRoundTrip), the journal file format
 # (internal/journal FuzzJournalReplay — torn writes, flipped CRCs,
-# adversarial lengths), short enough for CI.
+# adversarial lengths) and the SSB partial-aggregate rows
+# (internal/ssb FuzzDecodeGroupSum — held to the fmt-based decoder it
+# replaced), short enough for CI.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 5s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal/
+	$(GO) test -run XXX -fuzz FuzzDecodeGroupSum -fuzztime 5s ./internal/ssb/
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json): four
 # served workloads against a separately exec'd cmd/dandelion, validated
