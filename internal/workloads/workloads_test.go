@@ -207,3 +207,33 @@ func TestStorageFetchServed(t *testing.T) {
 		}
 	}
 }
+
+// A Sizes item is a length read from the request, so StoreGen must
+// refuse it before it becomes an allocation: a 20-byte request must not
+// make the node ask the runtime for 16 GiB, a fatal out-of-memory no
+// recover catches. Trailing garbage is refused too, not read as a
+// prefix number.
+func TestStorageFetchRejectsBadSizes(t *testing.T) {
+	p := newPlatform(t, "storage")
+	fetch := func(size string) (map[string][]dandelion.Item, error) {
+		return p.Invoke(context.Background(), dandelion.Request{Composition: workloads.WorkloadStorageFetch, Inputs: map[string][]dandelion.Item{
+			"Sizes": {{Name: "blob", Data: []byte(size)}},
+		}})
+	}
+	for _, size := range []string{"12abc", " 12", "12 ", "0x10", "-1", "17179869184"} {
+		// Stop at the first accepted size: on a build without the bound,
+		// the next one asks for its whole allocation.
+		if !t.Run(size, func(t *testing.T) {
+			out, err := fetch(size)
+			if err == nil || !strings.Contains(err.Error(), "blob size") {
+				t.Fatalf("size %q: err = %v, %d blobs; want a blob size error", size, err, len(out["Blobs"]))
+			}
+		}) {
+			break
+		}
+	}
+	out, err := fetch("12")
+	if err != nil || len(out["Blobs"]) != 1 || len(out["Blobs"][0].Data) != 12 {
+		t.Fatalf("fetch after rejections: err = %v, out = %v", err, out)
+	}
+}
