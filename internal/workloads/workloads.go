@@ -19,6 +19,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -340,9 +341,12 @@ func registerStorage(p Registrar) error {
 		}
 		out := memctx.Set{Name: "Out"}
 		for _, it := range sizes.Items {
-			var n int
-			if _, err := fmt.Sscanf(string(it.Data), "%d", &n); err != nil || n < 0 {
+			n, err := strconv.Atoi(string(it.Data))
+			if err != nil || n < 0 {
 				return nil, fmt.Errorf("workloads: bad blob size %q", it.Data)
+			}
+			if n > MaxBlobBytes {
+				return nil, fmt.Errorf("workloads: blob size %d above MaxBlobBytes (%d)", n, MaxBlobBytes)
 			}
 			out.Items = append(out.Items, memctx.Item{
 				Name: it.Name,
@@ -379,6 +383,12 @@ func SeedFromName(name string) uint64 {
 	}
 	return h
 }
+
+// MaxBlobBytes bounds one blob StoreGen generates: 64 MiB, the
+// frontend's default request body cap. A Sizes item is a length read
+// from the request, so it is checked against this before it becomes an
+// allocation.
+const MaxBlobBytes = 64 << 20
 
 // MakeBlob renders n deterministic pseudo-record bytes from seed:
 // xorshift-filled lines of ~64 bytes, so StoreScan sees a plausible

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"image/png"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -220,7 +221,7 @@ func TestStorageFetchRejectsBadSizes(t *testing.T) {
 			"Sizes": {{Name: "blob", Data: []byte(size)}},
 		}})
 	}
-	for _, size := range []string{"12abc", " 12", "12 ", "0x10", "-1", "17179869184"} {
+	for _, size := range []string{"12abc", " 12", "12 ", "0x10", "-1", strconv.Itoa(workloads.MaxBlobBytes + 1), "17179869184"} {
 		// Stop at the first accepted size: on a build without the bound,
 		// the next one asks for its whole allocation.
 		if !t.Run(size, func(t *testing.T) {
