@@ -222,6 +222,31 @@ composition E(In) => Result {
 	}
 }
 
+// A memory declaration is a bound the sandbox commits up to on demand,
+// so one larger than the node can back lets a binary that touches its
+// top end the process with a fatal out-of-memory. Registration refuses
+// declarations above memctx.DefaultLimit, and negative ones, for dvm
+// binaries and Go functions alike.
+func TestRegisterRejectsMemoryOutsideCeiling(t *testing.T) {
+	p := newPlatform(t, Options{})
+	echo := dvm.EchoProgram().Encode()
+	for i, mem := range []int{-1, memctx.DefaultLimit + 1, 1 << 40} {
+		for _, f := range []ComputeFunc{
+			{Name: fmt.Sprintf("Bin%d", i), Binary: echo, MemBytes: mem},
+			{Name: fmt.Sprintf("Go%d", i), Go: upper, MemBytes: mem},
+		} {
+			if err := p.RegisterFunction(f); err == nil || !strings.Contains(err.Error(), "memory") {
+				t.Errorf("%s with MemBytes %d: err = %v, want a memory declaration error", f.Name, mem, err)
+			}
+		}
+	}
+	for _, mem := range []int{0, 64, memctx.DefaultLimit} {
+		if err := p.RegisterFunction(ComputeFunc{Name: fmt.Sprintf("Ok%d", mem), Binary: echo, MemBytes: mem}); err != nil {
+			t.Errorf("MemBytes %d: %v", mem, err)
+		}
+	}
+}
+
 func TestDvmSyscallAborts(t *testing.T) {
 	p := newPlatform(t, Options{})
 	p.RegisterFunction(ComputeFunc{

@@ -156,6 +156,30 @@ func TestFrontendErrors(t *testing.T) {
 	}
 }
 
+// X-Memory-Bytes above the node's ceiling (memctx's 256 MiB default
+// limit), or negative, is refused at registration with 400: the
+// declaration is a bound the sandbox commits up to, so one the machine
+// cannot back is a fatal out-of-memory waiting for a binary to touch it.
+func TestRegisterMemoryCeilingOverHTTP(t *testing.T) {
+	_, srv := newServer(t)
+	cases := []struct {
+		mem  string
+		want int
+	}{
+		{"-1", http.StatusBadRequest},
+		{"268435457", http.StatusBadRequest},
+		{"1099511627776", http.StatusBadRequest},
+		{"268435456", http.StatusOK},
+	}
+	for i, c := range cases {
+		code, body := post(t, fmt.Sprintf("%s/register/function/F%d", srv.URL, i),
+			map[string]string{"X-Memory-Bytes": c.mem}, dvm.EchoProgram().Encode())
+		if code != c.want {
+			t.Errorf("X-Memory-Bytes %s = %d %q, want %d", c.mem, code, body, c.want)
+		}
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	_, srv := newServer(t)
 	resp, err := http.Get(srv.URL + "/stats")
