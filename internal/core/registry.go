@@ -58,7 +58,9 @@ type ComputeFunc struct {
 	Binary []byte
 	// Go is a native-SDK function body.
 	Go GoFunc
-	// MemBytes is the user-declared memory requirement (context limit).
+	// MemBytes is the user-declared memory requirement (context limit):
+	// 0 selects memctx.DefaultLimit, which is also the ceiling;
+	// registration refuses anything above it or below 0.
 	MemBytes int
 	// GasLimit preempts runaway executions; 0 selects the default.
 	GasLimit int64
@@ -109,6 +111,12 @@ func (r *registry) addFunc(f ComputeFunc, backend isolation.Backend, cache bool,
 	}
 	if (f.Binary == nil) == (f.Go == nil) {
 		return fmt.Errorf("core: function %q must set exactly one of Binary or Go", f.Name)
+	}
+	// The declaration is a bound the context and the sandbox commit up
+	// to on demand: one the node cannot back would be a fatal
+	// out-of-memory once a function touches its top.
+	if f.MemBytes < 0 || f.MemBytes > memctx.DefaultLimit {
+		return fmt.Errorf("core: function %q: memory declaration %d outside [0, %d]", f.Name, f.MemBytes, memctx.DefaultLimit)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
