@@ -185,28 +185,22 @@ func BenchmarkDvmMatMul16(b *testing.B) {
 }
 
 func BenchmarkIsolationColdStart(b *testing.B) {
-	for _, name := range isolation.Names() {
-		b.Run(name, func(b *testing.B) {
-			back, _ := isolation.New(name)
-			if c, ok := back.(isolation.Compiler); ok {
-				if err := c.Compile(dvm.EchoProgram().Encode()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			task := isolation.Task{
-				Binary:   dvm.EchoProgram().Encode(),
-				MemBytes: 4096,
-				Inputs: []memctx.Set{{Name: "in", Items: []memctx.Item{
-					{Name: "x", Data: []byte("payload")},
-				}}},
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := back.Execute(task); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	sandbox, err := isolation.New("cheri")
+	if err != nil {
+		b.Fatal(err)
+	}
+	task := isolation.Task{
+		Prepared: dvm.EchoProgram(),
+		MemBytes: 4096,
+		Inputs: []memctx.Set{{Name: "in", Items: []memctx.Item{
+			{Name: "x", Data: []byte("payload")},
+		}}},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sandbox.Execute(task); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -54,11 +54,9 @@ func parseTenantWeights(s string) (map[string]int, error) {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "frontend listen address")
-	backend := flag.String("backend", "cheri", "isolation backend: cheri|rwasm|process|kvm")
 	computeEngines := flag.Int("compute-engines", 0, "initial compute engines (0 = default)")
 	commEngines := flag.Int("comm-engines", 0, "initial communication engines (0 = default)")
 	balance := flag.Bool("balance", true, "enable the PI-controller core balancer")
-	cache := flag.Bool("cache-binaries", true, "keep decoded binaries in memory")
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant DRR dispatch weights, e.g. 'alice=2,bob=1' (unlisted tenants get 1)")
 	byteFairness := flag.Bool("byte-fairness", false, "charge DRR dispatch deficits in payload bytes instead of task counts, so large-payload tenants cannot starve interactive ones")
 	autoscale := flag.Bool("autoscale", false, "grow/shrink the compute-engine pool with load (elasticity controller)")
@@ -82,11 +80,9 @@ func main() {
 		log.Fatal(err)
 	}
 	p, err := dandelion.New(dandelion.Options{
-		Backend:        *backend,
 		ComputeEngines: *computeEngines,
 		CommEngines:    *commEngines,
 		Balance:        *balance,
-		CacheBinaries:  *cache,
 		TenantWeights:  weights,
 		ByteFairness:   *byteFairness,
 		Autoscale:      *autoscale,
@@ -157,7 +153,7 @@ func main() {
 		log.Printf("dandelion FAULT INJECTION active: %s", *faultPlan)
 	}
 
-	log.Printf("dandelion worker node on http://%s (backend=%s, autoscale=%v, admin=%v, coordinator=%v, journal=%v)",
-		*addr, *backend, *autoscale, *adminToken != "", *coordinator, *journalDir != "")
+	log.Printf("dandelion worker node on http://%s (autoscale=%v, admin=%v, coordinator=%v, journal=%v)",
+		*addr, *autoscale, *adminToken != "", *coordinator, *journalDir != "")
 	log.Fatal(http.ListenAndServe(*addr, handler))
 }

@@ -45,7 +45,6 @@ import (
 	"dandelion/internal/core"
 	"dandelion/internal/ctlplane"
 	"dandelion/internal/httpfn"
-	"dandelion/internal/isolation"
 	"dandelion/internal/journal"
 	"dandelion/internal/memctx"
 	"dandelion/internal/sched"
@@ -131,14 +130,9 @@ func NewRegion(release func()) *Region { return memctx.NewRegion(release) }
 
 // Options configures a platform node.
 type Options struct {
-	// Backend selects the compute isolation backend: "cheri" (default),
-	// "rwasm", "process", or "kvm".
-	Backend string
 	// ComputeEngines and CommEngines size the initial engine pools.
 	ComputeEngines int
 	CommEngines    int
-	// CacheBinaries keeps decoded function binaries in memory.
-	CacheBinaries bool
 	// Balance enables the PI-controller core re-balancer.
 	Balance bool
 	// Autoscale starts the elasticity controller: the compute-engine
@@ -188,19 +182,12 @@ type Platform struct {
 // New builds a worker node with the HTTP communication function
 // pre-registered.
 func New(opts Options) (*Platform, error) {
-	name := opts.Backend
-	if name == "" {
-		name = "cheri"
-	}
-	backend, err := isolation.New(name)
-	if err != nil {
-		return nil, fmt.Errorf("dandelion: %w", err)
-	}
 	var jrnl journal.Journal
 	if opts.JournalDir != "" {
 		if err := os.MkdirAll(opts.JournalDir, 0o755); err != nil {
 			return nil, fmt.Errorf("dandelion: journal dir: %w", err)
 		}
+		var err error
 		jrnl, err = journal.OpenFile(filepath.Join(opts.JournalDir, "journal.wal"), journal.FileOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("dandelion: %w", err)
@@ -208,10 +195,8 @@ func New(opts Options) (*Platform, error) {
 	}
 	p, err := core.NewPlatform(core.Options{
 		Journal:        jrnl,
-		Backend:        backend,
 		ComputeEngines: opts.ComputeEngines,
 		CommEngines:    opts.CommEngines,
-		CacheBinaries:  opts.CacheBinaries,
 		Balance:        opts.Balance,
 		TenantWeights:  opts.TenantWeights,
 		ByteFairness:   opts.ByteFairness,
@@ -250,9 +235,6 @@ func StorageOp(verb, bucket, key string, payload []byte) []byte {
 func ParseStorageResult(item []byte) (ok bool, payload []byte) {
 	return storagefn.ParseResult(item)
 }
-
-// Backends lists the available isolation backend names.
-func Backends() []string { return isolation.Names() }
 
 // HTTPRequest renders a request item for the HTTP communication
 // function: compute functions emit these to talk to remote services.

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	p, err := dandelion.New(dandelion.Options{Backend: "cheri"})
+	p, err := dandelion.New(dandelion.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

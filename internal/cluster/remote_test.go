@@ -24,7 +24,7 @@ import (
 // composition E registered.
 func newWorker(t *testing.T, adminToken string) (*dandelion.Platform, *httptest.Server) {
 	t.Helper()
-	p, err := dandelion.New(dandelion.Options{CacheBinaries: true})
+	p, err := dandelion.New(dandelion.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

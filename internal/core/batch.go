@@ -3,10 +3,9 @@
 // statement, the compute-function instances of every request in the
 // batch are gathered, split into per-engine chunks, and each chunk runs
 // back-to-back on one compute engine against a single reused memory
-// context and a shared decoded program from the hash-keyed binary cache.
-// Compared with N independent Invoke calls this removes per-instance
-// queue round trips, context allocations, and binary decodes — the hot
-// path the serving harness in internal/loadgen measures.
+// context. Compared with N independent Invoke calls this removes
+// per-instance queue round trips and context allocations — the hot path
+// the serving harness in internal/loadgen measures.
 //
 // Payloads are never copied between statements: a chunk's per-statement
 // output sets are handed off out of the producing context
@@ -21,61 +20,12 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"sync"
 
-	"dandelion/internal/dvm"
 	"dandelion/internal/memctx"
 	"dandelion/internal/sched"
 )
-
-// programCache maps binary content addresses to decoded DVM programs.
-// It generalizes Options.CacheBinaries: the option pins the decoded
-// program to the registered function for the single-invoke path, while
-// the cache itself is keyed by content hash so identical binaries —
-// however many names they are registered under — decode exactly once,
-// and the batch path can reuse programs unconditionally. The hash is
-// computed once, at registration (registeredFunc.progKey); lookups here
-// never re-hash a binary, so the cache costs a map read on the hot
-// path instead of a sha256 over the whole program.
-type programCache struct {
-	mu    sync.RWMutex
-	progs map[[sha256.Size]byte]*dvm.Program
-}
-
-func newProgramCache() *programCache {
-	return &programCache{progs: map[[sha256.Size]byte]*dvm.Program{}}
-}
-
-// getByKey returns the decoded program for the content address key,
-// decoding binary and caching on first sight.
-func (c *programCache) getByKey(key [sha256.Size]byte, binary []byte) (*dvm.Program, error) {
-	c.mu.RLock()
-	p := c.progs[key]
-	c.mu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	p, err := dvm.Decode(binary)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if cached, ok := c.progs[key]; ok {
-		p = cached // a racing decode won; keep one canonical program
-	} else {
-		c.progs[key] = p
-	}
-	c.mu.Unlock()
-	return p, nil
-}
-
-func (c *programCache) size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.progs)
-}
 
 // InvokeBatch runs a batch of composition requests, returning one
 // result per request in request order. Requests naming the same
@@ -214,7 +164,7 @@ func (b *batchState) live() []int {
 // composition under one tenant: one goroutine per statement (shared
 // across the group, honoring DAG dependencies), with compute statements
 // executed through the chunked batch path. Orchestration state — deps,
-// vertices, programs, error labels — comes precompiled from the plan.
+// vertices, error labels — comes precompiled from the plan.
 func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan, inputs []map[string][]memctx.Item, borrows []*memctx.Region) ([]map[string][]memctx.Item, []error) {
 	comp := pl.comp
 	n := len(inputs)
@@ -396,20 +346,6 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		return
 	}
 
-	// The decoded program comes precompiled from the plan (resolved by
-	// content address at registration — no per-statement hashing); only
-	// a plan built before the function registered resolves it here.
-	prepared := sp.batchProg
-	if prepared == nil && v.fn.Binary != nil {
-		prepared, err = p.programs.getByKey(v.fn.progKey, v.fn.Binary)
-		if err != nil {
-			for _, r := range live {
-				bst.fail(r, wrap(err))
-			}
-			return
-		}
-	}
-
 	// Split the work list into contiguous chunks and run each chunk to
 	// completion on a single engine. Solo tenants get one chunk per
 	// compute engine (maximum per-chunk amortization of the reused
@@ -436,7 +372,7 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		task := sched.Task{
 			DoSharded: func(shard int) {
 				defer wg.Done()
-				p.runComputeChunk(v.fn, prepared, seg, shard)
+				p.runComputeChunk(v.fn, seg, shard)
 			},
 			OnReject: func(err error) {
 				for i := range seg {
@@ -563,15 +499,15 @@ func chunkBoundsByBytes(items []batchItem, chunks int, total int64) []int {
 
 // runComputeChunk executes a chunk of same-function instances
 // back-to-back on the calling compute engine, reusing one pooled
-// memory context (Reset between instances, Recycle at the end) and one
-// decoded program. Reuse is safe: each instance's output sets are
+// memory context (Reset between instances, Recycle at the end). Reuse
+// is safe: each instance's output sets are
 // taken out of the context (ownership moved to the dispatcher) before
 // the next instance Resets it, and the payloads are either independent
 // heap buffers or — for borrowed wire memory — leased under a
 // memctx.Region whose owner holds a reference until the results are
 // consumed, so neither Reset nor a later pooled reuse can invalidate
 // them.
-func (p *Platform) runComputeChunk(f *registeredFunc, prepared *dvm.Program, seg []batchItem, shard int) {
+func (p *Platform) runComputeChunk(f *registeredFunc, seg []batchItem, shard int) {
 	ctx, reused := memctx.NewPooled(funcMemBytes(f))
 	sh := p.ctrs.shardAt(shard)
 	if reused {
@@ -583,7 +519,7 @@ func (p *Platform) runComputeChunk(f *registeredFunc, prepared *dvm.Program, seg
 		if i > 0 {
 			ctx.Reset()
 		}
-		seg[i].outs, seg[i].err = p.runComputeIn(ctx, f, prepared, seg[i].inst, seg[i].borrow, sh)
+		seg[i].outs, seg[i].err = p.runComputeIn(ctx, f, seg[i].inst, seg[i].borrow, sh)
 	}
 	memctx.Recycle(ctx)
 }

@@ -226,16 +226,22 @@ composition E(In) => Result {
 }
 
 func TestInvokeBatchDvmSharedProgram(t *testing.T) {
-	// Binary-backed functions: the batch path must reuse the decoded
-	// program from the hash-keyed cache even with CacheBinaries off.
-	p := newPlatform(t, Options{ComputeEngines: 2, CacheBinaries: false})
-	if err := p.RegisterFunction(ComputeFunc{
-		Name:       "Echo",
-		Binary:     dvm.EchoProgram().Encode(),
-		MemBytes:   1 << 16,
-		OutputSets: []string{"Copy"},
-	}); err != nil {
-		t.Fatal(err)
+	// Binary-backed functions: the batch path runs the program decoded
+	// at registration, and two names registered with one binary share
+	// that one program.
+	p := newPlatform(t, Options{ComputeEngines: 2})
+	for _, name := range []string{"Echo", "EchoAgain"} {
+		if err := p.RegisterFunction(ComputeFunc{
+			Name:       name,
+			Binary:     dvm.EchoProgram().Encode(),
+			MemBytes:   1 << 16,
+			OutputSets: []string{"Copy"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.Stats().CachedPrograms; n != 1 {
+		t.Fatalf("CachedPrograms = %d after two registrations of one binary, want 1", n)
 	}
 	if _, err := p.reg.addCompositionText(`
 composition E(In) => Result {

@@ -197,7 +197,7 @@ composition O(In) => Result {
 }
 
 func TestDvmFunctionWithRenaming(t *testing.T) {
-	p := newPlatform(t, Options{CacheBinaries: true})
+	p := newPlatform(t, Options{})
 	err := p.RegisterFunction(ComputeFunc{
 		Name:       "Echo",
 		Binary:     dvm.EchoProgram().Encode(),
@@ -286,18 +286,11 @@ composition U(In) => Result {
 	}
 }
 
-// panicBackend is a sandbox with an interpreter bug: every execution
-// panics on the engine goroutine.
-type panicBackend struct{ isolation.Backend }
-
-func (panicBackend) Execute(isolation.Task) ([]memctx.Set, error) { panic("sandbox bug") }
-
 func TestSandboxPanicConfined(t *testing.T) {
-	cheri, err := isolation.New("cheri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newPlatform(t, Options{Backend: panicBackend{cheri}})
+	p := newPlatform(t, Options{})
+	// A sandbox with an interpreter bug: every execution panics on the
+	// engine goroutine.
+	p.execute = func(isolation.Task) ([]memctx.Set, error) { panic("sandbox bug") }
 	p.RegisterFunction(ComputeFunc{Name: "Echo", Binary: dvm.EchoProgram().Encode(), MemBytes: 64})
 	p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper})
 	p.RegisterCompositionText(`
@@ -307,7 +300,7 @@ composition E(In) => Result {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	_, err = p.Invoke(context.Background(), Request{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("x")}})
+	_, err := p.Invoke(context.Background(), Request{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("x")}})
 	if err == nil || !strings.Contains(err.Error(), "crashed") {
 		t.Fatalf("err = %v, want crash report", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"dandelion/internal/autoscale"
 	"dandelion/internal/controlplane"
 	"dandelion/internal/ctlplane"
-	"dandelion/internal/dvm"
 	"dandelion/internal/engine"
 	"dandelion/internal/graph"
 	"dandelion/internal/isolation"
@@ -47,16 +46,11 @@ func IsTimeout(err error) bool {
 
 // Options configures a Platform.
 type Options struct {
-	// Backend isolates compute functions; nil selects the CHERI-style
-	// backend (the fastest in Table 1).
-	Backend isolation.Backend
 	// ComputeEngines and CommEngines size the initial pools; zero
 	// values default to 2 and 1 (the paper boots with a single I/O
 	// core and grows it on demand).
 	ComputeEngines int
 	CommEngines    int
-	// CacheBinaries keeps decoded programs in memory (§7.4 "cached").
-	CacheBinaries bool
 	// Balance starts the PI-controller core balancer.
 	Balance bool
 	// MaxDepth bounds nested composition recursion (default 16).
@@ -97,10 +91,12 @@ type Options struct {
 // Platform is one Dandelion worker node: registry + dispatcher +
 // engines. It is safe for concurrent use.
 type Platform struct {
-	reg      *registry
-	backend  isolation.Backend
-	opts     Options
-	programs *programCache
+	reg  *registry
+	opts Options
+	// execute runs a dvm program in the sandbox: isolation.Sandbox's
+	// Execute, held as a method value so a test can substitute a
+	// sandbox that panics.
+	execute func(isolation.Task) ([]memctx.Set, error)
 
 	// plans caches precompiled invocation plans by composition name
 	// (see plan.go); entries are invalidated by registry generation.
@@ -157,12 +153,9 @@ type Platform struct {
 
 // NewPlatform builds and starts a worker node.
 func NewPlatform(opts Options) (*Platform, error) {
-	if opts.Backend == nil {
-		b, err := isolation.New("cheri")
-		if err != nil {
-			return nil, err
-		}
-		opts.Backend = b
+	sandbox, err := isolation.New("cheri")
+	if err != nil {
+		return nil, err
 	}
 	if opts.ComputeEngines <= 0 {
 		opts.ComputeEngines = 2
@@ -174,12 +167,11 @@ func NewPlatform(opts Options) (*Platform, error) {
 		opts.MaxDepth = 16
 	}
 	p := &Platform{
-		reg:      newRegistry(),
-		backend:  opts.Backend,
-		opts:     opts,
-		programs: newProgramCache(),
-		ctrs:     newHotCounters(),
-		adm:      autoscale.NewAdmission(autoscale.AdmissionConfig{}),
+		reg:     newRegistry(),
+		opts:    opts,
+		execute: sandbox.Execute,
+		ctrs:    newHotCounters(),
+		adm:     autoscale.NewAdmission(autoscale.AdmissionConfig{}),
 	}
 	p.computePool = engine.NewPool(engine.Compute, engine.NewQueue())
 	p.commPool = engine.NewPool(engine.Communication, engine.NewQueue())
@@ -252,7 +244,7 @@ func (p *Platform) SetTenantWeight(tenant string, w int) {
 
 // RegisterFunction registers a compute function.
 func (p *Platform) RegisterFunction(f ComputeFunc) error {
-	return p.reg.addFunc(f, p.backend, p.opts.CacheBinaries, p.programs)
+	return p.reg.addFunc(f)
 }
 
 // RegisterComm registers a communication function. Only the platform
@@ -289,7 +281,8 @@ type Stats struct {
 	CommittedBytes int64
 	PeakCommitted  int64
 	// ComputeCompleted / CommCompleted are cumulative finished engine
-	// tasks; CachedPrograms is the decoded-binary cache population.
+	// tasks; CachedPrograms is the number of distinct binaries
+	// registration has decoded.
 	ComputeCompleted uint64
 	CommCompleted    uint64
 	CachedPrograms   int
@@ -388,7 +381,7 @@ func (p *Platform) Stats() Stats {
 		PeakCommitted:    p.memPeak.Load(),
 		ComputeCompleted: p.computePool.Completed(),
 		CommCompleted:    p.commPool.Completed(),
-		CachedPrograms:   p.programs.size(),
+		CachedPrograms:   p.reg.programCount(),
 		EngineResizes:    p.EngineResizes(),
 		AutoscaleOn:      p.AutoscaleOn(),
 		Draining:         p.draining.Load(),
@@ -841,8 +834,8 @@ func funcMemBytes(f *registeredFunc) int {
 }
 
 // runCompute prepares an isolated memory context (recycled through the
-// memctx pool), executes the function under the configured backend,
-// harvests outputs, and recycles the context.
+// memctx pool), executes the function, harvests outputs, and recycles
+// the context.
 func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([]memctx.Set, error) {
 	ctx, reused := memctx.NewPooled(funcMemBytes(f))
 	if sh == nil {
@@ -853,7 +846,7 @@ func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([
 	} else {
 		sh.ctxFresh.Add(1)
 	}
-	outs, err := p.runComputeIn(ctx, f, f.prepared, inst, nil, sh)
+	outs, err := p.runComputeIn(ctx, f, inst, nil, sh)
 	// Safe to recycle: the harvested outputs were moved out of the
 	// context, and recycling drops only its descriptors. The payloads
 	// may still alias the inputs, and through them a borrowed wire slab
@@ -865,7 +858,6 @@ func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([
 
 // runComputeIn executes one instance inside the provided context, which
 // the batch path reuses (via Reset) across the instances of a chunk.
-// prepared, when non-nil, skips the per-execution binary decode.
 //
 // Every boundary crossing is an ownership move, never a memcpy: the
 // context adopts the instance's input sets (AdoptInputSetBorrowed), the
@@ -881,7 +873,7 @@ func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([
 // instance belongs to (Request.Borrow): the context retains it until
 // its Reset/Recycle, so the decoder slabs the inputs alias cannot be
 // recycled mid-execution.
-func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, prepared *dvm.Program, inst instance, borrow *memctx.Region, sh *hotShard) (outs []memctx.Set, err error) {
+func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, inst instance, borrow *memctx.Region, sh *hotShard) (outs []memctx.Set, err error) {
 	for _, s := range inst {
 		if err := ctx.AdoptInputSetBorrowed(s, borrow); err != nil {
 			return nil, err
@@ -905,14 +897,12 @@ func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, prepared
 	if f.Go != nil {
 		outs, err = f.Go(ctx.ShareInputSets())
 	} else {
-		task := isolation.Task{
-			Binary:   f.Binary,
-			Prepared: prepared,
+		outs, err = p.execute(isolation.Task{
+			Prepared: f.prog,
 			MemBytes: funcMemBytes(f),
 			Inputs:   ctx.ShareInputSets(),
 			GasLimit: f.GasLimit,
-		}
-		outs, err = p.backend.Execute(task)
+		})
 	}
 	if err != nil {
 		return nil, err

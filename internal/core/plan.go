@@ -2,12 +2,11 @@
 // a composition re-doing work whose answer never changes between
 // registrations: per-statement registry resolution (an RWMutex-guarded
 // map lookup), dependency-edge derivation (two map-building passes),
-// instance-shape analysis of the all/each/key argument modes, and — on
-// the batch path — a sha256 over the function binary to find its
-// decoded program. A compPlan resolves all of that once per
-// (composition, registry generation): the dispatcher's hot loops then
-// run off immutable precomputed state, and the only cross-invoke
-// synchronization left is a lock-free sync.Map load.
+// and instance-shape analysis of the all/each/key argument modes. A
+// compPlan resolves all of that once per (composition, registry
+// generation): the dispatcher's hot loops then run off immutable
+// precomputed state, and the only cross-invoke synchronization left is
+// a lock-free sync.Map load.
 //
 // Plans are invalidated by registry generation, not by hand: any
 // successful registration bumps the generation, and planFor rebuilds a
@@ -21,7 +20,6 @@ package core
 import (
 	"fmt"
 
-	"dandelion/internal/dvm"
 	"dandelion/internal/graph"
 	"dandelion/internal/memctx"
 )
@@ -35,12 +33,6 @@ type stmtPlan struct {
 	// errPrefix is the precomputed wrap prefix for this statement's
 	// failures ("core: <comp>: statement <i> (<func>): ").
 	errPrefix string
-	// batchProg is the decoded program the chunked batch path shares
-	// across a statement's instances (dvm compute functions only). The
-	// single-invoke path keeps honoring Options.CacheBinaries via
-	// registeredFunc.prepared instead, preserving the cached/uncached
-	// ablation semantics.
-	batchProg *dvm.Program
 	// broadcastOnly marks a statement whose arguments are all in `all`
 	// mode: it expands to exactly one instance, so the dispatcher can
 	// skip the general instance-expansion bookkeeping.
@@ -108,20 +100,6 @@ func (p *Platform) buildPlan(comp *graph.Composition, gen uint64) *compPlan {
 			continue
 		}
 		sp.v = v
-		if v.fn != nil {
-			if v.fn.Binary != nil {
-				prog, err := p.programs.getByKey(v.fn.progKey, v.fn.Binary)
-				if err != nil {
-					// Registration already decoded this binary, so a
-					// decode failure here means cache churn; fall back
-					// to per-invoke resolution rather than caching a
-					// broken plan.
-					pl.complete = false
-					continue
-				}
-				sp.batchProg = prog
-			}
-		}
 	}
 	return pl
 }

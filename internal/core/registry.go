@@ -15,7 +15,6 @@ import (
 	"dandelion/internal/dsl"
 	"dandelion/internal/dvm"
 	"dandelion/internal/graph"
-	"dandelion/internal/isolation"
 	"dandelion/internal/memctx"
 )
 
@@ -72,12 +71,10 @@ type ComputeFunc struct {
 
 type registeredFunc struct {
 	ComputeFunc
-	prepared *dvm.Program // in-memory binary cache entry (nil = uncached)
-	// progKey is the binary's content address, computed once here at
-	// registration. Hot-path consumers (the batch program lookup, the
-	// invocation-plan builder) key the program cache by it directly, so
-	// no invoke ever re-hashes a binary.
-	progKey [sha256.Size]byte
+	// prog is the binary's decoded program, pinned here at registration
+	// and shared with every function registered with the same binary.
+	// No invoke decodes or hashes a binary.
+	prog *dvm.Program
 	// outRename maps positional dvm output names (out0, out1, ...) to
 	// the function's declared output-set names, precomputed here so the
 	// per-invoke harvest is a map lookup instead of a fmt.Sprintf scan.
@@ -89,6 +86,10 @@ type registry struct {
 	funcs        map[string]*registeredFunc
 	comms        map[string]CommFunc
 	compositions map[string]*graph.Composition
+	// programs maps binary content addresses (sha256) to decoded
+	// programs, so identical binaries registered under different names
+	// decode once and share one program.
+	programs map[[sha256.Size]byte]*dvm.Program
 	// gen counts successful registrations of any kind. Cached
 	// invocation plans record the generation they were built at and are
 	// rebuilt when it moves, so a plan can never serve a resolution the
@@ -102,10 +103,11 @@ func newRegistry() *registry {
 		funcs:        map[string]*registeredFunc{},
 		comms:        map[string]CommFunc{},
 		compositions: map[string]*graph.Composition{},
+		programs:     map[[sha256.Size]byte]*dvm.Program{},
 	}
 }
 
-func (r *registry) addFunc(f ComputeFunc, backend isolation.Backend, cache bool, programs *programCache) error {
+func (r *registry) addFunc(f ComputeFunc) error {
 	if f.Name == "" {
 		return fmt.Errorf("core: compute function needs a name")
 	}
@@ -128,27 +130,16 @@ func (r *registry) addFunc(f ComputeFunc, backend isolation.Backend, cache bool,
 	}
 	rf := &registeredFunc{ComputeFunc: f}
 	if f.Binary != nil {
-		// Validate at registration through the hash-keyed program cache,
-		// so identical binaries registered under different names share
-		// one decoded program. The content hash is computed exactly once,
-		// here; the hot paths reuse rf.progKey and never re-hash. The
-		// decoded program is pinned to the function (skipping the
-		// per-invocation decode) only when the in-memory binary cache is
-		// enabled; the batch path always consults the key cache
-		// regardless.
-		rf.progKey = sha256.Sum256(f.Binary)
-		p, err := programs.getByKey(rf.progKey, f.Binary)
-		if err != nil {
-			return fmt.Errorf("core: function %q: %w", f.Name, err)
-		}
-		if c, ok := backend.(isolation.Compiler); ok {
-			if err := c.Compile(f.Binary); err != nil {
+		// Decode and validate here, once per distinct binary.
+		key := sha256.Sum256(f.Binary)
+		if r.programs[key] == nil {
+			p, err := dvm.Decode(f.Binary)
+			if err != nil {
 				return fmt.Errorf("core: function %q: %w", f.Name, err)
 			}
+			r.programs[key] = p
 		}
-		if cache {
-			rf.prepared = p
-		}
+		rf.prog = r.programs[key]
 		if len(f.OutputSets) > 0 {
 			rf.outRename = make(map[string]string, len(f.OutputSets))
 			for k, declared := range f.OutputSets {
@@ -206,6 +197,14 @@ func (r *registry) addCompositionText(src string) ([]string, error) {
 		names = append(names, c.Name)
 	}
 	return names, nil
+}
+
+// programCount reports how many distinct binaries registration has
+// decoded (Stats.CachedPrograms).
+func (r *registry) programCount() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.programs)
 }
 
 // generation reports the registry's registration counter; cached

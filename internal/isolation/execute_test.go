@@ -9,8 +9,8 @@ import (
 	"dandelion/internal/memctx"
 )
 
-// echoAt is rpc-small's task: a prepared 64 B echo under the default
-// (cheri) backend with the given declared memory.
+// echoAt is rpc-small's task: a prepared 64 B echo with the given
+// declared memory.
 func echoAt(memBytes int) Task {
 	return Task{
 		Prepared: dvm.EchoProgram(),
@@ -33,14 +33,11 @@ func TestWarmExecuteAllocatesNoMemoryBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")
 	}
-	backend, err := New("cheri")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sandbox(t)
 	for _, memBytes := range []int{4 << 10, memctx.DefaultLimit} {
 		task := echoAt(memBytes)
 		run := func() {
-			if _, err := backend.Execute(task); err != nil {
+			if _, err := s.Execute(task); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -70,14 +67,14 @@ func BenchmarkExecute(b *testing.B) {
 		{"undeclared", memctx.DefaultLimit},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			backend, err := New("cheri")
+			s, err := New("cheri")
 			if err != nil {
 				b.Fatal(err)
 			}
 			task := echoAt(c.memBytes)
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := backend.Execute(task); err != nil {
+				if _, err := s.Execute(task); err != nil {
 					b.Fatal(err)
 				}
 			}

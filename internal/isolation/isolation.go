@@ -1,35 +1,28 @@
-// Package isolation provides Dandelion's four compute-engine sandbox
-// backends (§6.2 of the paper): KVM-style lightweight VMs, ptrace'd
-// processes, CHERI capability threads, and rWasm compile-time isolation.
+// Package isolation is Dandelion's compute sandbox (§6.2 of the
+// paper). A function runs to completion against a bounded memory and
+// its declared inputs, with its system calls trapped and its run
+// preempted by gas; dvm enforces all three in software.
 //
-// On the paper's hardware these backends differ in *mechanism*; to the
-// execution system they are interchangeable implementations of one
-// interface: prepare isolation around a memory context, run the function
-// to completion, harvest outputs. This repository enforces the isolation
-// semantics in software (dvm's memory bounds, syscall trapping, and gas
-// preemption) and attaches to each backend the cold-start cost profile
-// measured in Table 1 so the performance-model layer reproduces the
-// paper's latency structure.
+// The paper builds four backends that differ in mechanism: KVM-style
+// lightweight VMs, ptrace'd processes, CHERI capability threads and
+// rWasm compile-time isolation. Here they are four names for one
+// sandbox, and a name selects only the Table 1 cold-start cost profile
+// that the performance model reads. Serving has one path: the program
+// is decoded once, at registration, and every execution is one dvm.Run
+// over pooled per-call state.
 package isolation
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"dandelion/internal/dvm"
 	"dandelion/internal/memctx"
 )
 
-// Task is one compute-function execution request handed to a backend.
+// Task is one compute-function execution handed to the sandbox.
 type Task struct {
-	// Binary is the registered function binary (dvm encoding). Backends
-	// that compile at registration time (rWasm) ignore it in favour of
-	// Prepared.
-	Binary []byte
-	// Prepared is an optional pre-decoded program (the in-memory binary
-	// cache of §7.4). When nil, the backend decodes Binary on the
-	// critical path, the "load from disk / uncached" configuration.
+	// Prepared is the function's program, decoded once at registration.
 	Prepared *dvm.Program
 	// MemBytes bounds the function's memory region.
 	MemBytes int
@@ -37,16 +30,6 @@ type Task struct {
 	Inputs []memctx.Set
 	// GasLimit preempts runaway functions (0 = default).
 	GasLimit int64
-}
-
-// Backend executes compute functions under one isolation mechanism.
-type Backend interface {
-	// Name identifies the backend ("kvm", "process", "cheri", "rwasm").
-	Name() string
-	// Execute runs the task to completion and returns its output sets.
-	Execute(t Task) ([]memctx.Set, error)
-	// Cost reports the backend's cold-start cost profile.
-	Cost() CostProfile
 }
 
 // CostProfile is the per-phase sandbox creation latency breakdown from
@@ -119,181 +102,55 @@ func scaleProfile(p CostProfile, f float64) CostProfile {
 	}
 }
 
-// ErrUnknownBackend reports a request for an unregistered backend name.
+// ErrUnknownBackend reports a request for a backend name Names does
+// not list.
 var ErrUnknownBackend = errors.New("isolation: unknown backend")
 
-// New constructs a backend by name using the Morello cost profiles
-// ("kvm", "process", "cheri", "rwasm").
-func New(name string) (Backend, error) {
-	switch name {
-	case "kvm":
-		return &kvmBackend{profile: MorelloKVM}, nil
-	case "process":
-		return &processBackend{profile: MorelloProcess}, nil
-	case "cheri":
-		return &cheriBackend{profile: MorelloCheri}, nil
-	case "rwasm":
-		return &rwasmBackend{profile: MorelloRWasm}, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, name)
-}
-
-// Names lists the available backend names.
+// Names lists the backend names, fastest to slowest on Morello.
 func Names() []string { return []string{"cheri", "rwasm", "process", "kvm"} }
 
-// loadProgram resolves the task's program, decoding the binary when no
-// prepared program is supplied (the uncached path).
-func loadProgram(t Task) (*dvm.Program, error) {
-	if t.Prepared != nil {
-		return t.Prepared, nil
-	}
-	return dvm.Decode(t.Binary)
-}
-
-// kvmBackend models the minimal-hypervisor backend: each function runs
-// in its own "guest physical address space" with identity mapping;
-// memory and vCPU state are reset between launches by reusing pooled
-// interpreter state (dvm.Run starts from zeroed registers and memory,
-// re-zeroing what a run touched before reuse, matching the
-// Virtines-style structure reuse).
-type kvmBackend struct {
+// Sandbox executes compute functions. Every backend name executes the
+// same way; a name selects only the cost profile the model reads.
+type Sandbox struct {
+	name    string
 	profile CostProfile
 }
 
-func (b *kvmBackend) Name() string      { return "kvm" }
-func (b *kvmBackend) Cost() CostProfile { return b.profile }
-
-func (b *kvmBackend) Execute(t Task) ([]memctx.Set, error) {
-	p, err := loadProgram(t)
-	if err != nil {
-		return nil, err
+// New returns the sandbox for a backend name, with its Morello cost
+// profile.
+func New(name string) (*Sandbox, error) {
+	var p CostProfile
+	switch name {
+	case "cheri":
+		p = MorelloCheri
+	case "rwasm":
+		p = MorelloRWasm
+	case "process":
+		p = MorelloProcess
+	case "kvm":
+		p = MorelloKVM
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, name)
 	}
-	res, err := dvm.Run(p, t.MemBytes, t.Inputs, t.GasLimit)
-	if err != nil {
-		return nil, fmt.Errorf("kvm: vmexit with fault: %w", err)
-	}
-	return res.Outputs, nil
+	return &Sandbox{name: name, profile: p}, nil
 }
 
-// processBackend models ptrace'd process isolation: the function runs in
-// a separate goroutine ("process") communicating only through the task's
-// declared inputs and outputs; any panic in user code is confined to
-// that goroutine and surfaces as a function failure, like a crashed
-// child process.
-type processBackend struct {
-	profile CostProfile
-}
+// Name reports the backend name the sandbox was built with.
+func (s *Sandbox) Name() string { return s.name }
 
-func (b *processBackend) Name() string      { return "process" }
-func (b *processBackend) Cost() CostProfile { return b.profile }
+// Cost reports the backend's cold-start cost profile (Table 1).
+func (s *Sandbox) Cost() CostProfile { return s.profile }
 
-func (b *processBackend) Execute(t Task) ([]memctx.Set, error) {
-	p, err := loadProgram(t)
-	if err != nil {
-		return nil, err
-	}
-	type outcome struct {
-		res *dvm.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("process: function crashed: %v", r)}
-			}
-		}()
-		res, err := dvm.Run(p, t.MemBytes, t.Inputs, t.GasLimit)
-		ch <- outcome{res: res, err: err}
-	}()
-	o := <-ch
-	if o.err != nil {
-		if errors.Is(o.err, dvm.ErrSyscallAttempt) {
-			// ptrace caught the syscall: terminate and notify (§6.2).
-			return nil, fmt.Errorf("process: terminated by ptrace: %w", o.err)
-		}
-		return nil, fmt.Errorf("process: %w", o.err)
-	}
-	return o.res.Outputs, nil
-}
-
-// cheriBackend models CHERI hybrid-mode capability isolation: functions
-// run as threads within the Dandelion process; the "default data
-// capability" is the bounds-checked function memory dvm enforces. No
-// new thread of execution is spawned on the critical path.
-type cheriBackend struct {
-	profile CostProfile
-}
-
-func (b *cheriBackend) Name() string      { return "cheri" }
-func (b *cheriBackend) Cost() CostProfile { return b.profile }
-
-func (b *cheriBackend) Execute(t Task) ([]memctx.Set, error) {
-	p, err := loadProgram(t)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dvm.Run(p, t.MemBytes, t.Inputs, t.GasLimit)
+// Execute runs the task's program to completion and returns its output
+// sets. The function sees only its memory, bounded at MemBytes and
+// drawn from dvm's pools, and its declared inputs; any fault — an
+// access out of bounds, a system call, exhausted gas — fails the task.
+// Faults read as CHERI capability faults, whatever the name: the
+// bounds-checked memory dvm enforces plays the default data capability.
+func (s *Sandbox) Execute(t Task) ([]memctx.Set, error) {
+	res, err := dvm.Run(t.Prepared, t.MemBytes, t.Inputs, t.GasLimit)
 	if err != nil {
 		return nil, fmt.Errorf("cheri: capability fault: %w", err)
 	}
 	return res.Outputs, nil
-}
-
-// rwasmBackend models compile-time software isolation: binaries are
-// transpiled and validated once at registration (Compile), and Execute
-// refuses binaries that have not gone through that step — mirroring how
-// the real backend only loads pre-compiled shared libraries.
-type rwasmBackend struct {
-	profile CostProfile
-
-	mu       sync.Mutex
-	compiled map[string]*dvm.Program
-}
-
-func (b *rwasmBackend) Name() string      { return "rwasm" }
-func (b *rwasmBackend) Cost() CostProfile { return b.profile }
-
-// ErrNotCompiled reports an rWasm execution of an unregistered binary.
-var ErrNotCompiled = errors.New("rwasm: binary was not compiled at registration time")
-
-// Compile transpiles and validates a binary, caching the result. It
-// stands in for the Wasm → safe Rust → shared library pipeline.
-func (b *rwasmBackend) Compile(binary []byte) error {
-	p, err := dvm.Decode(binary)
-	if err != nil {
-		return fmt.Errorf("rwasm: transpile failed: %w", err)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.compiled == nil {
-		b.compiled = map[string]*dvm.Program{}
-	}
-	b.compiled[string(binary)] = p
-	return nil
-}
-
-func (b *rwasmBackend) Execute(t Task) ([]memctx.Set, error) {
-	var p *dvm.Program
-	if t.Prepared != nil {
-		p = t.Prepared
-	} else {
-		b.mu.Lock()
-		p = b.compiled[string(t.Binary)]
-		b.mu.Unlock()
-		if p == nil {
-			return nil, ErrNotCompiled
-		}
-	}
-	res, err := dvm.Run(p, t.MemBytes, t.Inputs, t.GasLimit)
-	if err != nil {
-		return nil, fmt.Errorf("rwasm: %w", err)
-	}
-	return res.Outputs, nil
-}
-
-// Compiler is implemented by backends that require registration-time
-// compilation.
-type Compiler interface {
-	Compile(binary []byte) error
 }

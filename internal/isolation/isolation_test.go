@@ -3,92 +3,88 @@ package isolation
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dandelion/internal/dvm"
 	"dandelion/internal/memctx"
 )
 
-func echoTask(t *testing.T, prepared bool) Task {
+// sandbox returns the default sandbox.
+func sandbox(t *testing.T) *Sandbox {
 	t.Helper()
-	p := dvm.EchoProgram()
-	task := Task{
-		Binary:   p.Encode(),
+	s, err := New("cheri")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func echoTask(p *dvm.Program) Task {
+	return Task{
+		Prepared: p,
 		MemBytes: 4096,
 		Inputs: []memctx.Set{{Name: "in", Items: []memctx.Item{
 			{Name: "x", Data: []byte("payload")},
 		}}},
 	}
-	if prepared {
-		task.Prepared = p
-	}
-	return task
-}
-
-func allBackends(t *testing.T) []Backend {
-	t.Helper()
-	var out []Backend
-	for _, n := range Names() {
-		b, err := New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b)
-	}
-	return out
 }
 
 func TestNewUnknown(t *testing.T) {
 	if _, err := New("firecracker"); !errors.Is(err, ErrUnknownBackend) {
 		t.Fatalf("err = %v, want ErrUnknownBackend", err)
 	}
+	for _, n := range Names() {
+		if s, err := New(n); err != nil || s.Name() != n {
+			t.Fatalf("New(%q) = %v, %v", n, s, err)
+		}
+	}
 }
 
+// Every backend name is the same sandbox, so one run of each case
+// covers them all.
+
+// TestAllBackendsExecuteEcho runs echo from its encoded binary, decoded
+// as registration decodes it.
 func TestAllBackendsExecuteEcho(t *testing.T) {
-	for _, b := range allBackends(t) {
-		task := echoTask(t, false)
-		if c, ok := b.(Compiler); ok {
-			if err := c.Compile(task.Binary); err != nil {
-				t.Fatalf("%s: compile: %v", b.Name(), err)
-			}
-		}
-		out, err := b.Execute(task)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		if len(out) != 1 || string(out[0].Items[0].Data) != "payload" {
-			t.Fatalf("%s: output = %+v", b.Name(), out)
-		}
+	p, err := dvm.Decode(dvm.EchoProgram().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sandbox(t).Execute(echoTask(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || string(out[0].Items[0].Data) != "payload" {
+		t.Fatalf("output = %+v", out)
 	}
 }
 
 func TestAllBackendsPreparedPath(t *testing.T) {
-	for _, b := range allBackends(t) {
-		out, err := b.Execute(echoTask(t, true))
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		if string(out[0].Items[0].Data) != "payload" {
-			t.Fatalf("%s: bad output", b.Name())
-		}
+	out, err := sandbox(t).Execute(echoTask(dvm.EchoProgram()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out[0].Items[0].Data) != "payload" {
+		t.Fatal("bad output")
 	}
 }
 
+// faultPrefix is the text every sandbox fault starts with; clients see
+// it in the error body of a failed invocation.
+const faultPrefix = "cheri: capability fault: "
+
 func TestSyscallTrappedEverywhere(t *testing.T) {
-	for _, b := range allBackends(t) {
-		task := Task{Prepared: dvm.SyscallProgram(), MemBytes: 64}
-		if _, err := b.Execute(task); !errors.Is(err, dvm.ErrSyscallAttempt) {
-			t.Errorf("%s: err = %v, want syscall trap", b.Name(), err)
-		}
+	_, err := sandbox(t).Execute(Task{Prepared: dvm.SyscallProgram(), MemBytes: 64})
+	if !errors.Is(err, dvm.ErrSyscallAttempt) || !strings.HasPrefix(err.Error(), faultPrefix) {
+		t.Errorf("err = %v, want a syscall trap", err)
 	}
 }
 
 func TestGasPreemption(t *testing.T) {
-	for _, b := range allBackends(t) {
-		task := Task{Prepared: dvm.SpinProgram(), MemBytes: 64, GasLimit: 500}
-		if _, err := b.Execute(task); !errors.Is(err, dvm.ErrGasExhausted) {
-			t.Errorf("%s: err = %v, want gas exhaustion", b.Name(), err)
-		}
+	_, err := sandbox(t).Execute(Task{Prepared: dvm.SpinProgram(), MemBytes: 64, GasLimit: 500})
+	if !errors.Is(err, dvm.ErrGasExhausted) || !strings.HasPrefix(err.Error(), faultPrefix) {
+		t.Errorf("err = %v, want gas exhaustion", err)
 	}
 }
 
@@ -97,37 +93,9 @@ func TestMemoryFaultSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range allBackends(t) {
-		task := Task{Prepared: p, MemBytes: 64}
-		if _, err := b.Execute(task); !errors.Is(err, dvm.ErrMemFault) {
-			t.Errorf("%s: err = %v, want memory fault", b.Name(), err)
-		}
-	}
-}
-
-func TestUncachedDecodeRejectsGarbage(t *testing.T) {
-	for _, name := range []string{"kvm", "process", "cheri"} {
-		b, _ := New(name)
-		if _, err := b.Execute(Task{Binary: []byte("garbage"), MemBytes: 64}); err == nil {
-			t.Errorf("%s: garbage binary accepted", name)
-		}
-	}
-}
-
-func TestRWasmRequiresCompilation(t *testing.T) {
-	b, _ := New("rwasm")
-	task := echoTask(t, false)
-	if _, err := b.Execute(task); !errors.Is(err, ErrNotCompiled) {
-		t.Fatalf("err = %v, want ErrNotCompiled", err)
-	}
-	if err := b.(Compiler).Compile(task.Binary); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Execute(task); err != nil {
-		t.Fatalf("after compile: %v", err)
-	}
-	if err := b.(Compiler).Compile([]byte("junk")); err == nil {
-		t.Fatal("rwasm compiled garbage")
+	_, err = sandbox(t).Execute(Task{Prepared: p, MemBytes: 64})
+	if !errors.Is(err, dvm.ErrMemFault) || !strings.HasPrefix(err.Error(), faultPrefix) {
+		t.Errorf("err = %v, want memory fault", err)
 	}
 }
 
@@ -184,35 +152,15 @@ func TestBackendOrderFastestToSlowest(t *testing.T) {
 }
 
 func TestComputeFactorOnlyRWasmSlower(t *testing.T) {
-	for _, b := range allBackends(t) {
+	for _, n := range Names() {
+		b, _ := New(n)
 		f := b.Cost().ComputeFactor
-		if b.Name() == "rwasm" {
+		if n == "rwasm" {
 			if f <= 1 {
 				t.Errorf("rwasm compute factor = %v, want > 1", f)
 			}
 		} else if f != 1 {
-			t.Errorf("%s compute factor = %v, want 1", b.Name(), f)
-		}
-	}
-}
-
-func TestProcessBackendConfinesPanic(t *testing.T) {
-	// A nil Prepared with a nil Binary makes dvm.Decode fail — but a
-	// panic inside user code must not take down the engine. Build a task
-	// whose program is valid but provokes an interpreter-level error
-	// surfaced as an error, then assert the goroutine boundary works by
-	// running many executions concurrently.
-	b, _ := New("process")
-	done := make(chan bool, 16)
-	for i := 0; i < 16; i++ {
-		go func() {
-			_, err := b.Execute(Task{Prepared: dvm.SyscallProgram(), MemBytes: 64})
-			done <- err != nil
-		}()
-	}
-	for i := 0; i < 16; i++ {
-		if !<-done {
-			t.Fatal("expected failures")
+			t.Errorf("%s compute factor = %v, want 1", n, f)
 		}
 	}
 }

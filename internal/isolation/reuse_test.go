@@ -128,21 +128,16 @@ func TestRunNeverReadsPreviousRunsBytes(t *testing.T) {
 	for _, limit := range reuseLimits {
 		readers[limit] = reader(t, limit)
 	}
-	tenants := []struct {
-		word     uint64
-		backends []string
-	}{
-		{0xa5a5a5a5a5a5a5a5, []string{"cheri", "process"}},
-		{0x5b5b5b5b5b5b5b5b, []string{"kvm", "rwasm"}},
-	}
+	tenants := []uint64{0xa5a5a5a5a5a5a5a5, 0x5b5b5b5b5b5b5b5b}
+	s := sandbox(t)
 	type writerTask struct {
 		name string
 		task Task
 		want error
 	}
 	var wg sync.WaitGroup
-	for _, tn := range tenants {
-		mark := string(bytes.Repeat([]byte{byte(tn.word)}, markLen))
+	for ti, word := range tenants {
+		mark := string(bytes.Repeat([]byte{byte(word)}, markLen))
 		inputs := []memctx.Set{{Name: mark, Items: []memctx.Item{{Name: mark, Data: []byte(mark)}}}}
 		var writers []writerTask
 		for path := range writePaths {
@@ -150,29 +145,26 @@ func TestRunNeverReadsPreviousRunsBytes(t *testing.T) {
 				for _, limit := range reuseLimits {
 					writers = append(writers, writerTask{
 						name: fmt.Sprintf("%s/%s/%d", path, end, limit),
-						task: Task{Prepared: writer(t, path, limit, tn.word, end), MemBytes: limit, Inputs: inputs, GasLimit: 10000},
+						task: Task{Prepared: writer(t, path, limit, word, end), MemBytes: limit, Inputs: inputs, GasLimit: 10000},
 						want: e.want,
 					})
 				}
 			}
 		}
-		for _, name := range tn.backends {
-			b, err := New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// One goroutine per backend: the engines of two tenants
-			// drawing on the same pools at once.
+		// Two goroutines per tenant: the engines of two tenants drawing
+		// on the same pools at once.
+		for g := 0; g < 2; g++ {
+			name := fmt.Sprintf("tenant %d goroutine %d", ti, g)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for _, w := range writers {
-					if _, err := b.Execute(w.task); !errors.Is(err, w.want) {
+					if _, err := s.Execute(w.task); !errors.Is(err, w.want) {
 						t.Errorf("%s writer %s: err = %v, want %v", name, w.name, err, w.want)
 						return
 					}
 					for _, rl := range reuseLimits {
-						out, err := b.Execute(Task{Prepared: readers[rl], MemBytes: rl})
+						out, err := s.Execute(Task{Prepared: readers[rl], MemBytes: rl})
 						if err != nil {
 							t.Errorf("%s reader %d: %v", name, rl, err)
 							return
