@@ -500,13 +500,12 @@ func chunkBoundsByBytes(items []batchItem, chunks int, total int64) []int {
 // runComputeChunk executes a chunk of same-function instances
 // back-to-back on the calling compute engine, reusing one pooled
 // memory context (Reset between instances, Recycle at the end). Reuse
-// is safe: each instance's output sets are
-// taken out of the context (ownership moved to the dispatcher) before
-// the next instance Resets it, and the payloads are either independent
-// heap buffers or — for borrowed wire memory — leased under a
-// memctx.Region whose owner holds a reference until the results are
-// consumed, so neither Reset nor a later pooled reuse can invalidate
-// them.
+// is safe: each instance's output sets are taken out of the context
+// (ownership moved to the dispatcher) before the next instance Resets
+// it, and the payloads are either independent heap buffers or — for
+// borrowed wire memory — leased under a memctx.Region whose owner holds
+// a reference until the results are consumed, so neither Reset nor a
+// later pooled reuse can invalidate them.
 func (p *Platform) runComputeChunk(f *registeredFunc, seg []batchItem, shard int) {
 	ctx, reused := memctx.NewPooled(funcMemBytes(f))
 	sh := p.ctrs.shardAt(shard)

@@ -41,10 +41,8 @@ func TestNewUnknown(t *testing.T) {
 	}
 }
 
-// Every backend name is the same sandbox, so one run of each case
-// covers them all.
-
-// TestAllBackendsExecuteEcho runs echo from its encoded binary, decoded
+// Every backend name is the same sandbox, so one run of each case below
+// covers them all. This one runs echo from its encoded binary, decoded
 // as registration decodes it.
 func TestAllBackendsExecuteEcho(t *testing.T) {
 	p, err := dvm.Decode(dvm.EchoProgram().Encode())
