@@ -196,6 +196,45 @@ composition O(In) => Result {
 	}
 }
 
+// TestOptionalEmptySplitArg: an optional `each` or `key` argument whose
+// value is empty does not suppress execution and does not count toward
+// the fan-out; every instance receives it as an empty set. It used to
+// index past the end of its group list and crash the process.
+func TestOptionalEmptySplitArg(t *testing.T) {
+	p := newPlatform(t, Options{})
+	p.RegisterFunction(ComputeFunc{Name: "Empty", Go: func(in []memctx.Set) ([]memctx.Set, error) {
+		return []memctx.Set{{Name: "Out"}}, nil
+	}})
+	p.RegisterFunction(ComputeFunc{Name: "Join", Go: concat})
+	if _, err := p.RegisterCompositionText(`
+composition OE(In) => Result {
+    Empty(x = all In) => (maybe = Out);
+    Join(a = each In, b = optional each maybe) => (Result = Out);
+}
+composition OK(In) => Result {
+    Empty(x = all In) => (maybe = Out);
+    Join(a = each In, b = optional key maybe) => (Result = Out);
+}`); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"OE", "OK"} {
+		req := Request{Composition: name, Inputs: map[string][]memctx.Item{"In": items("x", "y")}}
+		out, err := p.Invoke(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res := p.InvokeBatch(context.Background(), []Request{req})[0]
+		if res.Err != nil {
+			t.Fatalf("%s batch: %v", name, res.Err)
+		}
+		for _, got := range [][]memctx.Item{out["Result"], res.Outputs["Result"]} {
+			if len(got) != 2 || string(got[0].Data) != "x" || string(got[1].Data) != "y" {
+				t.Fatalf("%s: result = %+v, want one instance per In item", name, got)
+			}
+		}
+	}
+}
+
 func TestDvmFunctionWithRenaming(t *testing.T) {
 	p := newPlatform(t, Options{})
 	err := p.RegisterFunction(ComputeFunc{
