@@ -766,6 +766,10 @@ func expandInstances(args []graph.Arg, items [][]memctx.Item) ([]instance, error
 		default:
 			return nil, fmt.Errorf("core: unknown distribution mode %v", a.Mode)
 		}
+		if len(split[ai].groups) == 0 {
+			// An empty optional split argument broadcasts its empty set.
+			split[ai].groups = [][]memctx.Item{nil}
+		}
 		if g := len(split[ai].groups); g > 1 {
 			if n > 1 && g != n {
 				return nil, fmt.Errorf("%w: %d vs %d", ErrInstanceFanout, n, g)
