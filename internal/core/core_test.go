@@ -8,11 +8,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dandelion/internal/dvm"
 	"dandelion/internal/graph"
 	"dandelion/internal/isolation"
 	"dandelion/internal/memctx"
+	"dandelion/internal/sched"
 )
 
 func newPlatform(t *testing.T, opts Options) *Platform {
@@ -628,6 +630,48 @@ composition D(In) => Result {
 	}
 	if string(out["Result"][0].Data) != "MIXED|mixed" {
 		t.Fatalf("result = %q", out["Result"][0].Data)
+	}
+}
+
+// TestShutdownAnswersEveryInvoke: invocations in flight when the
+// platform shuts down each return — with their outputs, or with the
+// scheduler's closed error — and none waits forever on a task stranded
+// in an engine queue.
+func TestShutdownAnswersEveryInvoke(t *testing.T) {
+	p, err := NewPlatform(Options{ComputeEngines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RegisterFunction(ComputeFunc{Name: "Slow", Go: func(in []memctx.Set) ([]memctx.Set, error) {
+		time.Sleep(50 * time.Millisecond)
+		return upper(in)
+	}})
+	if _, err := p.RegisterCompositionText(`
+composition S(In) => Result {
+    Slow(x = all In) => (Result = Out);
+}`); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := p.Invoke(context.Background(), Request{Composition: "S", Inputs: map[string][]memctx.Item{"In": items("x")}})
+			done <- err
+		}()
+	}
+	time.Sleep(10 * time.Millisecond)
+	p.Shutdown()
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-done:
+			if err != nil && !errors.Is(err, sched.ErrClosed) {
+				t.Fatalf("invoke %d: err = %v, want nil or sched.ErrClosed", i, err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d invokes never returned after Shutdown", n-i, n)
+		}
 	}
 }
 

@@ -213,6 +213,34 @@ func TestShrinkDoesNotLoseQueuedTasks(t *testing.T) {
 	}
 }
 
+// TestShutdownDrainsQueuedTasks: Shutdown closes the queue, and the
+// engines run what was already in it before they exit. A task pushed
+// before Shutdown is never silently dropped — its caller may be waiting
+// on it.
+func TestShutdownDrainsQueuedTasks(t *testing.T) {
+	for _, kind := range []Kind{Compute, Communication} {
+		q := NewQueue()
+		p := NewPool(kind, q)
+		p.SetCommConcurrency(1)
+		p.SetCount(1)
+		var n atomic.Int64
+		for i := 0; i < 4; i++ {
+			q.Push(Task{Do: func() {
+				time.Sleep(10 * time.Millisecond)
+				n.Add(1)
+			}})
+		}
+		time.Sleep(5 * time.Millisecond) // the first task is running
+		p.Shutdown()
+		if got := n.Load(); got != 4 {
+			t.Fatalf("%v: Shutdown returned after %d of 4 queued tasks ran", kind, got)
+		}
+		if err := q.Push(Task{Do: func() {}}); !errors.Is(err, ErrQueueClosed) {
+			t.Fatalf("%v: Push after Shutdown = %v, want ErrQueueClosed", kind, err)
+		}
+	}
+}
+
 func TestZeroEnginesQueueGrows(t *testing.T) {
 	q := NewQueue()
 	p := NewPool(Compute, q)
