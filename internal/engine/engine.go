@@ -204,16 +204,13 @@ func (p *Pool) execute(t Task, shard int) {
 	}
 }
 
-// Shutdown stops all engines and waits for in-flight work to finish.
-// The queue is closed; pending tasks are dropped once workers exit.
+// Shutdown closes the queue and waits for the engines to run every task
+// already in it and exit. No stop flag is raised: a task admitted before
+// Shutdown has a caller waiting on it, so it runs rather than vanishes.
 func (p *Pool) Shutdown() {
 	p.queue.Close()
 	p.mu.Lock()
-	for _, w := range p.workers {
-		w.stop.Store(true)
-	}
 	p.workers = nil
 	p.mu.Unlock()
-	p.queue.wakeAll()
 	p.wg.Wait()
 }
