@@ -29,12 +29,12 @@ import (
 
 // InvokeBatch runs a batch of composition requests, returning one
 // result per request in request order. Requests naming the same
-// composition under the same tenant execute together through the
-// batched dispatch path; distinct groups proceed concurrently, each
-// scheduled in its tenant's DRR share. The context's deadline rides on
-// every chunk dispatch (expired chunks are dropped unexecuted by the
-// scheduling plane), cancellation stops new statements, and
-// deadline-class per-request failures tick Stats.TimedOut.
+// composition under the same tenant execute together; distinct groups
+// proceed concurrently, each scheduled in its tenant's DRR share. The
+// context's deadline rides on every dispatch (expired work is dropped
+// unexecuted by the scheduling plane), cancellation stops new
+// statements, and deadline-class per-request failures tick
+// Stats.TimedOut.
 func (p *Platform) InvokeBatch(ctx context.Context, reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	if len(reqs) == 0 {
@@ -47,62 +47,89 @@ func (p *Platform) InvokeBatch(ctx context.Context, reqs []Request) []Result {
 		return results
 	}
 	p.ctrs.shard().batches.Add(1)
+	p.dispatch(ctx, reqs, results)
+	return results
+}
 
+// dispatch runs reqs into results: the one executor behind Invoke and
+// InvokeBatch.
+func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Result) {
 	// Resolve keyed requests against the dedup table first: duplicates
 	// are answered in place (kb.skip masks them out of execution),
-	// fresh keys are reserved and journaled. Unkeyed batches (kb ==
+	// fresh keys are reserved and journaled. Unkeyed requests (kb ==
 	// nil) pay nothing here.
 	kb := p.beginKeyedBatch(reqs, results)
 
 	// Group request indices by (composition, tenant), preserving
-	// first-seen order. Tenant is part of the key so one group's chunk
-	// tasks are attributable to exactly one tenant's dispatch share.
-	type groupKey struct{ comp, tenant string }
-	groups := map[groupKey][]int{}
-	var order []groupKey
+	// first-seen order. Tenant is part of the key so one group's tasks
+	// are attributable to exactly one tenant's dispatch share.
+	type group struct {
+		comp, tenant string
+		pl           *compPlan
+		idxs         []int
+	}
+	var groups []group
 	for i, r := range reqs {
 		if kb != nil && kb.skip[i] {
 			continue
 		}
-		key := groupKey{comp: r.Composition, tenant: tenantOrDefault(r.Tenant)}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
+		tenant := tenantOrDefault(r.Tenant)
+		g := 0
+		for g < len(groups) && (groups[g].comp != r.Composition || groups[g].tenant != tenant) {
+			g++
 		}
-		groups[key] = append(groups[key], i)
+		if g == len(groups) {
+			groups = append(groups, group{comp: r.Composition, tenant: tenant})
+		}
+		groups[g].idxs = append(groups[g].idxs, i)
 	}
-
-	var wg sync.WaitGroup
-	for _, key := range order {
-		idxs := groups[key]
-		comp, err := p.reg.composition(key.comp)
+	runnable := groups[:0]
+	for _, g := range groups {
+		comp, err := p.reg.composition(g.comp)
 		if err != nil {
-			for _, i := range idxs {
+			for _, i := range g.idxs {
 				results[i].Err = err
 			}
 			continue
 		}
-		p.ctrs.shard().invocations.Add(uint64(len(idxs)))
+		p.ctrs.shard().invocations.Add(uint64(len(g.idxs)))
+		g.pl = p.planFor(comp)
+		runnable = append(runnable, g)
+	}
+
+	run := func(g group) {
+		inputs := make([]map[string][]memctx.Item, len(g.idxs))
+		var borrows []*memctx.Region
+		for k, i := range g.idxs {
+			inputs[k] = reqs[i].Inputs
+			if reqs[i].Borrow != nil && borrows == nil {
+				borrows = make([]*memctx.Region, len(g.idxs))
+			}
+		}
+		if borrows != nil {
+			for k, i := range g.idxs {
+				borrows[k] = reqs[i].Borrow
+			}
+		}
+		outs, errs := p.invokeBatch(ctx, g.tenant, g.pl, inputs, borrows, 0)
+		for k, i := range g.idxs {
+			results[i].Outputs, results[i].Err = outs[k], errs[k]
+		}
+	}
+	// Every group but the last runs on its own goroutine; the last runs
+	// on the caller's, so a batch of one group — every Invoke — starts
+	// no goroutine here.
+	var wg sync.WaitGroup
+	for k := range runnable {
+		if k == len(runnable)-1 {
+			run(runnable[k])
+			break
+		}
 		wg.Add(1)
-		go func(tenant string, pl *compPlan, idxs []int) {
+		go func(g group) {
 			defer wg.Done()
-			inputs := make([]map[string][]memctx.Item, len(idxs))
-			var borrows []*memctx.Region
-			for k, i := range idxs {
-				inputs[k] = reqs[i].Inputs
-				if reqs[i].Borrow != nil && borrows == nil {
-					borrows = make([]*memctx.Region, len(idxs))
-				}
-			}
-			if borrows != nil {
-				for k, i := range idxs {
-					borrows[k] = reqs[i].Borrow
-				}
-			}
-			outs, errs := p.invokeBatch(ctx, tenant, pl, inputs, borrows)
-			for k, i := range idxs {
-				results[i].Outputs, results[i].Err = outs[k], errs[k]
-			}
-		}(key.tenant, p.planFor(comp), idxs)
+			run(g)
+		}(runnable[k])
 	}
 	wg.Wait()
 	if kb != nil {
@@ -111,7 +138,6 @@ func (p *Platform) InvokeBatch(ctx context.Context, reqs []Request) []Result {
 	for i := range results {
 		p.noteTimeout(results[i].Err)
 	}
-	return results
 }
 
 // batchState tracks the per-request dataflow of one composition group.
@@ -160,15 +186,22 @@ func (b *batchState) live() []int {
 	return out
 }
 
-// invokeBatch mirrors invoke for a group of requests running the same
-// composition under one tenant: one goroutine per statement (shared
-// across the group, honoring DAG dependencies), with compute statements
-// executed through the chunked batch path. Orchestration state — deps,
-// vertices, error labels — comes precompiled from the plan.
-func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan, inputs []map[string][]memctx.Item, borrows []*memctx.Region) ([]map[string][]memctx.Item, []error) {
+// invokeBatch runs a group of requests through one composition under
+// one tenant at nesting depth depth: one goroutine per statement,
+// shared across the group and honoring DAG dependencies. Orchestration
+// state — deps, vertices, error labels — comes precompiled from the
+// plan.
+func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan, inputs []map[string][]memctx.Item, borrows []*memctx.Region, depth int) ([]map[string][]memctx.Item, []error) {
 	comp := pl.comp
 	n := len(inputs)
 	st := &batchState{stores: make([]*valueStore, n), borrows: borrows, errs: make([]error, n)}
+	if depth >= p.opts.MaxDepth {
+		err := fmt.Errorf("%w (%d)", ErrTooDeep, p.opts.MaxDepth)
+		for r := range st.errs {
+			st.errs[r] = err
+		}
+		return make([]map[string][]memctx.Item, n), st.errs
+	}
 	defer func() {
 		for _, s := range st.stores {
 			putValueStore(s)
@@ -200,7 +233,7 @@ func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan,
 			for _, d := range pl.deps[i] {
 				<-done[d]
 			}
-			p.runStatementBatch(ctx, tenant, pl, i, st)
+			p.runStatementBatch(ctx, tenant, pl, i, st, depth)
 		}()
 	}
 	wg.Wait()
@@ -251,10 +284,12 @@ var batchItemsPool = sync.Pool{New: func() any { return new([]batchItem) }}
 const maxPooledBatchItems = 4096
 
 // runStatementBatch executes one statement for every live request in
-// the group. Compute functions take the chunked batch path; everything
-// else (communication functions, nested compositions) falls back to the
-// per-request dispatcher logic.
-func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *compPlan, si int, bst *batchState) {
+// the group. It gathers every live request's instances into one flat
+// work list and runs the list by vertex kind: compute instances in
+// per-engine chunks, communication instances one task each on the
+// communication engines, and nested-composition instances as one group
+// one level deeper.
+func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *compPlan, si int, bst *batchState, depth int) {
 	sp := &pl.stmts[si]
 	st := *sp.st
 	live := bst.live()
@@ -275,32 +310,10 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		}
 		return
 	}
-	deadline, _ := ctx.Deadline()
 
-	if v.fn == nil {
-		// Communication function or nested composition: reuse the
-		// per-request statement path (comm instances still flow through
-		// the communication engines' queue; nested compositions
-		// orchestrate inline on dispatcher goroutines).
-		var wg sync.WaitGroup
-		for _, r := range live {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := p.runStatement(ctx, tenant, sp, bst.stores[r], 0); err != nil {
-					bst.fail(r, wrap(err))
-				}
-			}()
-		}
-		wg.Wait()
-		return
-	}
-
-	// Compute path: gather every live request's instances into one flat
-	// work list (recycled through batchItemsPool). The gather aliases the
-	// store's items; the instances adopt the producer's handed-off
-	// buffers.
+	// The work list is recycled through batchItemsPool. The gather
+	// aliases the store's items; the instances adopt the producer's
+	// handed-off buffers.
 	itemsBuf := batchItemsPool.Get().(*[]batchItem)
 	items := (*itemsBuf)[:0]
 	defer func() {
@@ -314,6 +327,8 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 	perReq := map[int][]int{}
 	var totalBytes int64
 	for _, r := range live {
+		// §4.4: any non-optional input set with zero items suppresses
+		// execution, defining empty outputs.
 		argItems := make([][]memctx.Item, len(st.Args))
 		skip := false
 		for ai, a := range st.Args {
@@ -346,54 +361,17 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		return
 	}
 
-	// Split the work list into contiguous chunks and run each chunk to
-	// completion on a single engine. Solo tenants get one chunk per
-	// compute engine (maximum per-chunk amortization of the reused
-	// context); a tenant contending for the engines gets chunks sized
-	// down by its DRR share, so the scheduler can interleave other
-	// tenants' work between its chunks and dispatch-wait tails tighten.
-	// Both the chunk count and the split boundaries are byte-aware: the
-	// count grows so no chunk carries more than ~chunkByteTarget of
-	// payload, and boundaries balance cumulative bytes rather than item
-	// count, so one 1 MiB instance weighs as much as thousands of tiny
-	// ones and an engine never serializes a byte-heavy chunk while its
-	// peers idle over light ones.
-	chunks := p.schedAwareChunks(tenant, len(items), totalBytes)
-	bounds := chunkBoundsByBytes(items, chunks, totalBytes)
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo, hi := bounds[c], bounds[c+1]
-		seg := items[lo:hi]
-		var segBytes int64
-		for i := range seg {
-			segBytes += seg[i].bytes
-		}
-		wg.Add(1)
-		task := sched.Task{
-			DoSharded: func(shard int) {
-				defer wg.Done()
-				p.runComputeChunk(v.fn, seg, shard)
-			},
-			OnReject: func(err error) {
-				for i := range seg {
-					seg[i].err = err
-				}
-				wg.Done()
-			},
-			Deadline: deadline,
-			Bytes:    segBytes,
-		}
-		if err := p.computeSched.Submit(tenant, task); err != nil {
-			for i := range seg {
-				seg[i].err = err
-			}
-			wg.Done()
-		}
+	switch {
+	case v.fn != nil:
+		p.runComputeItems(ctx, tenant, v.fn, items, totalBytes)
+	case v.comm != nil:
+		p.runCommItems(ctx, tenant, v.comm, items)
+	default:
+		p.runNestedItems(ctx, tenant, p.planFor(v.comp), items, depth)
 	}
-	wg.Wait()
 
 	// Per request: surface the first instance error, or merge outputs
-	// in instance order under each Ret binding (matching runStatement).
+	// in instance order under each Ret binding.
 	for r, idxs := range perReq {
 		var failed bool
 		for _, ii := range idxs {
@@ -416,6 +394,117 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 				}
 			}
 			bst.stores[r].set(ret.Value, merged)
+		}
+	}
+}
+
+// runComputeItems splits a statement's compute work list into
+// contiguous chunks and runs each chunk to completion on a single
+// engine. Solo tenants get one chunk per compute engine (maximum
+// per-chunk amortization of the reused context); a tenant contending
+// for the engines gets chunks sized down by its DRR share, so the
+// scheduler can interleave other tenants' work between its chunks and
+// dispatch-wait tails tighten. Both the chunk count and the split
+// boundaries are byte-aware: the count grows so no chunk carries more
+// than ~chunkByteTarget of payload, and boundaries balance cumulative
+// bytes rather than item count, so one 1 MiB instance weighs as much as
+// thousands of tiny ones and an engine never serializes a byte-heavy
+// chunk while its peers idle over light ones.
+func (p *Platform) runComputeItems(ctx context.Context, tenant string, f *registeredFunc, items []batchItem, totalBytes int64) {
+	deadline, _ := ctx.Deadline()
+	chunks := p.schedAwareChunks(tenant, len(items), totalBytes)
+	bounds := chunkBoundsByBytes(items, chunks, totalBytes)
+	var wg sync.WaitGroup
+	for c := 0; c < chunks; c++ {
+		seg := items[bounds[c]:bounds[c+1]]
+		var segBytes int64
+		for i := range seg {
+			segBytes += seg[i].bytes
+		}
+		reject := func(err error) {
+			for i := range seg {
+				seg[i].err = err
+			}
+			wg.Done()
+		}
+		wg.Add(1)
+		task := sched.Task{
+			DoSharded: func(shard int) {
+				defer wg.Done()
+				p.runComputeChunk(ctx, f, seg, shard)
+			},
+			OnReject: reject,
+			Deadline: deadline,
+			Bytes:    segBytes,
+		}
+		if err := p.computeSched.Submit(tenant, task); err != nil {
+			reject(err)
+		}
+	}
+	wg.Wait()
+}
+
+// runCommItems submits a statement's communication work list to the
+// communication engines, one task per instance: a communication engine
+// multiplexes its tasks, so chunking would only serialize their I/O.
+func (p *Platform) runCommItems(ctx context.Context, tenant string, f CommFunc, items []batchItem) {
+	deadline, _ := ctx.Deadline()
+	var wg sync.WaitGroup
+	for i := range items {
+		it := &items[i]
+		reject := func(err error) {
+			it.err = err
+			wg.Done()
+		}
+		wg.Add(1)
+		task := sched.Task{
+			Do: func() {
+				defer wg.Done()
+				// The scheduler drops entries that expire parked in its
+				// backlog; this drops those that expired queued at the
+				// engine after dispatch.
+				if it.err = ctx.Err(); it.err == nil {
+					it.outs, it.err = f.Invoke(it.inst)
+				}
+			},
+			OnReject: reject,
+			Deadline: deadline,
+			Bytes:    it.bytes,
+		}
+		if err := p.commSched.Submit(tenant, task); err != nil {
+			reject(err)
+		}
+	}
+	wg.Wait()
+}
+
+// runNestedItems runs a statement's nested-composition instances as one
+// group one level deeper: each instance is a request whose inputs are
+// its argument sets, under the lease of the request it belongs to.
+func (p *Platform) runNestedItems(ctx context.Context, tenant string, pl *compPlan, items []batchItem, depth int) {
+	inputs := make([]map[string][]memctx.Item, len(items))
+	var borrows []*memctx.Region
+	for i := range items {
+		inputs[i] = make(map[string][]memctx.Item, len(items[i].inst))
+		for _, s := range items[i].inst {
+			inputs[i][s.Name] = s.Items
+		}
+		if items[i].borrow != nil && borrows == nil {
+			borrows = make([]*memctx.Region, len(items))
+		}
+	}
+	if borrows != nil {
+		for i := range items {
+			borrows[i] = items[i].borrow
+		}
+	}
+	outs, errs := p.invokeBatch(ctx, tenant, pl, inputs, borrows, depth+1)
+	for i := range items {
+		if items[i].err = errs[i]; errs[i] != nil {
+			continue
+		}
+		for name, its := range outs[i] {
+			items[i].outs = append(items[i].outs, memctx.Set{Name: name, Items: its})
 		}
 	}
 }
@@ -506,8 +595,16 @@ func chunkBoundsByBytes(items []batchItem, chunks int, total int64) []int {
 // borrowed wire memory — leased under a memctx.Region whose owner holds
 // a reference until the results are consumed, so neither Reset nor a
 // later pooled reuse can invalidate them.
-func (p *Platform) runComputeChunk(f *registeredFunc, seg []batchItem, shard int) {
-	ctx, reused := memctx.NewPooled(funcMemBytes(f))
+func (p *Platform) runComputeChunk(ctx context.Context, f *registeredFunc, seg []batchItem, shard int) {
+	// The scheduler drops chunks that expire parked in its backlog; this
+	// drops those that expired queued at the engine after dispatch.
+	if err := ctx.Err(); err != nil {
+		for i := range seg {
+			seg[i].err = err
+		}
+		return
+	}
+	mc, reused := memctx.NewPooled(funcMemBytes(f))
 	sh := p.ctrs.shardAt(shard)
 	if reused {
 		sh.ctxReused.Add(1)
@@ -516,9 +613,9 @@ func (p *Platform) runComputeChunk(f *registeredFunc, seg []batchItem, shard int
 	}
 	for i := range seg {
 		if i > 0 {
-			ctx.Reset()
+			mc.Reset()
 		}
-		seg[i].outs, seg[i].err = p.runComputeIn(ctx, f, seg[i].inst, seg[i].borrow, sh)
+		seg[i].outs, seg[i].err = p.runComputeIn(mc, f, seg[i].inst, seg[i].borrow, sh)
 	}
-	memctx.Recycle(ctx)
+	memctx.Recycle(mc)
 }

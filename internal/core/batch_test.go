@@ -30,59 +30,6 @@ composition Pipe(In) => Result {
 	}
 }
 
-// TestInvokeBatchMatchesInvoke: batch-vs-invoke equivalence on a
-// two-stage pipeline, with every context-boundary crossing accounted as
-// a handoff and nothing copied (no request is keyed).
-func TestInvokeBatchMatchesInvoke(t *testing.T) {
-	t.Run("ZeroCopy=true", testInvokeBatchMatchesInvoke)
-}
-
-// testInvokeBatchMatchesInvoke is the zero-copy case; ownership moves are the
-// only data plane.
-func testInvokeBatchMatchesInvoke(t *testing.T) {
-	p := newPlatform(t, Options{ComputeEngines: 4})
-	registerUpperPipeline(t, p)
-
-	reqs := make([]Request, 16)
-	for i := range reqs {
-		reqs[i] = Request{
-			Composition: "Pipe",
-			Inputs: map[string][]memctx.Item{
-				"In": items(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
-			},
-		}
-	}
-	got := p.InvokeBatch(context.Background(), reqs)
-	if len(got) != len(reqs) {
-		t.Fatalf("got %d results, want %d", len(got), len(reqs))
-	}
-	for i, res := range got {
-		if res.Err != nil {
-			t.Fatalf("request %d failed: %v", i, res.Err)
-		}
-		want, err := p.Invoke(context.Background(), Request{Composition: "Pipe", Inputs: reqs[i].Inputs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := string(res.Outputs["Result"][0].Data)
-		w := string(want["Result"][0].Data)
-		if g != w {
-			t.Fatalf("request %d: batch %q != invoke %q", i, g, w)
-		}
-		if !strings.Contains(g, strings.ToUpper(fmt.Sprintf("a%d", i))) {
-			t.Fatalf("request %d: wrong payload %q", i, g)
-		}
-	}
-
-	st := p.Stats()
-	if st.ZeroCopyHandoffs == 0 || st.ZeroCopyHandoffBytes == 0 {
-		t.Fatalf("no handoffs recorded: %+v", st)
-	}
-	if st.CopiedSets != 0 || st.CopiedBytes != 0 {
-		t.Fatalf("unkeyed requests copied %d sets (%d bytes)", st.CopiedSets, st.CopiedBytes)
-	}
-}
-
 // TestZeroCopyEnforcesMemoryLimit: ownership moves change how bytes
 // move, not how much memory a function may hold — a function whose
 // outputs exceed its declared MemBytes must fail on both entry points.

@@ -455,34 +455,20 @@ func tenantOrDefault(t string) string {
 // answers from the dedup table (cached outputs, or ErrDuplicate when
 // only the journaled digest survives) without re-executing; a key still
 // executing answers ErrInFlight; a fresh key executes with begin/end
-// journaling. A failed keyed invocation — deadline-class included —
-// releases its key, so a retry may re-execute.
+// journaling, or with one KindChunkDone record on success when the key
+// has the "base#N" chunk shape. A failed keyed invocation —
+// deadline-class included — releases its key, so a retry may
+// re-execute.
+//
+// Invoke is InvokeBatch of one request: the same executor, except that
+// it ticks Stats.Invocations but not Stats.Batches.
 func (p *Platform) Invoke(ctx context.Context, req Request) (map[string][]memctx.Item, error) {
 	if p.draining.Load() {
 		return nil, ErrDraining
 	}
-	comp, err := p.reg.composition(req.Composition)
-	if err != nil {
-		return nil, err
-	}
-	tenant := tenantOrDefault(req.Tenant)
-	if req.Key != "" {
-		outs, derr, execute := p.dedup.Reserve(req.Key)
-		if !execute {
-			return outs, derr
-		}
-		p.journalAppend(journal.Record{
-			Kind: journal.KindInvokeBegin, Tenant: tenant, Comp: req.Composition, Key: req.Key,
-			Digest: journal.DigestSets(req.Inputs),
-		})
-	}
-	p.ctrs.shard().invocations.Add(1)
-	outs, err := p.invoke(ctx, tenant, p.planFor(comp), req.Inputs, 0)
-	if req.Key != "" {
-		p.settleKey(tenant, req.Composition, req.Key, outs, err)
-	}
-	p.noteTimeout(err)
-	return outs, err
+	var res [1]Result
+	p.dispatch(ctx, []Request{req}, res[:])
+	return res[0].Outputs, res[0].Err
 }
 
 // noteTimeout ticks the deadline-loss counter for IsTimeout errors; the
@@ -564,175 +550,6 @@ func (s *valueStore) set(name string, items []memctx.Item) {
 	s.vals[name] = items
 }
 
-func (p *Platform) invoke(ctx context.Context, tenant string, pl *compPlan, inputs map[string][]memctx.Item, depth int) (map[string][]memctx.Item, error) {
-	if depth >= p.opts.MaxDepth {
-		return nil, fmt.Errorf("%w (%d)", ErrTooDeep, p.opts.MaxDepth)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	comp := pl.comp
-	store := getValueStore()
-	defer putValueStore(store)
-	for _, in := range comp.Inputs {
-		items, ok := inputs[in]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrMissingInput, in)
-		}
-		store.set(in, items)
-	}
-
-	done := make([]chan struct{}, len(comp.Stmts))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	var firstErr error
-	var errMu sync.Mutex
-	var failed atomic.Bool
-	setErr := func(err error) {
-		errMu.Lock()
-		defer errMu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		failed.Store(true)
-	}
-
-	var wg sync.WaitGroup
-	for i := range comp.Stmts {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(done[i])
-			for _, d := range pl.deps[i] {
-				<-done[d]
-			}
-			if failed.Load() {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				setErr(err)
-				return
-			}
-			if err := p.runStatement(ctx, tenant, &pl.stmts[i], store, depth); err != nil {
-				setErr(pl.stmts[i].wrap(err))
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	out := make(map[string][]memctx.Item, len(comp.Outputs))
-	for _, b := range comp.Outputs {
-		out[b.Name] = store.get(b.Value)
-	}
-	return out, nil
-}
-
-// runStatement expands a statement into instances per the edge modes,
-// executes them on the appropriate engines (scheduled under the tenant's
-// DRR share), and merges outputs. The vertex, instance shape, and error
-// label come precompiled from the statement's plan (plan.go).
-func (p *Platform) runStatement(ctx context.Context, tenant string, sp *stmtPlan, store *valueStore, depth int) error {
-	st := *sp.st
-	v, err := p.resolveStmt(sp)
-	if err != nil {
-		return err
-	}
-	// The context deadline rides along on every engine dispatch below;
-	// zero (no deadline) costs the scheduler a single IsZero check.
-	deadline, _ := ctx.Deadline()
-
-	// Gather argument items; decide skip (§4.4): any non-optional input
-	// set with zero items suppresses execution, defining empty outputs.
-	argItems := make([][]memctx.Item, len(st.Args))
-	skip := false
-	for ai, a := range st.Args {
-		argItems[ai] = store.get(a.Value)
-		if len(argItems[ai]) == 0 && !a.Optional {
-			skip = true
-		}
-	}
-	if skip {
-		for _, r := range st.Rets {
-			store.set(r.Value, nil)
-		}
-		return nil
-	}
-
-	var instances []instance
-	if sp.broadcastOnly {
-		// Precompiled shape: every arg broadcasts, exactly one instance.
-		instances = []instance{singleInstance(st.Args, argItems)}
-	} else if instances, err = expandInstances(st.Args, argItems); err != nil {
-		return err
-	}
-
-	// Execute instances concurrently; collect outputs per instance to
-	// keep merge order deterministic.
-	results := make([][]memctx.Set, len(instances))
-	errs := make([]error, len(instances))
-	var wg sync.WaitGroup
-	for idx, inst := range instances {
-		idx, inst := idx, inst
-		wg.Add(1)
-		run := func() {
-			defer wg.Done()
-			outs, err := p.runInstance(ctx, tenant, v, st, inst, depth, nil)
-			results[idx], errs[idx] = outs, err
-		}
-		reject := func(err error) {
-			errs[idx] = err
-			wg.Done()
-		}
-		switch {
-		case v.comm != nil:
-			if err := p.commSched.Submit(tenant, sched.Task{Do: run, OnReject: reject, Deadline: deadline, Bytes: instanceBytes(inst)}); err != nil {
-				reject(err)
-			}
-		case v.fn != nil:
-			// Compute tasks run on an engine with a stable shard index;
-			// hand it through so counter ticks hit a fixed shard instead
-			// of re-deriving one per call.
-			runOn := func(shard int) {
-				defer wg.Done()
-				outs, err := p.runInstance(ctx, tenant, v, st, inst, depth, p.ctrs.shardAt(shard))
-				results[idx], errs[idx] = outs, err
-			}
-			if err := p.computeSched.Submit(tenant, sched.Task{DoSharded: runOn, OnReject: reject, Deadline: deadline, Bytes: instanceBytes(inst)}); err != nil {
-				reject(err)
-			}
-		default:
-			// Nested composition: orchestrated inline by the dispatcher
-			// green thread; its statements use the engines themselves.
-			go run()
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	// Merge instance outputs in instance order under each Ret binding.
-	for _, r := range st.Rets {
-		var merged []memctx.Item
-		for _, outs := range results {
-			for _, s := range outs {
-				if s.Name == r.Set {
-					merged = append(merged, s.Items...)
-				}
-			}
-		}
-		store.set(r.Value, merged)
-	}
-	return nil
-}
-
 // instance is one function instantiation: the input sets it receives.
 type instance []memctx.Set
 
@@ -795,69 +612,12 @@ func expandInstances(args []graph.Arg, items [][]memctx.Item) ([]instance, error
 	return out, nil
 }
 
-// runInstance executes one instance of a vertex. It is called on an
-// engine worker (compute or communication) or, for nested compositions,
-// on a dispatcher goroutine. sh, when non-nil, is the engine's stable
-// counter shard; nil callers (comm engines, nested compositions) let
-// the compute path derive one.
-func (p *Platform) runInstance(ctx context.Context, tenant string, v vertex, st graph.Stmt, inst instance, depth int, sh *hotShard) ([]memctx.Set, error) {
-	// The scheduler drops entries that expire parked in its backlog, but
-	// a task can also outlive its deadline queued at the engine after
-	// dispatch; checking here keeps dead work from occupying an engine.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch {
-	case v.comm != nil:
-		return v.comm.Invoke(inst)
-	case v.fn != nil:
-		return p.runCompute(v.fn, inst, sh)
-	default:
-		childInputs := make(map[string][]memctx.Item, len(inst))
-		for _, s := range inst {
-			childInputs[s.Name] = s.Items
-		}
-		childOut, err := p.invoke(ctx, tenant, p.planFor(v.comp), childInputs, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		sets := make([]memctx.Set, 0, len(childOut))
-		for name, items := range childOut {
-			sets = append(sets, memctx.Set{Name: name, Items: items})
-		}
-		return sets, nil
-	}
-}
-
 // funcMemBytes resolves a function's declared context limit.
 func funcMemBytes(f *registeredFunc) int {
 	if f.MemBytes > 0 {
 		return f.MemBytes
 	}
 	return memctx.DefaultLimit
-}
-
-// runCompute prepares an isolated memory context (recycled through the
-// memctx pool), executes the function, harvests outputs, and recycles
-// the context.
-func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([]memctx.Set, error) {
-	ctx, reused := memctx.NewPooled(funcMemBytes(f))
-	if sh == nil {
-		sh = p.ctrs.shard()
-	}
-	if reused {
-		sh.ctxReused.Add(1)
-	} else {
-		sh.ctxFresh.Add(1)
-	}
-	outs, err := p.runComputeIn(ctx, f, inst, nil, sh)
-	// Safe to recycle: the harvested outputs were moved out of the
-	// context, and recycling drops only its descriptors. The payloads
-	// may still alias the inputs, and through them a borrowed wire slab
-	// (a nested composition inside a batch carrying Request.Borrow);
-	// they stay valid for as long as the batch caller holds its lease.
-	memctx.Recycle(ctx)
-	return outs, err
 }
 
 // runComputeIn executes one instance inside the provided context, which
