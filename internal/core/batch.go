@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dandelion/internal/graph"
 	"dandelion/internal/memctx"
 	"dandelion/internal/sched"
 )
@@ -63,12 +64,7 @@ func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Resul
 	// Group request indices by (composition, tenant), preserving
 	// first-seen order. Tenant is part of the key so one group's tasks
 	// are attributable to exactly one tenant's dispatch share.
-	type group struct {
-		comp, tenant string
-		pl           *compPlan
-		idxs         []int
-	}
-	var groups []group
+	var groups []batchGroup
 	for i, r := range reqs {
 		if kb != nil && kb.skip[i] {
 			continue
@@ -79,7 +75,7 @@ func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Resul
 			g++
 		}
 		if g == len(groups) {
-			groups = append(groups, group{comp: r.Composition, tenant: tenant})
+			groups = append(groups, batchGroup{comp: r.Composition, tenant: tenant})
 		}
 		groups[g].idxs = append(groups[g].idxs, i)
 	}
@@ -97,46 +93,62 @@ func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Resul
 		runnable = append(runnable, g)
 	}
 
-	run := func(g group) {
-		inputs := make([]map[string][]memctx.Item, len(g.idxs))
-		var borrows []*memctx.Region
-		for k, i := range g.idxs {
-			inputs[k] = reqs[i].Inputs
-			if reqs[i].Borrow != nil && borrows == nil {
-				borrows = make([]*memctx.Region, len(g.idxs))
-			}
-		}
-		if borrows != nil {
-			for k, i := range g.idxs {
-				borrows[k] = reqs[i].Borrow
-			}
-		}
-		outs, errs := p.invokeBatch(ctx, g.tenant, g.pl, inputs, borrows, 0)
-		for k, i := range g.idxs {
-			results[i].Outputs, results[i].Err = outs[k], errs[k]
-		}
+	if len(runnable) > 0 {
+		p.runGroups(ctx, runnable, reqs, results)
 	}
-	// Every group but the last runs on its own goroutine; the last runs
-	// on the caller's, so a batch of one group — every Invoke — starts
-	// no goroutine here.
-	var wg sync.WaitGroup
-	for k := range runnable {
-		if k == len(runnable)-1 {
-			run(runnable[k])
-			break
-		}
-		wg.Add(1)
-		go func(g group) {
-			defer wg.Done()
-			run(g)
-		}(runnable[k])
-	}
-	wg.Wait()
 	if kb != nil {
 		p.finishKeyedBatch(kb, reqs, results)
 	}
 	for i := range results {
 		p.noteTimeout(results[i].Err)
+	}
+}
+
+// batchGroup is the requests of one batch that name one composition
+// under one tenant, by index into the batch.
+type batchGroup struct {
+	comp, tenant string
+	pl           *compPlan
+	idxs         []int
+}
+
+// runGroups runs every group but the last on its own goroutine and the
+// last on the caller's, so a batch of one group — every Invoke — starts
+// no goroutine here.
+func (p *Platform) runGroups(ctx context.Context, groups []batchGroup, reqs []Request, results []Result) {
+	last := len(groups) - 1
+	if last > 0 {
+		var wg sync.WaitGroup
+		for _, g := range groups[:last] {
+			wg.Add(1)
+			go func(g batchGroup) {
+				defer wg.Done()
+				p.runGroup(ctx, g, reqs, results)
+			}(g)
+		}
+		defer wg.Wait()
+	}
+	p.runGroup(ctx, groups[last], reqs, results)
+}
+
+// runGroup runs one group and writes its requests' results.
+func (p *Platform) runGroup(ctx context.Context, g batchGroup, reqs []Request, results []Result) {
+	inputs := make([]map[string][]memctx.Item, len(g.idxs))
+	var borrows []*memctx.Region
+	for k, i := range g.idxs {
+		inputs[k] = reqs[i].Inputs
+		if reqs[i].Borrow != nil && borrows == nil {
+			borrows = make([]*memctx.Region, len(g.idxs))
+		}
+	}
+	if borrows != nil {
+		for k, i := range g.idxs {
+			borrows[k] = reqs[i].Borrow
+		}
+	}
+	outs, errs := p.invokeBatch(ctx, g.tenant, g.pl, inputs, borrows, 0)
+	for k, i := range g.idxs {
+		results[i].Outputs, results[i].Err = outs[k], errs[k]
 	}
 }
 
@@ -324,7 +336,6 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		*itemsBuf = items[:0]
 		batchItemsPool.Put(itemsBuf)
 	}()
-	perReq := map[int][]int{}
 	var totalBytes int64
 	for _, r := range live {
 		// §4.4: any non-optional input set with zero items suppresses
@@ -351,7 +362,6 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 			continue
 		}
 		for _, inst := range insts {
-			perReq[r] = append(perReq[r], len(items))
 			b := instanceBytes(inst)
 			totalBytes += b
 			items = append(items, batchItem{req: r, inst: inst, borrow: bst.borrow(r), bytes: b})
@@ -370,31 +380,37 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		p.runNestedItems(ctx, tenant, p.planFor(v.comp), items, depth)
 	}
 
-	// Per request: surface the first instance error, or merge outputs
-	// in instance order under each Ret binding.
-	for r, idxs := range perReq {
-		var failed bool
-		for _, ii := range idxs {
-			if items[ii].err != nil {
-				bst.fail(r, wrap(items[ii].err))
-				failed = true
-				break
-			}
+	// A request's instances sit contiguously in the work list. Per
+	// request: surface the first instance error, or merge outputs in
+	// instance order under each Ret binding.
+	for lo, hi := 0, 0; lo < len(items); lo = hi {
+		r := items[lo].req
+		for hi = lo; hi < len(items) && items[hi].req == r; hi++ {
 		}
-		if failed {
-			continue
+		bst.settle(&st, wrap, r, items[lo:hi])
+	}
+}
+
+// settle records one request's share of a statement: its first instance
+// error, or its instances' outputs merged in instance order under each
+// Ret binding.
+func (bst *batchState) settle(st *graph.Stmt, wrap func(error) error, r int, insts []batchItem) {
+	for i := range insts {
+		if insts[i].err != nil {
+			bst.fail(r, wrap(insts[i].err))
+			return
 		}
-		for _, ret := range st.Rets {
-			var merged []memctx.Item
-			for _, ii := range idxs {
-				for _, s := range items[ii].outs {
-					if s.Name == ret.Set {
-						merged = append(merged, s.Items...)
-					}
+	}
+	for _, ret := range st.Rets {
+		var merged []memctx.Item
+		for i := range insts {
+			for _, s := range insts[i].outs {
+				if s.Name == ret.Set {
+					merged = append(merged, s.Items...)
 				}
 			}
-			bst.stores[r].set(ret.Value, merged)
 		}
+		bst.stores[r].set(ret.Value, merged)
 	}
 }
 
