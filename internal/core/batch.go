@@ -445,9 +445,9 @@ func (p *Platform) runComputeItems(ctx context.Context, tenant string, f *regist
 		}
 		wg.Add(1)
 		task := sched.Task{
-			DoSharded: func(shard int) {
+			Do: func() {
 				defer wg.Done()
-				p.runComputeChunk(ctx, f, seg, shard)
+				p.runComputeChunk(ctx, f, seg)
 			},
 			OnReject: reject,
 			Deadline: deadline,
@@ -611,7 +611,7 @@ func chunkBoundsByBytes(items []batchItem, chunks int, total int64) []int {
 // borrowed wire memory — leased under a memctx.Region whose owner holds
 // a reference until the results are consumed, so neither Reset nor a
 // later pooled reuse can invalidate them.
-func (p *Platform) runComputeChunk(ctx context.Context, f *registeredFunc, seg []batchItem, shard int) {
+func (p *Platform) runComputeChunk(ctx context.Context, f *registeredFunc, seg []batchItem) {
 	// The scheduler drops chunks that expire parked in its backlog; this
 	// drops those that expired queued at the engine after dispatch.
 	if err := ctx.Err(); err != nil {
@@ -621,7 +621,7 @@ func (p *Platform) runComputeChunk(ctx context.Context, f *registeredFunc, seg [
 		return
 	}
 	mc, reused := memctx.NewPooled(funcMemBytes(f))
-	sh := p.ctrs.shardAt(shard)
+	sh := p.ctrs.shard()
 	if reused {
 		sh.ctxReused.Add(1)
 	} else {

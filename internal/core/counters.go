@@ -42,17 +42,8 @@ func newHotCounters() *hotCounters {
 
 // shard returns the calling goroutine's shard. Callers on a hot path
 // should grab it once and apply all of an invocation's ticks to it.
-// Code running on an engine should prefer shardAt with the engine's
-// stable shard index (sched.Task.DoSharded) — same contention profile,
-// no per-call derivation.
 func (c *hotCounters) shard() *hotShard {
 	return &c.shards[stats.ShardIndex(len(c.shards))]
-}
-
-// shardAt returns the shard for a stable per-engine index, folding it
-// into range. Shard counts are powers of two, so the fold is a mask.
-func (c *hotCounters) shardAt(i int) *hotShard {
-	return &c.shards[i&(len(c.shards)-1)]
 }
 
 // hotTotals is the lazily merged view of every shard, consumed by

@@ -42,15 +42,8 @@ func (k Kind) String() string {
 // the dispatcher's batch store before Do returns, so the engine layer
 // never copies or owns payload data.
 type Task struct {
-	// Do performs the work. Exactly one of Do and DoSharded must be
-	// non-nil.
+	// Do performs the work; a nil Do is a no-op.
 	Do func()
-	// DoSharded, when set, is invoked instead of Do and receives the
-	// executing engine's stable shard index (its queue-shard slot).
-	// Per-engine sharded state — e.g. the dispatcher's hot counters —
-	// can index by it directly instead of re-deriving a shard from the
-	// goroutine on every task.
-	DoSharded func(shard int)
 }
 
 // ErrQueueClosed is returned by Push after Close.
@@ -161,7 +154,7 @@ func (p *Pool) run(w *worker) {
 				return
 			}
 			// Run to completion on this engine; nothing else runs here.
-			p.execute(t, shard.id)
+			p.execute(t)
 		}
 	}
 	// Communication: cooperative green thread per request, bounded by
@@ -185,21 +178,18 @@ func (p *Pool) run(w *worker) {
 				<-sem
 				p.wg.Done()
 			}()
-			p.execute(t, shard.id)
+			p.execute(t)
 		}()
 	}
 }
 
-func (p *Pool) execute(t Task, shard int) {
+func (p *Pool) execute(t Task) {
 	p.inflight.Add(1)
 	defer func() {
 		p.inflight.Add(-1)
 		p.completed.Add(1)
 	}()
-	switch {
-	case t.DoSharded != nil:
-		t.DoSharded(shard)
-	case t.Do != nil:
+	if t.Do != nil {
 		t.Do()
 	}
 }

@@ -293,52 +293,3 @@ func waitTimeout(t *testing.T, wg *sync.WaitGroup) {
 		t.Fatal("timed out waiting for tasks")
 	}
 }
-
-func TestDoShardedReceivesStableEngineID(t *testing.T) {
-	q := NewQueue()
-	p := NewPool(Compute, q)
-	defer p.Shutdown()
-	p.SetCount(2)
-	var mu sync.Mutex
-	seen := map[int]int{}
-	var wg sync.WaitGroup
-	for i := 0; i < 200; i++ {
-		wg.Add(1)
-		q.Push(Task{DoSharded: func(shard int) {
-			mu.Lock()
-			seen[shard]++
-			mu.Unlock()
-			wg.Done()
-		}})
-	}
-	wg.Wait()
-	if len(seen) == 0 || len(seen) > 2 {
-		t.Fatalf("observed %d distinct shard IDs with 2 engines: %v", len(seen), seen)
-	}
-	for id, n := range seen {
-		if id != 0 && id != 1 {
-			t.Fatalf("shard ID %d out of range for 2 engines (%v)", id, seen)
-		}
-		if n == 0 {
-			t.Fatalf("shard %d recorded zero tasks", id)
-		}
-	}
-}
-
-func TestDoShardedPreferredOverDo(t *testing.T) {
-	q := NewQueue()
-	p := NewPool(Compute, q)
-	defer p.Shutdown()
-	p.SetCount(1)
-	var sharded, plain atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	q.Push(Task{
-		Do:        func() { plain.Add(1); wg.Done() },
-		DoSharded: func(int) { sharded.Add(1); wg.Done() },
-	})
-	wg.Wait()
-	if sharded.Load() != 1 || plain.Load() != 0 {
-		t.Fatalf("sharded=%d plain=%d, want DoSharded to win", sharded.Load(), plain.Load())
-	}
-}

@@ -121,10 +121,6 @@ func (r *ring) length() int {
 // MPMC ring handles both ends safely.
 type shard struct {
 	local *ring
-	// id is the owning engine's stable index, assigned once at
-	// registration and handed to Task.DoSharded so per-engine sharded
-	// state never re-derives an index on the hot path.
-	id int
 }
 
 // Queue is the type-specific task queue engines poll. It is unbounded
@@ -143,10 +139,7 @@ type Queue struct {
 
 	pushed atomic.Uint64
 	popped atomic.Uint64
-	// workerSeq hands out stable shard IDs; engines of one queue never
-	// share an ID even across grow/shrink cycles.
-	workerSeq atomic.Int64
-	closed    atomic.Bool
+	closed atomic.Bool
 	// pushing counts Pushes between their closed check and enqueue;
 	// Close waits for it to drain so Push-vs-Close stays atomic (the
 	// guarantee the old locked queue gave): after Close returns, every
@@ -201,7 +194,7 @@ func (q *Queue) Push(t Task) error {
 
 // addWorker registers an engine's local shard with the queue.
 func (q *Queue) addWorker() *shard {
-	s := &shard{local: newRing(shardRingSize), id: int(q.workerSeq.Add(1) - 1)}
+	s := &shard{local: newRing(shardRingSize)}
 	q.shardMu.Lock()
 	q.shards = append(q.shards, s)
 	q.shardMu.Unlock()

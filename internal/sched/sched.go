@@ -53,12 +53,8 @@ const waitRingSize = 512
 
 // Task is one unit of work submitted on behalf of a tenant.
 type Task struct {
-	// Do performs the work; exactly one of Do and DoSharded must be
-	// non-nil.
+	// Do performs the work; a nil Do is a no-op.
 	Do func()
-	// DoSharded, when set, is preferred over Do and receives the
-	// executing engine's stable shard index (see engine.Task.DoSharded).
-	DoSharded func(shard int)
 	// OnReject, when non-nil, is called instead of Do if the task is
 	// dropped after admission: because the scheduler or the underlying
 	// engine queue closed (ErrClosed / the queue's error), or because
@@ -397,23 +393,13 @@ func (s *Scheduler) dispatchLocked(tq *tenantQueue) int64 {
 	s.inflight++
 	tq.running++
 	tq.dispatched++
-	name := tq.name
-	var wrapped engine.Task
-	if doSharded := e.task.DoSharded; doSharded != nil {
-		wrapped.DoSharded = func(shard int) {
-			defer s.taskDone(name)
-			doSharded(shard)
+	name, do := tq.name, e.task.Do
+	err := s.q.Push(engine.Task{Do: func() {
+		defer s.taskDone(name)
+		if do != nil {
+			do()
 		}
-	} else {
-		do := e.task.Do
-		wrapped.Do = func() {
-			defer s.taskDone(name)
-			if do != nil {
-				do()
-			}
-		}
-	}
-	err := s.q.Push(wrapped)
+	}})
 	if err != nil {
 		s.inflight--
 		tq.running--

@@ -402,48 +402,40 @@ func TestShareAfterTenantsDrain(t *testing.T) {
 	}
 }
 
-// TestDoShardedDispatch checks that sharded tasks flow through DRR
-// dispatch with the window accounting intact: the wrapper must hand the
-// engine's shard index to the closure and still free the window slot on
-// completion so the backlog keeps draining.
-func TestDoShardedDispatch(t *testing.T) {
+// TestWindowOneRepumpsOnCompletion checks that with a window of one
+// every completion frees the slot and re-pumps the next dispatch, so
+// the backlog drains in submission order.
+func TestWindowOneRepumpsOnCompletion(t *testing.T) {
 	q := engine.NewQueue()
 	defer q.Close()
 	s := New(q, Config{Window: 1})
 
-	var shards []int
-	var mu sync.Mutex
+	var order []int
 	for i := 0; i < 8; i++ {
-		if err := s.Submit("t", Task{DoSharded: func(shard int) {
-			mu.Lock()
-			shards = append(shards, shard)
-			mu.Unlock()
-		}}); err != nil {
+		if err := s.Submit("t", Task{Do: func() { order = append(order, i) }}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Drain executing each task with a distinct engine shard ID. With a
-	// window of 1, each completion must re-pump the next dispatch.
+	// Drain by hand. With a window of 1, each task must be the only one
+	// in the queue, and its completion must dispatch the next.
 	ran := 0
 	for ran < 8 {
+		if n := q.Len(); n != 1 {
+			t.Fatalf("queue holds %d tasks before run %d, want 1", n, ran)
+		}
 		tk, ok := q.TryPop()
 		if !ok {
 			break
 		}
-		if tk.DoSharded == nil {
-			t.Fatalf("dispatched task %d lost its DoSharded wrapper", ran)
-		}
-		tk.DoSharded(ran)
+		tk.Do()
 		ran++
 	}
 	if ran != 8 {
 		t.Fatalf("executed %d tasks, want 8 (window slot not freed?)", ran)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, sh := range shards {
-		if sh != i {
-			t.Fatalf("task %d saw shard %d, want %d (%v)", i, sh, i, shards)
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("run order %v, want submission order", order)
 		}
 	}
 }
