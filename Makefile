@@ -32,7 +32,10 @@ race:
 	$(GO) test -race ./...
 
 # flake repeats the concurrent packages' tests twenty times under the
-# race detector: a test that passes "usually" fails here. memctx is in
+# race detector: a test that passes "usually" fails here. engine is in
+# the set because its pools drain their queue on Shutdown while engines
+# are still running tasks; sched and core because every invocation's
+# dispatch crosses them from many goroutines. memctx is in
 # the set because its ownership moves (adopt, take, borrowed regions)
 # are the only data path; autoscale because every batch request's
 # admission runs through it under one lock, with racing clock reads;
@@ -40,7 +43,7 @@ race:
 # same pools; ssb, qoiimg and workloads because every engine's served
 # kernels share the PNG encoder, chunk column and selection pools.
 flake:
-	$(GO) test -race -count=20 ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
+	$(GO) test -race -count=20 ./internal/engine ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
 # bench tracks the serving-path trajectory: batched dispatch vs looped
 # single invokes, plus the core microbenchmarks.

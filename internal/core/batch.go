@@ -1,11 +1,13 @@
-// Batched invocation path. InvokeBatch admits N composition requests in
-// one call and drives them through the composition DAG together: at each
-// statement, the compute-function instances of every request in the
-// batch are gathered, split into per-engine chunks, and each chunk runs
-// back-to-back on one compute engine against a single reused memory
-// context. Compared with N independent Invoke calls this removes
-// per-instance queue round trips and context allocations — the hot path
-// the serving harness in internal/loadgen measures.
+// The executor. Invoke and InvokeBatch both run here: Invoke is a batch
+// of one request. A batch's requests are grouped by composition and
+// tenant, and each group walks the composition DAG together. At each
+// statement, the instances of every live request in the group are
+// gathered into one flat work list. Compute instances run in per-engine
+// chunks, back-to-back on one compute engine against a single reused
+// memory context, so a batch pays one queue round trip and one context
+// per chunk instead of per instance. Communication instances go to the
+// communication engines one task each, and nested-composition instances
+// recurse into the walker as one group one level deeper.
 //
 // Payloads are never copied between statements: a chunk's per-statement
 // output sets are handed off out of the producing context

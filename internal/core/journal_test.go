@@ -161,6 +161,28 @@ func TestKeyedBatchChunkRecordAndReplay(t *testing.T) {
 	}
 }
 
+// TestKeyedInvokeChunkShapedKey: Invoke is a batch of one, so a keyed
+// Invoke whose key has the base#N chunk shape journals what a
+// one-request chunk does — one KindChunkDone record — and a fresh
+// platform replaying it answers the key as a duplicate.
+func TestKeyedInvokeChunkShapedKey(t *testing.T) {
+	jrnl := journal.NewMemory()
+	p := journaledPlatform(t, jrnl, Options{})
+	req := Request{Composition: "U", Key: journal.ChunkKey("solo", 3), Inputs: map[string][]memctx.Item{"In": items("x")}}
+	if _, err := p.Invoke(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	var recs []journal.Record
+	jrnl.Replay(func(r journal.Record) error { recs = append(recs, r); return nil })
+	if len(recs) != 1 || recs[0].Kind != journal.KindChunkDone || recs[0].Key != "solo" || recs[0].A != 3 || recs[0].B != 1 {
+		t.Fatalf("journal = %+v, want one chunk record for solo#3", recs)
+	}
+	p2 := journaledPlatform(t, jrnl, Options{})
+	if _, err := p2.Invoke(context.Background(), req); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("replayed key: err = %v, want ErrDuplicate", err)
+	}
+}
+
 // TestDedupReplyOutlivesBorrowedSlab: the completed-key table must own
 // what it caches. A keyed request whose input aliases a borrowed wire
 // slab runs through an identity function, so its output aliases the
