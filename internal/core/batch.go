@@ -181,12 +181,6 @@ func (b *batchState) fail(r int, err error) {
 	}
 }
 
-func (b *batchState) failed(r int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.errs[r] != nil
-}
-
 // live returns the requests that have not failed yet.
 func (b *batchState) live() []int {
 	b.mu.Lock()
