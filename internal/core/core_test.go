@@ -660,7 +660,17 @@ composition S(In) => Result {
 			done <- err
 		}()
 	}
-	time.Sleep(10 * time.Millisecond)
+	// Shut down once the engine runs one task, holds one in its queue
+	// and two are parked in the scheduler: the queued one is the task a
+	// stopped engine used to strand.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if ts := p.Stats().Tenants; len(ts) == 1 && ts[0].Running == 2 && ts[0].Queued == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("invokes never filled the dispatch window: %+v", p.Stats().Tenants)
+		}
+	}
 	p.Shutdown()
 	timeout := time.After(5 * time.Second)
 	for i := 0; i < n; i++ {

@@ -230,7 +230,6 @@ func TestShutdownDrainsQueuedTasks(t *testing.T) {
 				n.Add(1)
 			}})
 		}
-		time.Sleep(5 * time.Millisecond) // the first task is running
 		p.Shutdown()
 		if got := n.Load(); got != 4 {
 			t.Fatalf("%v: Shutdown returned after %d of 4 queued tasks ran", kind, got)
