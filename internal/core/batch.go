@@ -136,15 +136,13 @@ func (p *Platform) runGroups(ctx context.Context, groups []batchGroup, reqs []Re
 // runGroup runs one group and writes its requests' results.
 func (p *Platform) runGroup(ctx context.Context, g batchGroup, reqs []Request, results []Result) {
 	inputs := make([]map[string][]memctx.Item, len(g.idxs))
-	var borrows []*memctx.Region
+	var borrows []*memctx.Region // nil unless some request carries a lease
 	for k, i := range g.idxs {
 		inputs[k] = reqs[i].Inputs
-		if reqs[i].Borrow != nil && borrows == nil {
-			borrows = make([]*memctx.Region, len(g.idxs))
-		}
-	}
-	if borrows != nil {
-		for k, i := range g.idxs {
+		if reqs[i].Borrow != nil {
+			if borrows == nil {
+				borrows = make([]*memctx.Region, len(g.idxs))
+			}
 			borrows[k] = reqs[i].Borrow
 		}
 	}
@@ -299,7 +297,7 @@ const maxPooledBatchItems = 4096
 // one level deeper.
 func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *compPlan, si int, bst *batchState, depth int) {
 	sp := &pl.stmts[si]
-	st := *sp.st
+	st := sp.st
 	live := bst.live()
 	if len(live) == 0 {
 		return
@@ -383,7 +381,7 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		r := items[lo].req
 		for hi = lo; hi < len(items) && items[hi].req == r; hi++ {
 		}
-		bst.settle(&st, wrap, r, items[lo:hi])
+		bst.settle(st, wrap, r, items[lo:hi])
 	}
 }
 
@@ -495,18 +493,16 @@ func (p *Platform) runCommItems(ctx context.Context, tenant string, f CommFunc, 
 // its argument sets, under the lease of the request it belongs to.
 func (p *Platform) runNestedItems(ctx context.Context, tenant string, pl *compPlan, items []batchItem, depth int) {
 	inputs := make([]map[string][]memctx.Item, len(items))
-	var borrows []*memctx.Region
+	var borrows []*memctx.Region // nil unless some instance carries a lease
 	for i := range items {
 		inputs[i] = make(map[string][]memctx.Item, len(items[i].inst))
 		for _, s := range items[i].inst {
 			inputs[i][s.Name] = s.Items
 		}
-		if items[i].borrow != nil && borrows == nil {
-			borrows = make([]*memctx.Region, len(items))
-		}
-	}
-	if borrows != nil {
-		for i := range items {
+		if items[i].borrow != nil {
+			if borrows == nil {
+				borrows = make([]*memctx.Region, len(items))
+			}
 			borrows[i] = items[i].borrow
 		}
 	}
