@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"image/png"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"dandelion"
+	"dandelion/internal/memctx"
 	"dandelion/internal/ssb"
 	"dandelion/internal/workloads"
 )
@@ -236,5 +238,70 @@ func TestStorageFetchRejectsBadSizes(t *testing.T) {
 	out, err := fetch("12")
 	if err != nil || len(out["Blobs"]) != 1 || len(out["Blobs"][0].Data) != 12 {
 		t.Fatalf("fetch after rejections: err = %v, out = %v", err, out)
+	}
+}
+
+// storeSum returns the StoreSum kernel, run without a platform.
+func storeSum(tb testing.TB) func(digests ...[]byte) ([]byte, error) {
+	tb.Helper()
+	fns := functions{}
+	if _, err := workloads.Register(fns, "storage"); err != nil {
+		tb.Fatal(err)
+	}
+	return func(digests ...[]byte) ([]byte, error) {
+		in := memctx.Set{Name: "Digests"}
+		for i, d := range digests {
+			in.Items = append(in.Items, memctx.Item{Name: fmt.Sprintf("d%d", i), Data: d})
+		}
+		out, err := fns["StoreSum"]([]memctx.Set{in})
+		if err != nil {
+			return nil, err
+		}
+		return out[0].Items[0].Data, nil
+	}
+}
+
+// StoreSum reads exactly the digest grammar StoreScan writes — four
+// space-separated fields, canonical non-negative base-10 counts and a
+// 16-digit lowercase hex hash — and refuses anything else instead of
+// summing a prefix of it. Totals that would overflow are refused too,
+// since they would render as a digest that does not parse.
+func TestStorageScanRejectsBadDigests(t *testing.T) {
+	sum := storeSum(t)
+	const good = "blobs=1 bytes=2 records=3 hash=00000000000000ff"
+	if got, err := sum([]byte(good)); err != nil || string(got) != good {
+		t.Fatalf("StoreSum(%q) = %q, %v; want it back unchanged", good, got, err)
+	}
+	big := fmt.Sprintf("blobs=1 bytes=%d records=0 hash=0000000000000000", math.MaxInt)
+	for _, bad := range [][]string{
+		{"blobs=1 bytes=2 records=3 hash=ffzz"},
+		{"blobs=1 bytes=2 records=3 hash=0x1"},
+		{"blobs=1 bytes=2 records=3 hash=00000000000000ff trailing"},
+		{"blobs=-5 bytes=-2 records=0 hash=0000000000000000"},
+		{"blobs=1  bytes=2 records=3 hash=00000000000000ff"},
+		{"blobs=1 bytes=2 records=3 hash=00000000000000FF"},
+		{"blobs=1 bytes=2 records=3 hash=0000000000000ff"},
+		{"blobs=1 bytes=2 records=3 hash=000000000000000ff"},
+		{"blobs=+1 bytes=2 records=3 hash=00000000000000ff"},
+		{"blobs=01 bytes=2 records=3 hash=00000000000000ff"},
+		{"blobs=1 bytes=2 records= hash=00000000000000ff"},
+		{"blobs=1 bytes=1_0 records=3 hash=00000000000000ff"},
+		{"bytes=2 blobs=1 records=3 hash=00000000000000ff"},
+		{"blobs=1 bytes=2 records=3"},
+		{" " + good},
+		{good + " "},
+		{good + "\n"},
+		{"blobs=1\tbytes=2 records=3 hash=00000000000000ff"},
+		{""},
+		{"blobs=1 bytes=99999999999999999999 records=3 hash=00000000000000ff"},
+		{good, big},
+	} {
+		digests := make([][]byte, len(bad))
+		for i, d := range bad {
+			digests[i] = []byte(d)
+		}
+		if got, err := sum(digests...); err == nil {
+			t.Errorf("StoreSum(%q) = %q, want an error", bad, got)
+		}
 	}
 }
