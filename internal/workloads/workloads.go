@@ -19,6 +19,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -302,7 +303,7 @@ func registerStorage(p Registrar) error {
 			}
 			out.Items = append(out.Items, memctx.Item{
 				Name: it.Name,
-				Data: []byte(fmt.Sprintf("blobs=1 bytes=%d records=%d hash=%016x", bytes, records, hash)),
+				Data: []byte(fmt.Sprintf(digestFormat, 1, bytes, records, hash)),
 			})
 		}
 		return []memctx.Set{out}, nil
@@ -311,24 +312,26 @@ func registerStorage(p Registrar) error {
 		return err
 	}
 	err = p.RegisterFunction(core.ComputeFunc{Name: "StoreSum", Go: func(in []memctx.Set) ([]memctx.Set, error) {
-		var blobs, bytes, records int
+		var total [len(digestCounts)]int
 		var hash uint64
 		for _, s := range in {
 			for _, it := range s.Items {
-				var b, n, r int
-				var h uint64
-				if _, err := fmt.Sscanf(string(it.Data), "blobs=%d bytes=%d records=%d hash=%x", &b, &n, &r, &h); err != nil {
-					return nil, fmt.Errorf("workloads: bad scan digest %q: %w", it.Data, err)
+				counts, h, ok := parseDigest(string(it.Data))
+				if !ok {
+					return nil, fmt.Errorf("workloads: bad scan digest %q", it.Data)
 				}
-				blobs += b
-				bytes += n
-				records += r
+				for i, c := range counts {
+					if total[i] > math.MaxInt-c {
+						return nil, fmt.Errorf("workloads: scan digest %q overflows the %s total", it.Data, digestCounts[i])
+					}
+					total[i] += c
+				}
 				hash ^= h // order-independent combine: blobs may arrive in any order
 			}
 		}
 		return []memctx.Set{{Name: "Out", Items: []memctx.Item{{
 			Name: "summary",
-			Data: []byte(fmt.Sprintf("blobs=%d bytes=%d records=%d hash=%016x", blobs, bytes, records, hash)),
+			Data: []byte(fmt.Sprintf(digestFormat, total[0], total[1], total[2], hash)),
 		}}}}, nil
 	}})
 	if err != nil {
@@ -373,6 +376,42 @@ const (
 	fnvOffset = 0xcbf29ce484222325
 	fnvPrime  = 0x100000001b3
 )
+
+// digestFormat is the one line StoreScan writes per blob and StoreSum
+// writes for their total. parseDigest reads exactly this grammar.
+const digestFormat = "blobs=%d bytes=%d records=%d hash=%016x"
+
+// digestCounts names a digest's count fields, in order.
+var digestCounts = [...]string{"blobs", "bytes", "records"}
+
+// parseDigest reads one digest as digestFormat renders it: the four
+// fields in order, separated by single spaces, the counts as base-10
+// numbers with no sign and no leading zero, and the hash as exactly 16
+// lowercase hex digits. Anything else — a trailing byte included — is
+// refused, so every accepted digest renders back to the same bytes.
+func parseDigest(d string) (counts [len(digestCounts)]int, hash uint64, ok bool) {
+	fields := strings.Split(d, " ")
+	if len(fields) != len(digestCounts)+1 {
+		return counts, 0, false
+	}
+	for i, name := range digestCounts {
+		v, found := strings.CutPrefix(fields[i], name+"=")
+		if !found || len(v) > 1 && v[0] == '0' {
+			return counts, 0, false
+		}
+		n, err := strconv.ParseUint(v, 10, strconv.IntSize-1)
+		if err != nil {
+			return counts, 0, false
+		}
+		counts[i] = int(n)
+	}
+	h, found := strings.CutPrefix(fields[len(digestCounts)], "hash=")
+	if !found || len(h) != 16 || h != strings.ToLower(h) {
+		return counts, 0, false
+	}
+	hash, err := strconv.ParseUint(h, 16, 64)
+	return counts, hash, err == nil
+}
 
 // SeedFromName derives a blob-generator seed from an item name (FNV-1a),
 // the convention StoreGen uses, so clients can reproduce fetched blobs.

@@ -305,3 +305,20 @@ func TestStorageScanRejectsBadDigests(t *testing.T) {
 		}
 	}
 }
+
+// FuzzStoreSumDigest: StoreSum of one digest is that digest, so
+// whatever StoreSum accepts must render back to the same bytes.
+func FuzzStoreSumDigest(f *testing.F) {
+	f.Add([]byte("blobs=0 bytes=0 records=0 hash=0000000000000000"))
+	f.Add([]byte("blobs=1 bytes=262144 records=4096 hash=9c4e0f3b2a1d8e07"))
+	f.Add([]byte(fmt.Sprintf("blobs=%d bytes=%d records=1 hash=ffffffffffffffff", math.MaxInt, math.MaxInt)))
+	f.Add([]byte("blobs=1 bytes=2 records=3 hash=ffzz"))
+	f.Add([]byte("blobs=01 bytes=+2 records=-3 hash=00000000000000FF "))
+	sum := storeSum(f)
+	f.Fuzz(func(t *testing.T, digest []byte) {
+		got, err := sum(digest)
+		if err == nil && !bytes.Equal(got, digest) {
+			t.Fatalf("StoreSum accepted %q and rendered it as %q", digest, got)
+		}
+	})
+}
