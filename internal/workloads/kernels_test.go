@@ -101,3 +101,33 @@ func BenchmarkSSBQuery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStorageKernels times the storage suite's two per-blob
+// kernels on one 256 KiB blob, the size batch-egress and batch-ingest
+// send: StoreGen generates it, StoreScan checksums it. StoreScan's
+// FNV-1a chain is one dependency chain by definition, so its row is
+// the control for StoreGen's.
+func BenchmarkStorageKernels(b *testing.B) {
+	const blobSize = 256 << 10
+	fns := functions{}
+	if _, err := workloads.Register(fns, "storage"); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		kernel string
+		in     memctx.Set
+	}{
+		{"StoreGen", memctx.Set{Name: "Size", Items: workloads.MakeFetchSizes(1, blobSize)}},
+		{"StoreScan", memctx.Set{Name: "Blob", Items: workloads.MakeScanBlobs(1, blobSize)}},
+	} {
+		b.Run(c.kernel, func(b *testing.B) {
+			b.SetBytes(blobSize)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := fns[c.kernel]([]memctx.Set{c.in}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
