@@ -430,25 +430,121 @@ func SeedFromName(name string) uint64 {
 const MaxBlobBytes = 64 << 20
 
 // MakeBlob renders n deterministic pseudo-record bytes from seed:
-// xorshift-filled lines of ~64 bytes, so StoreScan sees a plausible
+// xorshift-filled lines of 64 bytes, so StoreScan sees a plausible
 // record structure and the payload stays incompressible-ish.
+//
+// The bytes are defined by one sequential recurrence: x starts at seed
+// (fnvOffset for 0); byte i is '\n' when i%64 == 63, and otherwise x
+// takes one xorshift64 step and byte i is ' ' + x%94. Clients rebuild
+// fetched blobs with MakeBlob, so the output must never drift from it;
+// internal/workloads/reference_test.go holds MakeBlob to that loop.
+//
+// Each step waits on the one before it, so the loop runs at the
+// latency of one xorshift step per byte. MakeBlob instead splits the
+// full rows into blobLanes contiguous lanes, seeds each lane by jumping
+// the previous lane's seed ahead over its rows (see jump), and fills
+// one row of every lane per iteration: independent chains the CPU
+// overlaps. The leftover rows and the partial last row continue the
+// last lane's chain.
 func MakeBlob(n int, seed uint64) []byte {
 	if seed == 0 {
 		seed = fnvOffset
 	}
 	b := make([]byte, n)
-	x := seed
-	for i := range b {
-		if (i+1)%64 == 0 {
+	per := n / blobRow / blobLanes // rows in each lane
+	laneBytes := per * blobRow
+	x0 := seed
+	x1 := jump(x0, per)
+	x2 := jump(x1, per)
+	x3 := jump(x2, per)
+	l1, l2, l3 := b[laneBytes:], b[2*laneBytes:], b[3*laneBytes:]
+	for off := 0; off < laneBytes; off += blobRow {
+		r0 := (*[blobRow]byte)(b[off:])
+		r1 := (*[blobRow]byte)(l1[off:])
+		r2 := (*[blobRow]byte)(l2[off:])
+		r3 := (*[blobRow]byte)(l3[off:])
+		for i := 0; i < blobRow-1; i++ {
+			x0, x1, x2, x3 = xorshift(x0), xorshift(x1), xorshift(x2), xorshift(x3)
+			r0[i] = ' ' + byte(x0%94)
+			r1[i] = ' ' + byte(x1%94)
+			r2[i] = ' ' + byte(x2%94)
+			r3[i] = ' ' + byte(x3%94)
+		}
+		r0[blobRow-1], r1[blobRow-1], r2[blobRow-1], r3[blobRow-1] = '\n', '\n', '\n', '\n'
+	}
+	x := x3
+	for i := blobLanes * laneBytes; i < n; i++ {
+		if (i+1)%blobRow == 0 {
 			b[i] = '\n'
 			continue
 		}
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
+		x = xorshift(x)
 		b[i] = ' ' + byte(x%94) // printable, never '\n'
 	}
 	return b
+}
+
+const (
+	blobRow   = 64 // bytes per MakeBlob row: 63 xorshift bytes and a '\n'
+	blobLanes = 4  // MakeBlob's independent chains; the fill loop names each
+)
+
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
+}
+
+// gf2Matrix is a linear map on 64-bit vectors over GF(2), stored as
+// the images of the 64 unit vectors: column i is the map applied to
+// 1<<i.
+type gf2Matrix [64]uint64
+
+func (m *gf2Matrix) apply(x uint64) uint64 {
+	var y uint64
+	for i := range m {
+		y ^= m[i] & -(x >> i & 1)
+	}
+	return y
+}
+
+// rowJumps[j] advances the xorshift state by the steps of 2^j rows,
+// (blobRow-1)·2^j. Every n/blobRow of an int n is below 2^57, so 57
+// levels jump over any lane.
+var (
+	rowJumpsOnce sync.Once
+	rowJumps     [57]gf2Matrix
+)
+
+// jump returns the xorshift state rows rows after x. xorshift64 is
+// linear over GF(2), so one row's blobRow-1 steps are one matrix, and
+// squaring it doubles the rows it covers; jump applies the levels of
+// rows' set bits.
+func jump(x uint64, rows int) uint64 {
+	if rows == 0 {
+		return x
+	}
+	rowJumpsOnce.Do(func() {
+		for i := range rowJumps[0] {
+			v := uint64(1) << i
+			for range blobRow - 1 {
+				v = xorshift(v)
+			}
+			rowJumps[0][i] = v
+		}
+		for j := 1; j < len(rowJumps); j++ {
+			for i, col := range rowJumps[j-1] {
+				rowJumps[j][i] = rowJumps[j-1].apply(col)
+			}
+		}
+	})
+	for j := 0; rows != 0; j, rows = j+1, rows>>1 {
+		if rows&1 != 0 {
+			x = rowJumps[j].apply(x)
+		}
+	}
+	return x
 }
 
 // MakeScanBlobs renders nBlobs Blobs items of blobSize bytes each for
