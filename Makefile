@@ -65,13 +65,19 @@ bench-smoke:
 # corpus and probe a few thousand mutations each of the binary framing
 # grammar (internal/wire FuzzWireRoundTrip), the journal file format
 # (internal/journal FuzzJournalReplay — torn writes, flipped CRCs,
-# adversarial lengths) and the SSB partial-aggregate rows
+# adversarial lengths), the SSB partial-aggregate rows
 # (internal/ssb FuzzDecodeGroupSum — held to the fmt-based decoder it
-# replaced), short enough for CI.
+# replaced), the storage scan digests (internal/workloads
+# FuzzStoreSumDigest — whatever StoreSum accepts renders back to the
+# same bytes) and the lane-parallel blob generator (internal/workloads
+# FuzzMakeBlob — held to the sequential loop it replaced), short enough
+# for CI.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 5s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal/
 	$(GO) test -run XXX -fuzz FuzzDecodeGroupSum -fuzztime 5s ./internal/ssb/
+	$(GO) test -run XXX -fuzz FuzzStoreSumDigest -fuzztime 5s ./internal/workloads/
+	$(GO) test -run XXX -fuzz FuzzMakeBlob -fuzztime 5s ./internal/workloads/
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json): four
 # served workloads against a separately exec'd cmd/dandelion, validated

@@ -439,8 +439,8 @@ const MaxBlobBytes = 64 << 20
 // fetched blobs with MakeBlob, so the output must never drift from it;
 // internal/workloads/reference_test.go holds MakeBlob to that loop.
 //
-// Each step waits on the one before it, so the loop runs at the
-// latency of one xorshift step per byte. MakeBlob instead splits the
+// Run as written, each step waits on the one before it, so the loop
+// runs at the latency of one xorshift step per byte. MakeBlob splits the
 // full rows into blobLanes contiguous lanes, seeds each lane by jumping
 // the previous lane's seed ahead over its rows (see jump), and fills
 // one row of every lane per iteration: independent chains the CPU
@@ -486,7 +486,7 @@ func MakeBlob(n int, seed uint64) []byte {
 
 const (
 	blobRow   = 64 // bytes per MakeBlob row: 63 xorshift bytes and a '\n'
-	blobLanes = 4  // MakeBlob's independent chains; the fill loop names each
+	blobLanes = 4  // MakeBlob's independent chains, x0..x3 in its fill loop
 )
 
 func xorshift(x uint64) uint64 {
