@@ -350,6 +350,41 @@ composition U(In) => Result {
 	}
 }
 
+// panicComm is a communication function with a bug: every call panics
+// on the communication engine.
+type panicComm struct{}
+
+func (panicComm) Name() string                              { return "Flaky" }
+func (panicComm) Invoke([]memctx.Set) ([]memctx.Set, error) { panic("comm bug") }
+
+func TestCommPanicConfined(t *testing.T) {
+	p := newPlatform(t, Options{})
+	if err := p.RegisterComm(panicComm{}); err != nil {
+		t.Fatal(err)
+	}
+	p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper})
+	if _, err := p.RegisterCompositionText(`
+composition F(In) => Result {
+    Flaky(Request = all In) => (Result = Response);
+}
+composition U(In) => Result {
+    Upper(x = all In) => (Result = Out);
+}`); err != nil {
+		t.Fatal(err)
+	}
+	// Twice: the communication engine that ran the first call must still
+	// serve the second.
+	for i := 0; i < 2; i++ {
+		_, err := p.Invoke(context.Background(), Request{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("x")}})
+		if err == nil || !strings.Contains(err.Error(), `core: function "Flaky" crashed: comm bug`) {
+			t.Fatalf("call %d: err = %v, want crash report", i, err)
+		}
+	}
+	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("ok")}}); err != nil {
+		t.Fatalf("platform dead after communication crash: %v", err)
+	}
+}
+
 type fakeComm struct {
 	name  string
 	calls int
