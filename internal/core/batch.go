@@ -474,7 +474,7 @@ func (p *Platform) runCommItems(ctx context.Context, tenant string, f CommFunc, 
 				// backlog; this drops those that expired queued at the
 				// engine after dispatch.
 				if it.err = ctx.Err(); it.err == nil {
-					it.outs, it.err = f.Invoke(it.inst)
+					it.outs, it.err = runComm(f, it.inst)
 				}
 			},
 			OnReject: reject,
@@ -486,6 +486,18 @@ func (p *Platform) runCommItems(ctx context.Context, tenant string, f CommFunc, 
 		}
 	}
 	wg.Wait()
+}
+
+// runComm invokes a communication function on one instance. As in
+// runComputeIn, a panic fails this invocation, never the communication
+// engine and with it the process.
+func runComm(f CommFunc, inst instance) (outs []memctx.Set, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			outs, err = nil, fmt.Errorf("core: function %q crashed: %v", f.Name(), r)
+		}
+	}()
+	return f.Invoke(inst)
 }
 
 // runNestedItems runs a statement's nested-composition instances as one
