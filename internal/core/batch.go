@@ -1,6 +1,10 @@
 // The executor. Invoke and InvokeBatch both run here: Invoke is a batch
 // of one request. A batch's requests are grouped by composition and
-// tenant, and each group walks the composition DAG together. At each
+// tenant, and each group walks the composition DAG together. A
+// statement runs on the goroutine that finished its last dependency, so
+// a chain of statements runs entirely on the caller's goroutine; only a
+// statement made ready beside another starts a goroutine of its own,
+// and independent statements still overlap. At each
 // statement, the instances of every live request in the group are
 // gathered into one flat work list. Compute instances run in per-engine
 // chunks, back-to-back on one compute engine against a single reused
@@ -24,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dandelion/internal/graph"
 	"dandelion/internal/memctx"
@@ -63,10 +68,12 @@ func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Resul
 	// nil) pay nothing here.
 	kb := p.beginKeyedBatch(reqs, results)
 
-	// Group request indices by (composition, tenant), preserving
-	// first-seen order. Tenant is part of the key so one group's tasks
-	// are attributable to exactly one tenant's dispatch share.
-	var groups []batchGroup
+	// Group requests by (composition, tenant), preserving first-seen
+	// order. Tenant is part of the key so one group's tasks are
+	// attributable to exactly one tenant's dispatch share. Every Invoke,
+	// and most batches, make one group; it lives on the stack.
+	var one [1]batchGroup
+	groups := one[:0]
 	for i, r := range reqs {
 		if kb != nil && kb.skip[i] {
 			continue
@@ -79,24 +86,29 @@ func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Resul
 		if g == len(groups) {
 			groups = append(groups, batchGroup{comp: r.Composition, tenant: tenant})
 		}
-		groups[g].idxs = append(groups[g].idxs, i)
+		groups[g].reqs = append(groups[g].reqs, groupReq{idx: i, inputs: r.Inputs, borrow: r.Borrow})
 	}
 	runnable := groups[:0]
 	for _, g := range groups {
 		comp, err := p.reg.composition(g.comp)
 		if err != nil {
-			for _, i := range g.idxs {
-				results[i].Err = err
+			for _, q := range g.reqs {
+				results[q.idx].Err = err
 			}
 			continue
 		}
-		p.ctrs.shard().invocations.Add(uint64(len(g.idxs)))
+		p.ctrs.shard().invocations.Add(uint64(len(g.reqs)))
 		g.pl = p.planFor(comp)
 		runnable = append(runnable, g)
 	}
 
 	if len(runnable) > 0 {
-		p.runGroups(ctx, runnable, reqs, results)
+		p.runGroups(ctx, runnable)
+	}
+	for _, g := range runnable {
+		for _, q := range g.reqs {
+			results[q.idx].Outputs, results[q.idx].Err = q.out, q.err
+		}
 	}
 	if kb != nil {
 		p.finishKeyedBatch(kb, reqs, results)
@@ -107,17 +119,35 @@ func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Resul
 }
 
 // batchGroup is the requests of one batch that name one composition
-// under one tenant, by index into the batch.
+// under one tenant.
 type batchGroup struct {
 	comp, tenant string
 	pl           *compPlan
-	idxs         []int
+	reqs         []groupReq
+}
+
+// groupReq is one request of a group: its inputs and lease on the way
+// in, its dataflow values during the walk, and its outputs or first
+// error on the way out.
+type groupReq struct {
+	// idx is the request's index in its batch; nested instances leave
+	// it zero.
+	idx    int
+	inputs map[string][]memctx.Item
+	// borrow is the request's wire-memory lease (Request.Borrow), nil
+	// without one; compute instances of the request adopt their inputs
+	// under it.
+	borrow *memctx.Region
+	store  *valueStore
+	out    map[string][]memctx.Item
+	// err is guarded by batchState.mu while the walk runs.
+	err error
 }
 
 // runGroups runs every group but the last on its own goroutine and the
 // last on the caller's, so a batch of one group — every Invoke — starts
 // no goroutine here.
-func (p *Platform) runGroups(ctx context.Context, groups []batchGroup, reqs []Request, results []Result) {
+func (p *Platform) runGroups(ctx context.Context, groups []batchGroup) {
 	last := len(groups) - 1
 	if last > 0 {
 		var wg sync.WaitGroup
@@ -125,137 +155,144 @@ func (p *Platform) runGroups(ctx context.Context, groups []batchGroup, reqs []Re
 			wg.Add(1)
 			go func(g batchGroup) {
 				defer wg.Done()
-				p.runGroup(ctx, g, reqs, results)
+				p.invokeBatch(ctx, g.tenant, g.pl, g.reqs, 0)
 			}(g)
 		}
 		defer wg.Wait()
 	}
-	p.runGroup(ctx, groups[last], reqs, results)
+	g := groups[last]
+	p.invokeBatch(ctx, g.tenant, g.pl, g.reqs, 0)
 }
 
-// runGroup runs one group and writes its requests' results.
-func (p *Platform) runGroup(ctx context.Context, g batchGroup, reqs []Request, results []Result) {
-	inputs := make([]map[string][]memctx.Item, len(g.idxs))
-	var borrows []*memctx.Region // nil unless some request carries a lease
-	for k, i := range g.idxs {
-		inputs[k] = reqs[i].Inputs
-		if reqs[i].Borrow != nil {
-			if borrows == nil {
-				borrows = make([]*memctx.Region, len(g.idxs))
-			}
-			borrows[k] = reqs[i].Borrow
-		}
-	}
-	outs, errs := p.invokeBatch(ctx, g.tenant, g.pl, inputs, borrows, 0)
-	for k, i := range g.idxs {
-		results[i].Outputs, results[i].Err = outs[k], errs[k]
-	}
-}
-
-// batchState tracks the per-request dataflow of one composition group.
+// batchState is one group's walk through one composition: the group's
+// requests, and per statement the count of its dependencies that have
+// not finished yet.
 type batchState struct {
-	stores []*valueStore
-	// borrows, when non-nil, carries each request's wire-memory lease
-	// (Request.Borrow, parallel to stores); compute instances of
-	// the request adopt their inputs under it.
-	borrows []*memctx.Region
-	mu      sync.Mutex
-	errs    []error
-}
-
-// borrow returns request r's lease, nil when the batch carries none.
-func (b *batchState) borrow(r int) *memctx.Region {
-	if b.borrows == nil {
-		return nil
-	}
-	return b.borrows[r]
+	p      *Platform
+	ctx    context.Context
+	tenant string
+	pl     *compPlan
+	depth  int
+	reqs   []groupReq
+	mu     sync.Mutex // guards reqs[r].err
+	// pending[i] reaches zero when statement i's last dependency
+	// finishes; the goroutine that brings it there runs or starts i.
+	pending []atomic.Int32
+	// wg covers the goroutines the walk started, not the caller's.
+	wg sync.WaitGroup
 }
 
 func (b *batchState) fail(r int, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.errs[r] == nil {
-		b.errs[r] = err
+	if b.reqs[r].err == nil {
+		b.reqs[r].err = err
 	}
 }
 
-// live returns the requests that have not failed yet.
-func (b *batchState) live() []int {
+// failAll fails every request that has not failed yet.
+func (b *batchState) failAll(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]int, 0, len(b.errs))
-	for r, err := range b.errs {
-		if err == nil {
-			out = append(out, r)
+	for r := range b.reqs {
+		if b.reqs[r].err == nil {
+			b.reqs[r].err = err
 		}
 	}
-	return out
+}
+
+// alive reports whether request r has not failed yet.
+func (b *batchState) alive(r int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.reqs[r].err == nil
 }
 
 // invokeBatch runs a group of requests through one composition under
-// one tenant at nesting depth depth: one goroutine per statement,
-// shared across the group and honoring DAG dependencies. Orchestration
-// state — deps, vertices, error labels — comes precompiled from the
-// plan.
-func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan, inputs []map[string][]memctx.Item, borrows []*memctx.Region, depth int) ([]map[string][]memctx.Item, []error) {
-	comp := pl.comp
-	n := len(inputs)
-	st := &batchState{stores: make([]*valueStore, n), borrows: borrows, errs: make([]error, n)}
+// one tenant at nesting depth depth, and fills in each request's
+// outputs or error. A statement runs on the goroutine that finished its
+// last dependency: a chain of statements runs entirely on the caller's
+// goroutine, and only a statement that becomes ready beside another
+// starts a goroutine of its own, so independent statements still
+// overlap. Orchestration state — the dependency graph, vertices, error
+// labels — comes precompiled from the plan.
+func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan, reqs []groupReq, depth int) {
 	if depth >= p.opts.MaxDepth {
 		err := fmt.Errorf("%w (%d)", ErrTooDeep, p.opts.MaxDepth)
-		for r := range st.errs {
-			st.errs[r] = err
+		for r := range reqs {
+			reqs[r].err = err
 		}
-		return make([]map[string][]memctx.Item, n), st.errs
+		return
 	}
-	defer func() {
-		for _, s := range st.stores {
-			putValueStore(s)
-		}
-	}()
-	for r := 0; r < n; r++ {
-		st.stores[r] = getValueStore()
+	comp := pl.comp
+	for r := range reqs {
+		q := &reqs[r]
+		q.store = getValueStore()
 		for _, in := range comp.Inputs {
-			items, ok := inputs[r][in]
+			items, ok := q.inputs[in]
 			if !ok {
-				st.errs[r] = fmt.Errorf("%w: %q", ErrMissingInput, in)
+				q.err = fmt.Errorf("%w: %q", ErrMissingInput, in)
 				break
 			}
-			st.stores[r].set(in, items)
+			q.store.set(in, items)
 		}
 	}
 
-	done := make([]chan struct{}, len(comp.Stmts))
-	for i := range done {
-		done[i] = make(chan struct{})
+	b := &batchState{p: p, ctx: ctx, tenant: tenant, pl: pl, depth: depth, reqs: reqs,
+		pending: make([]atomic.Int32, len(pl.stmts))}
+	for i := range b.pending {
+		b.pending[i].Store(pl.indeg[i])
 	}
-	var wg sync.WaitGroup
-	for i := range comp.Stmts {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(done[i])
-			for _, d := range pl.deps[i] {
-				<-done[d]
+	if roots := pl.roots; len(roots) > 0 {
+		for _, si := range roots[1:] {
+			b.start(si)
+		}
+		b.runFrom(roots[0])
+	}
+	b.wg.Wait()
+
+	for r := range reqs {
+		q := &reqs[r]
+		if q.err == nil {
+			q.out = make(map[string][]memctx.Item, len(comp.Outputs))
+			for _, o := range comp.Outputs {
+				q.out[o.Name] = q.store.get(o.Value)
 			}
-			p.runStatementBatch(ctx, tenant, pl, i, st, depth)
-		}()
+		}
+		putValueStore(q.store)
+		q.store = nil
 	}
-	wg.Wait()
+}
 
-	outs := make([]map[string][]memctx.Item, n)
-	for r := 0; r < n; r++ {
-		if st.errs[r] != nil {
-			continue
+// start runs statement si, and whatever it makes ready, on a new
+// goroutine.
+func (b *batchState) start(si int) {
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		b.runFrom(si)
+	}()
+}
+
+// runFrom runs statement si, then counts it off its dependents. The
+// first dependent it makes ready runs next on this goroutine; every
+// further one starts on its own.
+func (b *batchState) runFrom(si int) {
+	for si >= 0 {
+		b.runStatement(si)
+		next := -1
+		for _, d := range b.pl.dependents[si] {
+			if b.pending[d].Add(-1) != 0 {
+				continue
+			}
+			if next < 0 {
+				next = d
+			} else {
+				b.start(d)
+			}
 		}
-		out := make(map[string][]memctx.Item, len(comp.Outputs))
-		for _, b := range comp.Outputs {
-			out[b.Name] = st.stores[r].get(b.Value)
-		}
-		outs[r] = out
+		si = next
 	}
-	return outs, st.errs
 }
 
 // batchItem is one function instance within a batched statement.
@@ -289,31 +326,24 @@ var batchItemsPool = sync.Pool{New: func() any { return new([]batchItem) }}
 
 const maxPooledBatchItems = 4096
 
-// runStatementBatch executes one statement for every live request in
-// the group. It gathers every live request's instances into one flat
-// work list and runs the list by vertex kind: compute instances in
+// runStatement executes one statement for every live request in the
+// group. It gathers every live request's instances into one flat work
+// list and runs the list by vertex kind: compute instances in
 // per-engine chunks, communication instances one task each on the
 // communication engines, and nested-composition instances as one group
 // one level deeper.
-func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *compPlan, si int, bst *batchState, depth int) {
-	sp := &pl.stmts[si]
+func (b *batchState) runStatement(si int) {
+	p, ctx := b.p, b.ctx
+	sp := &b.pl.stmts[si]
 	st := sp.st
-	live := bst.live()
-	if len(live) == 0 {
-		return
-	}
 	wrap := sp.wrap
 	if err := ctx.Err(); err != nil {
-		for _, r := range live {
-			bst.fail(r, err)
-		}
+		b.failAll(err)
 		return
 	}
 	v, err := p.resolveStmt(sp)
 	if err != nil {
-		for _, r := range live {
-			bst.fail(r, wrap(err))
-		}
+		b.failAll(wrap(err))
 		return
 	}
 
@@ -331,34 +361,44 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		batchItemsPool.Put(itemsBuf)
 	}()
 	var totalBytes int64
-	for _, r := range live {
-		// §4.4: any non-optional input set with zero items suppresses
-		// execution, defining empty outputs.
-		argItems := make([][]memctx.Item, len(st.Args))
+	for r := range b.reqs {
+		if !b.alive(r) {
+			continue
+		}
+		q := &b.reqs[r]
+		// args holds each argument's whole value; for a broadcast-only
+		// statement it is the statement's one instance. §4.4: any
+		// non-optional input set with zero items suppresses execution,
+		// defining empty outputs.
+		args := make(instance, len(st.Args))
 		skip := false
 		for ai, a := range st.Args {
-			argItems[ai] = bst.stores[r].get(a.Value)
-			if len(argItems[ai]) == 0 && !a.Optional {
+			args[ai] = memctx.Set{Name: a.Param, Items: q.store.get(a.Value)}
+			if len(args[ai].Items) == 0 && !a.Optional {
 				skip = true
 			}
 		}
 		if skip {
 			for _, ret := range st.Rets {
-				bst.stores[r].set(ret.Value, nil)
+				q.store.set(ret.Value, nil)
 			}
 			continue
 		}
-		var insts []instance
 		if sp.broadcastOnly {
-			insts = []instance{singleInstance(st.Args, argItems)}
-		} else if insts, err = expandInstances(st.Args, argItems); err != nil {
-			bst.fail(r, wrap(err))
+			n := instanceBytes(args)
+			totalBytes += n
+			items = append(items, batchItem{req: r, inst: args, borrow: q.borrow, bytes: n})
+			continue
+		}
+		insts, err := expandInstances(st.Args, args)
+		if err != nil {
+			b.fail(r, wrap(err))
 			continue
 		}
 		for _, inst := range insts {
-			b := instanceBytes(inst)
-			totalBytes += b
-			items = append(items, batchItem{req: r, inst: inst, borrow: bst.borrow(r), bytes: b})
+			n := instanceBytes(inst)
+			totalBytes += n
+			items = append(items, batchItem{req: r, inst: inst, borrow: q.borrow, bytes: n})
 		}
 	}
 	if len(items) == 0 {
@@ -367,11 +407,11 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 
 	switch {
 	case v.fn != nil:
-		p.runComputeItems(ctx, tenant, v.fn, items, totalBytes)
+		p.runComputeItems(ctx, b.tenant, v.fn, items, totalBytes)
 	case v.comm != nil:
-		p.runCommItems(ctx, tenant, v.comm, items)
+		p.runCommItems(ctx, b.tenant, v.comm, items)
 	default:
-		p.runNestedItems(ctx, tenant, p.planFor(v.comp), items, depth)
+		p.runNestedItems(ctx, b.tenant, p.planFor(v.comp), items, b.depth)
 	}
 
 	// A request's instances sit contiguously in the work list. Per
@@ -381,30 +421,37 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		r := items[lo].req
 		for hi = lo; hi < len(items) && items[hi].req == r; hi++ {
 		}
-		bst.settle(st, wrap, r, items[lo:hi])
+		b.settle(st, wrap, r, items[lo:hi])
 	}
 }
 
 // settle records one request's share of a statement: its first instance
 // error, or its instances' outputs merged in instance order under each
-// Ret binding.
-func (bst *batchState) settle(st *graph.Stmt, wrap func(error) error, r int, insts []batchItem) {
+// Ret binding. A binding that one set fills aliases that set's items;
+// the full slice expression makes a later append copy them.
+func (b *batchState) settle(st *graph.Stmt, wrap func(error) error, r int, insts []batchItem) {
 	for i := range insts {
 		if insts[i].err != nil {
-			bst.fail(r, wrap(insts[i].err))
+			b.fail(r, wrap(insts[i].err))
 			return
 		}
 	}
+	store := b.reqs[r].store
 	for _, ret := range st.Rets {
 		var merged []memctx.Item
 		for i := range insts {
 			for _, s := range insts[i].outs {
-				if s.Name == ret.Set {
+				if s.Name != ret.Set {
+					continue
+				}
+				if merged == nil {
+					merged = s.Items[:len(s.Items):len(s.Items)]
+				} else {
 					merged = append(merged, s.Items...)
 				}
 			}
 		}
-		bst.stores[r].set(ret.Value, merged)
+		store.set(ret.Value, merged)
 	}
 }
 
@@ -504,26 +551,20 @@ func runComm(f CommFunc, inst instance) (outs []memctx.Set, err error) {
 // group one level deeper: each instance is a request whose inputs are
 // its argument sets, under the lease of the request it belongs to.
 func (p *Platform) runNestedItems(ctx context.Context, tenant string, pl *compPlan, items []batchItem, depth int) {
-	inputs := make([]map[string][]memctx.Item, len(items))
-	var borrows []*memctx.Region // nil unless some instance carries a lease
+	reqs := make([]groupReq, len(items))
 	for i := range items {
-		inputs[i] = make(map[string][]memctx.Item, len(items[i].inst))
+		inputs := make(map[string][]memctx.Item, len(items[i].inst))
 		for _, s := range items[i].inst {
-			inputs[i][s.Name] = s.Items
+			inputs[s.Name] = s.Items
 		}
-		if items[i].borrow != nil {
-			if borrows == nil {
-				borrows = make([]*memctx.Region, len(items))
-			}
-			borrows[i] = items[i].borrow
-		}
+		reqs[i] = groupReq{inputs: inputs, borrow: items[i].borrow}
 	}
-	outs, errs := p.invokeBatch(ctx, tenant, pl, inputs, borrows, depth+1)
+	p.invokeBatch(ctx, tenant, pl, reqs, depth+1)
 	for i := range items {
-		if items[i].err = errs[i]; errs[i] != nil {
+		if items[i].err = reqs[i].err; reqs[i].err != nil {
 			continue
 		}
-		for name, its := range outs[i] {
+		for name, its := range reqs[i].out {
 			items[i].outs = append(items[i].outs, memctx.Set{Name: name, Items: its})
 		}
 	}

@@ -553,28 +553,30 @@ func (s *valueStore) set(name string, items []memctx.Item) {
 // instance is one function instantiation: the input sets it receives.
 type instance []memctx.Set
 
-// expandInstances applies the all/each/key distribution keywords. Args
-// in `all` mode broadcast to every instance; `each`/`key` args split
-// into groups. All split args must agree on the group count (or be
-// broadcast), matching co-partitioned zip semantics.
-func expandInstances(args []graph.Arg, items [][]memctx.Item) ([]instance, error) {
+// expandInstances applies the all/each/key distribution keywords to a
+// statement's argument values (one set per argument, holding the whole
+// value). Args in `all` mode broadcast to every instance; `each`/`key`
+// args split into groups. All split args must agree on the group count
+// (or be broadcast), matching co-partitioned zip semantics.
+func expandInstances(args []graph.Arg, vals instance) ([]instance, error) {
 	type argGroups struct {
 		groups [][]memctx.Item
 	}
 	split := make([]argGroups, len(args))
 	n := 1
 	for ai, a := range args {
+		items := vals[ai].Items
 		switch a.Mode {
 		case graph.All:
-			split[ai].groups = [][]memctx.Item{items[ai]}
+			split[ai].groups = [][]memctx.Item{items}
 		case graph.Each:
-			gs := make([][]memctx.Item, len(items[ai]))
-			for i := range items[ai] {
-				gs[i] = items[ai][i : i+1]
+			gs := make([][]memctx.Item, len(items))
+			for i := range items {
+				gs[i] = items[i : i+1]
 			}
 			split[ai].groups = gs
 		case graph.Key:
-			sets := memctx.GroupByKey(memctx.Set{Name: a.Param, Items: items[ai]})
+			sets := memctx.GroupByKey(vals[ai])
 			gs := make([][]memctx.Item, len(sets))
 			for i := range sets {
 				gs[i] = sets[i].Items

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"dandelion/internal/graph"
-	"dandelion/internal/memctx"
 )
 
 // stmtPlan is one statement's precompiled execution state.
@@ -48,8 +47,14 @@ func (sp *stmtPlan) wrap(err error) error {
 type compPlan struct {
 	comp  *graph.Composition
 	gen   uint64 // registry generation the plan was built at
-	deps  [][]int
 	stmts []stmtPlan
+	// The dependency graph the walk runs on: each statement's count of
+	// statements it consumes from (indeg), the statements that consume
+	// from it (dependents), and the statements that consume from none
+	// (roots).
+	indeg      []int32
+	dependents [][]int
+	roots      []int
 	// complete reports that every statement resolved; only complete
 	// plans are cached.
 	complete bool
@@ -76,11 +81,21 @@ func (p *Platform) planFor(comp *graph.Composition) *compPlan {
 // generation.
 func (p *Platform) buildPlan(comp *graph.Composition, gen uint64) *compPlan {
 	pl := &compPlan{
-		comp:     comp,
-		gen:      gen,
-		deps:     comp.Deps(),
-		stmts:    make([]stmtPlan, len(comp.Stmts)),
-		complete: true,
+		comp:       comp,
+		gen:        gen,
+		stmts:      make([]stmtPlan, len(comp.Stmts)),
+		indeg:      make([]int32, len(comp.Stmts)),
+		dependents: make([][]int, len(comp.Stmts)),
+		complete:   true,
+	}
+	for i, deps := range comp.Deps() {
+		pl.indeg[i] = int32(len(deps))
+		if len(deps) == 0 {
+			pl.roots = append(pl.roots, i)
+		}
+		for _, d := range deps {
+			pl.dependents[d] = append(pl.dependents[d], i)
+		}
 	}
 	for i := range comp.Stmts {
 		st := &comp.Stmts[i]
@@ -111,14 +126,4 @@ func (p *Platform) resolveStmt(sp *stmtPlan) (vertex, error) {
 		return sp.v, nil
 	}
 	return p.reg.resolve(sp.st.Func)
-}
-
-// singleInstance builds the one instance of a broadcast-only statement
-// without the general split/regroup machinery.
-func singleInstance(args []graph.Arg, items [][]memctx.Item) instance {
-	inst := make(instance, len(args))
-	for ai, a := range args {
-		inst[ai] = memctx.Set{Name: a.Param, Items: items[ai]}
-	}
-	return inst
 }
