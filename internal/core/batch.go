@@ -441,7 +441,7 @@ func (b *batchState) settle(st *graph.Stmt, wrap func(error) error, r int, insts
 		var merged []memctx.Item
 		for i := range insts {
 			for _, s := range insts[i].outs {
-				if s.Name != ret.Set {
+				if s.Name != ret.Set || len(s.Items) == 0 {
 					continue
 				}
 				if merged == nil {

@@ -81,6 +81,39 @@ composition Chain(In) => Result {
 	}
 }
 
+// TestMergeDoesNotWriteThroughAlias: a binding filled by one output set
+// aliases that set's items instead of copying them. Here the first
+// instance hands back its input, a one-item window into the value
+// parts, and the others return fresh items. Merging them must copy,
+// not append into the window, or parts would read new|new past its
+// first item.
+func TestMergeDoesNotWriteThroughAlias(t *testing.T) {
+	p := newPlatform(t, Options{})
+	p.RegisterFunction(ComputeFunc{Name: "Fan", Go: fanout(3)})
+	p.RegisterFunction(ComputeFunc{Name: "Pick", Go: func(in []memctx.Set) ([]memctx.Set, error) {
+		if string(in[0].Items[0].Data) == "0" {
+			return []memctx.Set{{Name: "Out", Items: in[0].Items}}, nil
+		}
+		return []memctx.Set{{Name: "Out", Items: []memctx.Item{{Name: "n", Data: []byte("new")}}}}, nil
+	}})
+	p.RegisterFunction(ComputeFunc{Name: "Join", Go: concat})
+	if _, err := p.RegisterCompositionText(`
+composition M(In) => Result {
+    Fan(x = all In) => (parts = Out);
+    Pick(x = each parts) => (picked = Out);
+    Join(a = all parts, b = all picked) => (Result = Out);
+}`); err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Invoke(context.Background(), Request{Composition: "M", Inputs: map[string][]memctx.Item{"In": items("seed")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out["Result"]; len(got) != 1 || string(got[0].Data) != "0|1|2|0|new|new" {
+		t.Fatalf("result = %+v, want 0|1|2|0|new|new", got)
+	}
+}
+
 // BenchmarkInvoke measures one Invoke of a small payload through three
 // composition shapes of an identity function: one statement, a chain of
 // three, and a diamond (one statement feeding two independent ones that
