@@ -55,11 +55,14 @@ bench:
 # proof the hot paths still execute end to end — looped single invokes
 # and the batch path, both wire framings (json, binary) across
 # every payload size, the mixed multi-tenant workload shape, the
-# journaled serving modes (off / on-unkeyed / on-keyed), and the
-# journal append path itself (memory vs file, with/without batching).
+# journaled serving modes (off / on-unkeyed / on-keyed), the
+# journal append path itself (memory vs file, with/without batching),
+# and the executor's walk over one statement, a chain and a diamond
+# (internal/core BenchmarkInvoke).
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkInvokeBatch|BenchmarkServingHTTP|BenchmarkServingJournal|BenchmarkMixedTenants' -benchtime 1x -benchmem .
 	$(GO) test -run XXX -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
+	$(GO) test -run XXX -bench 'BenchmarkInvoke' -benchtime 1x -benchmem ./internal/core/
 
 # fuzz-smoke runs the codec fuzzers briefly: long enough to replay the
 # corpus and probe a few thousand mutations each of the binary framing

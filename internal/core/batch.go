@@ -4,9 +4,9 @@
 // statement runs on the goroutine that finished its last dependency, so
 // a chain of statements runs entirely on the caller's goroutine; only a
 // statement made ready beside another starts a goroutine of its own,
-// and independent statements still overlap. At each
-// statement, the instances of every live request in the group are
-// gathered into one flat work list. Compute instances run in per-engine
+// and independent statements still overlap. At each statement, the
+// instances of every live request in the group are gathered into one
+// flat work list. Compute instances run in per-engine
 // chunks, back-to-back on one compute engine against a single reused
 // memory context, so a batch pays one queue round trip and one context
 // per chunk instead of per instance. Communication instances go to the
@@ -384,16 +384,12 @@ func (b *batchState) runStatement(si int) {
 			}
 			continue
 		}
-		if sp.broadcastOnly {
-			n := instanceBytes(args)
-			totalBytes += n
-			items = append(items, batchItem{req: r, inst: args, borrow: q.borrow, bytes: n})
-			continue
-		}
-		insts, err := expandInstances(st.Args, args)
-		if err != nil {
-			b.fail(r, wrap(err))
-			continue
+		insts := []instance{args}
+		if !sp.broadcastOnly {
+			if insts, err = expandInstances(st.Args, args); err != nil {
+				b.fail(r, wrap(err))
+				continue
+			}
 		}
 		for _, inst := range insts {
 			n := instanceBytes(inst)
