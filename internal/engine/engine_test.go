@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,6 +132,44 @@ func TestComputePoolSerializesPerEngine(t *testing.T) {
 	wg.Wait()
 	if maxC.Load() != 1 {
 		t.Fatalf("compute engine overlapped tasks: max concurrency %d", maxC.Load())
+	}
+}
+
+// TestComputeEngineYieldsToWaiter: a compute engine hands its goroutine
+// back to the scheduler between tasks, so a caller that one task
+// readied runs before the engine starts the next. On one P, the task's
+// close puts the waiting goroutine in the P's runnext slot; an engine
+// that went straight on to its next task would keep the P, and the
+// waiter would wait a whole task. Each round pushes two tasks on a
+// fresh one-engine pool: the first wakes the test goroutine, the second
+// records whether that goroutine has run since.
+//
+// The count cannot reach every round. The yield puts the engine on the
+// global run queue, and on every 61st schedule the runtime takes the
+// global queue first, so then the engine runs before the waiter.
+func TestComputeEngineYieldsToWaiter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 1000
+	first := 0
+	for i := 0; i < rounds; i++ {
+		q := NewQueue()
+		p := NewPool(Compute, q)
+		woken := make(chan struct{})
+		var waiterRan atomic.Bool
+		var waiterFirst bool
+		q.Push(Task{Do: func() { close(woken) }})
+		q.Push(Task{Do: func() { waiterFirst = waiterRan.Load() }})
+		p.SetCount(1)
+		<-woken
+		waiterRan.Store(true)
+		p.Shutdown()
+		if waiterFirst {
+			first++
+		}
+	}
+	if first < rounds*9/10 {
+		t.Fatalf("the woken caller ran before the engine's next task in %d of %d rounds, want at least %d",
+			first, rounds, rounds*9/10)
 	}
 }
 
