@@ -34,7 +34,10 @@ race:
 # flake repeats the concurrent packages' tests twenty times under the
 # race detector: a test that passes "usually" fails here. engine is in
 # the set because its pools drain their queue on Shutdown while engines
-# are still running tasks; sched and core because every invocation's
+# are still running tasks, and its compute engines yield between tasks;
+# controlplane and ctlplane because both resize the compute pool with
+# SetCount from their own goroutines, racing that loop; sched and core
+# because every invocation's
 # dispatch crosses them from many goroutines. memctx is in
 # the set because its ownership moves (adopt, take, borrowed regions)
 # are the only data path; autoscale because every batch request's
@@ -43,7 +46,7 @@ race:
 # same pools; ssb, qoiimg and workloads because every engine's served
 # kernels share the PNG encoder, chunk column and selection pools.
 flake:
-	$(GO) test -race -count=20 ./internal/engine ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
+	$(GO) test -race -count=20 ./internal/engine ./internal/controlplane ./internal/ctlplane ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
 # bench tracks the serving-path trajectory: batched dispatch vs looped
 # single invokes, plus the core microbenchmarks.

@@ -1,8 +1,15 @@
 // Package engine implements Dandelion's execution engines (§5 of the
 // paper). Engines abstract CPU resources: compute engines run one
-// untrusted function at a time to completion on a dedicated core, while
-// communication engines are trusted and multiplex many I/O-bound
-// requests cooperatively (green threads — goroutines here).
+// untrusted function at a time to completion, while communication
+// engines are trusted and multiplex many I/O-bound requests
+// cooperatively (green threads — goroutines here).
+//
+// The paper's compute engines own cores the frontend does not share.
+// Here they are goroutines on the same Ps as the HTTP handlers, so a
+// compute engine returns its goroutine to the Go scheduler between
+// tasks, never inside one: the callers a finished task woke (parked in
+// the engine P's runnext slot) then merge, encode and flush their
+// responses before the engine starts its next chunk.
 //
 // Each engine type polls a single type-specific queue, giving late
 // binding of tasks to engines. The queue itself is sharded and
@@ -12,6 +19,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -51,8 +59,10 @@ var ErrQueueClosed = errors.New("engine: queue closed")
 
 // Pool is a resizable set of engines of one kind polling one queue.
 //
-// Compute pools run exactly one task at a time per engine (run to
-// completion, no context switches). Communication pools have each
+// Compute pools run exactly one task at a time per engine, each to
+// completion: an engine yields its goroutine to the Go scheduler after
+// every task and never inside one, so the goroutines a task readied run
+// before the engine takes its next. Communication pools have each
 // engine spawn a goroutine per task — the cooperative async runtime —
 // so one engine can have many requests in flight.
 type Pool struct {
@@ -155,6 +165,10 @@ func (p *Pool) run(w *worker) {
 			}
 			// Run to completion on this engine; nothing else runs here.
 			p.execute(t)
+			// Let the callers the task woke run before the next task:
+			// otherwise they sit in this P's runnext slot for a whole
+			// chunk.
+			runtime.Gosched()
 		}
 	}
 	// Communication: cooperative green thread per request, bounded by

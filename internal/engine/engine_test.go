@@ -167,6 +167,7 @@ func TestComputeEngineYieldsToWaiter(t *testing.T) {
 			first++
 		}
 	}
+	t.Logf("the woken caller ran first in %d of %d rounds", first, rounds)
 	if first < rounds*9/10 {
 		t.Fatalf("the woken caller ran before the engine's next task in %d of %d rounds, want at least %d",
 			first, rounds, rounds*9/10)
