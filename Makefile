@@ -37,10 +37,9 @@ race:
 # are still running tasks, and its compute engines yield between tasks;
 # controlplane and ctlplane because both resize the compute pool with
 # SetCount from their own goroutines, racing that loop; sched and core
-# because every invocation's
-# dispatch crosses them from many goroutines. memctx is in
-# the set because its ownership moves (adopt, take, borrowed regions)
-# are the only data path; autoscale because every batch request's
+# because every invocation's dispatch crosses them from many
+# goroutines. memctx is in the set because its ownership moves (adopt,
+# take, borrowed regions) are the only data path; autoscale because every batch request's
 # admission runs through it under one lock, with racing clock reads;
 # dvm and isolation because every engine draws sandbox memory from the
 # same pools; ssb, qoiimg and workloads because every engine's served
