@@ -35,17 +35,16 @@ race:
 # race detector: a test that passes "usually" fails here. engine is in
 # the set because its pools drain their queue on Shutdown while engines
 # are still running tasks, and its compute engines yield between tasks;
-# controlplane and ctlplane because both resize the compute pool with
-# SetCount from their own goroutines, racing that loop; sched and core
-# because every invocation's dispatch crosses them from many
-# goroutines. memctx is in the set because its ownership moves (adopt,
+# ctlplane because its one control loop resizes the pools with SetCount
+# from its own goroutine while engines run; sched and core because
+# every invocation's dispatch crosses them from many goroutines. memctx is in the set because its ownership moves (adopt,
 # take, borrowed regions) are the only data path; autoscale because every batch request's
 # admission runs through it under one lock, with racing clock reads;
 # dvm and isolation because every engine draws sandbox memory from the
 # same pools; ssb, qoiimg and workloads because every engine's served
 # kernels share the PNG encoder, chunk column and selection pools.
 flake:
-	$(GO) test -race -count=20 ./internal/engine ./internal/controlplane ./internal/ctlplane ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
+	$(GO) test -race -count=20 ./internal/engine ./internal/ctlplane ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
 # bench tracks the serving-path trajectory: batched dispatch vs looped
 # single invokes, plus the core microbenchmarks.

@@ -56,10 +56,9 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "frontend listen address")
 	computeEngines := flag.Int("compute-engines", 0, "initial compute engines (0 = default)")
 	commEngines := flag.Int("comm-engines", 0, "initial communication engines (0 = default)")
-	balance := flag.Bool("balance", true, "enable the PI-controller core balancer")
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant DRR dispatch weights, e.g. 'alice=2,bob=1' (unlisted tenants get 1)")
 	byteFairness := flag.Bool("byte-fairness", false, "charge DRR dispatch deficits in payload bytes instead of task counts, so large-payload tenants cannot starve interactive ones")
-	autoscale := flag.Bool("autoscale", false, "grow/shrink the compute-engine pool with load (elasticity controller)")
+	autoscale := flag.Bool("autoscale", false, "grow/shrink the compute-engine pool, and with it the core budget, with load")
 	autoscaleMax := flag.Int("autoscale-max", 0, "compute-pool ceiling under -autoscale (0 = 4x initial)")
 	adminToken := flag.String("admin-token", "", "bearer token enabling the /admin control-plane routes (empty disables them)")
 	journalDir := flag.String("journal", "", "directory for the durable invocation journal (created if missing); admin reconfiguration and keyed invocations are replayed from it on restart (empty disables journaling)")
@@ -82,7 +81,6 @@ func main() {
 	p, err := dandelion.New(dandelion.Options{
 		ComputeEngines: *computeEngines,
 		CommEngines:    *commEngines,
-		Balance:        *balance,
 		TenantWeights:  weights,
 		ByteFairness:   *byteFairness,
 		Autoscale:      *autoscale,

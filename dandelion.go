@@ -8,7 +8,7 @@
 // Compute functions run in lightweight per-request sandboxes that cold
 // start in microseconds; communication functions (HTTP) run on trusted
 // cooperative engines; a PI controller re-balances CPU cores between
-// the two.
+// the two every 30 ms.
 //
 // Quickstart:
 //
@@ -133,10 +133,8 @@ type Options struct {
 	// ComputeEngines and CommEngines size the initial engine pools.
 	ComputeEngines int
 	CommEngines    int
-	// Balance enables the PI-controller core re-balancer.
-	Balance bool
-	// Autoscale starts the elasticity controller: the compute-engine
-	// pool grows and shrinks with queue backlog and dispatch-wait p99
+	// Autoscale turns on the control loop's budget rule: the
+	// compute-engine pool grows and shrinks with queue backlog and dispatch-wait p99
 	// (hysteresis on both edges), between ComputeEngines and
 	// AutoscaleMax engines. Resizes are counted in Stats.EngineResizes
 	// and the switch can be flipped at runtime (SetAutoscale or
@@ -197,7 +195,6 @@ func New(opts Options) (*Platform, error) {
 		Journal:        jrnl,
 		ComputeEngines: opts.ComputeEngines,
 		CommEngines:    opts.CommEngines,
-		Balance:        opts.Balance,
 		TenantWeights:  opts.TenantWeights,
 		ByteFairness:   opts.ByteFairness,
 		Autoscale:      opts.Autoscale,

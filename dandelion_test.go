@@ -110,7 +110,7 @@ func TestLogProcessingApplication(t *testing.T) {
 	}
 	defer authSrv.Close()
 
-	p := newPlatform(t, dandelion.Options{Balance: true})
+	p := newPlatform(t, dandelion.Options{})
 
 	p.RegisterFunction(dandelion.ComputeFunc{Name: "Access", Go: func(in []dandelion.Set) ([]dandelion.Set, error) {
 		token := string(in[0].Items[0].Data)

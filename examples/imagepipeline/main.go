@@ -33,7 +33,7 @@ func main() {
 		store.Put("images", fmt.Sprintf("img%02d.qoi", i), qoiimg.Encode(img))
 	}
 
-	p, err := dandelion.New(dandelion.Options{Balance: true, ComputeEngines: 4})
+	p, err := dandelion.New(dandelion.Options{ComputeEngines: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,8 +42,9 @@ func main() {
 	}
 	defer authSrv.Close()
 
-	// The platform, with the PI-controller core balancer on.
-	p, err := dandelion.New(dandelion.Options{Balance: true})
+	// The platform; its PI controller balances cores between the
+	// compute and communication engines.
+	p, err := dandelion.New(dandelion.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("uploaded %d rows in %d chunks (%d bytes)\n",
 		total, *chunks, total*ssb.BytesPerRow)
 
-	p, err := dandelion.New(dandelion.Options{Balance: true, ComputeEngines: 8})
+	p, err := dandelion.New(dandelion.Options{ComputeEngines: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

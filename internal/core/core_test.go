@@ -719,15 +719,3 @@ composition S(In) => Result {
 		}
 	}
 }
-
-func TestBalancedPlatformOption(t *testing.T) {
-	p := newPlatform(t, Options{Balance: true, ComputeEngines: 2, CommEngines: 2})
-	p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper})
-	p.RegisterCompositionText(`
-composition U(In) => Result {
-    Upper(x = all In) => (Result = Out);
-}`)
-	if _, err := p.Invoke(context.Background(), Request{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("x")}}); err != nil {
-		t.Fatal(err)
-	}
-}

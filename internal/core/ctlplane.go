@@ -3,15 +3,13 @@
 // running node without a restart — tenant weights land in the DRR
 // scheduling planes, engine counts land in the pools (and through the
 // WindowFn-tracked dispatch windows, in the scheduler's refill
-// allowance), admission clamps land in the batch admission plane, and
+// allowance) through the control loop that owns the pools, admission clamps land in the batch admission plane, and
 // drain flips the admission gate the public invoke entry points check.
 // The frontend's authenticated /admin routes and cluster.Manager's
 // fan-out both terminate in these methods.
 package core
 
 import (
-	"time"
-
 	"dandelion/internal/autoscale"
 	"dandelion/internal/ctlplane"
 	"dandelion/internal/journal"
@@ -35,34 +33,18 @@ func (p *Platform) TenantShare(tenant string) float64 {
 	return p.computeSched.Share(tenant)
 }
 
-// SetEngineCounts resizes both engine pools at runtime. Counts below 1
-// are clamped to 1 — a node with zero engines of either kind deadlocks
-// its dispatch path, so the control plane refuses to create one — and
-// while the elasticity controller is enabled the compute count is
-// additionally clamped into its [Min, Max] bounds, so a manual resize
-// and the controller never fight (callers read the effective sizes
-// back with EngineCounts). With autoscale toggled off the bounds do
-// not apply: the operator takes manual control of the pool size. The
-// schedulers' dispatch windows track pool sizes through WindowFn and
-// widen or narrow automatically.
+// SetEngineCounts resizes both engine pools at runtime through the
+// control loop (ctlplane.Loop.SetCounts). Counts below 1 are clamped to
+// 1 — a node with zero engines of either kind deadlocks its dispatch
+// path — and while autoscale is on the compute count is also clamped
+// into its [Min, Max] bounds, so a manual resize and the budget rule
+// never fight (callers read the effective sizes back with
+// EngineCounts). With autoscale off the bounds do not apply: the
+// operator takes manual control of the budget. The schedulers'
+// dispatch windows track pool sizes through WindowFn and widen or
+// narrow automatically.
 func (p *Platform) SetEngineCounts(compute, comm int) {
-	if compute < 1 {
-		compute = 1
-	}
-	if comm < 1 {
-		comm = 1
-	}
-	if p.elastic != nil && p.elastic.Enabled() {
-		min, max := p.elastic.Bounds()
-		if compute < min {
-			compute = min
-		}
-		if compute > max {
-			compute = max
-		}
-	}
-	p.computePool.SetCount(compute)
-	p.commPool.SetCount(comm)
+	compute, comm = p.loop.SetCounts(compute, comm)
 	p.journalReconfig(journal.OpEngineCounts, "", int64(compute), int64(comm))
 }
 
@@ -71,11 +53,11 @@ func (p *Platform) EngineCounts() (compute, comm int) {
 	return p.computePool.Count(), p.commPool.Count()
 }
 
-// SetAutoscale toggles the elasticity controller at runtime; a no-op on
-// platforms built without Options.Autoscale.
+// SetAutoscale toggles the control loop's budget rule at runtime; a
+// no-op on platforms built without Options.Autoscale.
 func (p *Platform) SetAutoscale(on bool) {
-	if p.elastic != nil {
-		p.elastic.SetEnabled(on)
+	if p.opts.Autoscale {
+		p.loop.SetAutoscale(on)
 	}
 	var a int64
 	if on {
@@ -84,24 +66,12 @@ func (p *Platform) SetAutoscale(on bool) {
 	p.journalReconfig(journal.OpAutoscale, "", a, 0)
 }
 
-// AutoscaleOn reports whether the elasticity controller is present and
-// enabled.
-func (p *Platform) AutoscaleOn() bool {
-	return p.elastic != nil && p.elastic.Enabled()
-}
+// AutoscaleOn reports whether the budget rule is on.
+func (p *Platform) AutoscaleOn() bool { return p.loop.Autoscale() }
 
 // EngineResizes reports the cumulative number of compute-pool resizes
-// the elasticity controller has applied (0 without Options.Autoscale).
-func (p *Platform) EngineResizes() uint64 {
-	if p.elastic == nil {
-		return 0
-	}
-	return p.elastic.Resizes()
-}
-
-// Elasticity exposes the elasticity controller (nil without
-// Options.Autoscale); tests drive StepOnce through it.
-func (p *Platform) Elasticity() *ctlplane.Elasticity { return p.elastic }
+// the budget rule has applied (0 without Options.Autoscale).
+func (p *Platform) EngineResizes() uint64 { return p.loop.Resizes() }
 
 // NodeStats adapts Stats to the cluster manager's Admin interface;
 // an in-process platform snapshot cannot fail, so the error is always
@@ -144,28 +114,31 @@ func (p *Platform) Resume() {
 // Draining reports whether the node is refusing new invocations.
 func (p *Platform) Draining() bool { return p.draining.Load() }
 
-// elasticSignals samples the compute plane's load for the elasticity
-// controller: backlog is sched-parked tasks plus the engine queue, and
-// WaitP99 the worst per-tenant dispatch-wait p99 — the gauge the
-// fairness work is judged by, reused as the scale-up trigger. Only
-// tenants with *queued* work contribute their p99: the gauge is
-// computed over a ring of past samples, so without new dispatches it
-// reflects a finished burst, and counting it — for an idle tenant, or
-// for one whose only activity is an already-running long request —
-// would read as pressure forever and pin the pool at Max. A tenant
-// with nothing parked cannot be accruing dispatch wait right now.
-func (p *Platform) elasticSignals() ctlplane.Signals {
-	var queued int
-	var p99 time.Duration
-	for _, ts := range p.computeSched.Stats() {
-		queued += ts.Queued
-		if ts.Queued > 0 && ts.P99DispatchWait > p99 {
-			p99 = ts.P99DispatchWait
+// loadSignals samples both pools' load for the control loop. A pool's
+// backlog is its sched-parked tasks plus its engine queue; the dispatch
+// window only moves tasks from one to the other, so a resize that
+// widens the window does not read as growth. Reading it allocates
+// nothing. WaitP99, read only when wait is set (autoscale on), is the
+// worst per-tenant compute dispatch-wait p99 — the gauge the fairness
+// work is judged by, reused as the scale-up trigger. Only tenants with
+// *queued* work contribute their p99: the gauge is computed over a
+// ring of past samples, so without new dispatches it reflects a
+// finished burst, and counting it — for an idle tenant, or for one
+// whose only activity is an already-running long request — would read
+// as pressure forever and pin the pool at Max. A tenant with nothing
+// parked cannot be accruing dispatch wait right now.
+func (p *Platform) loadSignals(wait bool) ctlplane.Signals {
+	s := ctlplane.Signals{
+		ComputeBacklog: p.computeSched.Parked() + p.computePool.Queue().Len(),
+		CommBacklog:    p.commSched.Parked() + p.commPool.Queue().Len(),
+		InFlight:       p.computePool.InFlight(),
+	}
+	if wait {
+		for _, ts := range p.computeSched.Stats() {
+			if ts.Queued > 0 && ts.P99DispatchWait > s.WaitP99 {
+				s.WaitP99 = ts.P99DispatchWait
+			}
 		}
 	}
-	return ctlplane.Signals{
-		QueueLen: queued + p.computePool.Queue().Len(),
-		InFlight: p.computePool.InFlight(),
-		WaitP99:  p99,
-	}
+	return s
 }

@@ -109,10 +109,11 @@ func TestAdmissionClampReconfigure(t *testing.T) {
 }
 
 // TestElasticityGrowsComputePool drives a slow function hard enough to
-// back up the compute plane and asserts the elasticity controller grows
-// the pool (EngineResizes > 0) and that autoscale reconfiguration
-// round-trips. The controller is stepped manually (no wall-clock
-// dependence); Options.Autoscale still exercises the Start/Stop path.
+// back up the compute plane and asserts the control loop's budget rule
+// grows the pool (EngineResizes > 0) and that autoscale
+// reconfiguration round-trips. The loop is stepped manually (no
+// wall-clock dependence); NewPlatform still exercises the Start/Stop
+// path.
 func TestElasticityGrowsComputePool(t *testing.T) {
 	p := newPlatform(t, Options{
 		ComputeEngines: 1,
@@ -154,16 +155,15 @@ composition S(In) => Result {
 	// Wait until the backlog is visible, then step the controller past
 	// its hysteresis.
 	deadline := time.After(5 * time.Second)
-	for p.elasticSignals().QueueLen < 8 {
+	for p.loadSignals(true).ComputeBacklog < 8 {
 		select {
 		case <-deadline:
-			t.Fatalf("backlog never formed: %+v", p.elasticSignals())
+			t.Fatalf("backlog never formed: %+v", p.loadSignals(true))
 		case <-time.After(time.Millisecond):
 		}
 	}
-	e := p.Elasticity()
 	for i := 0; i < 8; i++ {
-		e.StepOnce()
+		p.loop.Step()
 	}
 	if got := p.Stats().EngineResizes; got == 0 {
 		t.Fatalf("EngineResizes = %d, want > 0", got)
@@ -179,7 +179,7 @@ composition S(In) => Result {
 	}
 	before := p.Stats().EngineResizes
 	for i := 0; i < 8; i++ {
-		e.StepOnce()
+		p.loop.Step()
 	}
 	if got := p.Stats().EngineResizes; got != before {
 		t.Fatalf("disabled controller resized: %d -> %d", before, got)

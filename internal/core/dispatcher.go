@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dandelion/internal/autoscale"
-	"dandelion/internal/controlplane"
 	"dandelion/internal/ctlplane"
 	"dandelion/internal/engine"
 	"dandelion/internal/graph"
@@ -51,8 +50,6 @@ type Options struct {
 	// core and grows it on demand).
 	ComputeEngines int
 	CommEngines    int
-	// Balance starts the PI-controller core balancer.
-	Balance bool
 	// MaxDepth bounds nested composition recursion (default 16).
 	MaxDepth int
 	// TenantWeights seeds the scheduling plane's per-tenant DRR weights;
@@ -71,12 +68,12 @@ type Options struct {
 	// pool; 0 tracks the pool size (2× compute engines; comm engines ×
 	// their green-thread capacity).
 	DispatchWindow int
-	// Autoscale starts the elasticity controller: a control loop that
-	// grows and shrinks the compute pool from queue backlog and
-	// dispatch-wait p99 (see internal/ctlplane), counted in
-	// Stats.EngineResizes. It can be toggled at runtime via
-	// SetAutoscale. Elasticity tunes it; by default the pool floats in
-	// [ComputeEngines, 4×ComputeEngines].
+	// Autoscale turns on the control loop's budget rule: the loop
+	// grows and shrinks the compute pool from backlog and dispatch-wait
+	// p99 (see internal/ctlplane), counted in Stats.EngineResizes. It
+	// can be toggled at runtime via SetAutoscale. Elasticity tunes it;
+	// by default the pool floats in [ComputeEngines, 4×ComputeEngines].
+	// The loop's PI controller runs either way.
 	Autoscale  bool
 	Elasticity ctlplane.Config
 	// Journal, when non-nil, makes the node durable: keyed invocations
@@ -104,13 +101,12 @@ type Platform struct {
 
 	computePool *engine.Pool
 	commPool    *engine.Pool
-	balancer    *controlplane.Balancer
 
-	// The dynamic control plane (ctlplane.go): the elasticity
-	// controller resizing the compute pool, the batch admission plane
-	// whose clamp the control plane can override, and the drain gate
-	// the invoke entry points check.
-	elastic  *ctlplane.Elasticity
+	// The dynamic control plane (ctlplane.go): the control loop, the
+	// one owner of the pool sizes; the batch admission plane whose
+	// clamp the control plane can override; and the drain gate the
+	// invoke entry points check.
+	loop     *ctlplane.Loop
 	adm      *autoscale.Admission
 	draining atomic.Bool
 
@@ -175,11 +171,9 @@ func NewPlatform(opts Options) (*Platform, error) {
 	}
 	p.computePool = engine.NewPool(engine.Compute, engine.NewQueue())
 	p.commPool = engine.NewPool(engine.Communication, engine.NewQueue())
-	p.computePool.SetCount(opts.ComputeEngines)
-	p.commPool.SetCount(opts.CommEngines)
-	// The dispatch windows track pool sizes so the balancer's SetCount
-	// re-assignments widen or narrow the refill allowance automatically.
-	// Comm engines multiplex green threads, so their window is per-slot.
+	// The dispatch windows track pool sizes so the control loop's
+	// resizes widen or narrow the refill allowance automatically. Comm
+	// engines multiplex green threads, so their window is per-slot.
 	p.computeSched = sched.New(p.computePool.Queue(), sched.Config{
 		Window:       opts.DispatchWindow,
 		WindowFn:     func() int { return 2 * p.computePool.Count() },
@@ -192,18 +186,14 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Weights:      opts.TenantWeights,
 		ByteFairness: opts.ByteFairness,
 	})
-	if opts.Balance {
-		p.balancer = controlplane.NewBalancer(controlplane.NewController(), p.computePool, p.commPool)
-		p.balancer.Start()
+	ecfg := opts.Elasticity
+	if ecfg.Min < 1 {
+		ecfg.Min = opts.ComputeEngines
 	}
-	if opts.Autoscale {
-		ecfg := opts.Elasticity
-		if ecfg.Min < 1 {
-			ecfg.Min = opts.ComputeEngines
-		}
-		p.elastic = ctlplane.NewElasticity(ecfg, p.computePool, p.elasticSignals)
-		p.elastic.Start()
-	}
+	p.loop = ctlplane.NewLoop(ecfg, p.computePool, p.commPool, p.loadSignals)
+	p.loop.SetCounts(opts.ComputeEngines, opts.CommEngines)
+	p.loop.SetAutoscale(opts.Autoscale)
+	p.loop.Start()
 	p.dedup = journal.NewDedup(0)
 	if opts.Journal != nil {
 		p.jrnl = opts.Journal
@@ -215,16 +205,11 @@ func NewPlatform(opts Options) (*Platform, error) {
 	return p, nil
 }
 
-// Shutdown stops engines and the balancer, waiting for in-flight work.
-// The schedulers close first so parked tasks are rejected instead of
-// stranded behind a closing queue.
+// Shutdown stops the control loop and the engines, waiting for
+// in-flight work. The schedulers close first so parked tasks are
+// rejected instead of stranded behind a closing queue.
 func (p *Platform) Shutdown() {
-	if p.elastic != nil {
-		p.elastic.Stop()
-	}
-	if p.balancer != nil {
-		p.balancer.Stop()
-	}
+	p.loop.Stop()
 	p.computeSched.Close()
 	p.commSched.Close()
 	p.computePool.Shutdown()
@@ -304,10 +289,9 @@ type Stats struct {
 	// regions) faster than they return.
 	PooledContextReuses uint64
 	PooledContextAllocs uint64
-	// EngineResizes counts compute-pool resizes applied by the
-	// elasticity controller (grows plus shrinks); 0 without
-	// Options.Autoscale. AutoscaleOn reports the controller's runtime
-	// switch, and Draining whether the node is refusing new invocations
+	// EngineResizes counts compute-pool resizes applied by the control
+	// loop's budget rule (grows plus shrinks); 0 without
+	// Options.Autoscale. AutoscaleOn reports the rule's runtime switch, and Draining whether the node is refusing new invocations
 	// (see Platform.Drain).
 	EngineResizes uint64
 	AutoscaleOn   bool

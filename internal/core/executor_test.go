@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,14 +50,34 @@ composition Both(In) => Result {
 	}
 }
 
+// goroutineIDs lists the ids of every live goroutine.
+func goroutineIDs() map[string]bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	ids := map[string]bool{}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if id, ok := strings.CutPrefix(line, "goroutine "); ok {
+			ids[strings.Fields(id)[0]] = true
+		}
+	}
+	return ids
+}
+
 // TestChainStartsNoStatementGoroutine: a chain of statements runs on
 // the goroutine that called Invoke. While the first statement executes,
-// no goroutine beyond those that existed before Invoke is alive.
+// no goroutine that did not exist before Invoke is alive. Goroutines
+// are compared by id, so one still exiting from an earlier test cannot
+// hide one the chain started.
 func TestChainStartsNoStatementGoroutine(t *testing.T) {
 	p := newPlatform(t, Options{})
-	var before, delta int
+	var before map[string]bool
+	var started []string
 	p.RegisterFunction(ComputeFunc{Name: "Count", Go: func(in []memctx.Set) ([]memctx.Set, error) {
-		delta = runtime.NumGoroutine() - before
+		for id := range goroutineIDs() {
+			if !before[id] {
+				started = append(started, id)
+			}
+		}
 		return []memctx.Set{{Name: "Out", Items: in[0].Items}}, nil
 	}})
 	p.RegisterFunction(ComputeFunc{Name: "Upper", Go: upper})
@@ -68,7 +89,7 @@ composition Chain(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	before = runtime.NumGoroutine()
+	before = goroutineIDs()
 	out, err := p.Invoke(context.Background(), Request{Composition: "Chain", Inputs: map[string][]memctx.Item{"In": items("x")}})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +97,8 @@ composition Chain(In) => Result {
 	if got := out["Result"]; len(got) != 1 || string(got[0].Data) != "X" {
 		t.Fatalf("result = %+v, want X", got)
 	}
-	if delta != 0 {
-		t.Fatalf("%d goroutines started by the time the first statement ran, want 0", delta)
+	if len(started) != 0 {
+		t.Fatalf("goroutines %v started by the time the first statement ran, want none", started)
 	}
 }
 

@@ -5,28 +5,28 @@
 // First, the Reconfigurer interface — the contract every layer above
 // the dispatcher programs against when it wants to change a running
 // node: per-tenant DRR weights (applied through internal/sched),
-// engine-pool sizes (applied through engine.Pool.SetCount), batch
+// engine-pool sizes (applied through the Loop), batch
 // admission-window clamps (applied through internal/autoscale), the
-// elasticity controller's on/off switch, and drain/resume. core.Platform
-// implements it; the frontend's authenticated /admin routes and the
-// cluster manager's fan-out both speak it, so a weight update entered
-// over HTTP reaches the same code path an SDK caller uses.
+// autoscale switch, and drain/resume. core.Platform implements it; the
+// frontend's authenticated /admin routes and the cluster manager's
+// fan-out both speak it, so a weight update entered over HTTP reaches
+// the same code path an SDK caller uses.
 //
-// Second, the Elasticity controller — the goroutine that makes engine
-// pools elastic. Every control period it samples two load signals (queue
-// backlog and the scheduling plane's dispatch-wait p99) and grows or
-// shrinks the pool one engine at a time within [Min, Max] bounds.
-// Hysteresis on both edges (GrowHoldSteps consecutive hot observations
-// before a grow, ShrinkHoldSteps consecutive calm observations before a
-// shrink) keeps it from oscillating on bursty load. This complements the
-// PI core balancer in internal/controlplane: the balancer moves a fixed
-// core budget between the compute and communication pools, while the
-// elasticity controller changes the budget itself.
+// Second, the Loop — the worker's one control loop, and the only code
+// that resizes its engine pools. Every control period (30 ms, as in
+// §5 of the paper) it runs the paper's PI Controller on the growth of
+// the two pools' backlogs and moves at most one core between them,
+// keeping the total. With autoscale on it also grows or shrinks that
+// total, the core budget, one engine at a time: hysteresis on both
+// edges (GrowHoldSteps consecutive hot observations before a grow,
+// ShrinkHoldSteps consecutive calm ones before a shrink) keeps it from
+// oscillating on bursty load, and the budget never exceeds Max plus
+// the communication count set at boot or by the last SetCounts. The
+// same Controller drives the discrete-event model in internal/faas.
 package ctlplane
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,8 +48,9 @@ type Reconfigurer interface {
 	// current sizes.
 	SetEngineCounts(compute, comm int)
 	EngineCounts() (compute, comm int)
-	// SetAutoscale toggles the elasticity controller at runtime; it is a
-	// no-op on nodes booted without one. AutoscaleOn reports the switch.
+	// SetAutoscale toggles the control loop's budget rule at runtime; it
+	// is a no-op on nodes booted without autoscale. AutoscaleOn reports
+	// the switch.
 	SetAutoscale(on bool)
 	AutoscaleOn() bool
 	// SetAdmissionClamp overrides the batch admission-window clamp
@@ -64,33 +65,91 @@ type Reconfigurer interface {
 	Draining() bool
 }
 
-// Pool is the slice of engine.Pool the elasticity controller actuates.
+// DefaultPeriod is the paper's 30 ms control interval.
+const DefaultPeriod = 30 * time.Millisecond
+
+// Controller is the PI controller of §5. It is mechanism-agnostic:
+// callers feed it backlog growth observations and apply the returned
+// core moves.
+type Controller struct {
+	// Kp and Ki are the proportional and integral gains.
+	Kp, Ki float64
+	// Deadband suppresses moves for small control signals, avoiding
+	// oscillation when the system is balanced.
+	Deadband float64
+	// IntegralClamp bounds the integral term (anti-windup).
+	IntegralClamp float64
+
+	integral float64
+}
+
+// NewController returns a controller with gains that settle within a few
+// control periods for backlog-growth error signals measured in tasks per
+// period.
+func NewController() *Controller {
+	return &Controller{Kp: 0.5, Ki: 0.1, Deadband: 0.5, IntegralClamp: 50}
+}
+
+// Step consumes one observation of the two backlogs' growth over the
+// last period and returns the number of cores to move: positive means
+// move that many cores from communication to compute, negative the
+// reverse, zero means hold. At most one core moves per step, matching
+// the paper's one-core-at-a-time reassignment.
+func (c *Controller) Step(computeGrowth, commGrowth float64) int {
+	err := computeGrowth - commGrowth
+	c.integral += err
+	if c.integral > c.IntegralClamp {
+		c.integral = c.IntegralClamp
+	}
+	if c.integral < -c.IntegralClamp {
+		c.integral = -c.IntegralClamp
+	}
+	u := c.Kp*err + c.Ki*c.integral
+	switch {
+	case u > c.Deadband:
+		return 1
+	case u < -c.Deadband:
+		return -1
+	}
+	return 0
+}
+
+// Reset clears the integral state.
+func (c *Controller) Reset() { c.integral = 0 }
+
+// Pool is the slice of engine.Pool the loop actuates.
 type Pool interface {
 	Count() int
 	SetCount(n int)
 }
 
-// Signals is one observation of the load the controller scales on.
+// Signals is one observation of the load on the two pools.
 type Signals struct {
-	// QueueLen is the backlog feeding the pool: tasks parked in the
-	// scheduling plane plus tasks in the engine queue.
-	QueueLen int
-	// InFlight is the number of tasks currently executing on engines.
+	// ComputeBacklog and CommBacklog are each pool's backlog: tasks
+	// parked in its scheduling plane plus tasks in its engine queue.
+	// The dispatch window only moves tasks between the two, so resizing
+	// a pool does not change its backlog.
+	ComputeBacklog int
+	CommBacklog    int
+	// InFlight is the number of compute tasks executing on engines.
 	InFlight int
-	// WaitP99 is the scheduling plane's worst per-tenant dispatch-wait
-	// p99 — the fairness-facing latency signal.
+	// WaitP99 is the compute scheduling plane's worst per-tenant
+	// dispatch-wait p99, the fairness-facing latency signal. Sources
+	// fill it only when asked to (autoscale on).
 	WaitP99 time.Duration
 }
 
-// Config parameterizes an Elasticity controller. The zero value selects
-// the documented defaults.
+// Config parameterizes the loop's autoscale rule. The zero value
+// selects the documented defaults.
 type Config struct {
-	// Min and Max bound the pool size. Min defaults to 1; Max unset
+	// Min and Max bound the compute pool while the PI has moved no core:
+	// the core budget stays in [Min, Max] plus the communication count
+	// set at boot or by the last SetCounts. Min defaults to 1; Max unset
 	// (≤ 0) defaults to 4×Min, and an explicit Max below Min is raised
 	// to Min (a fixed-size pool), never silently widened.
 	Min, Max int
-	// GrowBacklogPerEngine is the queue backlog per engine that reads as
-	// pressure (default 4).
+	// GrowBacklogPerEngine is the compute backlog per engine that reads
+	// as pressure (default 4).
 	GrowBacklogPerEngine int
 	// GrowWaitP99 is the dispatch-wait p99 that reads as pressure
 	// (default 5ms).
@@ -102,8 +161,7 @@ type Config struct {
 	// conservative scale-down of internal/autoscale.
 	GrowHoldSteps   int
 	ShrinkHoldSteps int
-	// Period is the control interval (default 30ms, the paper's worker
-	// control-loop period).
+	// Period is the control interval (default DefaultPeriod).
 	Period time.Duration
 }
 
@@ -129,142 +187,189 @@ func (c Config) withDefaults() Config {
 		c.ShrinkHoldSteps = 10
 	}
 	if c.Period <= 0 {
-		c.Period = 30 * time.Millisecond
+		c.Period = DefaultPeriod
 	}
 	return c
 }
 
-// Elasticity grows and shrinks one engine pool from load signals. It is
-// safe for concurrent use; StepOnce is exposed so tests (and callers
-// with their own timers) can drive it deterministically.
-type Elasticity struct {
+// Loop owns a worker's compute and communication pools: it is the one
+// caller of their SetCount. Step runs on one goroutine (Start) or on a
+// test's or caller's own timer; everything it reads and writes is
+// guarded by one mutex, which SetCounts and SetAutoscale take too.
+type Loop struct {
 	cfg     Config
-	pool    Pool
-	signals func() Signals
+	compute Pool
+	comm    Pool
+	signals func(wait bool) Signals
 
-	enabled atomic.Bool
-	grows   atomic.Uint64
-	shrinks atomic.Uint64
-
-	mu         sync.Mutex
-	hotSteps   int
-	calmSteps  int
-	stop, done chan struct{}
+	mu        sync.Mutex
+	pi        *Controller
+	autoscale bool
+	// commBase is the comm count set at boot or by the last SetCounts;
+	// the budget bound is cfg.Max + commBase.
+	commBase int
+	// prevCompute and prevComm are the backlogs the last step observed.
+	prevCompute, prevComm int
+	hotSteps, calmSteps   int
+	grows, shrinks        uint64
+	stop, done            chan struct{}
 }
 
-// NewElasticity wires a controller to a pool and a signal source. The
-// controller starts enabled; Start launches the periodic loop.
-func NewElasticity(cfg Config, pool Pool, signals func() Signals) *Elasticity {
-	e := &Elasticity{cfg: cfg.withDefaults(), pool: pool, signals: signals}
-	e.enabled.Store(true)
-	return e
+// NewLoop wires the loop to two pools and a signal source, which
+// fills Signals.WaitP99 only when called with wait true. The loop
+// starts with autoscale off and the pools as they are; Start launches
+// the periodic steps.
+func NewLoop(cfg Config, compute, comm Pool, signals func(wait bool) Signals) *Loop {
+	return &Loop{
+		cfg: cfg.withDefaults(), compute: compute, comm: comm, signals: signals,
+		pi: NewController(), commBase: comm.Count(),
+	}
 }
 
-// SetEnabled toggles the controller without stopping its loop: disabled
-// steps observe nothing and never resize.
-func (e *Elasticity) SetEnabled(on bool) { e.enabled.Store(on) }
+// SetCounts resizes both pools: the admin path and journal replay.
+// Counts below 1 are raised to 1, since a node with no engine of a kind
+// cannot dispatch to it; with autoscale on the compute count is also
+// clamped into [Min, Max]. It returns the sizes applied. The comm count
+// becomes the budget's new base, and the PI's integral restarts from
+// the operator's decision.
+func (l *Loop) SetCounts(compute, comm int) (int, int) {
+	compute, comm = max(compute, 1), max(comm, 1)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.autoscale {
+		compute = min(max(compute, l.cfg.Min), l.cfg.Max)
+	}
+	l.commBase = comm
+	l.pi.Reset()
+	l.compute.SetCount(compute)
+	l.comm.SetCount(comm)
+	return compute, comm
+}
 
-// Enabled reports the controller switch.
-func (e *Elasticity) Enabled() bool { return e.enabled.Load() }
+// SetAutoscale toggles the budget rule; the PI runs either way. Turning
+// it on shrinks a budget above the bound back to it, compute first.
+func (l *Loop) SetAutoscale(on bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.autoscale = on
+	l.hotSteps, l.calmSteps = 0, 0
+	c, m := l.compute.Count(), l.comm.Count()
+	if over := c + m - l.cfg.Max - l.commBase; on && over > 0 {
+		cut := min(over, c-1)
+		l.compute.SetCount(c - cut)
+		l.comm.SetCount(m - (over - cut))
+	}
+}
 
-// Resizes reports the cumulative number of pool resizes (grows plus
-// shrinks) the controller has applied — the EngineResizes stats gauge.
-func (e *Elasticity) Resizes() uint64 { return e.grows.Load() + e.shrinks.Load() }
+// Autoscale reports the budget rule's switch.
+func (l *Loop) Autoscale() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.autoscale
+}
 
-// Grows and Shrinks split Resizes by direction.
-func (e *Elasticity) Grows() uint64   { return e.grows.Load() }
-func (e *Elasticity) Shrinks() uint64 { return e.shrinks.Load() }
+// Resizes reports the cumulative number of budget grows plus shrinks
+// the autoscale rule has applied — the EngineResizes stats gauge.
+func (l *Loop) Resizes() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.grows + l.shrinks
+}
 
-// Bounds reports the configured [Min, Max] pool-size bounds.
-func (e *Elasticity) Bounds() (min, max int) { return e.cfg.Min, e.cfg.Max }
-
-// StepOnce performs one observe/decide/actuate cycle.
+// Step runs one control period and changes at most one thing.
 //
-// Hot (backlog ≥ GrowBacklogPerEngine×count, or dispatch-wait p99 ≥
-// GrowWaitP99) for GrowHoldSteps consecutive steps grows the pool by
-// one engine, up to Max. Calm (empty backlog and an idle engine) for
-// ShrinkHoldSteps consecutive steps shrinks by one, down to Min. Any
-// observation that is neither resets both streaks — the hysteresis that
-// keeps a pool from thrashing between sizes under oscillating load.
+// First the PI: its error is the compute backlog's growth minus the
+// comm backlog's. It moves one core toward the growing side, keeping
+// each pool at one engine or more, and never toward a pool whose
+// backlog is empty: a draining backlog reads as negative growth, but
+// handing its cores to an idle pool would only slow the drain.
 //
-// A pool found below Min is NOT forced back up outside the load
-// signals: another actuator may legitimately hold it there (the PI core
-// balancer moves a core compute→comm preserving the total budget, and
-// an unconditional restore here would re-add that core every step,
-// inflating the budget without bound). Below Min, shrinking stops and
-// any hot observation grows immediately — Min is re-approached exactly
-// as fast as load justifies it. Manual SetEngineCounts undershoot is
-// prevented at apply time instead (core.Platform clamps into the
-// controller's bounds while it is enabled).
-func (e *Elasticity) StepOnce() {
-	if !e.enabled.Load() {
+// Then, if the PI held still and autoscale is on, the budget rule.
+// Hot (compute backlog ≥ GrowBacklogPerEngine×compute, or WaitP99 ≥
+// GrowWaitP99) for GrowHoldSteps consecutive steps grows the compute
+// pool by one engine while the budget is below Max + the comm base.
+// Calm (empty compute backlog and an idle compute engine) for
+// ShrinkHoldSteps consecutive steps shrinks it by one while the budget
+// is above Min + the comm base. Any observation that is neither resets
+// both streaks. A streak that comes due in a step the PI moved acts on
+// the next step.
+func (l *Loop) Step() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.signals(l.autoscale)
+	c, m := l.compute.Count(), l.comm.Count()
+	move := l.pi.Step(float64(s.ComputeBacklog-l.prevCompute), float64(s.CommBacklog-l.prevComm))
+	l.prevCompute, l.prevComm = s.ComputeBacklog, s.CommBacklog
+	moved := true
+	switch {
+	case move > 0 && m > 1 && s.ComputeBacklog > 0:
+		l.comm.SetCount(m - 1)
+		l.compute.SetCount(c + 1)
+	case move < 0 && c > 1 && s.CommBacklog > 0:
+		l.compute.SetCount(c - 1)
+		l.comm.SetCount(m + 1)
+	default:
+		moved = false
+	}
+	if !l.autoscale {
 		return
 	}
-	s := e.signals()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := e.pool.Count()
-	hot := s.QueueLen >= e.cfg.GrowBacklogPerEngine*max(n, 1) || s.WaitP99 >= e.cfg.GrowWaitP99
-	calm := s.QueueLen == 0 && s.InFlight < n
+	hot := s.ComputeBacklog >= l.cfg.GrowBacklogPerEngine*c || s.WaitP99 >= l.cfg.GrowWaitP99
+	calm := s.ComputeBacklog == 0 && s.InFlight < c
 	switch {
 	case hot:
-		e.calmSteps = 0
-		e.hotSteps++
-		hold := e.cfg.GrowHoldSteps
-		if n < e.cfg.Min {
-			hold = 1 // below the floor, any pressure grows immediately
-		}
-		if e.hotSteps >= hold && n < e.cfg.Max {
-			e.pool.SetCount(n + 1)
-			e.grows.Add(1)
-			e.hotSteps = 0
+		l.calmSteps = 0
+		l.hotSteps++
+		if !moved && l.hotSteps >= l.cfg.GrowHoldSteps && c+m < l.cfg.Max+l.commBase {
+			l.compute.SetCount(c + 1)
+			l.grows++
+			l.hotSteps = 0
 		}
 	case calm:
-		e.hotSteps = 0
-		e.calmSteps++
-		if e.calmSteps >= e.cfg.ShrinkHoldSteps && n > e.cfg.Min {
-			e.pool.SetCount(n - 1)
-			e.shrinks.Add(1)
-			e.calmSteps = 0
+		l.hotSteps = 0
+		l.calmSteps++
+		if !moved && l.calmSteps >= l.cfg.ShrinkHoldSteps && c > 1 && c+m > l.cfg.Min+l.commBase {
+			l.compute.SetCount(c - 1)
+			l.shrinks++
+			l.calmSteps = 0
 		}
 	default:
-		e.hotSteps, e.calmSteps = 0, 0
+		l.hotSteps, l.calmSteps = 0, 0
 	}
 }
 
 // Start launches the periodic control loop; it is idempotent.
-func (e *Elasticity) Start() {
-	e.mu.Lock()
-	if e.stop != nil {
-		e.mu.Unlock()
+func (l *Loop) Start() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stop != nil {
 		return
 	}
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	stop, done := e.stop, e.done
-	e.mu.Unlock()
+	l.stop = make(chan struct{})
+	l.done = make(chan struct{})
+	go l.run(l.stop, l.done)
+}
 
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(e.cfg.Period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				e.StepOnce()
-			}
+func (l *Loop) run(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	ticker := time.NewTicker(l.cfg.Period)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-ticker.C:
+			l.Step()
 		}
-	}()
+	}
 }
 
 // Stop halts the control loop and waits for it to exit.
-func (e *Elasticity) Stop() {
-	e.mu.Lock()
-	stop, done := e.stop, e.done
-	e.stop, e.done = nil, nil
-	e.mu.Unlock()
+func (l *Loop) Stop() {
+	l.mu.Lock()
+	stop, done := l.stop, l.done
+	l.stop, l.done = nil, nil
+	l.mu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done

@@ -12,9 +12,9 @@
 //     refill in batches from the global ring and that idle workers
 //     steal from, keeping hot dispatch off any shared line.
 //
-// The exported contract is unchanged: Push/Pop/TryPop/Len/Pushed/
-// Popped/Close behave as before, so engine.Pool, the PI balancer in
-// internal/controlplane, and SetCount re-assignment keep working.
+// The exported contract is unchanged: Push/Pop/TryPop/Len/Close
+// behave as before, so engine.Pool and SetCount re-assignment keep
+// working.
 // Blocking is handled by a parking lot (mutex+cond) entered only after
 // the lock-free paths come up empty.
 //
@@ -137,8 +137,6 @@ type Queue struct {
 	shardMu sync.RWMutex
 	shards  []*shard
 
-	pushed atomic.Uint64
-	popped atomic.Uint64
 	closed atomic.Bool
 	// pushing counts Pushes between their closed check and enqueue;
 	// Close waits for it to drain so Push-vs-Close stays atomic (the
@@ -166,8 +164,8 @@ func (q *Queue) spill(t Task) {
 	q.overflowLen.Add(1)
 }
 
-// requeue returns an already-counted task to circulation: global ring
-// first, overflow when the ring is full.
+// requeue puts a task into circulation: global ring first, overflow
+// when the ring is full.
 func (q *Queue) requeue(t Task) {
 	if !q.global.enqueue(t) {
 		q.spill(t)
@@ -183,7 +181,6 @@ func (q *Queue) Push(t Task) error {
 		return ErrQueueClosed
 	}
 	q.requeue(t)
-	q.pushed.Add(1)
 	if q.sleepers.Load() > 0 {
 		q.parkMu.Lock()
 		q.parkCond.Broadcast()
@@ -219,7 +216,7 @@ func (q *Queue) releaseWorker(s *shard) {
 			break
 		}
 		moved = true
-		// Internal move: already counted as pushed, so bypass Push.
+		// Internal move: bypass Push, which refuses a closed queue.
 		q.requeue(t)
 	}
 	if moved {
@@ -305,20 +302,16 @@ func (q *Queue) steal(self *shard) (Task, bool) {
 func (q *Queue) scan(s *shard) (Task, bool) {
 	if s != nil {
 		if t, ok := s.local.dequeue(); ok {
-			q.popped.Add(1)
 			return t, true
 		}
 	}
 	if t, ok := q.takeOverflow(s); ok {
-		q.popped.Add(1)
 		return t, true
 	}
 	if t, ok := q.refillFromGlobal(s); ok {
-		q.popped.Add(1)
 		return t, true
 	}
 	if t, ok := q.steal(s); ok {
-		q.popped.Add(1)
 		return t, true
 	}
 	return Task{}, false
@@ -383,15 +376,6 @@ func (q *Queue) Len() int {
 	q.shardMu.RUnlock()
 	return n
 }
-
-// Pushed reports the cumulative number of tasks ever enqueued; the
-// control plane differentiates this to estimate queue growth rates.
-func (q *Queue) Pushed() uint64 { return q.pushed.Load() }
-
-// Popped reports the cumulative number of tasks ever dequeued. Tasks
-// sitting in a local shard have not been popped yet: they still count
-// as queued, which is what the PI balancer needs to see.
-func (q *Queue) Popped() uint64 { return q.popped.Load() }
 
 // Close wakes all blocked Pops; queued tasks still drain. It waits out
 // Pushes that passed their closed check, so once Close returns every

@@ -187,14 +187,13 @@ func TestQueueCountersExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		q.Push(Task{Do: func() {}})
 	}
-	if q.Pushed() != n {
-		t.Fatalf("Pushed = %d, want %d", q.Pushed(), n)
+	if q.Len() != n {
+		t.Fatalf("Len = %d, want %d", q.Len(), n)
 	}
 	for i := 0; i < n/2; i++ {
-		q.TryPop()
-	}
-	if q.Popped() != n/2 {
-		t.Fatalf("Popped = %d, want %d", q.Popped(), n/2)
+		if _, ok := q.TryPop(); !ok {
+			t.Fatalf("TryPop %d of %d came up empty", i, n/2)
+		}
 	}
 	if q.Len() != n-n/2 {
 		t.Fatalf("Len = %d, want %d", q.Len(), n-n/2)
@@ -202,8 +201,9 @@ func TestQueueCountersExact(t *testing.T) {
 }
 
 // TestQueueStressWithResizes hammers the queue with many producers while
-// pool sizes are reassigned concurrently — the SetCount churn the PI
-// balancer performs in production. Run under -race.
+// pool sizes are reassigned concurrently — the SetCount churn the
+// control loop (internal/ctlplane) performs in production. Run under
+// -race.
 func TestQueueStressWithResizes(t *testing.T) {
 	q := NewQueue()
 	p := NewPool(Compute, q)
@@ -264,8 +264,8 @@ func TestQueueStressWithResizes(t *testing.T) {
 	if ran.Load() != producers*perProducer {
 		t.Fatalf("ran %d, want %d", ran.Load(), producers*perProducer)
 	}
-	if got := q.Pushed() - q.Popped(); got != 0 {
-		t.Fatalf("pushed-popped = %d after drain, want 0", got)
+	if got := q.Len(); got != 0 {
+		t.Fatalf("Len = %d after drain, want 0", got)
 	}
 }
 

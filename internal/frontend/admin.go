@@ -158,7 +158,7 @@ type adminEnginesView struct {
 	Autoscale    *bool `json:"autoscale,omitempty"`
 	AdmissionMin *int  `json:"admission_min,omitempty"`
 	AdmissionMax *int  `json:"admission_max,omitempty"`
-	// EngineResizes reports the elasticity controller's cumulative
+	// EngineResizes reports the control loop's cumulative budget
 	// resizes (response only).
 	EngineResizes uint64 `json:"engine_resizes"`
 }
@@ -192,7 +192,7 @@ func (s *server) handleAdminEngines(w http.ResponseWriter, r *http.Request) {
 		// The autoscale toggle applies before any resize: a request
 		// carrying both {"autoscale": false, "compute": N} means "take
 		// manual control and set N" — resizing first would still clamp N
-		// into the controller's bounds.
+		// into the autoscale bounds.
 		if body.Autoscale != nil {
 			s.p.SetAutoscale(*body.Autoscale)
 		}

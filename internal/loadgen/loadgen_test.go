@@ -366,7 +366,7 @@ func TestRunStepLoadPhases(t *testing.T) {
 
 // TestStepLoadGrowsComputePool is the elasticity acceptance run: a
 // 1-engine worker with -autoscale semantics takes a low step, then an
-// overloading step; the elasticity controller must grow the compute
+// overloading step; the control loop's budget rule must grow the compute
 // pool (EngineResizes > 0) to absorb it. The slow function makes
 // single-engine capacity ~200 inv/s, so the 350/s step is a genuine
 // overload whichever machine runs the test.

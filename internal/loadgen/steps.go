@@ -1,7 +1,7 @@
 // Step-load generation. A step load is the canonical elasticity probe:
 // consecutive open-loop phases at increasing (or decreasing) arrival
 // rates, each phase long enough for the platform's control loops — the
-// elasticity controller growing the compute pool, the admission windows
+// engine control loop growing the compute pool, the admission windows
 // widening — to react. RunStepLoad chains RunOpenLoop phases back to
 // back against one frontend and reports each phase separately, so a
 // harness can correlate per-phase queueing delay with the pool-size and

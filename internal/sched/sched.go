@@ -493,6 +493,18 @@ func (s *Scheduler) Close() {
 	}
 }
 
+// Parked reports the number of tasks parked awaiting dispatch, over
+// every tenant. Unlike Stats it neither allocates nor sorts.
+func (s *Scheduler) Parked() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, tq := range s.tenants {
+		n += len(tq.backlog)
+	}
+	return n
+}
+
 // TenantStats is one tenant's scheduling gauges.
 type TenantStats struct {
 	// Tenant is the identity; Weight its DRR share.
