@@ -194,8 +194,10 @@ func (c Config) withDefaults() Config {
 
 // Loop owns a worker's compute and communication pools: it is the one
 // caller of their SetCount. Step runs on one goroutine (Start) or on a
-// test's or caller's own timer; everything it reads and writes is
-// guarded by one mutex, which SetCounts and SetAutoscale take too.
+// test's or caller's own timer. It samples its signals unlocked; all
+// else it reads and writes is guarded by one mutex, which SetCounts and
+// SetAutoscale take too and which every resize holds, so no two
+// resizes interleave.
 type Loop struct {
 	cfg     Config
 	compute Pool
@@ -294,9 +296,9 @@ func (l *Loop) Resizes() uint64 {
 // both streaks. A streak that comes due in a step the PI moved acts on
 // the next step.
 func (l *Loop) Step() {
+	s := l.signals(l.Autoscale())
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.signals(l.autoscale)
 	c, m := l.compute.Count(), l.comm.Count()
 	move := l.pi.Step(float64(s.ComputeBacklog-l.prevCompute), float64(s.CommBacklog-l.prevComm))
 	l.prevCompute, l.prevComm = s.ComputeBacklog, s.CommBacklog

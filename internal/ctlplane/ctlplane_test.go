@@ -109,8 +109,8 @@ func backlogs(steps, dc, dm int) []Signals {
 }
 
 // TestLoopPI: the PI half of the loop, autoscale off. It moves one core
-// a step toward the pool whose backlog grows, keeps the total, and
-// never takes a pool below one engine. The periodic goroutine reaches
+// a step toward the pool whose backlog grows, keeps the total, never
+// takes a pool below one engine, and never feeds an empty backlog. The periodic goroutine reaches
 // the same state as steps driven by hand.
 func TestLoopPI(t *testing.T) {
 	cases := []struct {
@@ -129,6 +129,11 @@ func TestLoopPI(t *testing.T) {
 			signals: append([]Signals{{}}, backlogs(5, 0, 40)...), wantCompute: 1, wantComm: 3},
 		{name: "StartStop", compute: 2, comm: 2, periodic: true,
 			signals: backlogs(5, 0, 40), wantCompute: 1, wantComm: 3},
+		// A draining comm backlog reads as negative comm growth, but no
+		// core moves toward a compute pool with nothing waiting.
+		{name: "HoldsTowardEmptyBacklog", compute: 2, comm: 2,
+			signals:     []Signals{{CommBacklog: 100}, {CommBacklog: 80}, {CommBacklog: 50}, {CommBacklog: 20}, {}},
+			wantCompute: 1, wantComm: 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,22 +168,6 @@ func TestLoopPI(t *testing.T) {
 				t.Fatalf("pools = (%d, %d), want (%d, %d)", c, m, tc.wantCompute, tc.wantComm)
 			}
 		})
-	}
-}
-
-// TestLoopHoldsTowardEmptyBacklog: a draining comm backlog reads as
-// negative comm growth, but the PI never hands a core to a compute pool
-// that has nothing waiting.
-func TestLoopHoldsTowardEmptyBacklog(t *testing.T) {
-	sig := Signals{CommBacklog: 100}
-	l, cp, mp := newLoop(Config{}, 2, 2, false, &sig)
-	l.Step()
-	for _, b := range []int{80, 50, 20, 0} {
-		sig.CommBacklog = b
-		l.Step()
-	}
-	if c, m := cp.Count(), mp.Count(); c > 2 {
-		t.Fatalf("pools = (%d, %d): a core moved toward an empty compute backlog", c, m)
 	}
 }
 
