@@ -1,10 +1,11 @@
 // Runtime reconfiguration: Platform's implementation of the dynamic
 // control plane (ctlplane.Reconfigurer). Everything here changes a
 // running node without a restart — tenant weights land in the DRR
-// scheduling planes, engine counts land in the pools (and through the
-// WindowFn-tracked dispatch windows, in the scheduler's refill
-// allowance) through the control loop that owns the pools, admission clamps land in the batch admission plane, and
-// drain flips the admission gate the public invoke entry points check.
+// scheduling planes, engine counts land in the pools through the
+// control loop that owns them (and through the WindowFn-tracked
+// dispatch windows, in the scheduler's refill allowance), admission
+// clamps land in the batch admission plane, and drain flips the
+// admission gate the public invoke entry points check.
 // The frontend's authenticated /admin routes and cluster.Manager's
 // fan-out both terminate in these methods.
 package core

@@ -335,18 +335,6 @@ func TestConfigBoundsNormalization(t *testing.T) {
 	}
 }
 
-// TestLoopStepAllocatesNothing: the step that runs every 30 ms on every
-// node allocates nothing, with autoscale off or on.
-func TestLoopStepAllocatesNothing(t *testing.T) {
-	for _, on := range []bool{false, true} {
-		sig := Signals{ComputeBacklog: 3, CommBacklog: 1, InFlight: 1}
-		l, _, _ := newLoop(Config{}, 2, 1, on, &sig)
-		if a := testing.AllocsPerRun(100, l.Step); a != 0 {
-			t.Errorf("autoscale %v: Step allocates %v times", on, a)
-		}
-	}
-}
-
 // TestLoopInvariants is a seeded property test: random signal sequences
 // interleaved with random admin SetCounts and SetAutoscale calls. After
 // every operation it checks the loop's invariants; a failure names its
