@@ -1,15 +1,14 @@
 // Remote worker transport: the HTTP client side of the cluster layer.
 // RemoteNode makes a worker running behind internal/frontend look like
-// any other Node to the Manager — invocations, batches, tenant-weight
-// fan-out, and stats aggregation travel the frontend's wire protocol
-// (internal/wire): batches in the length-prefixed binary framing once
-// the worker proves it speaks it, JSON against binary-unaware workers
-// (see docs/WIRE.md for the negotiation) — and Heartbeater is the loop a
-// worker process runs to register with a coordinator and keep proving
-// liveness. Together with the Tracker (heartbeat.go) they turn the
-// in-process federation into a real multi-process deployment: N worker
-// processes join one coordinator, which routes, detects failures, and
-// evicts.
+// any other Node to the Manager — invocations and batches travel the
+// worker's /invoke-batch/ route in the length-prefixed binary framing
+// (internal/wire, docs/WIRE.md), the only framing this hop speaks, and
+// tenant-weight fan-out and stats aggregation travel its JSON admin and
+// stats routes — and Heartbeater is the loop a worker process runs to
+// register with a coordinator and keep proving liveness. Together with
+// the Tracker (heartbeat.go) they turn the in-process federation into a
+// real multi-process deployment: N worker processes join one
+// coordinator, which routes, detects failures, and evicts.
 package cluster
 
 import (
@@ -34,8 +33,11 @@ import (
 )
 
 // ErrRemote wraps every transport-level failure of a remote worker
-// call: connection refused, timeout, non-2xx status. Application errors
-// a worker reports per request are returned verbatim, not wrapped.
+// call (connection refused, timeout, non-2xx status without an error
+// body), keeping the transport cause in the chain: a lapsed deadline
+// still satisfies core.IsTimeout. Application errors a worker reports
+// are not wrapped: core.DecodeReason turns each back into the same
+// error the worker saw.
 var ErrRemote = errors.New("cluster: remote worker call failed")
 
 // ErrBreakerOpen marks a call refused locally because the worker's
@@ -101,12 +103,12 @@ type RemoteOptions struct {
 }
 
 // RemoteNode is an HTTP client for one worker frontend, implementing
-// Node, Admin, and BreakerNode against the worker's /invoke,
-// /invoke-batch, /admin/tenants/{name}, and /stats routes. A Manager
-// routes to it exactly as it routes to an in-process *core.Platform;
-// transport failures surface as ErrRemote-wrapped per-request errors,
-// which is what trips the manager's wholesale-failure reroute heuristic
-// when a worker dies mid-batch.
+// Node, Admin, and BreakerNode against the worker's /invoke-batch,
+// /admin/tenants/{name}, and /stats routes. A Manager routes to it
+// exactly as it routes to an in-process *core.Platform; transport
+// failures surface as ErrRemote-wrapped per-request errors, which is
+// what trips the manager's wholesale-failure reroute heuristic when a
+// worker dies mid-batch.
 type RemoteNode struct {
 	base   string
 	token  string
@@ -120,17 +122,9 @@ type RemoteNode struct {
 	rngMu      sync.Mutex
 	rng        *rand.Rand
 
-	// brk is the per-worker circuit breaker the transport chokepoints
-	// feed (see breaker.go).
+	// brk is the per-worker circuit breaker the transport chokepoint
+	// (doStreamOnce) feeds (see breaker.go).
 	brk *breaker
-
-	// wireMode latches the negotiated batch framing: modeUnknown until
-	// the first batch probes (JSON body, Accept offering the binary
-	// type), then modeBinary against a frame-speaking worker or
-	// modeJSON against a binary-unaware one. Probing this way means the
-	// fallback costs nothing: an old worker never sees a body it would
-	// reject, so there is no failed request to recover from.
-	wireMode atomic.Int32
 
 	// ctlErrs counts control-plane calls (SetTenantWeight) that failed
 	// on the wire; Admin.SetTenantWeight has no error return, so the
@@ -140,25 +134,6 @@ type RemoteNode struct {
 	// retries counts in-place retry attempts actually issued (not the
 	// original attempts), surfaced per worker in /stats/cluster.
 	retries atomic.Uint64
-}
-
-// Wire-mode states of the batch-framing negotiation.
-const (
-	modeUnknown int32 = iota
-	modeBinary
-	modeJSON
-)
-
-// WireMode reports the negotiated batch framing: "probing" before the
-// first batch, then "binary" or "json".
-func (rn *RemoteNode) WireMode() string {
-	switch rn.wireMode.Load() {
-	case modeBinary:
-		return "binary"
-	case modeJSON:
-		return "json"
-	}
-	return "probing"
 }
 
 var remoteBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -251,106 +226,53 @@ func (rn *RemoteNode) backoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// do issues one request (with in-place retries when idempotent) and
-// returns the response body for 2xx statuses; other statuses are
-// decoded as the frontend's {"error": ...} body and returned as an
-// error (ErrRemote-wrapped only when the failure is transport-shaped,
-// i.e. not an application error the worker reported). Transport
+// do issues one JSON control-plane request (GET /stats, PUT
+// /admin/tenants/) through doStream and reads the whole 2xx body. Both
+// requests are idempotent, so the retry budget applies.
+func (rn *RemoteNode) do(method, path string, body []byte) ([]byte, error) {
+	resp, err := rn.doStream(context.Background(), method, path, "", wire.ContentTypeJSON, body, true)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading response: %w", ErrRemote, err)
+	}
+	return payload, nil
+}
+
+// doStream is the transport chokepoint: it issues one request (with
+// in-place retries when idempotent) and hands back the open 2xx
+// response for the caller to decode and close. Any other status is
+// drained and decoded as the frontend's {"error": ...} body, whose
+// reason token core.DecodeReason turns back into the worker's error;
+// only a transport-shaped failure is ErrRemote-wrapped. Transport
 // outcomes feed the circuit breaker; while it is open, calls fast-fail
 // with ErrBreakerOpen.
-func (rn *RemoteNode) do(ctx context.Context, method, path, tenant string, body []byte, idempotent bool) ([]byte, error) {
-	var payload []byte
-	var err error
+func (rn *RemoteNode) doStream(ctx context.Context, method, path, tenant, contentType string, body []byte, idempotent bool) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
-		payload, err = rn.doOnce(ctx, method, path, tenant, body)
+		resp, err := rn.doStreamOnce(ctx, method, path, tenant, contentType, body)
 		if err == nil || !errors.Is(err, ErrRemote) {
-			return payload, err
+			return resp, err
 		}
 		if !idempotent || attempt >= rn.maxRetries || !rn.backoff(ctx, attempt+1) {
-			return payload, err
+			return resp, err
 		}
 		rn.retries.Add(1)
 	}
 }
 
-func (rn *RemoteNode) doOnce(ctx context.Context, method, path, tenant string, body []byte) ([]byte, error) {
+func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant, contentType string, body []byte) (*http.Response, error) {
 	if !rn.brk.allow() {
 		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBreakerOpen, rn.base)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, rn.base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setDeadlineHeader(req, ctx)
-	if tenant != "" {
-		req.Header.Set(tenantHeader, tenant)
-	}
-	if rn.token != "" {
-		req.Header.Set(adminTokenHeader, rn.token)
-	}
-	resp, err := rn.client.Do(req)
-	if err != nil {
-		rn.brk.failure()
-		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		rn.brk.failure()
-		return nil, fmt.Errorf("%w: reading response: %v", ErrRemote, err)
-	}
-	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-			// The worker answered: this is an application-level
-			// rejection (unknown composition, draining, bad weight),
-			// not a transport failure.
-			rn.brk.success()
-			return nil, errors.New(e.Error)
-		}
-		rn.brk.failure()
-		return nil, fmt.Errorf("%w: %s %s: status %d", ErrRemote, method, path, resp.StatusCode)
-	}
-	rn.brk.success()
-	return payload, nil
-}
-
-// doStream issues one request with explicit framing headers and hands
-// back the open response for streaming decode (the caller closes it).
-// Non-2xx statuses are drained and mapped exactly as in do. body is a
-// factory rather than a reader so idempotent requests can replay their
-// payload on retry.
-func (rn *RemoteNode) doStream(ctx context.Context, method, path, tenant string, body func() io.Reader, contentType, accept string, idempotent bool) (*http.Response, error) {
-	var resp *http.Response
-	var err error
-	for attempt := 0; ; attempt++ {
-		resp, err = rn.doStreamOnce(ctx, method, path, tenant, body(), contentType, accept)
-		if err == nil || !errors.Is(err, ErrRemote) {
-			return resp, err
-		}
-		if !idempotent || attempt >= rn.maxRetries || !rn.backoff(ctx, attempt+1) {
-			return resp, err
-		}
-		rn.retries.Add(1)
-	}
-}
-
-func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant string, body io.Reader, contentType, accept string) (*http.Response, error) {
-	if !rn.brk.allow() {
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBreakerOpen, rn.base)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, rn.base+path, body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
+		return nil, fmt.Errorf("%w: %w", ErrRemote, err)
 	}
 	req.Header.Set("Content-Type", contentType)
 	setDeadlineHeader(req, ctx)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
 	if tenant != "" {
 		req.Header.Set(tenantHeader, tenant)
 	}
@@ -360,7 +282,7 @@ func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant str
 	resp, err := rn.client.Do(req)
 	if err != nil {
 		rn.brk.failure()
-		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
+		return nil, fmt.Errorf("%w: %w", ErrRemote, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
@@ -369,8 +291,11 @@ func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant str
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
+			// The worker answered: this is an application-level
+			// rejection (unknown composition, draining, bad weight),
+			// not a transport failure.
 			rn.brk.success()
-			return nil, errors.New(e.Error)
+			return nil, core.DecodeReason(e.Error)
 		}
 		rn.brk.failure()
 		return nil, fmt.Errorf("%w: %s %s: status %d", ErrRemote, method, path, resp.StatusCode)
@@ -379,41 +304,26 @@ func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant str
 	return resp, nil
 }
 
-// Invoke routes one invocation to the worker's full-fidelity JSON invoke
-// mode (every input set travels; the full output-set map comes back).
-// The tenant rides the X-Tenant header, the context's remaining budget
-// X-Deadline-Ms (cancelling ctx aborts the call), and the idempotency
-// key the JSON body's key field (the same field the batch wire shape
-// uses), so a re-send after a lost response is answered from the
-// worker's completed-key dedup table instead of re-executing. Keyed
-// invocations are retry-eligible for the same reason: a transport
-// failure is retried in place before surfacing.
+// Invoke routes one invocation as a one-record batch (see InvokeBatch):
+// every input set travels, the full output-set map comes back, and the
+// idempotency key rides the record's K frame, so a re-send after a lost
+// response is answered from the worker's completed-key dedup table
+// instead of re-executing. A keyed invocation is retry-eligible for the
+// same reason.
 func (rn *RemoteNode) Invoke(ctx context.Context, req core.Request) (map[string][]memctx.Item, error) {
-	body, err := json.Marshal(wire.BatchRequest{Inputs: wire.FromSets(req.Inputs), Key: req.Key})
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding request: %v", ErrRemote, err)
-	}
-	payload, err := rn.do(ctx, http.MethodPost, "/invoke/"+url.PathEscape(req.Composition), req.Tenant, body, req.Key != "")
-	if err != nil {
-		return nil, err
-	}
-	var res wire.BatchResult
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return nil, fmt.Errorf("%w: decoding response: %v", ErrRemote, err)
-	}
-	if res.Error != "" {
-		return nil, errors.New(res.Error)
-	}
-	return wire.ToSets(res.Outputs), nil
+	var res [1]core.Result
+	rn.invokeBatchGroup(ctx, []core.Request{req}, res[:])
+	return res[0].Outputs, res[0].Err
 }
 
 // InvokeBatch routes a batch to the worker's /invoke-batch route under
-// the caller's context (see Invoke). Requests are grouped into maximal
-// runs sharing one composition and tenant (one POST per run); each
-// group fails or succeeds per request, and a transport failure errors
-// every request of its group — the all-failed signature the manager's
-// reroute heuristic keys on. Fully-keyed groups are retry-eligible in
-// place.
+// the caller's context: the tenant rides the X-Tenant header, the
+// context's remaining budget X-Deadline-Ms (cancelling ctx aborts the
+// call). Requests are grouped into maximal runs sharing one composition
+// and tenant (one POST per run); each group fails or succeeds per
+// request, and a transport failure errors every request of its group —
+// the all-failed signature the manager's reroute heuristic keys on.
+// Fully-keyed groups are retry-eligible in place.
 func (rn *RemoteNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
 	results := make([]core.Result, len(reqs))
 	for lo := 0; lo < len(reqs); {
@@ -427,130 +337,73 @@ func (rn *RemoteNode) InvokeBatch(ctx context.Context, reqs []core.Request) []co
 	return results
 }
 
-// invokeBatchGroup drives one uniform (composition, tenant) run in the
-// negotiated framing: binary frames once the worker has proven it
-// speaks them, JSON otherwise — and, while the mode is still unknown,
-// a JSON body whose Accept header offers the binary type, so the
-// worker's response Content-Type settles the mode without ever sending
-// an old worker a body it would reject.
+// invokeBatchGroup drives one uniform (composition, tenant) run as one
+// binary-framed POST /invoke-batch/. Keyed requests ride the K frame,
+// unkeyed ones the Q frame; each E frame of the answer is decoded back
+// into the worker's error by core.DecodeReason.
 func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.Request, results []core.Result) {
 	fail := func(err error) {
 		for i := range results {
 			results[i] = core.Result{Err: err}
 		}
 	}
-	path := "/invoke-batch/" + url.PathEscape(reqs[0].Composition)
-	mode := rn.wireMode.Load()
-	// A group is retry-eligible only when every request carries an
-	// idempotency key (the worker's dedup absorbs re-execution).
-	idempotent := fullyKeyed(reqs)
-
 	buf := remoteBufPool.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
 		remoteBufPool.Put(buf)
 	}()
-	var contentType, accept string
-	if mode == modeBinary {
-		enc := wire.NewEncoder(buf)
-		for _, r := range reqs {
-			// Keyed requests ride the 'K' frame; unkeyed ones keep the
-			// classic 'Q' frame, byte-identical to the pre-key protocol.
-			if err := enc.EncodeKeyedRequest(r.Key, r.Inputs); err != nil {
-				enc.Release()
-				fail(fmt.Errorf("%w: encoding batch: %v", ErrRemote, err))
-				return
-			}
-		}
-		err := enc.EncodeEnd()
-		enc.Release()
-		if err != nil {
-			fail(fmt.Errorf("%w: encoding batch: %v", ErrRemote, err))
+	enc := wire.NewEncoder(buf)
+	for _, r := range reqs {
+		if err := enc.EncodeKeyedRequest(r.Key, r.Inputs); err != nil {
+			enc.Release()
+			fail(fmt.Errorf("%w: encoding batch: %w", ErrRemote, err))
 			return
-		}
-		contentType = wire.ContentTypeBinary
-	} else {
-		wireReqs := make([]wire.BatchRequest, len(reqs))
-		for i, r := range reqs {
-			wireReqs[i] = wire.BatchRequest{Inputs: wire.FromSets(r.Inputs), Key: r.Key}
-		}
-		if err := json.NewEncoder(buf).Encode(wireReqs); err != nil {
-			fail(fmt.Errorf("%w: encoding batch: %v", ErrRemote, err))
-			return
-		}
-		contentType = wire.ContentTypeJSON
-		if mode == modeUnknown {
-			accept = wire.ContentTypeBinary
 		}
 	}
+	err := enc.EncodeEnd()
+	enc.Release()
+	if err != nil {
+		fail(fmt.Errorf("%w: encoding batch: %w", ErrRemote, err))
+		return
+	}
 
-	// The body is handed to doStream as a factory over the encoded
-	// bytes, so an in-place retry can replay the identical payload.
-	resp, err := rn.doStream(ctx, http.MethodPost, path, reqs[0].Tenant,
-		func() io.Reader { return bytes.NewReader(buf.Bytes()) }, contentType, accept, idempotent)
+	// A group is retry-eligible only when every request carries an
+	// idempotency key (the worker's dedup absorbs re-execution); a retry
+	// replays the identical encoded bytes.
+	resp, err := rn.doStream(ctx, http.MethodPost, "/invoke-batch/"+url.PathEscape(reqs[0].Composition),
+		reqs[0].Tenant, wire.ContentTypeBinary, buf.Bytes(), fullyKeyed(reqs))
 	if err != nil {
 		fail(err)
 		return
 	}
 	defer resp.Body.Close()
 
-	binaryResp := strings.HasPrefix(resp.Header.Get("Content-Type"), wire.ContentTypeBinary)
-	if mode == modeUnknown {
-		// The probe's answer settles the mode for every later batch.
-		if binaryResp {
-			rn.wireMode.CompareAndSwap(modeUnknown, modeBinary)
-		} else {
-			rn.wireMode.CompareAndSwap(modeUnknown, modeJSON)
+	// Never Recycle here: decoded outputs escape upward through the
+	// manager, so their buffers must outlive the decoder (they are
+	// simply left to the garbage collector).
+	dec := wire.NewDecoder(resp.Body)
+	defer dec.Release()
+	n := 0
+	for {
+		outputs, errMsg, err := dec.DecodeResult()
+		if err == io.EOF {
+			break
 		}
-	}
-
-	if binaryResp {
-		// Never Recycle here: decoded outputs escape upward through the
-		// manager, so their buffers must outlive the decoder (they are
-		// simply left to the garbage collector).
-		dec := wire.NewDecoder(resp.Body)
-		defer dec.Release()
-		n := 0
-		for {
-			outputs, errMsg, err := dec.DecodeResult()
-			if err == io.EOF {
-				break
+		if err != nil {
+			fail(fmt.Errorf("%w: decoding batch response: %w", ErrRemote, err))
+			return
+		}
+		if n < len(results) {
+			if errMsg != "" {
+				results[n] = core.Result{Err: core.DecodeReason(errMsg)}
+			} else {
+				results[n] = core.Result{Outputs: outputs}
 			}
-			if err != nil {
-				fail(fmt.Errorf("%w: decoding batch response: %v", ErrRemote, err))
-				return
-			}
-			if n < len(results) {
-				if errMsg != "" {
-					results[n] = core.Result{Err: errors.New(errMsg)}
-				} else {
-					results[n] = core.Result{Outputs: outputs}
-				}
-			}
-			n++
 		}
-		if n != len(reqs) {
-			fail(fmt.Errorf("%w: bad batch response (%d results for %d requests)", ErrRemote, n, len(reqs)))
-		}
-		return
+		n++
 	}
-
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fail(fmt.Errorf("%w: reading response: %v", ErrRemote, err))
-		return
-	}
-	var wireRes []wire.BatchResult
-	if err := json.Unmarshal(payload, &wireRes); err != nil || len(wireRes) != len(reqs) {
-		fail(fmt.Errorf("%w: bad batch response (%d results for %d requests)", ErrRemote, len(wireRes), len(reqs)))
-		return
-	}
-	for i, r := range wireRes {
-		if r.Error != "" {
-			results[i] = core.Result{Err: errors.New(r.Error)}
-			continue
-		}
-		results[i] = core.Result{Outputs: wire.ToSets(r.Outputs)}
+	if n != len(reqs) {
+		fail(fmt.Errorf("%w: bad batch response (%d results for %d requests)", ErrRemote, n, len(reqs)))
 	}
 }
 
@@ -563,8 +416,7 @@ func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) {
 		rn.ctlErrs.Add(1)
 		return
 	}
-	// PUT is idempotent, so the retry budget applies.
-	if _, err := rn.do(context.Background(), http.MethodPut, "/admin/tenants/"+url.PathEscape(tenant), "", body, true); err != nil {
+	if _, err := rn.do(http.MethodPut, "/admin/tenants/"+url.PathEscape(tenant), body); err != nil {
 		rn.ctlErrs.Add(1)
 	}
 }
@@ -572,13 +424,13 @@ func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) {
 // NodeStats fetches the worker's gauge snapshot from GET /stats, the
 // remote Admin proxy that lets AggregateStats span machines.
 func (rn *RemoteNode) NodeStats() (core.Stats, error) {
-	payload, err := rn.do(context.Background(), http.MethodGet, "/stats", "", nil, true)
+	payload, err := rn.do(http.MethodGet, "/stats", nil)
 	if err != nil {
 		return core.Stats{}, err
 	}
 	var st core.Stats
 	if err := json.Unmarshal(payload, &st); err != nil {
-		return core.Stats{}, fmt.Errorf("%w: decoding stats: %v", ErrRemote, err)
+		return core.Stats{}, fmt.Errorf("%w: decoding stats: %w", ErrRemote, err)
 	}
 	return st, nil
 }
@@ -649,11 +501,11 @@ func (h *Heartbeater) client() *http.Client {
 func (h *Heartbeater) post(path string, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRemote, err)
+		return fmt.Errorf("%w: %w", ErrRemote, err)
 	}
 	req, err := http.NewRequest(http.MethodPost, strings.TrimRight(h.Coordinator, "/")+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRemote, err)
+		return fmt.Errorf("%w: %w", ErrRemote, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if h.Token != "" {
@@ -661,7 +513,7 @@ func (h *Heartbeater) post(path string, v any) error {
 	}
 	resp, err := h.client().Do(req)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRemote, err)
+		return fmt.Errorf("%w: %w", ErrRemote, err)
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)

@@ -6,10 +6,10 @@ package cluster_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,82 +217,45 @@ func TestHeartbeaterJoinsAndRejoins(t *testing.T) {
 	go hb.Run(ctx2)
 	waitFor("re-join", func() bool { return len(m.Workers()) == 1 })
 	waitFor("eviction record cleared", func() bool { return len(tr.AggregateStats().Evicted) == 0 })
-	if hb.Joins() < 2 {
-		t.Fatalf("Joins = %d, want >= 2", hb.Joins())
-	}
+	// The coordinator lists the worker as soon as it handles the join,
+	// before the Heartbeater has read the reply and counted it.
+	waitFor("Joins >= 2", func() bool { return hb.Joins() >= 2 })
 }
 
-// TestRemoteNodeBinaryNegotiation pins the framing handshake: against
-// a frame-speaking frontend the first batch probes with a JSON body
-// (Accept offering the binary type), the framed answer latches binary
-// mode, and later batches travel binary end to end.
-func TestRemoteNodeBinaryNegotiation(t *testing.T) {
-	_, srv := newWorker(t, "")
-	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
-	if got := rn.WireMode(); got != "probing" {
-		t.Fatalf("mode before first batch = %q, want probing", got)
-	}
-
-	mkBatch := func(payload string) []dandelion.Request {
-		return []dandelion.Request{{
-			Composition: "E",
-			Inputs:      map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte(payload)}}},
-		}}
-	}
-	res := rn.InvokeBatch(context.Background(), mkBatch("probe"))
-	if res[0].Err != nil {
-		t.Fatalf("probe batch: %v", res[0].Err)
-	}
-	if got := string(res[0].Outputs["Result"][0].Data); got != "probe" {
-		t.Fatalf("probe echoed %q", got)
-	}
-	if got := rn.WireMode(); got != "binary" {
-		t.Fatalf("mode after probe = %q, want binary", got)
-	}
-
-	// Second batch travels the binary framing; results still decode.
-	res = rn.InvokeBatch(context.Background(), mkBatch("framed"))
-	if res[0].Err != nil {
-		t.Fatalf("binary batch: %v", res[0].Err)
-	}
-	if got := string(res[0].Outputs["Result"][0].Data); got != "framed" {
-		t.Fatalf("binary batch echoed %q", got)
-	}
-}
-
-// TestRemoteNodeJSONFallback pins the downgrade path: a binary-unaware
-// worker (a stub that only speaks the JSON protocol and ignores Accept)
-// latches JSON mode, and every batch — including the probe — succeeds.
-func TestRemoteNodeJSONFallback(t *testing.T) {
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var reqs []wire.BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-			http.Error(w, `{"error":"bad batch body"}`, http.StatusBadRequest)
-			return
-		}
-		res := make([]wire.BatchResult, len(reqs))
-		for i, req := range reqs {
-			res[i].Outputs = req.Inputs // plain echo
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(res)
+// TestRemoteNodeSpeaksFrames pins the hop's one framing: the very
+// first Invoke and the very first InvokeBatch a RemoteNode sends both
+// arrive at the worker as binary frames, and both answers decode.
+func TestRemoteNodeSpeaksFrames(t *testing.T) {
+	p, _ := newWorker(t, "")
+	var mu sync.Mutex
+	var seen []string
+	h := frontend.New(p)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.URL.Path+" "+r.Header.Get("Content-Type"))
+		mu.Unlock()
+		h.ServeHTTP(w, r)
 	}))
-	t.Cleanup(stub.Close)
+	t.Cleanup(srv.Close)
 
-	rn := cluster.NewRemoteNode(stub.URL, cluster.RemoteOptions{})
-	for i := 0; i < 2; i++ {
-		res := rn.InvokeBatch(context.Background(), []dandelion.Request{{
-			Composition: "E",
-			Inputs:      map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("legacy")}}},
-		}})
-		if res[0].Err != nil {
-			t.Fatalf("batch %d against JSON-only worker: %v", i, res[0].Err)
-		}
-		if got := string(res[0].Outputs["In"][0].Data); got != "legacy" {
-			t.Fatalf("batch %d echoed %q", i, got)
-		}
+	in := func(payload string) map[string][]dandelion.Item {
+		return map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte(payload)}}}
 	}
-	if got := rn.WireMode(); got != "json" {
-		t.Fatalf("mode after JSON-only answers = %q, want json", got)
+	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
+	out, err := rn.Invoke(context.Background(), dandelion.Request{Composition: "E", Inputs: in("one")})
+	if err != nil || string(out["Result"][0].Data) != "one" {
+		t.Fatalf("first Invoke: %v %v", out, err)
+	}
+	res := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{}).InvokeBatch(context.Background(),
+		[]dandelion.Request{{Composition: "E", Inputs: in("two")}})
+	if res[0].Err != nil || string(res[0].Outputs["Result"][0].Data) != "two" {
+		t.Fatalf("first InvokeBatch: %+v", res[0])
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := "/invoke-batch/E " + wire.ContentTypeBinary
+	if len(seen) != 2 || seen[0] != want || seen[1] != want {
+		t.Fatalf("requests at the worker = %q, want two of %q", seen, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +42,64 @@ var (
 // The frontend maps these to 504; Stats.TimedOut counts them.
 func IsTimeout(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, sched.ErrExpired)
+}
+
+// reasons is the fixed reason table: the token an invocation error
+// carries when its text leaves a node, and the sentinel the token
+// stands for. An error matching no row travels as reasonOther.
+var reasons = [...]struct {
+	token string
+	err   error
+}{
+	{"draining", ErrDraining},
+	{"duplicate", ErrDuplicate},
+	{"in_flight", ErrInFlight},
+	{"expired", ErrExpired},
+	{"timed_out", context.DeadlineExceeded},
+}
+
+const reasonOther = "error"
+
+// EncodeReason renders an invocation error for the wire as
+// "<token>: <text>". Every error gets a token, so text a function
+// chose can never sit in the token position.
+func EncodeReason(err error) string {
+	for _, r := range reasons {
+		if errors.Is(err, r.err) {
+			return r.token + ": " + err.Error()
+		}
+	}
+	return reasonOther + ": " + err.Error()
+}
+
+// reasonError is a decoded wire error: its text without the token,
+// unwrapping to the token's sentinel.
+type reasonError struct {
+	sentinel error
+	text     string
+}
+
+func (e *reasonError) Error() string { return e.text }
+func (e *reasonError) Unwrap() error { return e.sentinel }
+
+// DecodeReason inverts EncodeReason: the result errors.Is the token's
+// sentinel and its text has the token removed, so re-encoding it
+// yields the wire text again. Text with no known token (a route-level
+// rejection such as a shed or an unknown composition) comes back as is.
+func DecodeReason(text string) error {
+	token, rest, ok := strings.Cut(text, ": ")
+	if !ok {
+		return errors.New(text)
+	}
+	if token == reasonOther {
+		return errors.New(rest)
+	}
+	for _, r := range reasons {
+		if token == r.token {
+			return &reasonError{sentinel: r.err, text: rest}
+		}
+	}
+	return errors.New(text)
 }
 
 // Options configures a Platform.

@@ -156,42 +156,6 @@ func TestInvokeBatchBinaryEmptyAndMalformed(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchAcceptUpgrade pins the negotiation probe: a JSON
-// request whose Accept offers the binary type gets a framed response,
-// which is how clients discover a frame-speaking server without ever
-// sending a body an old server would reject.
-func TestInvokeBatchAcceptUpgrade(t *testing.T) {
-	_, h := newEchoServer(t, Config{})
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
-
-	reqs := []WireBatchRequest{{Inputs: map[string][]WireItem{
-		"In": {{Name: "i", Data: []byte("probe")}},
-	}}}
-	buf, _ := json.Marshal(reqs)
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/invoke-batch/E", bytes.NewReader(buf))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wire.ContentTypeBinary)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("probe request: %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeBinary {
-		t.Fatalf("probe response Content-Type = %q, want binary", ct)
-	}
-	outs, errs := decodeResultsBinary(t, resp.Body)
-	if len(outs) != 1 || errs[0] != "" {
-		t.Fatalf("probe results: %d outs, errs %v", len(outs), errs)
-	}
-	if got := string(outs[0]["Result"][0].Data); got != "probe" {
-		t.Fatalf("probe echoed %q", got)
-	}
-}
-
 // flushRecorder is a ResponseWriter that signals its first Flush, so a
 // test can prove results were flushed before the request body finished
 // uploading.

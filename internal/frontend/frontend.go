@@ -39,6 +39,7 @@ import (
 	"dandelion"
 	"dandelion/internal/autoscale"
 	"dandelion/internal/cluster"
+	"dandelion/internal/core"
 	"dandelion/internal/journal"
 	"dandelion/internal/wire"
 )
@@ -152,11 +153,6 @@ type server struct {
 //	     non-empty set in sorted set-name order (a deterministic pick;
 //	     map iteration order must never decide a response); unknown
 //	     compositions are rejected with 400 and a JSON error body.
-//	     With Content-Type: application/json the route speaks the
-//	     full-fidelity wire form instead: body = {"inputs": {...}}
-//	     (wire.BatchRequest — every input set and item travels, no
-//	     query params needed), response = {"outputs": {...}}. This is
-//	     the form cluster.RemoteNode proxies invocations through.
 //	POST /invoke-batch/<composition> body = JSON array of request
 //	     objects ({"inputs": {"<set>": [{"name","key","data"}]}}, data
 //	     base64); response = JSON array of {"outputs","error"} in
@@ -171,10 +167,9 @@ type server struct {
 //	     length-prefixed binary framing (docs/WIRE.md): request records
 //	     are decoded and executed in admission-window-sized sub-batches
 //	     while the body is still uploading, and each sub-batch's result
-//	     frames are flushed before the next window is read. A JSON
-//	     request whose Accept header offers the binary type gets a
-//	     framed response — the upgrade probe clients use to discover a
-//	     frame-speaking server.
+//	     frames are flushed before the next window is read. This is
+//	     the form cluster.RemoteNode sends every invocation and batch
+//	     through.
 //	GET  /stats                      JSON platform gauges, including
 //	     the per-tenant scheduling gauges (queued, running, completed,
 //	     dispatch-wait avg/p99/max) under "Tenants"
@@ -191,6 +186,9 @@ type server struct {
 //	     unknown/evicted workers, telling them to re-join)
 //
 // Wrong methods answer 405 with an Allow header and a JSON error body.
+// An invocation's own error text (an /invoke/ error body, a batch
+// slot's "error", an E frame) starts with its reason token
+// (core.EncodeReason, docs/WIRE.md).
 // While the node drains (POST /admin/drain), invocation routes answer
 // 503 with a JSON error body until resumed.
 func New(p *dandelion.Platform) http.Handler {
@@ -273,7 +271,9 @@ func keyOf(r *http.Request) string {
 // draining, 409 for an idempotency-key conflict (completed key without
 // cached outputs, or a key still executing), 504 for deadline-class
 // failures (the X-Deadline-Ms budget lapsed in a queue or mid-flight),
-// 500 otherwise.
+// 500 otherwise. The error text leaves the node prefixed by its
+// core.EncodeReason token, from which a coordinator's RemoteNode
+// recovers the same sentinel, and so the same status.
 func invokeStatus(err error) int {
 	switch {
 	case errors.Is(err, dandelion.ErrDraining):
@@ -456,10 +456,6 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "need /invoke/<composition>")
 		return
 	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		s.handleInvokeJSON(w, r, name)
-		return
-	}
 	input := r.URL.Query().Get("input")
 	if input == "" {
 		jsonError(w, http.StatusBadRequest, "need /invoke/<composition>?input=<InputSet>")
@@ -484,7 +480,7 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		Inputs: map[string][]dandelion.Item{input: {{Name: "item0", Data: body}}},
 	})
 	if err != nil {
-		jsonError(w, invokeStatus(err), err.Error())
+		jsonError(w, invokeStatus(err), core.EncodeReason(err))
 		return
 	}
 	if want := r.URL.Query().Get("output"); want != "" {
@@ -518,48 +514,14 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleInvokeJSON is the full-fidelity form of the invoke route, used
-// by cluster.RemoteNode: every input set travels in the body and the
-// whole output-set map comes back, so nothing is lost proxying an
-// Invoke across machines.
-func (s *server) handleInvokeJSON(w http.ResponseWriter, r *http.Request, name string) {
-	if !s.knownComposition(name) {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("unknown composition %q", name))
-		return
-	}
-	ctx, cancel, budget := requestCtx(r)
-	defer cancel()
-	if s.shed(w, tenantOf(r), budget) {
-		return
-	}
-	var req wire.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		bodyError(w, "bad invoke body: ", err)
-		return
-	}
-	key := req.Key
-	if key == "" {
-		key = keyOf(r)
-	}
-	out, err := s.invoke(ctx, dandelion.Request{
-		Composition: name, Tenant: tenantOf(r), Key: key, Inputs: wire.ToSets(req.Inputs),
-	})
-	if err != nil {
-		jsonError(w, invokeStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, wire.BatchResult{Outputs: wire.FromSets(out)})
-}
-
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSONBuffered(w, s.p.Stats())
 }
 
 // Wire types of the serving protocol, shared with clients
-// (internal/loadgen, cluster.RemoteNode). The definitions live in the
-// leaf package internal/wire so the cluster layer can speak them
-// without importing the frontend; the historical Wire* names are kept
-// as aliases. Item data travels base64-encoded (the encoding/json
+// (internal/loadgen). The definitions live in the leaf package
+// internal/wire so clients can speak them without importing the
+// frontend; the historical Wire* names are kept as aliases. Item data travels base64-encoded (the encoding/json
 // default for []byte).
 
 // WireItem is one data item on the wire.
@@ -592,13 +554,6 @@ func admitName(tenant string) string {
 	return tenant
 }
 
-// acceptsBinary reports whether the client offered the binary framing
-// for the response — the upgrade probe a JSON request uses to discover
-// a frame-speaking server (see docs/WIRE.md).
-func acceptsBinary(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.ContentTypeBinary)
-}
-
 func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/invoke-batch/")
 	if name == "" {
@@ -613,7 +568,7 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.p.Draining() {
-		jsonError(w, http.StatusServiceUnavailable, dandelion.ErrDraining.Error())
+		jsonError(w, http.StatusServiceUnavailable, core.EncodeReason(dandelion.ErrDraining))
 		return
 	}
 	ctx, cancel, budget := requestCtx(r)
@@ -669,28 +624,10 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.adm.Finish(admitTenant, len(reqs), s.clockSeconds())
 
-	// A JSON request whose Accept offers the binary framing gets a
-	// framed response: that asymmetry is the negotiation probe —
-	// clients discover a frame-speaking server without ever sending a
-	// body an old server would reject.
-	if acceptsBinary(r) {
-		w.Header().Set("Content-Type", wire.ContentTypeBinary)
-		enc := wire.NewEncoder(w)
-		defer enc.Release()
-		for _, res := range results {
-			if res.Err != nil {
-				enc.EncodeError(res.Err.Error())
-			} else {
-				enc.EncodeResult(res.Outputs)
-			}
-		}
-		enc.EncodeEnd()
-		return
-	}
 	wireRes := make([]WireBatchResult, len(results))
 	for i, res := range results {
 		if res.Err != nil {
-			wireRes[i].Error = res.Err.Error()
+			wireRes[i].Error = core.EncodeReason(res.Err)
 			continue
 		}
 		wireRes[i].Outputs = wire.FromSets(res.Outputs)
@@ -785,7 +722,7 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 			}
 			for _, res := range s.target.InvokeBatch(ctx, reqs) {
 				if res.Err != nil {
-					enc.EncodeError(res.Err.Error())
+					enc.EncodeError(core.EncodeReason(res.Err))
 				} else {
 					enc.EncodeResult(res.Outputs)
 				}
@@ -807,7 +744,7 @@ func (s *server) handleInvokeBatchBinary(ctx context.Context, w http.ResponseWri
 			// it in a frame error first; the missing FrameEnd still
 			// marks the batch incomplete.
 			if errors.Is(streamErr, wire.ErrFrameTooLarge) {
-				enc.EncodeError(streamErr.Error())
+				enc.EncodeError(core.EncodeReason(streamErr))
 				rc.Flush()
 			}
 			// Discard what's left of the body (bounded by the body cap):

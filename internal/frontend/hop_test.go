@@ -8,13 +8,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"dandelion"
 	"dandelion/internal/cluster"
+	"dandelion/internal/core"
 )
 
 // newHop boots a worker serving E (echo) and S (a 300 ms sleep that
@@ -98,6 +101,87 @@ func TestCoordinatorKeepsWorkerErrorMeaning(t *testing.T) {
 	for i, res := range m.InvokeBatch(context.Background(), reqs) {
 		if !errors.Is(res.Err, dandelion.ErrDraining) {
 			t.Errorf("batch slot %d to a draining worker: %v, want ErrDraining", i, res.Err)
+		}
+	}
+}
+
+// TestReasonRoundTrip walks every row of the reason table: a worker
+// whose function fails with the row's error answers with the row's
+// token and status, and the coordinator in front of it answers with the
+// same status and the same text, the token once and never doubled; a
+// JSON batch slot carries that text at both nodes. RemoteNode hands the error back satisfying the row's sentinel. A
+// function whose own text looks like a token ("in_flight: x") stays a
+// plain 500 through the coordinator.
+func TestReasonRoundTrip(t *testing.T) {
+	rows := []struct {
+		token string
+		err   error // what the function fails with
+		is    error // the sentinel the decoded error must satisfy
+		code  int
+	}{
+		{"draining", fmt.Errorf("%w: row", dandelion.ErrDraining), dandelion.ErrDraining, http.StatusServiceUnavailable},
+		{"duplicate", fmt.Errorf("%w: row", dandelion.ErrDuplicate), dandelion.ErrDuplicate, http.StatusConflict},
+		{"in_flight", fmt.Errorf("%w: row", dandelion.ErrInFlight), dandelion.ErrInFlight, http.StatusConflict},
+		{"expired", fmt.Errorf("%w: row", dandelion.ErrExpired), dandelion.ErrExpired, http.StatusGatewayTimeout},
+		{"timed_out", fmt.Errorf("%w: row", context.DeadlineExceeded), context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{"error", errors.New("boom"), nil, http.StatusInternalServerError},
+		{"error", errors.New("in_flight: x"), nil, http.StatusInternalServerError},
+	}
+	wp, worker := newServer(t)
+	if err := wp.RegisterFunction(dandelion.ComputeFunc{
+		Name: "Fail",
+		Go: func(in []dandelion.Set) ([]dandelion.Set, error) {
+			return nil, rows[in[0].Items[0].Data[0]].err
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wp.RegisterCompositionText(`
+composition F(In) => Result {
+    Fail(x = all In) => (Result = Out);
+}`); err != nil {
+		t.Fatal(err)
+	}
+	tr, coord := newCoordinator(t, "")
+	rn := cluster.NewRemoteNode(worker.URL, cluster.RemoteOptions{})
+	if err := tr.Join("w1", rn); err != nil {
+		t.Fatal(err)
+	}
+	sentinels := []error{dandelion.ErrDraining, dandelion.ErrDuplicate, dandelion.ErrInFlight,
+		dandelion.ErrExpired, context.DeadlineExceeded}
+
+	for i, row := range rows {
+		in := []byte{byte(i)}
+		wCode, wBody := post(t, worker.URL+"/invoke/F?input=In", nil, in)
+		cCode, cBody := post(t, coord.URL+"/invoke/F?input=In", nil, in)
+		if wCode != row.code || cCode != wCode || cBody != wBody {
+			t.Errorf("%q: worker %d %s, coordinator %d %s; want both %d and equal",
+				row.err, wCode, wBody, cCode, cBody, row.code)
+		}
+		text := errorText(t, cBody)
+		if !strings.HasPrefix(text, row.token+": ") || strings.HasPrefix(text, row.token+": "+row.token+": ") {
+			t.Errorf("%q: coordinator text %q, want the %q token exactly once", row.err, text, row.token)
+		}
+
+		sets := map[string][]dandelion.Item{"In": {{Name: "x", Data: in}}}
+		for _, base := range []string{worker.URL, coord.URL} {
+			if _, errs := postBatchJSON(t, base+"/invoke-batch/F", []map[string][]dandelion.Item{sets}); errs[0] != text {
+				t.Errorf("%q: JSON batch slot at %s = %q, want %q", row.err, base, errs[0], text)
+			}
+		}
+
+		req := dandelion.Request{Composition: "F", Inputs: sets}
+		_, invokeErr := rn.Invoke(context.Background(), req)
+		batchErr := rn.InvokeBatch(context.Background(), []dandelion.Request{req})[0].Err
+		for _, err := range []error{invokeErr, batchErr} {
+			if core.EncodeReason(err) != text {
+				t.Errorf("%q: RemoteNode error re-encodes as %q, want %q", row.err, core.EncodeReason(err), text)
+			}
+			for _, s := range sentinels {
+				if errors.Is(err, s) != (s == row.is) {
+					t.Errorf("%q: RemoteNode error %q: errors.Is(%v) = %v", row.err, err, s, !(s == row.is))
+				}
+			}
 		}
 	}
 }

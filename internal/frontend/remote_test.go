@@ -1,6 +1,6 @@
-// Tests for the PR-6 frontend fixes and remote-cluster routes: output
-// determinism, batch check ordering, X-Output-Sets parsing, the JSON
-// invoke mode, and /cluster/join + /cluster/heartbeat.
+// Tests for the frontend fixes and remote-cluster routes: output
+// determinism, batch check ordering, X-Output-Sets parsing,
+// /cluster/join + /cluster/heartbeat, and coordinator routing.
 package frontend
 
 import (
@@ -107,41 +107,6 @@ composition E(In) => Result {
 	code, body = post(t, srv.URL+"/invoke/E?input=In", nil, []byte("trimmed"))
 	if code != 200 || body != "trimmed" {
 		t.Fatalf("invoke: %d %q", code, body)
-	}
-}
-
-// TestInvokeJSONMode round-trips the full-fidelity JSON mode that
-// RemoteNode rides on: many-set inputs in, all output sets back.
-func TestInvokeJSONMode(t *testing.T) {
-	_, srv := newServer(t)
-	registerEcho(t, srv.URL)
-
-	reqBody, _ := json.Marshal(WireBatchRequest{Inputs: map[string][]WireItem{
-		"In": {{Name: "x", Key: "k", Data: []byte("json mode")}},
-	}})
-	code, body := post(t, srv.URL+"/invoke/E",
-		map[string]string{"Content-Type": "application/json"}, reqBody)
-	if code != 200 {
-		t.Fatalf("invoke: %d %s", code, body)
-	}
-	var res WireBatchResult
-	if err := json.Unmarshal([]byte(body), &res); err != nil {
-		t.Fatal(err)
-	}
-	if items := res.Outputs["Result"]; len(items) != 1 || string(items[0].Data) != "json mode" {
-		t.Fatalf("outputs = %+v", res.Outputs)
-	}
-
-	// Unknown composition and malformed body fail cleanly.
-	code, body = post(t, srv.URL+"/invoke/Ghost",
-		map[string]string{"Content-Type": "application/json"}, reqBody)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown comp: %d %s", code, body)
-	}
-	code, _ = post(t, srv.URL+"/invoke/E",
-		map[string]string{"Content-Type": "application/json"}, []byte("{oops"))
-	if code != http.StatusBadRequest {
-		t.Fatalf("bad body: %d", code)
 	}
 }
 

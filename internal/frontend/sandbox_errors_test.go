@@ -12,14 +12,15 @@ import (
 // What a client sees when it registers and invokes dvm binaries over
 // HTTP: the status code and the exact error text. Every fault the
 // sandbox reports reaches the client as `cheri: capability fault: `
-// followed by the dvm reason, under the statement label core adds.
+// followed by the dvm reason, under the statement label core adds and
+// the `error` reason token every invocation error leaves a node with.
 func TestSandboxErrorsOverHTTP(t *testing.T) {
 	_, srv := newServer(t)
 	oob, err := dvm.Assemble("li r1, 999999\nld r0, r1, 0\nhalt\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const fault = "core: C%s: statement 0 (%s): cheri: capability fault: "
+	const fault = "error: core: C%s: statement 0 (%s): cheri: capability fault: "
 	cases := []struct {
 		name    string
 		binary  []byte

@@ -1,9 +1,8 @@
 // Binary framing for the data plane. The JSON shapes in wire.go stay
-// the compatibility default, but every byte they carry pays
-// encoding/json marshal/unmarshal plus the 4/3 base64 inflation of
-// []byte payloads — the serialization tax that, with remote workers,
-// the coordinator→worker hop pays twice per chunk. The length-prefixed
-// binary form here removes both: payloads travel raw, framing is
+// a client-facing form, but every byte they carry pays encoding/json
+// marshal/unmarshal plus the 4/3 base64 inflation of []byte payloads.
+// The coordinator→worker hop therefore speaks only this framing. The
+// length-prefixed binary form here removes both costs: payloads travel raw, framing is
 // uvarint-prefixed, and both ends reuse pooled buffers so the wire
 // path itself allocates (almost) nothing per request.
 //
@@ -79,11 +78,10 @@ import (
 	"dandelion/internal/memctx"
 )
 
-// ContentTypeBinary is the negotiated Content-Type of the binary
-// framing. Clients send it on request bodies they frame in binary, and
-// may offer it in Accept on a JSON request to probe whether the server
-// speaks the frame form (the server answers in kind when it does).
-// ContentTypeJSON is the compatibility default.
+// ContentTypeBinary is the Content-Type of the binary framing: a
+// request body sent with it is decoded as frames and answered in
+// frames. The request Content-Type alone picks the framing; there is no
+// negotiation. ContentTypeJSON marks the JSON forms.
 const (
 	ContentTypeBinary = "application/x-dandelion-frame"
 	ContentTypeJSON   = "application/json"
@@ -356,7 +354,9 @@ func (e *Encoder) EncodeResult(outputs map[string][]memctx.Item) error {
 }
 
 // EncodeError writes one FrameError record carrying a failed result
-// slot's error message.
+// slot's error message. Frontends pass the "<token>: <text>" form of
+// core.EncodeReason, so the receiver can recover the error's meaning
+// (docs/WIRE.md).
 func (e *Encoder) EncodeError(msg string) error {
 	e.header()
 	e.buf = append(e.buf, FrameError)

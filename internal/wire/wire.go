@@ -1,12 +1,13 @@
-// Package wire defines the JSON wire types of the HTTP serving
-// protocol — the shapes that travel between clients and frontends and,
-// since the cluster grew remote workers, between a coordinator and the
-// workers it routes to. The frontend (internal/frontend) serves these
-// shapes and re-exports them under its historical Wire* names; the
-// remote-worker client (internal/cluster.RemoteNode) and the load
-// generator (internal/loadgen) speak them from the client side. Keeping
-// them in a leaf package lets both ends share one definition without an
-// import cycle (frontend already imports cluster).
+// Package wire defines the wire forms of the HTTP serving protocol: the
+// JSON types here, which travel between clients and frontends and carry
+// cluster membership (Join, Heartbeat), and the binary framing in
+// binary.go, the only form of the coordinator→worker hop. The frontend
+// (internal/frontend) serves these shapes and re-exports the JSON ones
+// under its historical Wire* names; the remote-worker client
+// (internal/cluster.RemoteNode) and the load generator
+// (internal/loadgen) speak them from the client side. Keeping them in a
+// leaf package lets both ends share one definition without an import
+// cycle (frontend already imports cluster).
 //
 // Item data travels base64-encoded (the encoding/json default for
 // []byte). Field names are the protocol; changing a tag is a wire
@@ -22,22 +23,19 @@ type Item struct {
 	Data []byte `json:"data"`
 }
 
-// BatchRequest is one request of a POST /invoke-batch/ body. It doubles
-// as the body of a full-fidelity JSON POST /invoke/ request (one
-// invocation, every input set carried).
+// BatchRequest is one request of a JSON POST /invoke-batch/ body.
 type BatchRequest struct {
 	Inputs map[string][]Item `json:"inputs"`
 	// Key is the request's idempotency key (empty opts out): a worker
 	// receiving a key it has already completed answers from its dedup
-	// table instead of re-executing, which is what makes cluster
-	// chunk retries and client resends safe. The coordinator assigns
-	// chunk keys "base#i"; clients may supply their own (or use the
+	// table instead of re-executing, which is what makes client
+	// resends safe. Clients may supply their own (or use the
 	// Idempotency-Key header, which the frontend expands per request).
 	Key string `json:"key,omitempty"`
 }
 
-// BatchResult is one slot of a batch response, in request order, and
-// likewise the success body of a JSON POST /invoke/ response.
+// BatchResult is one slot of a JSON batch response, in request order.
+// A failed slot's Error starts with its reason token (docs/WIRE.md).
 type BatchResult struct {
 	Outputs map[string][]Item `json:"outputs,omitempty"`
 	Error   string            `json:"error,omitempty"`
