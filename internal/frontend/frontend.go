@@ -521,8 +521,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // Wire types of the serving protocol, shared with clients
 // (internal/loadgen). The definitions live in the leaf package
 // internal/wire so clients can speak them without importing the
-// frontend; the historical Wire* names are kept as aliases. Item data travels base64-encoded (the encoding/json
-// default for []byte).
+// frontend; the historical Wire* names are kept as aliases. Item data
+// travels base64-encoded (the encoding/json default for []byte).
 
 // WireItem is one data item on the wire.
 type WireItem = wire.Item

@@ -27,7 +27,7 @@ func newHop(t *testing.T) (*dandelion.Platform, *httptest.Server, *cluster.Manag
 	t.Helper()
 	wp, worker := newServer(t)
 	registerEcho(t, worker.URL)
-	started := make(chan struct{}, 8)
+	started := make(chan struct{}, 1)
 	if err := wp.RegisterFunction(dandelion.ComputeFunc{
 		Name: "Sleep",
 		Go: func(in []dandelion.Set) ([]dandelion.Set, error) {
