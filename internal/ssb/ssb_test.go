@@ -1,6 +1,9 @@
 package ssb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,15 +14,32 @@ func testDB(t *testing.T) *DB {
 	return Generate(20000, 42)
 }
 
+// TestGenerateDeterministic pins Generate's output byte for byte. The
+// bench validator's expected answers, every client's fact chunks and
+// the worker's join tables each generate the database on their own, so
+// they agree only while the same seed yields the same bytes. The digest
+// covers the encoded fact table and the printed dimension tables.
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(1000, 7)
-	b := Generate(1000, 7)
-	if a.Facts.Len() != 1000 || b.Facts.Len() != 1000 {
-		t.Fatal("row count")
-	}
-	for i := 0; i < 1000; i++ {
-		if a.Facts.Revenue[i] != b.Facts.Revenue[i] {
-			t.Fatal("non-deterministic generation")
+	const empty = "e887e3832adefd4be7cee77e13a78da582943201f4f3a835dfd7f9ae6c88a201"
+	for _, tc := range []struct {
+		rows int
+		want string
+	}{
+		{-1, empty},
+		{0, empty},
+		{1, "28bae726efca1b6725d01262ac3837880858fbbec04bacdf33ce4332ad45f102"},
+		{1000, "acd2bf922a288f287448b0c97020245fd2bad4711c01a32e8954eaae3779a3ea"},
+		{1 << 16, "9072a88aa9790c20759edbe05f82d7d6bdad0f9314b90f3c96891f75fd0861e1"},
+	} {
+		db := Generate(tc.rows, 42)
+		if want := max(tc.rows, 0); db.Facts.Len() != want {
+			t.Fatalf("Generate(%d): %d fact rows, want %d", tc.rows, db.Facts.Len(), want)
+		}
+		h := sha256.New()
+		h.Write(EncodeChunk(db.Facts))
+		fmt.Fprintf(h, "%v%v%v%v", db.Dates, db.Parts, db.Suppliers, db.Customers)
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("Generate(%d, 42) digest %s, want %s", tc.rows, got, tc.want)
 		}
 	}
 }
