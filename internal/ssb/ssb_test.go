@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,37 @@ func TestGenerateDeterministic(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("Generate(%d, 42) digest %s, want %s", tc.rows, got, tc.want)
 		}
+	}
+}
+
+// A worker generates the 2^16-row database at registration, so
+// Generate's garbage is boot time: it should allocate little beyond
+// the ~3 MB it keeps (ten 256 KiB fact columns, the dimension slices
+// and their names).
+func TestGenerateAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations blur the count")
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { Generate(1<<16, 42) })
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("Generate(1<<16): %.0f allocs, %d B per call", allocs, perRun)
+	if allocs > 6000 {
+		t.Errorf("Generate(1<<16) makes %.0f allocations, want <= 6000", allocs)
+	}
+	if perRun > 3200<<10 {
+		t.Errorf("Generate(1<<16) allocates %d B, want <= 3200 KiB", perRun)
+	}
+}
+
+// BenchmarkGenerate times the database a worker builds at registration.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Generate(1<<16, 42)
 	}
 }
 
