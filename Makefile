@@ -58,12 +58,14 @@ bench:
 # every payload size, the mixed multi-tenant workload shape, the
 # journaled serving modes (off / on-unkeyed / on-keyed), the
 # journal append path itself (memory vs file, with/without batching),
-# and the executor's walk over one statement, a chain and a diamond
-# (internal/core BenchmarkInvoke).
+# the executor's walk over one statement, a chain and a diamond
+# (internal/core BenchmarkInvoke), and the SSB database a worker
+# generates at registration (internal/ssb BenchmarkGenerate).
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkInvokeBatch|BenchmarkServingHTTP|BenchmarkServingJournal|BenchmarkMixedTenants' -benchtime 1x -benchmem .
 	$(GO) test -run XXX -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run XXX -bench 'BenchmarkInvoke' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run XXX -bench 'BenchmarkGenerate' -benchtime 1x -benchmem ./internal/ssb/
 
 # fuzz-smoke runs the codec fuzzers briefly: long enough to replay the
 # corpus and probe a few thousand mutations each of the binary framing

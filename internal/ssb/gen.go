@@ -7,8 +7,8 @@
 package ssb
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Regions, nations, and part metadata follow the SSB specification's
@@ -98,10 +98,22 @@ type DB struct {
 }
 
 // Generate builds a deterministic SSB database with the given fact-table
-// row count. Dimension sizes scale with the spec's ratios.
+// row count (a count below zero yields an empty fact table). Dimension
+// sizes scale with the spec's ratios. Every slice is sized up front and
+// one rng is drawn in a fixed order, so a seed names the database byte
+// for byte.
 func Generate(factRows int, seed int64) *DB {
 	rng := rand.New(rand.NewSource(seed))
-	db := &DB{Facts: &LineOrders{}}
+	factRows = max(factRows, 0)
+	nParts := max(factRows/50, 20)
+	nSupp := max(factRows/100, 10)
+	nCust := max(factRows/30, 10)
+	db := &DB{
+		Dates:     make([]Date, 0, 7*12*28),
+		Parts:     make([]Part, nParts),
+		Suppliers: make([]Supplier, nSupp),
+		Customers: make([]Customer, nCust),
+	}
 
 	// Date dimension: 7 years of days, 1992-1998.
 	for year := int32(1992); year <= 1998; year++ {
@@ -116,65 +128,54 @@ func Generate(factRows int, seed int64) *DB {
 		}
 	}
 
-	nParts := maxInt(factRows/50, 20)
-	for i := 0; i < nParts; i++ {
+	for i := range db.Parts {
 		m := mfgrs[rng.Intn(len(mfgrs))]
-		cat := fmt.Sprintf("%s%d", m, 1+rng.Intn(5))
-		db.Parts = append(db.Parts, Part{
+		cat := m + strconv.Itoa(1+rng.Intn(5))
+		db.Parts[i] = Part{
 			PartKey:  int32(i + 1),
 			MFGR:     m,
 			Category: cat,
-			Brand:    fmt.Sprintf("%s%d", cat, 1+rng.Intn(40)),
-		})
+			Brand:    cat + strconv.Itoa(1+rng.Intn(40)),
+		}
 	}
 
-	nSupp := maxInt(factRows/100, 10)
-	for i := 0; i < nSupp; i++ {
-		r := regions[rng.Intn(len(regions))]
-		n := nations[r][rng.Intn(len(nations[r]))]
-		db.Suppliers = append(db.Suppliers, Supplier{
-			SuppKey: int32(i + 1), Region: r, Nation: n,
-			City: fmt.Sprintf("%s%d", n[:minInt(5, len(n))], rng.Intn(10)),
-		})
+	for i := range db.Suppliers {
+		r, n, city := place(rng)
+		db.Suppliers[i] = Supplier{SuppKey: int32(i + 1), Region: r, Nation: n, City: city}
 	}
 
-	nCust := maxInt(factRows/30, 10)
-	for i := 0; i < nCust; i++ {
-		r := regions[rng.Intn(len(regions))]
-		n := nations[r][rng.Intn(len(nations[r]))]
-		db.Customers = append(db.Customers, Customer{
-			CustKey: int32(i + 1), Region: r, Nation: n,
-			City: fmt.Sprintf("%s%d", n[:minInt(5, len(n))], rng.Intn(10)),
-		})
+	for i := range db.Customers {
+		r, n, city := place(rng)
+		db.Customers[i] = Customer{CustKey: int32(i + 1), Region: r, Nation: n, City: city}
 	}
 
-	f := db.Facts
-	for i := 0; i < factRows; i++ {
+	col := func() []int32 { return make([]int32, factRows) }
+	f := &LineOrders{
+		OrderKey: col(), CustKey: col(), PartKey: col(), SuppKey: col(),
+		OrderDate: col(), Quantity: col(), ExtendedPrice: col(),
+		Discount: col(), Revenue: col(), SupplyCost: col(),
+	}
+	db.Facts = f
+	for i := range factRows {
 		price := int32(100 + rng.Intn(10000))
-		f.OrderKey = append(f.OrderKey, int32(i+1))
-		f.CustKey = append(f.CustKey, db.Customers[rng.Intn(nCust)].CustKey)
-		f.PartKey = append(f.PartKey, db.Parts[rng.Intn(nParts)].PartKey)
-		f.SuppKey = append(f.SuppKey, db.Suppliers[rng.Intn(nSupp)].SuppKey)
-		f.OrderDate = append(f.OrderDate, db.Dates[rng.Intn(len(db.Dates))].DateKey)
-		f.Quantity = append(f.Quantity, int32(1+rng.Intn(50)))
-		f.ExtendedPrice = append(f.ExtendedPrice, price)
-		f.Discount = append(f.Discount, int32(rng.Intn(11)))
-		f.Revenue = append(f.Revenue, price*int32(100-rng.Intn(11))/100)
-		f.SupplyCost = append(f.SupplyCost, price*6/10)
+		f.OrderKey[i] = int32(i + 1)
+		f.CustKey[i] = db.Customers[rng.Intn(nCust)].CustKey
+		f.PartKey[i] = db.Parts[rng.Intn(nParts)].PartKey
+		f.SuppKey[i] = db.Suppliers[rng.Intn(nSupp)].SuppKey
+		f.OrderDate[i] = db.Dates[rng.Intn(len(db.Dates))].DateKey
+		f.Quantity[i] = int32(1 + rng.Intn(50))
+		f.ExtendedPrice[i] = price
+		f.Discount[i] = int32(rng.Intn(11))
+		f.Revenue[i] = price * int32(100-rng.Intn(11)) / 100
+		f.SupplyCost[i] = price * 6 / 10
 	}
 	return db
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// place draws a supplier's or customer's region, nation and city, the
+// city named by the nation's first five letters and one digit.
+func place(rng *rand.Rand) (region, nation, city string) {
+	region = regions[rng.Intn(len(regions))]
+	nation = nations[region][rng.Intn(len(nations[region]))]
+	return region, nation, nation[:min(5, len(nation))] + strconv.Itoa(rng.Intn(10))
 }
