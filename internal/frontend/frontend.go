@@ -456,7 +456,8 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "need /invoke/<composition>")
 		return
 	}
-	input := r.URL.Query().Get("input")
+	query := r.URL.Query()
+	input := query.Get("input")
 	if input == "" {
 		jsonError(w, http.StatusBadRequest, "need /invoke/<composition>?input=<InputSet>")
 		return
@@ -483,7 +484,7 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, invokeStatus(err), core.EncodeReason(err))
 		return
 	}
-	if want := r.URL.Query().Get("output"); want != "" {
+	if want := query.Get("output"); want != "" {
 		items, ok := out[want]
 		if !ok {
 			jsonError(w, http.StatusNotFound, fmt.Sprintf("no output set %q", want))
