@@ -106,8 +106,9 @@ func setNamed(in []memctx.Set, name string) (memctx.Set, error) {
 // --- SSB analytics suite -------------------------------------------------
 
 // The SSB suite serves all four query flights over a deterministic
-// database: dimension tables live on the worker (generated once per
-// process from a fixed seed), while fact-table chunks ship through the
+// database: the worker generates it once per process from a fixed seed
+// and joins against its dimension tables (its fact table is never read
+// on the served path), while fact-table chunks ship through the
 // serving plane as request payloads — the shared-nothing scan shape
 // whose bytes-per-invocation dwarfs every microbench payload. Clients
 // build matching chunks with MakeSSBChunks; any prefix of the fact
