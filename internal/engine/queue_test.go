@@ -310,3 +310,97 @@ func TestQueueManyConsumersNoLoss(t *testing.T) {
 		t.Fatalf("ran %d, want %d", ran.Load(), tasks)
 	}
 }
+
+// TestRefillWakesParkedPeer pins the wakeup a refill owes its parked
+// peers. Engine a pops, and its refill moves a batch from the global
+// ring (or the overflow list) into its own shard, while engine b is
+// parked: b's park-time re-scan ran before the batch reached a's shard,
+// so only a wakeup lets b steal the second task. Without it the task
+// waits behind a's first task until the next Push.
+func TestRefillWakesParkedPeer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		put  func(q *Queue, task Task)
+	}{
+		{"global", (*Queue).requeue},
+		{"overflow", (*Queue).spill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewQueue()
+			defer q.Close()
+			a, b := q.addWorker(), q.addWorker()
+			got := make(chan int, 2)
+			go func() {
+				if task, ok := q.popWorker(b, nil); ok {
+					task.Do()
+				}
+			}()
+			for q.sleepers.Load() != 1 {
+				time.Sleep(time.Millisecond)
+			}
+			// b holds parkMu from its sleepers increment until it is
+			// in Wait.
+			q.parkMu.Lock()
+			q.parkMu.Unlock()
+			for i := 1; i <= 2; i++ {
+				i := i
+				tc.put(q, Task{Do: func() { got <- i }})
+			}
+			first, ok := q.popWorker(a, nil)
+			if !ok {
+				t.Fatal("engine a found no task")
+			}
+			select {
+			case n := <-got:
+				if n != 2 {
+					t.Fatalf("parked peer ran task %d, want 2", n)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("parked peer slept while a refill left a task in a busy engine's shard")
+			}
+			first.Do()
+			if n := <-got; n != 1 {
+				t.Fatalf("engine a popped task %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestParkedRescanRefills: a worker whose park-time re-scan (run under
+// parkMu) refills a batch returns its task and wakes its parked peer,
+// without taking parkMu a second time.
+func TestParkedRescanRefills(t *testing.T) {
+	q := NewQueue() // no deferred Close: a deadlocked worker would hang it
+	a, b := q.addWorker(), q.addWorker()
+	done := make(chan bool, 2)
+	pop := func(s *shard) {
+		task, ok := q.popWorker(s, nil)
+		if ok {
+			task.Do()
+		}
+		done <- ok
+	}
+	go pop(b)
+	for q.sleepers.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	// Holding parkMu waits until b is in Wait, then stalls a between
+	// its lock-free scan, which finds nothing, and its re-scan.
+	q.parkMu.Lock()
+	go pop(a)
+	time.Sleep(20 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		q.requeue(Task{Do: func() {}})
+	}
+	q.parkMu.Unlock()
+	for i := 0; i < 2; i++ {
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatal("popWorker returned no task")
+			}
+		case <-time.After(time.Second):
+			t.Fatal("a worker hung: the re-scan's refill deadlocked or left its peer asleep")
+		}
+	}
+}
