@@ -181,11 +181,7 @@ func (q *Queue) Push(t Task) error {
 		return ErrQueueClosed
 	}
 	q.requeue(t)
-	if q.sleepers.Load() > 0 {
-		q.parkMu.Lock()
-		q.parkCond.Broadcast()
-		q.parkMu.Unlock()
-	}
+	q.wakeSleepers()
 	return nil
 }
 
@@ -228,15 +224,17 @@ func (q *Queue) releaseWorker(s *shard) {
 
 // takeOverflow moves up to refillBatch overflowed tasks back toward the
 // consumer: one is returned, the rest go to the local shard (or back to
-// the global ring when the consumer has no shard).
-func (q *Queue) takeOverflow(s *shard) (Task, bool) {
+// the global ring when the consumer has no shard). moved reports that
+// the rest were not empty: the caller then owes parked peers a wakeup
+// (see scan).
+func (q *Queue) takeOverflow(s *shard) (t Task, ok, moved bool) {
 	if q.overflowLen.Load() == 0 {
-		return Task{}, false
+		return Task{}, false, false
 	}
 	q.overflowMu.Lock()
 	if len(q.overflow) == 0 {
 		q.overflowMu.Unlock()
-		return Task{}, false
+		return Task{}, false, false
 	}
 	n := refillBatch
 	if n > len(q.overflow) {
@@ -255,30 +253,30 @@ func (q *Queue) takeOverflow(s *shard) (Task, bool) {
 		}
 		q.requeue(t)
 	}
-	return batch[0], true
+	return batch[0], true, n > 1
 }
 
 // refillFromGlobal grabs a batch from the global ring: the first task is
-// returned, the rest land in the worker's local shard.
-func (q *Queue) refillFromGlobal(s *shard) (Task, bool) {
-	first, ok := q.global.dequeue()
-	if !ok {
-		return Task{}, false
+// returned, the rest land in the worker's local shard. moved reports
+// that there was a rest, as for takeOverflow.
+func (q *Queue) refillFromGlobal(s *shard) (first Task, ok, moved bool) {
+	first, ok = q.global.dequeue()
+	if !ok || s == nil {
+		return first, ok, false
 	}
-	if s != nil {
-		for i := 1; i < refillBatch; i++ {
-			t, ok := q.global.dequeue()
-			if !ok {
-				break
-			}
-			if !s.local.enqueue(t) {
-				// Local shard full; put it back in circulation.
-				q.requeue(t)
-				break
-			}
+	for i := 1; i < refillBatch; i++ {
+		t, ok := q.global.dequeue()
+		if !ok {
+			break
+		}
+		moved = true
+		if !s.local.enqueue(t) {
+			// Local shard full; put it back in circulation.
+			q.requeue(t)
+			break
 		}
 	}
-	return first, true
+	return first, true, moved
 }
 
 // steal takes one task from some other worker's shard.
@@ -299,22 +297,30 @@ func (q *Queue) steal(self *shard) (Task, bool) {
 // scan tries every source once without blocking: local shard, overflow
 // backlog (checked early so spilled tasks cannot starve behind a
 // constantly-refilled ring), global ring, then stealing.
-func (q *Queue) scan(s *shard) (Task, bool) {
+//
+// moved reports that a refill moved tasks besides the returned one
+// toward this consumer, and the caller must then wake parked peers. A
+// peer whose park-time re-scan ran while those tasks were between the
+// global ring (or overflow) and their new place saw them in neither and
+// went to sleep; without a wakeup they would wait behind this busy
+// consumer until the next Push. The moves precede the caller's sleepers
+// load, so a peer that parks later re-scans after them.
+func (q *Queue) scan(s *shard) (t Task, ok, moved bool) {
 	if s != nil {
 		if t, ok := s.local.dequeue(); ok {
-			return t, true
+			return t, true, false
 		}
 	}
-	if t, ok := q.takeOverflow(s); ok {
-		return t, true
+	if t, ok, moved := q.takeOverflow(s); ok {
+		return t, true, moved
 	}
-	if t, ok := q.refillFromGlobal(s); ok {
-		return t, true
+	if t, ok, moved := q.refillFromGlobal(s); ok {
+		return t, true, moved
 	}
 	if t, ok := q.steal(s); ok {
-		return t, true
+		return t, true, false
 	}
-	return Task{}, false
+	return Task{}, false, false
 }
 
 // popWorker is the engine-side blocking pop, with shard affinity.
@@ -323,13 +329,13 @@ func (q *Queue) popWorker(s *shard, stop *atomic.Bool) (Task, bool) {
 		if stop != nil && stop.Load() {
 			return Task{}, false
 		}
-		if t, ok := q.scan(s); ok {
+		if t, ok := q.tryPop(s); ok {
 			return t, true
 		}
 		if q.closed.Load() {
 			// One last scan closes the race with a Push that was in
 			// flight when Close landed.
-			return q.scan(s)
+			return q.tryPop(s)
 		}
 		// Park. Holding parkMu across the re-scan pairs with Push
 		// (enqueue, then signal if sleepers > 0) to rule out lost
@@ -337,8 +343,12 @@ func (q *Queue) popWorker(s *shard, stop *atomic.Bool) (Task, bool) {
 		// the sleeper and cannot broadcast until we are in Wait.
 		q.parkMu.Lock()
 		q.sleepers.Add(1)
-		if t, ok := q.scan(s); ok {
+		if t, ok, moved := q.scan(s); ok {
 			q.sleepers.Add(-1)
+			if moved {
+				// parkMu is held: broadcast directly.
+				q.parkCond.Broadcast()
+			}
 			q.parkMu.Unlock()
 			return t, true
 		}
@@ -362,7 +372,7 @@ func (q *Queue) Pop(stop *atomic.Bool) (Task, bool) {
 
 // TryPop removes a task without blocking.
 func (q *Queue) TryPop() (Task, bool) {
-	return q.scan(nil)
+	return q.tryPop(nil)
 }
 
 // Len reports the number of queued tasks (global ring + overflow +
@@ -389,6 +399,25 @@ func (q *Queue) Close() {
 	q.parkMu.Lock()
 	q.parkCond.Broadcast()
 	q.parkMu.Unlock()
+}
+
+// tryPop is one non-blocking scan for the consumer that owns s (nil:
+// none), waking parked peers if it moved tasks.
+func (q *Queue) tryPop(s *shard) (Task, bool) {
+	t, ok, moved := q.scan(s)
+	if moved {
+		q.wakeSleepers()
+	}
+	return t, ok
+}
+
+// wakeSleepers wakes parked workers, if any: after a Push, or after a
+// scan that moved tasks toward one consumer. Callers must not hold
+// parkMu.
+func (q *Queue) wakeSleepers() {
+	if q.sleepers.Load() > 0 {
+		q.wakeAll()
+	}
 }
 
 // wakeAll nudges blocked workers to re-check their stop flags.
