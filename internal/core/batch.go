@@ -14,14 +14,13 @@
 // recurse into the walker as one group one level deeper.
 //
 // Payloads are never copied between statements: a chunk's per-statement
-// output sets are handed off out of the producing context
-// (memctx.TakeOutputs, the dispatcher-mediated form of
-// memctx.HandoffOutput) into the per-request value store, and the
-// consuming statement's instances adopt them (memctx.AdoptInputSet) —
-// including across chunk boundaries, when the producing and consuming
-// chunks run on different engines. Ownership tracking in memctx
-// guarantees a handed-off set is never re-read from or re-released by
-// its producer; see docs/ARCHITECTURE.md for the data-path map.
+// output sets are taken out of the producing context
+// (memctx.TakeOutputs) into the per-request value store, and the
+// consuming statement's instances adopt them
+// (memctx.AdoptInputSetBorrowed) — including across chunk boundaries,
+// when the producing and consuming chunks run on different engines. A
+// taken set is gone from its producer, which has no method to read or
+// release it again; see docs/ARCHITECTURE.md for the data-path map.
 package core
 
 import (

@@ -273,25 +273,36 @@ composition Outer(In) => Result {
 }
 
 func TestMemctxResetIsolation(t *testing.T) {
-	// A reused context must not leak one instance's data into the next.
+	// A reused context must not leak one instance's sets, charge or
+	// borrowed memory into the next.
 	ctx := memctx.New(1 << 12)
-	if err := ctx.WriteAt([]byte("secret"), 0); err != nil {
+	released := false
+	region := memctx.NewRegion(func() { released = true })
+	secret := []memctx.Item{{Name: "s", Data: []byte("secret")}}
+	if err := ctx.AdoptInputSetBorrowed(memctx.Set{Name: "In", Items: secret}, region); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.AdoptOutputs([]memctx.Set{{Name: "Out", Items: secret}}); err != nil {
 		t.Fatal(err)
 	}
 	ctx.Seal()
+	region.Release() // the creator's reference; the context still holds one
 	ctx.Reset()
-	if ctx.Sealed() {
-		t.Fatal("Reset did not unseal")
+	if !released {
+		t.Fatal("Reset kept the borrowed region")
+	}
+	if n := len(ctx.ShareInputSets()); n != 0 {
+		t.Fatalf("Reset leaked %d input sets", n)
 	}
 	if ctx.CommittedBytes() != 0 {
 		t.Fatalf("CommittedBytes after Reset = %d", ctx.CommittedBytes())
 	}
-	buf := make([]byte, 6)
-	if err := ctx.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
+	if _, err := ctx.TakeOutputs(); !errors.Is(err, memctx.ErrNotSealed) {
+		t.Fatalf("Reset did not unseal: TakeOutputs err = %v", err)
 	}
-	if string(buf) == "secret" {
-		t.Fatal("Reset leaked previous instance data")
+	ctx.Seal()
+	if outs, _ := ctx.TakeOutputs(); len(outs) != 0 {
+		t.Fatalf("Reset leaked %d output sets", len(outs))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Borrowed regions: reference-counted ownership of externally pooled
-// memory that context inputs alias. The PR-3 ownership rules (Seal,
-// TakeOutputs, handoff marks) track which *context* owns a set; they
-// say nothing about the backing buffers. That was fine while every
+// memory that context inputs alias. The ownership rules (Seal,
+// TakeOutputs) track which *context* owns a set; they say nothing about
+// the backing buffers. That was fine while every
 // payload was an independent heap allocation, but the large-payload
 // data plane adopts decoded wire buffers — pooled slabs owned by the
 // frontend's decoder — straight into compute contexts. Those slabs
@@ -14,9 +14,10 @@
 // reference), every borrower retains the region for as long as it
 // aliases the memory, and the hook fires at the final Release — no
 // matter whether the creator or the last borrower gets there last.
-// Context.AdoptInputSetBorrowed is the borrowing form of AdoptInputSet:
-// the context retains the region and releases it automatically when the
-// aliased inputs are dropped (Reset, or Recycle through the pool).
+// Context.AdoptInputSetBorrowed adopts a set as an input without a
+// copy; the context retains the region and releases it automatically
+// when the aliased inputs are dropped (Reset, or Recycle through the
+// pool).
 package memctx
 
 import "sync/atomic"
@@ -78,12 +79,14 @@ func (r *Region) Refs() int64 {
 	return r.refs.Load()
 }
 
-// AdoptInputSetBorrowed is AdoptInputSet for a set whose payloads alias
-// memory owned by region: the context aliases the payloads (no clone,
-// same limit enforcement and committed-bytes accounting) and retains
-// the region until its inputs are dropped — Reset, or Recycle through
-// the context pool — so the backing memory cannot be recycled out from
-// under the function. A nil region degrades to plain AdoptInputSet.
+// AdoptInputSetBorrowed installs an input set without cloning item
+// payloads, for a set whose payloads alias memory owned by region: the
+// context aliases the payloads (no clone, the same limit enforcement
+// and committed-bytes accounting as AddInputSet) and retains the region
+// until its inputs are dropped — Reset, or Recycle through the context
+// pool — so the backing memory cannot be recycled out from under the
+// function. A nil region means the set is not borrowed: the context
+// takes ownership of (or shares read-only access to) its payloads.
 func (c *Context) AdoptInputSetBorrowed(s Set, region *Region) error {
 	if err := c.adoptInput(s); err != nil {
 		return err

@@ -1,22 +1,14 @@
 // Context pooling. The invoke hot path used to allocate a fresh
-// Context (plus its region, set slices, and handoff map) for every
-// function instance; under heavy traffic that allocation — and the GC
-// pressure behind it — is pure overhead, since a Reset context is
-// indistinguishable from a new one. NewPooled/Recycle put contexts
-// through a sync.Pool instead: Recycle resets the context (dropping
-// every set descriptor, payload reference, and PR-3 handoff mark, and
-// re-zeroing the touched region span) and parks it; NewPooled hands it
-// back out with its warm backing allocations — the grown region, the
-// input/output slices, and the interned handoff-mark map — intact.
+// Context (plus its set slices) for every function instance; under
+// heavy traffic that allocation — and the GC pressure behind it — is
+// pure overhead, since a Reset context is indistinguishable from a new
+// one. NewPooled/Recycle put contexts through a sync.Pool instead:
+// Recycle resets the context (dropping every set descriptor and payload
+// reference, and releasing borrowed regions) and parks it; NewPooled
+// hands it back out with its warm input/output slices intact.
 package memctx
 
 import "sync"
-
-// maxPooledRegion bounds the backing region a recycled context may
-// retain (4 MiB). Contexts that grew larger are left to the garbage
-// collector rather than pinned in the pool, so one giant invocation
-// cannot turn the pool into a leak.
-const maxPooledRegion = 4 << 20
 
 var ctxPool sync.Pool
 
@@ -27,8 +19,7 @@ var ctxPool sync.Pool
 // fresh; callers feed the distinction to their pool-efficiency gauges.
 //
 // A pooled context is observably identical to a new one: no inputs, no
-// outputs, no handoff marks, unsealed, zero committed bytes, and a
-// region that reads as zeroes.
+// outputs, no borrowed regions, unsealed and zero committed bytes.
 func NewPooled(limit int) (c *Context, reused bool) {
 	if limit <= 0 {
 		limit = DefaultLimit
@@ -44,19 +35,13 @@ func NewPooled(limit int) (c *Context, reused bool) {
 // Recycle resets c and returns it to the pool for a future NewPooled.
 // The caller must be the context's sole owner: no goroutine may use c
 // (or rely on slices returned by its accessors aliasing it) after
-// Recycle. Sets previously moved out via TakeOutputs/HandoffOutput are
-// unaffected — their payloads are independent heap buffers, and the
-// slice that carried them was relinquished by the context at handoff.
+// Recycle. Sets previously moved out via TakeOutputs are unaffected —
+// the slice that carried them was relinquished by the context at
+// handoff.
 func Recycle(c *Context) {
 	if c == nil {
 		return
 	}
 	c.Reset()
-	c.mu.Lock()
-	oversized := cap(c.region) > maxPooledRegion
-	c.mu.Unlock()
-	if oversized {
-		return
-	}
 	ctxPool.Put(c)
 }

@@ -7,21 +7,22 @@ import (
 	"testing"
 )
 
-// dirty runs one messy invocation lifecycle on c: region writes, input
-// installs (both clone and adopt forms), outputs, seal, and a partial
-// handoff so the context ends with handoff marks — the state PR 3's
-// ownership tracking must not leak through a recycle.
-func dirty(t *testing.T, c *Context, tag byte) {
+// dirty runs one messy invocation lifecycle on c: input installs in
+// every form (clone, adopt, borrow), outputs, seal, and a take — the
+// state a recycle must not leak. It returns the borrowed region, which
+// the context still holds.
+func dirty(t *testing.T, c *Context, tag byte) *Region {
 	t.Helper()
 	payload := bytes.Repeat([]byte{tag}, 64)
-	if err := c.WriteAt(payload, 128); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
 	if err := c.AddInputSet(Set{Name: "in", Items: []Item{{Name: "a", Data: payload}}}); err != nil {
 		t.Fatalf("AddInputSet: %v", err)
 	}
-	if err := c.AdoptInputSet(Set{Name: "shared", Items: []Item{{Name: "b", Data: payload}}}); err != nil {
-		t.Fatalf("AdoptInputSet: %v", err)
+	if err := c.AdoptInputSetBorrowed(Set{Name: "shared", Items: []Item{{Name: "b", Data: payload}}}, nil); err != nil {
+		t.Fatalf("AdoptInputSetBorrowed: %v", err)
+	}
+	region := NewRegion(nil)
+	if err := c.AdoptInputSetBorrowed(Set{Name: "borrowed", Items: []Item{{Name: "c", Data: payload}}}, region); err != nil {
+		t.Fatalf("AdoptInputSetBorrowed: %v", err)
 	}
 	err := c.SetOutputs([]Set{
 		{Name: "out", Items: []Item{{Name: "o", Data: payload}}},
@@ -31,90 +32,71 @@ func dirty(t *testing.T, c *Context, tag byte) {
 		t.Fatalf("SetOutputs: %v", err)
 	}
 	c.Seal()
-	if _, err := c.TakeOutput("out"); err != nil {
-		t.Fatalf("TakeOutput: %v", err)
+	if taken, err := c.TakeOutputs(); err != nil || len(taken) != 2 {
+		t.Fatalf("TakeOutputs = %d sets, %v", len(taken), err)
 	}
-	// The context now holds inputs, an un-taken output, a handoff mark
-	// for "out", a sealed flag, and dirty region bytes.
-	if _, err := c.OutputSet("out"); !errors.Is(err, ErrHandedOff) {
-		t.Fatalf("pre-recycle OutputSet(out) err = %v, want ErrHandedOff", err)
+	if got := region.Refs(); got != 2 {
+		t.Fatalf("borrowed region refs = %d, want 2 (creator + context)", got)
 	}
+	return region
 }
 
 // assertPristine fails unless c is observably identical to New(limit):
-// no sets, no handoff marks, unsealed, nothing committed, zero region.
-func assertPristine(t *testing.T, c *Context, round int) {
+// no inputs, no outputs, unsealed, nothing committed, and the region
+// the previous cycle borrowed released.
+func assertPristine(t *testing.T, c *Context, round int, borrowed *Region) {
 	t.Helper()
-	if got := c.InputSets(); len(got) != 0 {
+	if got := c.ShareInputSets(); len(got) != 0 {
 		t.Fatalf("round %d: recycled context leaked %d input sets: %v", round, len(got), got)
 	}
-	if got := c.OutputSets(); len(got) != 0 {
-		t.Fatalf("round %d: recycled context leaked %d output sets", round, len(got))
-	}
-	if c.Sealed() {
-		t.Fatalf("round %d: recycled context still sealed", round)
+	if got := borrowed.Refs(); got > 1 {
+		t.Fatalf("round %d: recycled context still holds its borrowed region (refs %d)", round, got)
 	}
 	if got := c.CommittedBytes(); got != 0 {
 		t.Fatalf("round %d: recycled context has %d committed bytes", round, got)
 	}
-	// Handoff marks must be gone: a set that was handed off before the
-	// recycle reads as never-existed, not as moved-away.
-	for _, name := range []string{"out", "kept", "in", "shared"} {
-		_, err := c.OutputSet(name)
-		if errors.Is(err, ErrHandedOff) {
-			t.Fatalf("round %d: recycled context leaked handoff mark for %q", round, name)
-		}
-		if !errors.Is(err, ErrNoSuchSet) {
-			t.Fatalf("round %d: OutputSet(%q) err = %v, want ErrNoSuchSet", round, name, err)
-		}
-		if _, err := c.InputSet(name); !errors.Is(err, ErrNoSuchSet) {
-			t.Fatalf("round %d: InputSet(%q) err = %v, want ErrNoSuchSet", round, name, err)
-		}
+	if _, err := c.TakeOutputs(); !errors.Is(err, ErrNotSealed) {
+		t.Fatalf("round %d: recycled context still sealed (TakeOutputs err = %v)", round, err)
 	}
-	// The region must read as demand-paged zero pages over the span the
-	// previous cycle wrote.
-	probe := make([]byte, 256)
-	if err := c.ReadAt(probe, 0); err != nil {
-		t.Fatalf("round %d: ReadAt: %v", round, err)
+	c.Seal()
+	if got, _ := c.TakeOutputs(); len(got) != 0 {
+		t.Fatalf("round %d: recycled context leaked %d output sets", round, len(got))
 	}
-	for i, b := range probe {
-		if b != 0 {
-			t.Fatalf("round %d: recycled context leaked region byte %#x at offset %d", round, b, i)
-		}
-	}
+	c.Reset()
 }
 
 // TestPooledContextReuseIsClean is the reuse-after-Reset property test:
-// however a context was dirtied — inputs, outputs, seals, region
-// writes, zero-copy handoff marks — the context NewPooled hands out
-// next is indistinguishable from a brand-new one.
+// however a context was dirtied — inputs, outputs, seals, takes,
+// borrowed regions — the context NewPooled hands out next is
+// indistinguishable from a brand-new one.
 func TestPooledContextReuseIsClean(t *testing.T) {
 	const rounds = 50
+	var borrowed *Region
 	for round := 0; round < rounds; round++ {
 		c, _ := NewPooled(1 << 20)
-		assertPristine(t, c, round)
-		dirty(t, c, byte(round+1))
+		assertPristine(t, c, round, borrowed)
+		borrowed = dirty(t, c, byte(round+1))
 		Recycle(c)
 	}
 }
 
 // TestPooledContextIdentityReuse pins the pooling actually happening:
 // recycling then re-acquiring on one goroutine hands the same context
-// back (sync.Pool keeps a per-P private slot), with its grown region
+// back (sync.Pool keeps a per-P private slot), with its input slice
 // retained but cleared.
 func TestPooledContextIdentityReuse(t *testing.T) {
 	c1, _ := NewPooled(1 << 20)
-	dirty(t, c1, 0xAB)
+	borrowed := dirty(t, c1, 0xAB)
 	Recycle(c1)
 	c2, reused := NewPooled(1 << 20)
 	if c2 == c1 {
 		if !reused {
 			t.Fatalf("same context returned but reused = false")
 		}
-		if cap(c2.region) == 0 {
-			t.Fatalf("recycled context lost its backing region")
+		if cap(c2.inputs) == 0 {
+			t.Fatalf("recycled context lost its input slice")
 		}
-		assertPristine(t, c2, 0)
+		assertPristine(t, c2, 0, borrowed)
 	} else {
 		// sync.Pool gives no hard guarantee (GC may intervene); the
 		// cleanliness property is covered above either way.
@@ -123,42 +105,28 @@ func TestPooledContextIdentityReuse(t *testing.T) {
 }
 
 // TestPooledContextLimitRebind: a context recycled under one limit and
-// reacquired under a smaller one must enforce the new limit even though
-// its retained region may be larger.
+// reacquired under a smaller one must enforce the new limit.
 func TestPooledContextLimitRebind(t *testing.T) {
 	c1, _ := NewPooled(1 << 20)
-	if err := c1.WriteAt(bytes.Repeat([]byte{1}, 4096), 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
+	if err := c1.AddInputSet(Set{Name: "in", Items: []Item{{Data: make([]byte, 4096)}}}); err != nil {
+		t.Fatalf("AddInputSet: %v", err)
 	}
 	Recycle(c1)
 	c2, _ := NewPooled(64)
-	if got := c2.Limit(); got != 64 {
-		t.Fatalf("Limit() = %d, want 64", got)
+	if got := c2.limit; got != 64 {
+		t.Fatalf("limit = %d, want 64", got)
 	}
-	if err := c2.WriteAt(make([]byte, 65), 0); !errors.Is(err, ErrOutOfBounds) {
-		t.Fatalf("WriteAt past rebound limit err = %v, want ErrOutOfBounds", err)
+	if err := c2.AddInputSet(Set{Name: "in", Items: []Item{{Data: make([]byte, 65)}}}); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("input past rebound limit err = %v, want ErrOutOfBounds", err)
 	}
-	if err := c2.WriteAt(make([]byte, 64), 0); err != nil {
-		t.Fatalf("WriteAt within rebound limit: %v", err)
+	if err := c2.AddInputSet(Set{Name: "in", Items: []Item{{Data: make([]byte, 64)}}}); err != nil {
+		t.Fatalf("input within rebound limit: %v", err)
 	}
-}
-
-// TestRecycleDropsOversizedRegions: giant contexts are not pinned in
-// the pool.
-func TestRecycleDropsOversizedRegions(t *testing.T) {
-	c, _ := NewPooled(maxPooledRegion * 2)
-	if err := c.WriteAt([]byte{1}, maxPooledRegion); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	if cap(c.region) <= maxPooledRegion {
-		t.Fatalf("test setup: region cap %d not oversized", cap(c.region))
-	}
-	Recycle(c) // must not panic; context is simply not pooled
 }
 
 // TestResetClearsHandoffMarksForChunkReuse mirrors the batch chunk
 // path: Reset between instances must let the next instance install and
-// read output sets under names the previous instance handed off.
+// take output sets under names the previous instance took.
 func TestResetClearsHandoffMarksForChunkReuse(t *testing.T) {
 	c := New(1 << 16)
 	for i := 0; i < 3; i++ {
