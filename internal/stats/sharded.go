@@ -1,17 +1,16 @@
-// Sharded counters for hot-path bookkeeping. A single shared counter —
+// Shard picking for hot-path bookkeeping. A single shared counter —
 // mutex-guarded or even a bare atomic — serializes every updater on one
 // cache line, so under parallel load the counter itself becomes the
-// bottleneck. Counter here splits the value across GOMAXPROCS-scaled,
-// cache-line padded shards: updaters pick a goroutine-affine shard and
-// increment it without touching the lines other goroutines write, and
-// readers merge the shards lazily. Increments are exact (plain atomic
-// adds, never sampled), so merged totals always equal completed work;
-// only the read pays the O(shards) sum.
+// bottleneck. A sharded counter splits the value across
+// GOMAXPROCS-scaled, cache-line padded shards: updaters pick a
+// goroutine-affine shard and increment it without touching the lines
+// other goroutines write, and readers merge the shards lazily.
+// internal/core's hotCounters is built this way on ShardCount and
+// ShardIndex, one shard struct holding every counter an event ticks.
 package stats
 
 import (
 	"runtime"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -20,7 +19,7 @@ import (
 // prefetch pairs, so neighboring shards never false-share.
 const CacheLinePad = 128
 
-// shardCount is the number of shards used by every Counter: the
+// shardCount is the number of shards of every sharded counter: the
 // smallest power of two >= GOMAXPROCS at package init, floored at 8 —
 // GOMAXPROCS may be raised after init (cgroup resizes, -cpu test runs)
 // and a few idle padded shards cost only a KiB — and capped so a huge
@@ -34,7 +33,8 @@ var shardCount = func() int {
 	return n
 }()
 
-// ShardCount reports the number of shards backing each Counter.
+// ShardCount reports the number of shards a sharded counter should
+// carry.
 func ShardCount() int { return shardCount }
 
 // ShardIndex returns a goroutine-affine index in [0, n). n must be a
@@ -51,43 +51,4 @@ func ShardIndex(n int) int {
 	// the low bits the mask keeps.
 	h *= 0x9E3779B97F4A7C15
 	return int((h >> 32) & uint64(n-1))
-}
-
-// paddedUint64 is one shard: an atomic counter alone on its cache line.
-type paddedUint64 struct {
-	v atomic.Uint64
-	_ [CacheLinePad - 8]byte
-}
-
-// Counter is a sharded uint64 counter. The zero value is NOT usable;
-// construct with NewCounter. Add never blocks and scales with
-// GOMAXPROCS; Load sums the shards (monotone, exact once concurrent
-// adders quiesce).
-//
-// Counter is the single-counter form. Hot paths that tick several
-// related counters per event should instead build one padded shard
-// struct holding all of them on ShardCount/ShardIndex directly — one
-// shard pick and one cache line per event — as internal/core's
-// hotCounters does.
-type Counter struct {
-	shards []paddedUint64
-}
-
-// NewCounter returns a Counter with ShardCount shards.
-func NewCounter() *Counter {
-	return &Counter{shards: make([]paddedUint64, shardCount)}
-}
-
-// Add increments the counter by delta on the calling goroutine's shard.
-func (c *Counter) Add(delta uint64) {
-	c.shards[ShardIndex(len(c.shards))].v.Add(delta)
-}
-
-// Load merges the shards into the counter's current total.
-func (c *Counter) Load() uint64 {
-	var total uint64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
-	}
-	return total
 }

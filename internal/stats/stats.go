@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives used by the workload
 // recorders and experiment harnesses: streaming summaries, exact
-// percentiles over collected samples, and fixed-bucket histograms.
+// percentiles over collected samples, and time series.
 //
 // The experiment drivers report the same statistics the paper plots:
 // median, p5/p95 error bars, p99, p99.5, mean, and relative variance
@@ -187,53 +187,6 @@ func (s *Sample) Summarize() Summary {
 func (sm Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
 		sm.Count, sm.Mean, sm.Median, sm.P95, sm.P99, sm.Max)
-}
-
-// Histogram counts observations into equal-width buckets over [lo, hi).
-// Observations outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Buckets   []uint64
-	Underflow uint64
-	Overflow  uint64
-	width     float64
-}
-
-// NewHistogram creates a histogram with n equal-width buckets over [lo, hi).
-// It panics if n <= 0 or hi <= lo, since those are programming errors.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram bucket count must be positive")
-	}
-	if hi <= lo {
-		panic("stats: histogram range must be non-empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n), width: (hi - lo) / float64(n)}
-}
-
-// Observe records v into the appropriate bucket.
-func (h *Histogram) Observe(v float64) {
-	switch {
-	case v < h.Lo:
-		h.Underflow++
-	case v >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((v - h.Lo) / h.width)
-		if i >= len(h.Buckets) { // guard against float edge cases
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total reports the number of observations, including out-of-range ones.
-func (h *Histogram) Total() uint64 {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }
 
 // TimeSeries records (time, value) points and supports integral and mean

@@ -135,44 +135,6 @@ func TestMeanMatchesSortedSum(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.999, 10, 42} {
-		h.Observe(v)
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Underflow, h.Overflow)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2
-		t.Errorf("bucket1 = %d, want 1", h.Buckets[1])
-	}
-	if h.Buckets[4] != 1 { // 9.999
-		t.Errorf("bucket4 = %d, want 1", h.Buckets[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestTimeSeriesTimeAverage(t *testing.T) {
 	var ts TimeSeries
 	ts.Append(0, 10)
