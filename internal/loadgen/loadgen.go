@@ -1,20 +1,19 @@
-// Package loadgen is a deterministic load generator for the Dandelion
-// serving path, with two modes. The closed loop here drives M
+// Package loadgen is a deterministic closed-loop load generator for the
+// Dandelion serving path, and the home of the end-to-end tests that
+// drive it (cluster, journal, chaos, mixed tenants). It runs M
 // concurrent clients against a real HTTP frontend (internal/frontend):
 // each client issues its requests sequentially (the next request starts
 // only after the previous response arrives), either one invocation per
 // request through POST /invoke/ or a batch per request through
-// POST /invoke-batch/. The open loop (openloop.go) instead offers
-// arrivals at a fixed rate on a deterministic virtual clock and reports
-// queueing delay separately from service latency. Both modes tag
-// traffic with an X-Tenant header when Config.Tenant is set.
+// POST /invoke-batch/, tagged with an X-Tenant header when
+// Config.Tenant is set.
 //
 // The generator is deterministic by construction: a fixed client count,
 // a fixed request count per client, and a caller-supplied payload
 // function of (client, seq, index) — no randomness, no time-based
-// admission. The report carries throughput plus p50/p95/p99/max request
-// latency, the serving numbers ROADMAP's heavy-traffic north star is
-// tracked by.
+// admission. The report carries throughput plus p50/p99/max request
+// latency, per run and per tenant. It is a test harness, not the
+// benchmark: performance is measured by bench/ (BENCHMARK.json).
 package loadgen
 
 import (
@@ -25,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,8 +73,7 @@ type Config struct {
 	BatchSize int
 	// Binary frames batch requests in the length-prefixed binary wire
 	// form (Content-Type: application/x-dandelion-frame, docs/WIRE.md)
-	// instead of JSON — the serialization the serving benchmark
-	// compares against. Single-invoke requests are unaffected.
+	// instead of JSON. Single-invoke requests are unaffected.
 	Binary bool
 	// KeyPrefix, when set, stamps every invocation with a unique
 	// idempotency key ("<prefix>-c<client>-s<seq>#<i>"): batch requests
@@ -170,18 +169,18 @@ type TenantReport struct {
 	// Duration spans this tenant's own streams (a tenant that finishes
 	// early is not billed for the rest of the mixed run); Throughput
 	// and BytesPerSec are computed over it.
-	Duration           time.Duration
-	Throughput         float64
-	BytesOut, BytesIn  int64
-	BytesPerSec        float64
-	P50, P95, P99, Max time.Duration
+	Duration          time.Duration
+	Throughput        float64
+	BytesOut, BytesIn int64
+	BytesPerSec       float64
+	P50, P99, Max     time.Duration
 }
 
 // String renders the one-line per-tenant summary the harnesses log.
 func (t TenantReport) String() string {
-	return fmt.Sprintf("%d reqs (%d inv, %d errors) — %.0f inv/s, %.1f MB/s, p50=%v p95=%v p99=%v max=%v",
+	return fmt.Sprintf("%d reqs (%d inv, %d errors) — %.0f inv/s, %.1f MB/s, p50=%v p99=%v max=%v",
 		t.Requests, t.Invocations, t.Errors, t.Throughput, t.BytesPerSec/1e6,
-		t.P50, t.P95, t.P99, t.Max)
+		t.P50, t.P99, t.Max)
 }
 
 // Report summarizes one run.
@@ -205,8 +204,8 @@ type Report struct {
 	// bandwidth the serialization choice actually achieved.
 	BytesOut, BytesIn int64
 	BytesPerSec       float64
-	// P50, P95, P99, Max are request-latency percentiles.
-	P50, P95, P99, Max time.Duration
+	// P50, P99, Max are request-latency percentiles.
+	P50, P99, Max time.Duration
 	// Tenants breaks the run down by X-Tenant. A plain Run has one
 	// entry; RunMixed has one per distinct tenant across its streams.
 	Tenants map[string]TenantReport
@@ -216,9 +215,9 @@ type Report struct {
 // with one indented line per tenant when the run was mixed.
 func (r Report) String() string {
 	s := fmt.Sprintf(
-		"loadgen: %d reqs (%d invocations, %d errors) in %v — %.0f inv/s, %.1f MB/s, p50=%v p95=%v p99=%v max=%v",
+		"loadgen: %d reqs (%d invocations, %d errors) in %v — %.0f inv/s, %.1f MB/s, p50=%v p99=%v max=%v",
 		r.Requests, r.Invocations, r.Errors, r.Duration.Round(time.Millisecond),
-		r.Throughput, r.BytesPerSec/1e6, r.P50, r.P95, r.P99, r.Max)
+		r.Throughput, r.BytesPerSec/1e6, r.P50, r.P99, r.Max)
 	if r.Errors > 0 {
 		s += fmt.Sprintf(" [%s]", r.Classes)
 	}
@@ -388,9 +387,8 @@ func buildReport(sds []streamData, elapsed time.Duration) Report {
 		all = append(all, sd.latencies...)
 		byTenant[sd.tenant] = append(byTenant[sd.tenant], sd)
 	}
-	sortDurations(all)
+	slices.Sort(all)
 	rep.P50 = percentile(all, 0.50)
-	rep.P95 = percentile(all, 0.95)
 	rep.P99 = percentile(all, 0.99)
 	if len(all) > 0 {
 		rep.Max = all[len(all)-1]
@@ -413,9 +411,8 @@ func buildReport(sds []streamData, elapsed time.Duration) Report {
 				tr.Duration = sd.duration
 			}
 		}
-		sortDurations(lats)
+		slices.Sort(lats)
 		tr.P50 = percentile(lats, 0.50)
-		tr.P95 = percentile(lats, 0.95)
 		tr.P99 = percentile(lats, 0.99)
 		if len(lats) > 0 {
 			tr.Max = lats[len(lats)-1]
@@ -429,16 +426,13 @@ func buildReport(sds []streamData, elapsed time.Duration) Report {
 	return rep
 }
 
-// reqStats is what one round trip reports upward: failed invocations,
-// payload bytes moved in each direction, and the wire overhead — the
-// time spent encoding the request and decoding the response, as
-// opposed to waiting on the server.
+// reqStats is what one round trip reports upward: failed invocations
+// and the payload bytes moved in each direction.
 type reqStats struct {
 	errs     int
 	classes  ErrorClasses
 	bytesOut int64
 	bytesIn  int64
-	wire     time.Duration
 }
 
 // failStatus / failTransport / failMessage count n failed invocations
@@ -487,8 +481,7 @@ func (cfg Config) inputsFor(client, seq, i int) map[string][]memctx.Item {
 
 // targetURL picks the frontend a round trip goes to: BaseURL alone
 // serves everything; with BaseURLs set, requests rotate across the
-// frontends deterministically (closed-loop clients and open-loop
-// arrivals both spread, since the open loop advances seq).
+// frontends deterministically by client and sequence number.
 func (cfg Config) targetURL(client, seq int) string {
 	if len(cfg.BaseURLs) == 0 {
 		return cfg.BaseURL
@@ -558,18 +551,11 @@ func doSingle(cfg Config, client, seq int) reqStats {
 	return st
 }
 
-// readBody drains the response into one buffer so decode time can be
-// measured apart from the network read, and the byte count is exact.
-func readBody(resp *http.Response) ([]byte, error) {
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
-}
-
 // bodyBufPool recycles the request-body staging buffers across round
 // trips: a closed-loop client re-sending multi-MiB batches would
 // otherwise re-allocate (and re-grow) a body-sized buffer per request,
-// and that allocation dominated the client side of the large-payload
-// serving benchmark. Buffers grown past maxPooledBodyBytes by one
+// and that allocation dominated the client side of a large-payload
+// run. Buffers grown past maxPooledBodyBytes by one
 // outsized batch are dropped instead of pinned warm.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -603,7 +589,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 func doBatch(cfg Config, client, seq int) reqStats {
 	var st reqStats
-	t0 := time.Now()
 	reqs := make([]frontend.WireBatchRequest, cfg.BatchSize)
 	for i := range reqs {
 		in := cfg.inputsFor(client, seq, i)
@@ -619,9 +604,7 @@ func doBatch(cfg Config, client, seq int) reqStats {
 	}
 	buf := getBodyBuf()
 	defer putBodyBuf(buf)
-	err := json.NewEncoder(buf).Encode(reqs)
-	st.wire = time.Since(t0)
-	if err != nil {
+	if err := json.NewEncoder(buf).Encode(reqs); err != nil {
 		st.failApp(cfg.BatchSize)
 		return st
 	}
@@ -643,12 +626,10 @@ func doBatch(cfg Config, client, seq int) reqStats {
 		st.failStatus(cfg.BatchSize, resp.StatusCode)
 		return st
 	}
-	t1 := time.Now()
 	cr := &countingReader{r: resp.Body}
 	var results []frontend.WireBatchResult
 	err = json.NewDecoder(cr).Decode(&results)
 	st.bytesIn = cr.n
-	st.wire += time.Since(t1)
 	if err != nil {
 		st.failTransport(cfg.BatchSize, err)
 		return st
@@ -681,7 +662,6 @@ func doBatch(cfg Config, client, seq int) reqStats {
 // io.ReadAll of a multi-MiB response.
 func doBatchBinary(cfg Config, client, seq int) reqStats {
 	var st reqStats
-	t0 := time.Now()
 	buf := getBodyBuf()
 	defer putBodyBuf(buf)
 	enc := wire.NewEncoder(buf)
@@ -695,7 +675,6 @@ func doBatchBinary(cfg Config, client, seq int) reqStats {
 	}
 	err := enc.EncodeEnd()
 	enc.Release()
-	st.wire = time.Since(t0)
 	if err != nil {
 		st.failApp(cfg.BatchSize)
 		return st
@@ -718,7 +697,6 @@ func doBatchBinary(cfg Config, client, seq int) reqStats {
 		st.failStatus(cfg.BatchSize, resp.StatusCode)
 		return st
 	}
-	t1 := time.Now()
 	cr := &countingReader{r: resp.Body}
 	dec := wire.NewDecoder(cr)
 	n := 0
@@ -746,7 +724,6 @@ func doBatchBinary(cfg Config, client, seq int) reqStats {
 	dec.Recycle()
 	dec.Release()
 	st.bytesIn = cr.n
-	st.wire += time.Since(t1)
 	if n != cfg.BatchSize {
 		// A truncated or malformed stream fails the whole batch; undo the
 		// per-slot classifications counted above so classes still sum.

@@ -194,67 +194,6 @@ composition W(In) => Result {
 	return p, srv
 }
 
-func TestRunOpenLoop(t *testing.T) {
-	p, srv := newEchoServer(t)
-	rep, err := RunOpenLoop(OpenConfig{
-		BaseURL:     srv.URL,
-		Client:      srv.Client(),
-		Composition: "U",
-		InputSet:    "In",
-		OutputSet:   "Result",
-		Tenant:      "open",
-		Rate:        200,
-		Requests:    30,
-		Validate: func(seq, i int, body []byte) error {
-			want := strings.ToUpper(fmt.Sprintf("r%d-i%d", seq, i))
-			if string(body) != want {
-				return fmt.Errorf("got %q, want %q", body, want)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 30 || rep.Invocations != 30 || rep.Errors != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	// The schedule spans ~145ms; the run cannot finish faster than the
-	// virtual clock allows.
-	if rep.Duration < 100*time.Millisecond {
-		t.Fatalf("open loop finished in %v — arrivals were not paced", rep.Duration)
-	}
-	if rep.QueueP50 > rep.QueueP99 || rep.QueueP99 > rep.QueueMax {
-		t.Fatalf("queueing percentiles out of order: %s", rep)
-	}
-	if rep.ServiceP50 <= 0 || rep.ServiceP50 > rep.ServiceP99 || rep.ServiceP99 > rep.ServiceMax {
-		t.Fatalf("service percentiles out of order: %s", rep)
-	}
-	// On an idle server queueing is only pacing jitter (sleep wakeup
-	// overshoot), never sustained backlog; bound it loosely — service
-	// latency on a fast echo server can be smaller than timer slop, so
-	// the two are not comparable directly.
-	if rep.QueueP99 > 250*time.Millisecond {
-		t.Fatalf("queueing on an idle server: %s", rep)
-	}
-	// The tenant tag reached the scheduling plane.
-	found := false
-	for _, ts := range p.Stats().Tenants {
-		if ts.Tenant == "open" && ts.Completed > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("tenant 'open' missing from stats: %+v", p.Stats().Tenants)
-	}
-}
-
-func TestRunOpenLoopRequiresRate(t *testing.T) {
-	if _, err := RunOpenLoop(OpenConfig{BaseURL: "x", Composition: "c", InputSet: "i"}); err == nil {
-		t.Fatal("want error without Rate")
-	}
-}
-
 // interactiveP99 measures the interactive tenant's p99 dispatch wait on
 // a fresh server, optionally under a concurrent flooding batch tenant.
 func interactiveP99(t *testing.T, withFlood bool) time.Duration {
@@ -285,10 +224,10 @@ func interactiveP99(t *testing.T, withFlood bool) time.Duration {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	rep, err := RunOpenLoop(OpenConfig{
+	rep, err := Run(Config{
 		BaseURL: srv.URL, Client: srv.Client(),
 		Composition: "W", InputSet: "In", OutputSet: "Result",
-		Tenant: "interactive", Rate: 100, Requests: 50,
+		Tenant: "interactive", Requests: 50,
 	})
 	if withFlood {
 		close(stop)
@@ -332,44 +271,14 @@ func TestTwoTenantFairness(t *testing.T) {
 	}
 }
 
-func TestRunStepLoadPhases(t *testing.T) {
-	_, srv := newEchoServer(t)
-	reports, err := RunStepLoad(OpenConfig{
-		BaseURL:     srv.URL,
-		Client:      srv.Client(),
-		Composition: "U",
-		InputSet:    "In",
-		OutputSet:   "Result",
-	}, []Step{
-		{Rate: 200, Requests: 10},
-		{Rate: 400, Requests: 20},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d, want 2", len(reports))
-	}
-	if reports[0].Requests != 10 || reports[1].Requests != 20 {
-		t.Fatalf("per-phase requests = %d/%d, want 10/20", reports[0].Requests, reports[1].Requests)
-	}
-	if reports[0].OfferedRate != 200 || reports[1].OfferedRate != 400 {
-		t.Fatalf("offered rates = %v/%v", reports[0].OfferedRate, reports[1].OfferedRate)
-	}
-	if reports[0].Errors+reports[1].Errors != 0 {
-		t.Fatalf("errors: %s", StepSummary(reports))
-	}
-	if _, err := RunStepLoad(OpenConfig{}, nil); err == nil {
-		t.Fatal("empty step list accepted")
-	}
-}
-
 // TestStepLoadGrowsComputePool is the elasticity acceptance run: a
-// 1-engine worker with -autoscale semantics takes a low step, then an
-// overloading step; the control loop's budget rule must grow the compute
-// pool (EngineResizes > 0) to absorb it. The slow function makes
-// single-engine capacity ~200 inv/s, so the 350/s step is a genuine
-// overload whichever machine runs the test.
+// 1-engine worker with -autoscale semantics takes a low step (one
+// closed-loop client), then an overloading step (eight); the control
+// loop's budget rule must grow the compute pool (EngineResizes > 0) to
+// absorb it. The slow function holds an engine for 5 ms per request, so
+// eight clients keep seven requests waiting on one engine — a dispatch
+// wait far above the loop's 5 ms pressure threshold — whichever machine
+// runs the test.
 func TestStepLoadGrowsComputePool(t *testing.T) {
 	p, err := dandelion.New(dandelion.Options{
 		ComputeEngines: 1,
@@ -398,20 +307,22 @@ composition S(In) => Result {
 	srv := httptest.NewServer(frontend.New(p))
 	t.Cleanup(srv.Close)
 
-	reports, err := RunStepLoad(OpenConfig{
-		BaseURL:     srv.URL,
-		Client:      srv.Client(),
-		Composition: "S",
-		InputSet:    "In",
-		Tenant:      "step-tenant",
-	}, []Step{
-		{Rate: 50, Requests: 10},   // warm-up, within one engine's capacity
-		{Rate: 350, Requests: 175}, // ~0.5s of sustained overload
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range reports {
+	for i, step := range []struct{ clients, requests int }{
+		{1, 10}, // warm-up, within one engine's capacity
+		{8, 25}, // ~1 s of one engine's work, offered eight at a time
+	} {
+		r, err := Run(Config{
+			BaseURL:     srv.URL,
+			Client:      srv.Client(),
+			Composition: "S",
+			InputSet:    "In",
+			Tenant:      "step-tenant",
+			Clients:     step.clients,
+			Requests:    step.requests,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.Errors != 0 {
 			t.Fatalf("step %d errors: %s", i, r)
 		}
@@ -475,41 +386,6 @@ func TestRunBatchModeBinary(t *testing.T) {
 	}
 	if st := p.Stats(); st.Invocations != 120 {
 		t.Fatalf("platform saw %d invocations, want 120", st.Invocations)
-	}
-}
-
-// TestRunOpenLoopWireSplit pins the wire-overhead split: batch-mode
-// open-loop runs report Wire* percentiles bounded by service latency,
-// and byte rates, in both framings.
-func TestRunOpenLoopWireSplit(t *testing.T) {
-	_, srv := newEchoServer(t)
-	for _, binary := range []bool{false, true} {
-		rep, err := RunOpenLoop(OpenConfig{
-			BaseURL:     srv.URL,
-			Client:      srv.Client(),
-			Composition: "U",
-			InputSet:    "In",
-			OutputSet:   "Result",
-			Rate:        500,
-			Requests:    40,
-			BatchSize:   4,
-			Binary:      binary,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Errors != 0 {
-			t.Fatalf("binary=%v: errors = %d: %s", binary, rep.Errors, rep)
-		}
-		if rep.WireMax <= 0 {
-			t.Fatalf("binary=%v: wire overhead not measured: %s", binary, rep)
-		}
-		if rep.WireP50 > rep.ServiceP50 {
-			t.Fatalf("binary=%v: wire p50 %v exceeds service p50 %v", binary, rep.WireP50, rep.ServiceP50)
-		}
-		if rep.BytesPerSec <= 0 {
-			t.Fatalf("binary=%v: no byte rate: %s", binary, rep)
-		}
 	}
 }
 
@@ -602,23 +478,5 @@ func TestRunMixedMergesSameTenantStreams(t *testing.T) {
 	}
 	if tr := rep.Tenants["alice"]; tr.Requests != 8 {
 		t.Fatalf("merged tenant requests = %d, want 8", tr.Requests)
-	}
-}
-
-func TestOpenLoopReportsTenantBreakdown(t *testing.T) {
-	_, srv := newEchoServer(t)
-	rep, err := RunOpenLoop(OpenConfig{
-		BaseURL: srv.URL, Client: srv.Client(), Composition: "U", InputSet: "In",
-		Tenant: "bob", Rate: 200, Requests: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, ok := rep.Tenants["bob"]
-	if !ok {
-		t.Fatalf("tenant breakdown missing: %v", rep.Tenants)
-	}
-	if tr.Requests != 10 || tr.P99 != rep.ServiceP99 {
-		t.Fatalf("tenant slice %+v disagrees with report", tr)
 	}
 }
