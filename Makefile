@@ -1,19 +1,19 @@
 GO ?= go
 
-.PHONY: ci fmt build vet test race flake bench bench-smoke bench-e2e fuzz-smoke bench-baseline e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+.PHONY: ci fmt build vet test race flake bench-smoke bench-e2e fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
 
 # ci is the tier-1 gate: everything must build, vet clean, pass under
 # the race detector, stay green when the concurrent packages' tests
-# are repeated (flake), keep the batched dispatch path alive (bench-smoke
-# catches dispatch-path regressions that compile fine), keep the binary
-# wire codec and the journal file decoder honest against malformed
-# inputs (fuzz-smoke), keep the multi-process cluster path alive
-# (e2e-cluster), keep crash recovery honest (e2e-journal), keep the
-# deadline/retry/breaker machinery honest under injected faults
-# (e2e-chaos), keep byte-fair scheduling honest under a mixed
-# large-payload load (e2e-mixed), keep the docs honest (docs-check
-# catches references to removed symbols), and keep every Go file gofmt
-# clean (fmt).
+# are repeated (flake), keep three per-package microbenchmarks running
+# (bench-smoke catches hot paths that compile fine but no longer
+# execute), keep the binary wire codec and the journal file decoder
+# honest against malformed inputs (fuzz-smoke), keep the multi-process
+# cluster path alive (e2e-cluster), keep crash recovery honest
+# (e2e-journal), keep the deadline/retry/breaker machinery honest under
+# injected faults (e2e-chaos), keep byte-fair scheduling honest under a
+# mixed large-payload load (e2e-mixed), keep the docs honest
+# (docs-check catches references to removed symbols and files), and
+# keep every Go file gofmt clean (fmt).
 ci: fmt build vet race flake bench-smoke fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
 
 fmt:
@@ -46,23 +46,14 @@ race:
 flake:
 	$(GO) test -race -count=20 ./internal/engine ./internal/ctlplane ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
-# bench tracks the serving-path trajectory: batched dispatch vs looped
-# single invokes, plus the core microbenchmarks.
-bench:
-	$(GO) test -run XXX -bench 'BenchmarkInvokeBatch|BenchmarkPlatformInvoke' -benchmem .
-
-# bench-smoke is a short single-iteration run of the batched dispatch
-# and HTTP serving benchmarks: not a performance measurement, just
-# proof the hot paths still execute end to end — looped single invokes
-# and the batch path, both wire framings (json, binary) across
-# every payload size, the mixed multi-tenant workload shape, the
-# journaled serving modes (off / on-unkeyed / on-keyed), the
-# journal append path itself (memory vs file, with/without batching),
-# the executor's walk over one statement, a chain and a diamond
-# (internal/core BenchmarkInvoke), and the SSB database a worker
-# generates at registration (internal/ssb BenchmarkGenerate).
+# bench-smoke runs three per-package microbenchmarks once each: not a
+# performance measurement (bench-e2e is that), just proof the hot paths
+# still execute — the journal append path (memory vs file,
+# with/without batching), the executor's walk over one statement, a
+# chain and a diamond (internal/core BenchmarkInvoke), and the SSB
+# database a worker generates at registration (internal/ssb
+# BenchmarkGenerate).
 bench-smoke:
-	$(GO) test -run XXX -bench 'BenchmarkInvokeBatch|BenchmarkServingHTTP|BenchmarkServingJournal|BenchmarkMixedTenants' -benchtime 1x -benchmem .
 	$(GO) test -run XXX -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run XXX -bench 'BenchmarkInvoke' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkGenerate' -benchtime 1x -benchmem ./internal/ssb/
@@ -91,23 +82,6 @@ fuzz-smoke:
 # the parent commit, see bench/README.md — is the regression gate.
 bench-e2e:
 	bash bench/run.sh
-
-# bench-baseline is historical: it appends one more single-draw
-# BENCH_N.json snapshot of the bench_test.go rows. The committed
-# BENCH_*.json files record the PR 4-10 trajectory and are not a
-# regression gate (untouched rows drift 30% between them); judge
-# performance with bench-e2e.
-#
-# bench-baseline snapshots the serving-path numbers (inv/s and allocs/op
-# for the single and batch dispatch paths, wire MB/s
-# for the JSON-vs-binary HTTP framings up to 1 MiB payloads, the
-# per-scenario mixed-tenant rows, the journal-off vs journal-on
-# serving delta and journal append costs, plus the sharded-vs-mutex
-# counter contention probe) into BENCH_10.json — alongside the committed
-# PR-4/PR-5/PR-7/PR-8 baselines — giving future PRs a perf trajectory to
-# regress against (see scripts/bench-baseline.sh).
-bench-baseline:
-	sh scripts/bench-baseline.sh
 
 # e2e-cluster runs the race-enabled remote-cluster end-to-end test:
 # two httptest-backed workers join a coordinator over the wire, one is
@@ -139,7 +113,7 @@ e2e-chaos:
 e2e-mixed:
 	$(GO) test -race -run 'TestMixedTenantE2E' ./internal/loadgen/
 
-# docs-check fails if README.md or docs/ reference Go symbols or CLI
-# flags that no longer exist (see scripts/docs-check.sh).
+# docs-check fails if README.md or docs/ reference Go symbols, CLI
+# flags or repo files that no longer exist (see scripts/docs-check.sh).
 docs-check:
 	sh scripts/docs-check.sh

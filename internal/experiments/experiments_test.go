@@ -237,3 +237,17 @@ func TestAblationStaticSplitControllerCompetitive(t *testing.T) {
 		t.Fatalf("PI controller p99 %v worse than worst static %v", pi, worstStatic)
 	}
 }
+
+// TestFig7SweepsEverySystem: the quick sweep evaluates each of the five
+// systems once per application.
+func TestFig7SweepsEverySystem(t *testing.T) {
+	tab := Fig7(true)
+	if len(tab.Rows) != 10 {
+		t.Fatalf("rows = %d, want 2 apps x 5 systems", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Header) {
+			t.Fatalf("row %v does not match header %v", row, tab.Header)
+		}
+	}
+}

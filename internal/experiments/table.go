@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure in the
 // paper's evaluation (§7). Each driver returns a Table with the same
-// rows/series the paper reports; cmd/experiments prints them and the
-// root bench_test.go wraps them in testing.B benchmarks.
+// rows/series the paper reports; cmd/experiments prints them and this
+// package's tests check their shape.
 package experiments
 
 import (
