@@ -1,6 +1,6 @@
 #!/bin/sh
-# docs-check: fail if README.md or docs/*.md reference Go symbols or
-# CLI flags that no longer exist in the source tree. Deliberately a
+# docs-check: fail if README.md or docs/*.md reference Go symbols, CLI
+# flags or repo files that no longer exist in the source tree. Deliberately a
 # simple grep-based check: it keys on backticked tokens, the way the
 # docs mark identifiers, so prose never triggers it.
 set -eu
@@ -15,7 +15,8 @@ fail=0
 
 # Rule 1: dotted symbols in backticks (`pkg.Symbol`, `Type.Method`,
 # chains like `a.B.C`): the final identifier must appear somewhere in
-# the Go sources. File names (`FOO.md` and friends) are skipped.
+# the Go sources. File names (`FOO.md` and friends) are skipped here;
+# rule 9 checks that they exist.
 for sym in $(grep -ho '`[A-Za-z][A-Za-z0-9_]*\(\.[A-Za-z][A-Za-z0-9_]*\)\{1,\}`' $docs | tr -d '`' | sort -u); do
   last=${sym##*.}
   case "$last" in
@@ -98,6 +99,22 @@ done
 for name in $(sed -n 's/^\s*Workload[A-Za-z0-9]*\s*=\s*"\([A-Za-z0-9]*\)".*/\1/p' internal/workloads/*.go | sort -u); do
   if ! grep -q -- "\`$name\`" docs/WORKLOADS.md; then
     echo "docs-check: workload composition $name not documented in docs/WORKLOADS.md" >&2
+    fail=1
+  fi
+done
+
+# Rule 9: every backticked repo file (`*.go`, `*.json`, `*.sh`, `*.md`)
+# must exist. A token with a slash resolves against the repo root
+# (`docs/WIRE.md`); a bare name matches any file of that basename
+# (`run.sh`). A `*` in the token is a glob that must match at least one
+# file, so `BENCH_*.json` fails once the last of them is gone.
+for ref in $(grep -ho '`[A-Za-z0-9_.*/-]*\.\(go\|json\|sh\|md\)`' $docs | tr -d '`' | sort -u); do
+  case "$ref" in
+    */*) found=$(ls -d $ref 2>/dev/null | head -n 1) ;;
+    *) found=$(find . -path ./.git -prune -o -name "$ref" -print | head -n 1) ;;
+  esac
+  if [ -z "$found" ]; then
+    echo "docs-check: file \`$ref\` referenced in docs but not found in the repo" >&2
     fail=1
   fi
 done
