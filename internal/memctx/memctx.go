@@ -121,7 +121,7 @@ func (c *Context) CommittedBytes() int {
 // recycled through the context pool (NewPooled/Recycle). A fresh
 // instance must not observe the previous instance's state: set
 // descriptors are dropped, the seal is lifted, nothing stays charged
-// and borrowed regions are released. The set slices are retained for
+// and borrowed regions are released. The input slice is retained for
 // the next cycle.
 func (c *Context) Reset() {
 	c.mu.Lock()

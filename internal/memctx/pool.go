@@ -5,7 +5,8 @@
 // one. NewPooled/Recycle put contexts through a sync.Pool instead:
 // Recycle resets the context (dropping every set descriptor and payload
 // reference, and releasing borrowed regions) and parks it; NewPooled
-// hands it back out with its warm input/output slices intact.
+// hands it back out with its warm input slice intact. (The output slice
+// leaves with TakeOutputs: the caller owns it.)
 package memctx
 
 import "sync"
