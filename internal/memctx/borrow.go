@@ -80,13 +80,13 @@ func (r *Region) Refs() int64 {
 }
 
 // AdoptInputSetBorrowed installs an input set without cloning item
-// payloads, for a set whose payloads alias memory owned by region: the
-// context aliases the payloads (no clone, the same limit enforcement
-// and committed-bytes accounting as AddInputSet) and retains the region
-// until its inputs are dropped — Reset, or Recycle through the context
-// pool — so the backing memory cannot be recycled out from under the
-// function. A nil region means the set is not borrowed: the context
-// takes ownership of (or shares read-only access to) its payloads.
+// payloads (see adoptInput for the checks and the charge), for a set
+// whose payloads alias memory owned by region: the context retains the
+// region until its inputs are dropped — Reset, or Recycle through the
+// context pool — so the backing memory cannot be recycled out from
+// under the function. A nil region means the set is not borrowed: the
+// context takes ownership of (or shares read-only access to) its
+// payloads.
 func (c *Context) AdoptInputSetBorrowed(s Set, region *Region) error {
 	if err := c.adoptInput(s); err != nil {
 		return err

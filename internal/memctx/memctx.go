@@ -146,64 +146,29 @@ func (c *Context) Seal() {
 	c.sealed = true
 }
 
-// AddInputSet installs an input set descriptor, charging its payload to
-// the committed footprint. Duplicate set names are rejected.
+// AddInputSet installs a copy of an input set: AdoptInputSetBorrowed
+// of a clone, with the same checks and charge.
 func (c *Context) AddInputSet(s Set) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sealed {
-		return ErrSealed
-	}
-	for _, ex := range c.inputs {
-		if ex.Name == s.Name {
-			return fmt.Errorf("%w: %q", ErrDuplicateSet, s.Name)
-		}
-	}
-	need := c.committed + s.TotalBytes()
-	if need > c.limit {
-		return fmt.Errorf("%w: inputs need %d bytes, limit %d", ErrOutOfBounds, need, c.limit)
-	}
-	c.committed = need
-	c.inputs = append(c.inputs, s.Clone())
-	return nil
+	return c.adoptInput(s.Clone())
 }
 
-// SetOutputs installs the function's output sets; called by the isolation
-// backend when harvesting a finished function.
+// SetOutputs installs copies of the function's output sets: AdoptOutputs
+// of clones, with the same checks and charge.
 func (c *Context) SetOutputs(sets []Set) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sealed {
-		return ErrSealed
+	clones := make([]Set, len(sets))
+	for i, s := range sets {
+		clones[i] = s.Clone()
 	}
-	seen := map[string]bool{}
-	total := c.committed
-	for _, s := range sets {
-		if seen[s.Name] {
-			return fmt.Errorf("%w: %q", ErrDuplicateSet, s.Name)
-		}
-		seen[s.Name] = true
-		total += s.TotalBytes()
-	}
-	if total > c.limit {
-		return fmt.Errorf("%w: outputs need %d bytes, limit %d", ErrOutOfBounds, total, c.limit)
-	}
-	c.committed = total
-	c.output = c.output[:0]
-	for _, s := range sets {
-		c.output = append(c.output, s.Clone())
-	}
-	return nil
+	return c.AdoptOutputs(clones)
 }
 
 // AdoptOutputs installs the function's output sets without cloning item
-// payloads: the context takes ownership of the sets as given. It is the
-// zero-copy counterpart of SetOutputs, used when the producer (the
-// isolation backend or a native-SDK function) relinquishes its buffers.
-// The payloads are not duplicated, but they are charged to the
-// context's committed footprint and bounds-checked against its limit
-// exactly like SetOutputs — zero-copy changes how bytes move, not how
-// much memory a function may hold.
+// payloads: the context takes ownership of the sets as given, as the
+// producer (the isolation backend or a native-SDK function) relinquishes
+// its buffers. Duplicate set names are rejected. The payloads are not
+// duplicated, but they are charged to the context's committed footprint
+// and bounds-checked against its limit — zero-copy changes how bytes
+// move, not how much memory a function may hold.
 func (c *Context) AdoptOutputs(sets []Set) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,9 +212,8 @@ func (c *Context) TakeOutputs() ([]Set, error) {
 
 // adoptInput installs an input set without cloning item payloads: the
 // context takes ownership of (or shares read-only access to) the given
-// set, with the same duplicate and sealed rejection, limit enforcement
-// and committed-bytes accounting as AddInputSet; only the memcpy is
-// skipped.
+// set. Duplicate set names and a sealed context are rejected, and the
+// payload is charged to the committed footprint within the limit.
 func (c *Context) adoptInput(s Set) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
