@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -604,5 +605,85 @@ func TestSetTenantWeightFanOut(t *testing.T) {
 	}
 	if w := w2.TenantWeight("alice"); w != 5 {
 		t.Fatalf("w2 weight = %d, want 5", w)
+	}
+}
+
+// openFake is a fakeNode whose circuit breaker reports open, like a
+// RemoteNode inside its cooldown.
+type openFake struct{ fakeNode }
+
+func (*openFake) BreakerState() string                       { return BreakerOpen }
+func (*openFake) BreakerCounters() (trips, fastFails uint64) { return 1, 0 }
+func (*openFake) Retries() uint64                            { return 0 }
+
+// TestInvokeBatchSkipsOpenBreaker: a batch routes around a worker whose
+// breaker is open, as a single invoke does, instead of handing it a
+// chunk to fast-fail and reroute. When every breaker is open the batch
+// still goes out: a fast refusal from a real worker beats ErrNoWorkers
+// on a cluster that may be seconds from recovery.
+func TestInvokeBatchSkipsOpenBreaker(t *testing.T) {
+	m := NewManager(RoundRobin)
+	open, healthy := &openFake{}, &fakeNode{}
+	if err := m.Register("open", open); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Register("healthy", healthy); err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 3; b++ {
+		for i, r := range m.InvokeBatch(bg, batchReqs("", "C", 4)) {
+			if r.Err != nil {
+				t.Fatalf("batch %d result %d: %v", b, i, r.Err)
+			}
+		}
+	}
+	if n := open.batchCalls.Load(); n != 0 {
+		t.Fatalf("open-breaker worker got %d batch calls, want 0", n)
+	}
+	if n := healthy.calls.Load(); n != 12 {
+		t.Fatalf("healthy worker served %d invocations, want 12", n)
+	}
+
+	all := NewManager(RoundRobin)
+	a, b := &openFake{}, &openFake{}
+	all.Register("a", a)
+	all.Register("b", b)
+	for i, r := range all.InvokeBatch(bg, batchReqs("", "C", 4)) {
+		if r.Err != nil {
+			t.Fatalf("all open: result %d: %v", i, r.Err)
+		}
+	}
+	if n := a.calls.Load() + b.calls.Load(); n != 4 {
+		t.Fatalf("all open: workers served %d invocations, want 4", n)
+	}
+}
+
+// TestInvokeReroutesKeyed: a single invoke takes the batch path, so a
+// worker's failure is retried on a survivor under a key the manager
+// minted, which the survivor's dedup table absorbs if the first attempt
+// did run.
+func TestInvokeReroutesKeyed(t *testing.T) {
+	m := NewManager(RoundRobin)
+	bad, ok := &fakeNode{fail: true}, &fakeNode{}
+	m.Register("bad", bad)
+	m.Register("ok", ok)
+	failed := 0
+	for i := 0; i < 10; i++ {
+		if _, err := m.Invoke(bg, core.Request{Composition: "C"}); err != nil {
+			failed++
+		}
+	}
+	if failed != 0 {
+		t.Fatalf("%d of 10 invokes failed, want every one rerouted", failed)
+	}
+	if m.keyPrefix == "" {
+		t.Fatal("manager has no key prefix")
+	}
+	for _, n := range []*fakeNode{bad, ok} {
+		for _, k := range keysSeen(n) {
+			if !strings.HasPrefix(k, m.keyPrefix+"-") {
+				t.Fatalf("worker saw key %q, want prefix %q", k, m.keyPrefix+"-")
+			}
+		}
 	}
 }

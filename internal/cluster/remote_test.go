@@ -259,3 +259,44 @@ func TestRemoteNodeSpeaksFrames(t *testing.T) {
 		t.Fatalf("requests at the worker = %q, want two of %q", seen, want)
 	}
 }
+
+// TestRemoteNodeBreakerRefusalNotRetried: once a RemoteNode's breaker
+// is open, its own refusal is final. The breaker refuses until its
+// cooldown ends, so backing off and re-asking only stalls the caller
+// (a /stats/cluster poll, a routed batch) and counts refusals as
+// retries.
+func TestRemoteNodeBreakerRefusalNotRetried(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadGateway)
+	}))
+	t.Cleanup(srv.Close)
+	const base = time.Second
+	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{
+		MaxRetries: 2, RetryBase: base, BreakerThreshold: 1, BreakerCooldown: time.Hour,
+	})
+	// An unkeyed batch is not retried: its one 502 trips the breaker.
+	if res := rn.InvokeBatch(context.Background(), []dandelion.Request{{Composition: "E"}}); !errors.Is(res[0].Err, cluster.ErrRemote) {
+		t.Fatalf("tripping call: err = %v, want ErrRemote", res[0].Err)
+	}
+	if st := rn.BreakerState(); st != cluster.BreakerOpen {
+		t.Fatalf("breaker = %q, want open", st)
+	}
+	retries := rn.Retries()
+
+	// The shortest jittered backoff is base/2: a refusal returned before
+	// it was never retried.
+	start := time.Now()
+	if _, err := rn.NodeStats(); !errors.Is(err, cluster.ErrBreakerOpen) {
+		t.Fatalf("NodeStats err = %v, want ErrBreakerOpen", err)
+	}
+	keyed := []dandelion.Request{{Composition: "E", Key: "k1"}}
+	if res := rn.InvokeBatch(context.Background(), keyed); !errors.Is(res[0].Err, cluster.ErrBreakerOpen) {
+		t.Fatalf("keyed InvokeBatch err = %v, want ErrBreakerOpen", res[0].Err)
+	}
+	if d := time.Since(start); d >= base/2 {
+		t.Fatalf("two refusals took %v, want well inside the %v retry base", d, base)
+	}
+	if got := rn.Retries(); got != retries {
+		t.Fatalf("Retries = %d after two refusals, want %d", got, retries)
+	}
+}
