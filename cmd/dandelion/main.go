@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -105,20 +104,16 @@ func main() {
 		// Coordinator mode: this frontend is the cluster ingress.
 		// Workers join over /cluster/join, prove liveness over
 		// /cluster/heartbeat, and invocation routes fan out across the
-		// fleet; the tracker evicts workers that miss heartbeats.
-		mgr := cluster.NewManager(cluster.RoundRobin)
-		// Keyed chunk retries: every routed batch request carries an
-		// idempotency key, so wholesale chunk failures (worker death,
-		// lost responses) are retried safely — the workers' dedup tables
-		// absorb re-execution. The PID makes the prefix unique per
-		// coordinator life.
-		mgr.EnableKeyedRetries(fmt.Sprintf("coord-%d-%d", os.Getpid(), time.Now().UnixNano()))
-		tr := cluster.NewTracker(mgr, *hbInterval, *hbMisses, nil)
+		// fleet, around workers whose breaker is open; the tracker
+		// evicts workers that miss heartbeats. Every routed request
+		// carries an idempotency key (the manager mints a prefix unique
+		// per coordinator life), so wholesale chunk failures — worker
+		// death, lost responses — are retried safely: the workers'
+		// dedup tables absorb re-execution.
+		tr := cluster.NewTracker(cluster.NewManager(), *hbInterval, *hbMisses, nil)
 		tr.Start()
 		defer tr.Stop()
-		cfg.Cluster = mgr
 		cfg.Tracker = tr
-		cfg.RouteViaCluster = true
 	}
 	if *join != "" {
 		name := *workerName

@@ -219,7 +219,7 @@ composition C(In) => Result {
 }
 
 func TestClusterOfPlatforms(t *testing.T) {
-	m := cluster.NewManager(cluster.LeastLoaded)
+	m := cluster.NewManager()
 	for i := 0; i < 3; i++ {
 		p := newPlatform(t, dandelion.Options{})
 		p.RegisterFunction(dandelion.ComputeFunc{Name: "Up", Go: func(in []dandelion.Set) ([]dandelion.Set, error) {

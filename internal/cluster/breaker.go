@@ -9,7 +9,7 @@
 // Application errors a worker answers per request never count — a
 // worker that responds is alive, whatever it says.
 //
-// The manager consults breaker state when routing (see pick /
+// The manager consults breaker state on every route (see routable and
 // pickSurvivor in cluster.go): workers inside an open cooldown are
 // skipped, workers whose cooldown expired report half-open and receive
 // traffic again so the probe can actually happen.
@@ -35,8 +35,9 @@ const (
 )
 
 // BreakerNode is the optional transport-health interface of a worker:
-// the manager skips workers reporting BreakerOpen when picking routes,
-// and AggregateStats surfaces the breaker state, its counters, and the
+// the manager routes every batch, and so every single invoke, around
+// workers reporting BreakerOpen (unless every breaker is open), and
+// AggregateStats surfaces the breaker state, its counters, and the
 // transport's in-place retries per worker. A RemoteNode satisfies it;
 // in-process platforms (which have no transport to fail) do not.
 type BreakerNode interface {

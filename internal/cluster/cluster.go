@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,29 +52,16 @@ var (
 	_ BreakerNode = (*RemoteNode)(nil)
 )
 
-// Policy selects a worker for an invocation.
-type Policy uint8
-
-const (
-	// RoundRobin rotates through workers.
-	RoundRobin Policy = iota
-	// LeastLoaded picks the worker with the fewest in-flight
-	// invocations routed by this manager.
-	LeastLoaded
-)
-
 // Manager routes invocations across registered workers.
 type Manager struct {
-	policy Policy
-
 	mu      sync.RWMutex
 	names   []string
 	workers map[string]*member
 	rr      atomic.Uint64
 
-	// Keyed retries (EnableKeyedRetries): when keyPrefix is non-empty
-	// the manager assigns idempotency keys to every unkeyed batch request, and
-	// keySeq numbers the batches so keys are unique per manager life.
+	// keyPrefix, unique per manager life, and keySeq, numbering the
+	// batches, make the idempotency keys assignKeys gives unkeyed
+	// requests unique.
 	keyPrefix string
 	keySeq    atomic.Uint64
 
@@ -100,12 +88,16 @@ var (
 	ErrNoSuchNode = errors.New("cluster: no such worker")
 )
 
-// NewManager creates a manager with the given balancing policy.
-func NewManager(policy Policy) *Manager {
+// NewManager creates a manager. Its key prefix "coord-<pid>-<boot ns>"
+// is unique per manager life: a prefix reused against workers whose
+// journals hold keys from an earlier life would dedup fresh work
+// against stale outcomes.
+func NewManager() *Manager {
+	boot := time.Now().UnixNano()
 	return &Manager{
-		policy:  policy,
-		workers: map[string]*member{},
-		jrng:    rand.New(rand.NewSource(time.Now().UnixNano())),
+		workers:   map[string]*member{},
+		keyPrefix: fmt.Sprintf("coord-%d-%d", os.Getpid(), boot),
+		jrng:      rand.New(rand.NewSource(boot)),
 	}
 }
 
@@ -145,107 +137,42 @@ func (m *Manager) Workers() []string {
 	return append([]string(nil), m.names...)
 }
 
-// pick chooses a worker per the policy. Workers whose circuit breaker
-// is open (still inside its cooldown) are skipped — a half-open
-// breaker reports as such and keeps receiving traffic so its probe can
-// run. When every worker's breaker is open the full list is used
-// anyway: failing fast on a real worker beats failing ErrNoWorkers on
-// a cluster that may be seconds from recovery.
-func (m *Manager) pick() (string, *member, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.names) == 0 {
-		return "", nil, ErrNoWorkers
-	}
-	names := m.names
-	if elig := eligibleNames(m.names, m.workers); len(elig) > 0 {
-		names = elig
-	}
-	switch m.policy {
-	case LeastLoaded:
-		bestName := names[0]
-		best := m.workers[bestName]
-		for _, n := range names[1:] {
-			w := m.workers[n]
-			if w.inflight.Load() < best.inflight.Load() {
-				best, bestName = w, n
-			}
+// routable snapshots the members a batch may be routed to: every
+// registered worker except those whose circuit breaker is open (still
+// inside its cooldown). A half-open breaker reports as such and keeps
+// receiving traffic so its probe can run. When every breaker is open
+// the whole snapshot is used anyway: failing fast on a real worker
+// beats failing ErrNoWorkers on a cluster that may be seconds from
+// recovery. The filter compacts the snapshot in place, so routing
+// allocates nothing beyond the snapshot.
+func (m *Manager) routable() []*member {
+	_, members := m.snapshot()
+	live := members[:0]
+	for _, w := range members {
+		if !breakerOpenNode(w.node) {
+			live = append(live, w)
 		}
-		return bestName, best, nil
-	default:
-		i := m.rr.Add(1) - 1
-		name := names[i%uint64(len(names))]
-		return name, m.workers[name], nil
 	}
-}
-
-// eligibleNames filters out workers whose breaker refuses traffic,
-// returning the input slice untouched (no allocation) when none do.
-func eligibleNames(names []string, workers map[string]*member) []string {
-	var out []string
-	anyOpen := false
-	for _, n := range names {
-		if breakerOpenNode(workers[n].node) {
-			anyOpen = true
-			continue
-		}
-		out = append(out, n)
+	if len(live) == 0 {
+		return members // every breaker open: nothing was overwritten
 	}
-	if !anyOpen {
-		return names
-	}
-	return out
+	return live
 }
 
-// EnableKeyedRetries turns on idempotency-keyed routing: every batch
-// request that carries no key of its own gets a chunk key
-// "prefix-seq#i" before dispatch, which makes
-// wholesale chunk failures safe to retry even for single-request
-// chunks — the worker's completed-key dedup table (journal-backed on
-// durable nodes) absorbs any re-execution. The prefix must be unique
-// per coordinator life (e.g. include a boot timestamp); reusing a
-// prefix against workers with journaled keys from a previous life
-// would dedup fresh work against stale outcomes.
-func (m *Manager) EnableKeyedRetries(prefix string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.keyPrefix = prefix
-}
-
-// keyedRetries reports the keyed-routing prefix ("" when disabled).
-func (m *Manager) keyedRetries() string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.keyPrefix
-}
-
-// Invoke routes one composition invocation to a worker picked by the
-// policy; the request — tenant, idempotency key, and the context's
-// deadline included — reaches the worker as given.
+// Invoke routes one invocation as a one-request batch (see
+// InvokeBatch): the request — tenant, idempotency key, and the
+// context's deadline included — reaches the worker as given, keyed by
+// the manager when it carries no key of its own.
 func (m *Manager) Invoke(ctx context.Context, req core.Request) (map[string][]memctx.Item, error) {
-	_, w, err := m.pick()
-	if err != nil {
-		return nil, err
-	}
-	w.inflight.Add(1)
-	w.total.Add(1)
-	defer w.inflight.Add(-1)
-	out, err := w.node.Invoke(ctx, req)
-	if err != nil {
-		w.failures.Add(1)
-	}
-	return out, err
+	res := m.InvokeBatch(ctx, []core.Request{req})
+	return res[0].Outputs, res[0].Err
 }
 
 // assignKeys fills the empty Keys of a batch with one chunk-key run
-// when keyed retries are enabled; caller-supplied keys are kept. The
-// caller's slice is never written to.
+// "prefix-seq#i"; caller-supplied keys are kept. The caller's slice is
+// never written to.
 func (m *Manager) assignKeys(reqs []core.Request) []core.Request {
-	prefix := m.keyedRetries()
-	if prefix == "" {
-		return reqs
-	}
-	base := fmt.Sprintf("%s-%d", prefix, m.keySeq.Add(1))
+	base := fmt.Sprintf("%s-%d", m.keyPrefix, m.keySeq.Add(1))
 	keyed := make([]core.Request, len(reqs))
 	for i, r := range reqs {
 		if r.Key == "" {
@@ -259,34 +186,29 @@ func (m *Manager) assignKeys(reqs []core.Request) []core.Request {
 // InvokeBatch routes a batch of invocations across the registered
 // workers and returns results in request order.
 //
-// RoundRobin spreads the batch: it is split into near-equal contiguous
-// chunks, one per worker, assigned in rotation order — under sustained
-// batch traffic every worker sees a share of every batch. LeastLoaded
-// sends the whole batch to the worker with the fewest in-flight
-// invocations, keeping batch locality (one program-cache+context warm
-// set per batch). Each worker gets its chunk in one InvokeBatch call.
+// The batch is split into near-equal contiguous chunks, one per
+// routable worker (see routable), assigned in rotation order: under
+// sustained traffic every worker sees a share of every batch, and
+// single invokes rotate through the workers. Each worker gets its
+// chunk in one InvokeBatch call.
 //
-// Worker failure mid-batch does not sink the chunk: when a worker fails
-// every request of a multi-request chunk wholesale (the signature of a
-// dead or unreachable node rather than per-request application errors),
-// the chunk is re-queued once on the surviving worker with the fewest
-// in-flight invocations, and only that retry's results stand.
-//
-// Without idempotency keys, single-request chunks are never re-queued —
-// one error cannot be told apart from a legitimate application failure,
-// and a blind retry would duplicate non-idempotent work. With keys
-// (EnableKeyedRetries, or caller-supplied in Request.Key) that
-// restraint is lifted: the worker's completed-key dedup table absorbs a
-// re-execution, so fully-keyed single-request chunks retry too, and
-// when no other worker survives the retry may go back to the same
-// (still registered) worker — the transient-transport-failure case,
-// where the work often completed and only the response was lost.
+// Every request reaches its worker keyed (see assignKeys), so worker
+// failure mid-batch does not sink a chunk: when a worker fails every
+// request of its chunk (the signature of a dead or unreachable node, or
+// of a response lost in transit), the chunk is re-queued once on the
+// surviving worker with the fewest in-flight invocations — or, when no
+// other worker survives, on the same still-registered worker — and only
+// that retry's results stand. The worker's completed-key dedup table
+// (journal-backed on durable nodes) absorbs a re-execution, so this is
+// safe for a single request too, whose failure cannot be told apart
+// from an application error. A chunk whose caller's context has ended
+// is not retried.
 func (m *Manager) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
 	results := make([]core.Result, len(reqs))
 	if len(reqs) == 0 {
 		return results
 	}
-	_, members := m.snapshot()
+	members := m.routable()
 	if len(members) == 0 {
 		for i := range results {
 			results[i].Err = ErrNoWorkers
@@ -295,68 +217,36 @@ func (m *Manager) InvokeBatch(ctx context.Context, reqs []core.Request) []core.R
 	}
 	reqs = m.assignKeys(reqs)
 
-	// chunk describes one contiguous slice of the batch and its worker.
-	type chunk struct {
-		lo, hi int
-		w      *member
-	}
-	var chunks []chunk
-	switch m.policy {
-	case LeastLoaded:
-		best := members[0]
-		for _, w := range members[1:] {
-			if w.inflight.Load() < best.inflight.Load() {
-				best = w
-			}
-		}
-		chunks = []chunk{{lo: 0, hi: len(reqs), w: best}}
-	default: // RoundRobin
-		k := len(members)
-		if k > len(reqs) {
-			k = len(reqs)
-		}
-		start := m.rr.Add(1) - 1
-		for c := 0; c < k; c++ {
-			lo, hi := c*len(reqs)/k, (c+1)*len(reqs)/k
-			w := members[(start+uint64(c))%uint64(len(members))]
-			chunks = append(chunks, chunk{lo: lo, hi: hi, w: w})
-		}
-	}
-
+	k := min(len(members), len(reqs))
+	start := m.rr.Add(1) - 1
 	var wg sync.WaitGroup
-	for _, c := range chunks {
-		c := c
+	for c := 0; c < k; c++ {
+		lo, hi := c*len(reqs)/k, (c+1)*len(reqs)/k
+		w := members[(start+uint64(c))%uint64(len(members))]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			seg := reqs[c.lo:c.hi]
-			keyed := fullyKeyed(seg)
-			res := m.runChunk(ctx, c.w, seg)
-			if allFailed(res) && (len(res) > 1 || keyed) {
-				// Brief jittered pause before rerouting: concurrent
-				// chunks failed by the same dead worker would otherwise
-				// re-snapshot and stampede the survivor in lockstep, and
-				// a transient blip often clears within milliseconds.
-				m.rerouteDelay(ctx)
+			seg := reqs[lo:hi]
+			res := m.runChunk(ctx, w, seg)
+			if allFailed(res) && m.rerouteDelay(ctx) {
 				// Re-snapshot live membership before retrying: the
 				// pre-batch snapshot can name workers deregistered — or,
 				// with heartbeat tracking, evicted — while this chunk
 				// ran, and retrying onto one of those just fails again.
 				_, live := m.snapshot()
-				alt := pickSurvivor(live, c.w)
-				if alt == nil && keyed && contains(live, c.w) {
-					// No other survivor, but the chunk is keyed and its
-					// worker is still registered: retry in place — safe
-					// under dedup, and exactly what recovers a response
-					// lost to a transient transport failure.
-					alt = c.w
+				alt := pickSurvivor(live, w)
+				if alt == nil && contains(live, w) {
+					// No other survivor, but the worker is still
+					// registered: retry in place, which recovers a
+					// response lost to a transient transport failure.
+					alt = w
 				}
 				if alt != nil {
-					c.w.rerouted.Add(1)
+					w.rerouted.Add(1)
 					res = m.runChunk(ctx, alt, seg)
 				}
 			}
-			copy(results[c.lo:c.hi], res)
+			copy(results[lo:hi], res)
 		}()
 	}
 	wg.Wait()
@@ -380,10 +270,12 @@ func (m *Manager) runChunk(ctx context.Context, w *member, reqs []core.Request) 
 }
 
 // rerouteDelay pauses a failed chunk for a short jittered interval
-// (1–5ms) before it re-snapshots membership and retries, so a burst of
-// simultaneous chunk failures doesn't hot-loop onto the survivor. Cut
-// short when the caller's context expires.
-func (m *Manager) rerouteDelay(ctx context.Context) {
+// (1–5ms) before it re-snapshots membership and retries: concurrent
+// chunks failed by the same dead worker would otherwise stampede the
+// survivor in lockstep, and a transient blip often clears within
+// milliseconds. It reports false when the caller's context ends first:
+// a retry under a dead context cannot succeed.
+func (m *Manager) rerouteDelay(ctx context.Context) bool {
 	m.jmu.Lock()
 	d := time.Millisecond + time.Duration(m.jrng.Int63n(int64(4*time.Millisecond)))
 	m.jmu.Unlock()
@@ -391,20 +283,10 @@ func (m *Manager) rerouteDelay(ctx context.Context) {
 	defer t.Stop()
 	select {
 	case <-t.C:
+		return true
 	case <-ctx.Done():
+		return false
 	}
-}
-
-// fullyKeyed reports whether every request of a chunk carries an
-// idempotency key — the precondition for retrying chunks the unkeyed
-// heuristic would not touch.
-func fullyKeyed(reqs []core.Request) bool {
-	for _, r := range reqs {
-		if r.Key == "" {
-			return false
-		}
-	}
-	return len(reqs) > 0
 }
 
 // contains reports whether w is among members.
@@ -418,8 +300,7 @@ func contains(members []*member, w *member) bool {
 }
 
 // allFailed reports whether every result of a (non-empty) chunk errored
-// — the manager's worker-failure heuristic, meaningful only for chunks
-// of two or more requests.
+// — the manager's worker-failure heuristic.
 func allFailed(res []core.Result) bool {
 	if len(res) == 0 {
 		return false
@@ -436,8 +317,8 @@ func allFailed(res []core.Result) bool {
 // circuit breaker accepts traffic, or nil when none exists. When every
 // other survivor's breaker is open, the least-loaded one is returned
 // anyway — a fast local refusal is still a better answer than not
-// retrying at all, and it keeps the keyed same-worker fallback (which
-// only triggers on a nil survivor) reserved for single-worker clusters.
+// retrying at all, and it keeps the same-worker fallback (which only
+// triggers on a nil survivor) reserved for single-worker clusters.
 func pickSurvivor(members []*member, failed *member) *member {
 	var best, bestOpen *member
 	for _, w := range members {

@@ -61,14 +61,14 @@ func (f *fakeNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.
 var bg = context.Background()
 
 func TestNoWorkers(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	if _, err := m.Invoke(bg, core.Request{Composition: "X"}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRegisterErrors(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	n := &fakeNode{}
 	if err := m.Register("w1", n); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestRegisterErrors(t *testing.T) {
 }
 
 func TestRoundRobinSpreads(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	nodes := []*fakeNode{{}, {}, {}}
 	for i, n := range nodes {
 		m.Register(string(rune('a'+i)), n)
@@ -105,75 +105,37 @@ func TestRoundRobinSpreads(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedPrefersIdle(t *testing.T) {
-	m := NewManager(LeastLoaded)
-	slow := &fakeNode{gate: make(chan struct{})}
-	fast := &fakeNode{}
-	m.Register("slow", slow)
-	m.Register("fast", fast)
-
-	// Occupy "slow" (the tie-break pick of an idle cluster) with one
-	// held invocation, then fire more: each must see slow's in-flight
-	// count and go to the idle node.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); m.Invoke(bg, core.Request{Composition: "C"}) }()
-	for deadline := time.Now().Add(5 * time.Second); slow.inflight.Load() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("held invocation never reached the slow node")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := m.Invoke(bg, core.Request{Composition: "C"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(slow.gate)
-	wg.Wait()
-	if fast.calls.Load() != 10 || slow.calls.Load() != 1 {
-		t.Fatalf("least-loaded did not prefer idle node: fast=%d slow=%d",
-			fast.calls.Load(), slow.calls.Load())
-	}
-}
-
+// TestStatsAndFailures: the routing counters of a worker that fails
+// everything it is sent (each failure rerouted onto the survivor) and of
+// the survivor.
 func TestStatsAndFailures(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	ok := &fakeNode{}
 	bad := &fakeNode{fail: true}
 	m.Register("ok", ok)
 	m.Register("bad", bad)
-	var failures int
 	for i := 0; i < 10; i++ {
 		if _, err := m.Invoke(bg, core.Request{Composition: "C"}); err != nil {
-			failures++
+			t.Fatalf("invoke %d: %v", i, err)
 		}
 	}
-	if failures != 5 {
-		t.Fatalf("failures = %d, want 5", failures)
+	want := map[string]WorkerStats{
+		"ok":  {Name: "ok", Total: 10},
+		"bad": {Name: "bad", Total: 5, Failures: 5, Rerouted: 5},
 	}
 	stats := m.Stats()
 	if len(stats) != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	for _, s := range stats {
-		if s.Total != 5 {
-			t.Fatalf("total = %d, want 5", s.Total)
-		}
-		if s.Name == "bad" && s.Failures != 5 {
-			t.Fatalf("bad failures = %d", s.Failures)
-		}
-		if s.Name == "ok" && s.Failures != 0 {
-			t.Fatalf("ok failures = %d", s.Failures)
-		}
-		if s.InFlight != 0 {
-			t.Fatalf("inflight = %d after drain", s.InFlight)
+		if s != want[s.Name] {
+			t.Fatalf("stats = %+v, want %+v", s, want[s.Name])
 		}
 	}
 }
 
 func TestConcurrentInvocations(t *testing.T) {
-	m := NewManager(LeastLoaded)
+	m := NewManager()
 	nodes := []*fakeNode{{delay: time.Millisecond}, {delay: time.Millisecond}}
 	m.Register("a", nodes[0])
 	m.Register("b", nodes[1])
@@ -212,7 +174,7 @@ func batchReqs(tenant, name string, n int) []core.Request {
 }
 
 func TestInvokeBatchNoWorkers(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	res := m.InvokeBatch(bg, batchReqs("", "X", 3))
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrNoWorkers) {
@@ -222,7 +184,7 @@ func TestInvokeBatchNoWorkers(t *testing.T) {
 }
 
 func TestInvokeBatchRoundRobinSplits(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	nodes := []*fakeNode{{}, {}, {}}
 	for i, n := range nodes {
 		if err := m.Register(string(rune('a'+i)), n); err != nil {
@@ -247,39 +209,10 @@ func TestInvokeBatchRoundRobinSplits(t *testing.T) {
 	}
 }
 
-func TestInvokeBatchLeastLoadedPicksIdleWorker(t *testing.T) {
-	m := NewManager(LeastLoaded)
-	busy, idle := &fakeNode{}, &fakeNode{}
-	if err := m.Register("busy", busy); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("idle", idle); err != nil {
-		t.Fatal(err)
-	}
-	// Occupy the busy worker with a slow single invocation.
-	busy.delay = 200 * time.Millisecond
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m.Invoke(bg, batchReqs("", "C", 1)[0])
-	}()
-	time.Sleep(20 * time.Millisecond) // let the slow call land on "busy"
-	res := m.InvokeBatch(bg, batchReqs("", "C", 4))
-	wg.Wait()
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
-		}
-	}
-	if idle.batchCalls.Load() != 1 || idle.calls.Load() != 4 {
-		t.Fatalf("idle worker got batch=%d calls=%d, want whole batch",
-			idle.batchCalls.Load(), idle.calls.Load())
-	}
-}
-
+// TestInvokeBatchCountsFailures: a lone worker that fails its chunk
+// wholesale gets it once more in place, and both attempts count.
 func TestInvokeBatchCountsFailures(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	n := &fakeNode{fail: true}
 	if err := m.Register("w", n); err != nil {
 		t.Fatal(err)
@@ -291,15 +224,18 @@ func TestInvokeBatchCountsFailures(t *testing.T) {
 		}
 	}
 	st := m.Stats()
-	if st[0].Failures != 3 || st[0].Total != 3 || st[0].InFlight != 0 {
+	if st[0].Failures != 6 || st[0].Total != 6 || st[0].Rerouted != 1 || st[0].InFlight != 0 {
 		t.Fatalf("stats = %+v", st[0])
+	}
+	if n.batchCalls.Load() != 2 {
+		t.Fatalf("batch calls = %d, want 2", n.batchCalls.Load())
 	}
 }
 
 // TestInvokeThreadsRequest: the manager hands the worker the request it
 // was given — tenant and key included — on both calls.
 func TestInvokeThreadsRequest(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	n := &fakeNode{}
 	if err := m.Register("w", n); err != nil {
 		t.Fatal(err)
@@ -340,7 +276,7 @@ func (f *failingBatchNode) InvokeBatch(ctx context.Context, reqs []core.Request)
 // a worker that fails its whole chunk must not sink those requests —
 // the chunk is re-queued on the surviving worker.
 func TestInvokeBatchReroutesFailedChunk(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	dead := &failingBatchNode{}
 	good := &fakeNode{}
 	if err := m.Register("dead", dead); err != nil {
@@ -396,7 +332,7 @@ func (f *halfFailNode) InvokeBatch(ctx context.Context, reqs []core.Request) []c
 }
 
 func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
-	m := NewManager(LeastLoaded)
+	m := NewManager()
 	flaky := &halfFailNode{}
 	spare := &fakeNode{}
 	if err := m.Register("flaky", flaky); err != nil {
@@ -405,8 +341,8 @@ func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 	if err := m.Register("spare", spare); err != nil {
 		t.Fatal(err)
 	}
-	// LeastLoaded sends the whole batch to one worker; half its requests
-	// fail with application errors, which must stand (no retry).
+	// Each worker gets a chunk of 2; the first request of flaky's fails
+	// with an application error, which must stand (no retry).
 	res := m.InvokeBatch(bg, batchReqs("", "C", 4))
 	errs := 0
 	for _, r := range res {
@@ -414,33 +350,11 @@ func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 			errs++
 		}
 	}
-	if errs != 2 {
-		t.Fatalf("errors = %d, want 2", errs)
+	if errs != 1 {
+		t.Fatalf("errors = %d, want 1", errs)
 	}
-	if spare.batchCalls.Load() != 0 {
-		t.Fatalf("spare worker got %d batch calls, want 0", spare.batchCalls.Load())
-	}
-}
-
-// TestInvokeBatchNoRerouteForSingleRequestChunk: a lone failing request
-// is indistinguishable from an application error, so it must not be
-// retried on another worker (blind retries duplicate side effects).
-func TestInvokeBatchNoRerouteForSingleRequestChunk(t *testing.T) {
-	m := NewManager(LeastLoaded)
-	dead := &failingBatchNode{}
-	spare := &fakeNode{}
-	if err := m.Register("dead", dead); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("spare", spare); err != nil {
-		t.Fatal(err)
-	}
-	res := m.InvokeBatch(bg, batchReqs("", "C", 1))
-	if res[0].Err == nil {
-		t.Fatal("single-request chunk was retried")
-	}
-	if spare.batchCalls.Load() != 0 || spare.calls.Load() != 0 {
-		t.Fatalf("spare worker got work: batch=%d calls=%d",
+	if spare.batchCalls.Load() != 1 || spare.calls.Load() != 2 {
+		t.Fatalf("spare worker got batch=%d calls=%d, want its own chunk of 2",
 			spare.batchCalls.Load(), spare.calls.Load())
 	}
 	for _, s := range m.Stats() {
@@ -478,7 +392,7 @@ func tstats(tenant string, weight int, completed uint64) []sched.TenantStats {
 // TestAggregateStatsMergesWorkers: counters sum, per-tenant gauges
 // merge across workers, and workers without Admin are ignored.
 func TestAggregateStatsMergesWorkers(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	w1 := &statsFake{stats: core.Stats{
 		Invocations: 10, Batches: 2, ComputeEngines: 2, ComputeQueueLen: 3,
 		EngineResizes: 1, Tenants: append(tstats("alice", 2, 5), tstats("bob", 1, 1)...),
@@ -519,7 +433,7 @@ func TestAggregateStatsMergesWorkers(t *testing.T) {
 // errors is named in StatsErrors and contributes nothing — no panic, no
 // partial counts.
 func TestAggregateStatsSkipsErroringWorker(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	good := &statsFake{stats: core.Stats{Invocations: 7, Tenants: tstats("alice", 1, 7)}}
 	bad := &statsFake{stats: core.Stats{Invocations: 999}, statErr: errors.New("stats rpc timeout")}
 	m.Register("good", good)
@@ -542,7 +456,7 @@ func TestAggregateStatsSkipsErroringWorker(t *testing.T) {
 // the aggregation's member snapshot, and concurrent Deregister never
 // races or panics the merge.
 func TestAggregateStatsMidFlightDeregister(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	slow := &statsFake{stats: core.Stats{Invocations: 3}, block: make(chan struct{})}
 	fast := &statsFake{stats: core.Stats{Invocations: 4}}
 	m.Register("slow", slow)
@@ -582,7 +496,7 @@ func TestAggregateStatsMidFlightDeregister(t *testing.T) {
 // every Admin worker and reports the count; non-Admin workers are
 // skipped, not failed.
 func TestSetTenantWeightFanOut(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	w1, err := core.NewPlatform(core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -622,7 +536,7 @@ func (*openFake) Retries() uint64                            { return 0 }
 // still goes out: a fast refusal from a real worker beats ErrNoWorkers
 // on a cluster that may be seconds from recovery.
 func TestInvokeBatchSkipsOpenBreaker(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	open, healthy := &openFake{}, &fakeNode{}
 	if err := m.Register("open", open); err != nil {
 		t.Fatal(err)
@@ -644,7 +558,7 @@ func TestInvokeBatchSkipsOpenBreaker(t *testing.T) {
 		t.Fatalf("healthy worker served %d invocations, want 12", n)
 	}
 
-	all := NewManager(RoundRobin)
+	all := NewManager()
 	a, b := &openFake{}, &openFake{}
 	all.Register("a", a)
 	all.Register("b", b)
@@ -663,7 +577,7 @@ func TestInvokeBatchSkipsOpenBreaker(t *testing.T) {
 // minted, which the survivor's dedup table absorbs if the first attempt
 // did run.
 func TestInvokeReroutesKeyed(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	bad, ok := &fakeNode{fail: true}, &fakeNode{}
 	m.Register("bad", bad)
 	m.Register("ok", ok)

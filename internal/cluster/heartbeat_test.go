@@ -30,7 +30,7 @@ func (c *virtualClock) advance(d time.Duration) {
 
 func TestTrackerEvictsAfterMissedBeats(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(1000, 0)}
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	tr := NewTracker(m, time.Second, 3, clk.now)
 
 	if err := tr.Join("w1", &fakeNode{}); err != nil {
@@ -92,7 +92,7 @@ func TestTrackerEvictsAfterMissedBeats(t *testing.T) {
 }
 
 func TestTrackerHeartbeatUnknownWorker(t *testing.T) {
-	tr := NewTracker(NewManager(RoundRobin), time.Second, 3, nil)
+	tr := NewTracker(NewManager(), time.Second, 3, nil)
 	if err := tr.Heartbeat("ghost"); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("err = %v, want ErrNoSuchNode", err)
 	}
@@ -101,7 +101,7 @@ func TestTrackerHeartbeatUnknownWorker(t *testing.T) {
 // TestTrackerJoinReplaces: a worker restarting and re-joining under its
 // old name supersedes the stale registration instead of erroring.
 func TestTrackerJoinReplaces(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	tr := NewTracker(m, time.Second, 3, nil)
 	old, fresh := &fakeNode{}, &fakeNode{}
 	if err := tr.Join("w1", old); err != nil {
@@ -125,7 +125,7 @@ func TestTrackerJoinReplaces(t *testing.T) {
 // the real clock: a joined worker that never beats is evicted within a
 // few intervals.
 func TestTrackerSweepLoop(t *testing.T) {
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	tr := NewTracker(m, 10*time.Millisecond, 2, nil)
 	if err := tr.Join("w1", &fakeNode{}); err != nil {
 		t.Fatal(err)
@@ -162,15 +162,17 @@ func (s *sabotageNode) InvokeBatch(ctx context.Context, reqs []core.Request) []c
 // TestRerouteSkipsDeregisteredSurvivor is the stale-snapshot
 // regression: pickSurvivor must choose from membership as it is at
 // retry time, not from the snapshot taken before the chunk ran. Here
-// the would-be survivor ("stale", first in the old snapshot) is
-// deregistered while the chunk runs, so the retry must land on "live".
+// the would-be survivor ("stale", first after "dying" in the old
+// snapshot) is deregistered while the chunk runs, so the retry must
+// land on "live".
 func TestRerouteSkipsDeregisteredSurvivor(t *testing.T) {
-	m := NewManager(LeastLoaded)
+	m := NewManager()
 	dying := &sabotageNode{m: m, victim: "stale"}
 	stale := &fakeNode{}
 	live := &fakeNode{}
-	// Registration order makes "dying" the least-loaded pick for the
-	// whole batch and "stale" the survivor a stale snapshot would pick.
+	// Registration order makes "dying" a fresh manager's first pick for
+	// a one-request batch and "stale" the survivor a stale snapshot
+	// would pick.
 	if err := m.Register("dying", dying); err != nil {
 		t.Fatal(err)
 	}
@@ -181,17 +183,14 @@ func TestRerouteSkipsDeregisteredSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := m.InvokeBatch(bg, batchReqs("alice", "C", 6))
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("result %d not rerouted: %v", i, r.Err)
-		}
+	if res := m.InvokeBatch(bg, batchReqs("alice", "C", 1)); res[0].Err != nil {
+		t.Fatalf("request not rerouted: %v", res[0].Err)
 	}
 	if stale.calls.Load() != 0 {
 		t.Fatalf("deregistered worker served %d invocations, want 0", stale.calls.Load())
 	}
-	if live.calls.Load() != 6 {
-		t.Fatalf("live worker served %d invocations, want 6", live.calls.Load())
+	if live.calls.Load() != 1 {
+		t.Fatalf("live worker served %d invocations, want 1", live.calls.Load())
 	}
 	for _, s := range m.Stats() {
 		if s.Name == "dying" && s.Rerouted != 1 {

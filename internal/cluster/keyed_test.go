@@ -1,8 +1,7 @@
 // Keyed (idempotent) routing tests: the manager's chunk-key
-// assignment, the lifted single-request retry restraint, the
-// same-worker retry fallback, and — with a real journaled platform
-// behind the members — the exactly-once guarantee that worker-side
-// dedup gives retried chunks.
+// assignment, the same-worker retry fallback, and — with a real
+// journaled platform behind the members — the exactly-once guarantee
+// that worker-side dedup gives retried chunks.
 package cluster
 
 import (
@@ -72,16 +71,15 @@ func (l *lossyNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core
 // upperReqs builds n requests of the U composition under tenant alice.
 func upperReqs(n int) []core.Request { return batchReqs("alice", "U", n) }
 
-// TestKeyedSingleRequestRetrySameWorker: without keys a single-request
-// chunk is never retried; with EnableKeyedRetries it is, and with no
+// TestKeyedSingleRequestRetrySameWorker: a failed single-request chunk
+// is retried under the key the manager gave it, and with no
 // alternative survivor the retry goes back to the same worker — where
 // the dedup table answers from the first execution's cached outputs.
 // Exactly-once, observed end to end: one platform invocation, one
 // dedup hit, a clean client result.
 func TestKeyedSingleRequestRetrySameWorker(t *testing.T) {
 	p := upperPlatform(t, core.Options{Journal: journal.NewMemory()})
-	m := NewManager(RoundRobin)
-	m.EnableKeyedRetries("life1")
+	m := NewManager()
 	if err := m.Register("w1", &lossyNode{p: p}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,21 +105,6 @@ func TestKeyedSingleRequestRetrySameWorker(t *testing.T) {
 	}
 }
 
-// TestUnkeyedSingleRequestStillNotRetried: the lifted restraint is
-// strictly opt-in — without keys the old heuristic stands and a failed
-// single-request chunk surfaces its error.
-func TestUnkeyedSingleRequestStillNotRetried(t *testing.T) {
-	p := upperPlatform(t, core.Options{})
-	m := NewManager(RoundRobin)
-	if err := m.Register("w1", &lossyNode{p: p}); err != nil {
-		t.Fatal(err)
-	}
-	res := m.InvokeBatch(bg, upperReqs(1))
-	if res[0].Err == nil {
-		t.Fatal("unkeyed single-request chunk was retried")
-	}
-}
-
 // keyedSabotageNode is the PR-6 stale-snapshot saboteur re-armed for
 // the journaled world: it executes its chunk on a shared journaled
 // platform, reports wholesale failure, and deregisters the would-be
@@ -141,18 +124,20 @@ func (s *keyedSabotageNode) InvokeBatch(ctx context.Context, reqs []core.Request
 // TestKeyedRerouteSkipsDeregisteredSurvivorDedups re-runs the PR-6
 // stale-snapshot regression with journaling on: the survivor chosen at
 // retry time must come from live membership (not the pre-batch
-// snapshot), and because the chunk already executed before its failure
-// report, the retried chunk must be answered by the dedup table — not
+// snapshot), and because the request already executed before its
+// failure report, the retry must be answered by the dedup table — not
 // double-executed. Both members front the same journaled platform, so
-// the second execution attempt hits the keys the first one completed.
+// the second execution attempt hits the key the first one completed.
 func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 	p := upperPlatform(t, core.Options{Journal: journal.NewMemory()})
-	m := NewManager(LeastLoaded)
-	m.EnableKeyedRetries("life1")
+	m := NewManager()
 	dying := &keyedSabotageNode{lossyNode: lossyNode{p: p}, m: m, victim: "stale"}
 	stale := &fakeNode{}
 	live := &lossyNode{p: p}
 	live.drops.Store(1) // never drop: only "dying" loses its response
+	// A fresh manager's rotation sends its first one-request batch to
+	// the first-registered worker, "dying"; the least-loaded survivor in
+	// a stale snapshot would be "stale".
 	if err := m.Register("dying", dying); err != nil {
 		t.Fatal(err)
 	}
@@ -163,21 +148,18 @@ func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := m.InvokeBatch(bg, upperReqs(6))
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("result %d not recovered: %v", i, r.Err)
-		}
+	if res := m.InvokeBatch(bg, upperReqs(1)); res[0].Err != nil {
+		t.Fatalf("request not recovered: %v", res[0].Err)
 	}
 	if stale.calls.Load() != 0 {
 		t.Fatalf("deregistered worker served %d invocations, want 0", stale.calls.Load())
 	}
 	st := p.Stats()
-	if st.Invocations != 6 {
-		t.Fatalf("invocations = %d, want 6 (retried chunk must dedup, not double-execute)", st.Invocations)
+	if st.Invocations != 1 {
+		t.Fatalf("invocations = %d, want 1 (the retry must dedup, not double-execute)", st.Invocations)
 	}
-	if st.DedupHits != 6 {
-		t.Fatalf("dedup hits = %d, want 6", st.DedupHits)
+	if st.DedupHits != 1 {
+		t.Fatalf("dedup hits = %d, want 1", st.DedupHits)
 	}
 }
 
@@ -193,31 +175,36 @@ func keysSeen(n *fakeNode) []string {
 }
 
 // TestInvokeBatchCallerKeys: caller-supplied keys flow through to the
-// workers' requests verbatim — a partially keyed batch stays partially
-// keyed — and EnableKeyedRetries fills only the empty ones, leaving the
-// caller's slice untouched.
+// worker verbatim, the manager fills only the empty ones — one chunk-key
+// run per batch, fresh for every batch — and the caller's slice is left
+// untouched.
 func TestInvokeBatchCallerKeys(t *testing.T) {
 	n := &fakeNode{}
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	if err := m.Register("w1", n); err != nil {
 		t.Fatal(err)
 	}
 	reqs := upperReqs(3)
 	reqs[0].Key, reqs[2].Key = "k0", "k2"
-	for i, r := range m.InvokeBatch(bg, reqs) {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
+	for b := 0; b < 2; b++ {
+		for i, r := range m.InvokeBatch(bg, reqs) {
+			if r.Err != nil {
+				t.Fatalf("batch %d result %d: %v", b, i, r.Err)
+			}
 		}
 	}
-	if got := keysSeen(n); len(got) != 3 || got[0] != "k0" || got[1] != "" || got[2] != "k2" {
-		t.Fatalf("worker saw keys %v", got)
+	got := keysSeen(n)
+	if len(got) != 6 {
+		t.Fatalf("worker saw keys %v, want 6", got)
 	}
-
-	m.EnableKeyedRetries("life1")
-	m.InvokeBatch(bg, reqs)
-	got := keysSeen(n)[3:]
-	if len(got) != 3 || got[0] != "k0" || got[1] != journal.ChunkKey("life1-1", 1) || got[2] != "k2" {
-		t.Fatalf("with keyed retries the worker saw keys %v", got)
+	for b, keys := range [][]string{got[:3], got[3:]} {
+		_, lo, ok := journal.ChunkShape(keys[1:2])
+		if keys[0] != "k0" || keys[2] != "k2" || !ok || lo != 1 {
+			t.Fatalf("batch %d: worker saw keys %v, want k0, <base>#1, k2", b, keys)
+		}
+	}
+	if got[1] == got[4] {
+		t.Fatalf("two batches shared the key %q", got[1])
 	}
 	if reqs[1].Key != "" {
 		t.Fatalf("manager wrote key %q into the caller's slice", reqs[1].Key)
@@ -228,7 +215,7 @@ func TestInvokeBatchCallerKeys(t *testing.T) {
 // with the key intact and dedups re-sends.
 func TestManagerInvokeKeyed(t *testing.T) {
 	p := upperPlatform(t, core.Options{Journal: journal.NewMemory()})
-	m := NewManager(RoundRobin)
+	m := NewManager()
 	if err := m.Register("w1", p); err != nil {
 		t.Fatal(err)
 	}

@@ -249,14 +249,16 @@ func (rn *RemoteNode) do(method, path string, body []byte) ([]byte, error) {
 // reason token core.DecodeReason turns back into the worker's error;
 // only a transport-shaped failure is ErrRemote-wrapped. Transport
 // outcomes feed the circuit breaker; while it is open, calls fast-fail
-// with ErrBreakerOpen.
+// with ErrBreakerOpen. That refusal is final: the breaker refuses until
+// its cooldown ends, so neither it nor a failure that just tripped the
+// breaker is backed off and retried.
 func (rn *RemoteNode) doStream(ctx context.Context, method, path, tenant, contentType string, body []byte, idempotent bool) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
 		resp, err := rn.doStreamOnce(ctx, method, path, tenant, contentType, body)
-		if err == nil || !errors.Is(err, ErrRemote) {
+		if err == nil || !errors.Is(err, ErrRemote) || errors.Is(err, ErrBreakerOpen) {
 			return resp, err
 		}
-		if !idempotent || attempt >= rn.maxRetries || !rn.backoff(ctx, attempt+1) {
+		if !idempotent || attempt >= rn.maxRetries || rn.brk.state() == BreakerOpen || !rn.backoff(ctx, attempt+1) {
 			return resp, err
 		}
 		rn.retries.Add(1)
@@ -405,6 +407,17 @@ func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.Request,
 	if n != len(reqs) {
 		fail(fmt.Errorf("%w: bad batch response (%d results for %d requests)", ErrRemote, n, len(reqs)))
 	}
+}
+
+// fullyKeyed reports whether every request of a group carries an
+// idempotency key, which makes the group safe to retry in place.
+func fullyKeyed(reqs []core.Request) bool {
+	for _, r := range reqs {
+		if r.Key == "" {
+			return false
+		}
+	}
+	return true
 }
 
 // SetTenantWeight fans one tenant-weight update to the worker's admin

@@ -171,7 +171,7 @@ func TestHeartbeaterJoinsAndRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cp.Shutdown)
-	m := cluster.NewManager(cluster.RoundRobin)
+	m := cluster.NewManager()
 	tr := cluster.NewTracker(m, 10*time.Millisecond, 2, nil)
 	tr.Start()
 	t.Cleanup(tr.Stop)
@@ -262,9 +262,9 @@ func TestRemoteNodeSpeaksFrames(t *testing.T) {
 
 // TestRemoteNodeBreakerRefusalNotRetried: once a RemoteNode's breaker
 // is open, its own refusal is final. The breaker refuses until its
-// cooldown ends, so backing off and re-asking only stalls the caller
-// (a /stats/cluster poll, a routed batch) and counts refusals as
-// retries.
+// cooldown ends, so backing off and re-asking — after the failure that
+// tripped it or after a refusal — only stalls the caller (a
+// /stats/cluster poll, a routed batch) and counts refusals as retries.
 func TestRemoteNodeBreakerRefusalNotRetried(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadGateway)
@@ -274,18 +274,16 @@ func TestRemoteNodeBreakerRefusalNotRetried(t *testing.T) {
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{
 		MaxRetries: 2, RetryBase: base, BreakerThreshold: 1, BreakerCooldown: time.Hour,
 	})
-	// An unkeyed batch is not retried: its one 502 trips the breaker.
-	if res := rn.InvokeBatch(context.Background(), []dandelion.Request{{Composition: "E"}}); !errors.Is(res[0].Err, cluster.ErrRemote) {
-		t.Fatalf("tripping call: err = %v, want ErrRemote", res[0].Err)
+	// The shortest jittered backoff is base/2: calls that return before
+	// it were never retried.
+	start := time.Now()
+	// The first stats poll's 502 trips the breaker.
+	if _, err := rn.NodeStats(); !errors.Is(err, cluster.ErrRemote) || errors.Is(err, cluster.ErrBreakerOpen) {
+		t.Fatalf("tripping NodeStats err = %v, want a transport failure", err)
 	}
 	if st := rn.BreakerState(); st != cluster.BreakerOpen {
 		t.Fatalf("breaker = %q, want open", st)
 	}
-	retries := rn.Retries()
-
-	// The shortest jittered backoff is base/2: a refusal returned before
-	// it was never retried.
-	start := time.Now()
 	if _, err := rn.NodeStats(); !errors.Is(err, cluster.ErrBreakerOpen) {
 		t.Fatalf("NodeStats err = %v, want ErrBreakerOpen", err)
 	}
@@ -294,9 +292,9 @@ func TestRemoteNodeBreakerRefusalNotRetried(t *testing.T) {
 		t.Fatalf("keyed InvokeBatch err = %v, want ErrBreakerOpen", res[0].Err)
 	}
 	if d := time.Since(start); d >= base/2 {
-		t.Fatalf("two refusals took %v, want well inside the %v retry base", d, base)
+		t.Fatalf("three calls took %v, want well inside the %v retry base", d, base)
 	}
-	if got := rn.Retries(); got != retries {
-		t.Fatalf("Retries = %d after two refusals, want %d", got, retries)
+	if got := rn.Retries(); got != 0 {
+		t.Fatalf("Retries = %d, want 0", got)
 	}
 }

@@ -79,7 +79,7 @@ func TestRequestArrivesIntact(t *testing.T) {
 	}{
 		{"Platform", func(t *testing.T, p *core.Platform) cluster.Node { return p }},
 		{"Manager→Platform", func(t *testing.T, p *core.Platform) cluster.Node {
-			m := cluster.NewManager(cluster.RoundRobin)
+			m := cluster.NewManager()
 			if err := m.Register("w", p); err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestRequestArrivesIntact(t *testing.T) {
 		{"Manager→RemoteNode→frontend→Platform", func(t *testing.T, p *core.Platform) cluster.Node {
 			srv := httptest.NewServer(frontend.New(&dandelion.Platform{Platform: p}))
 			t.Cleanup(srv.Close)
-			m := cluster.NewManager(cluster.RoundRobin)
+			m := cluster.NewManager()
 			if err := m.Register("w", cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})); err != nil {
 				t.Fatal(err)
 			}

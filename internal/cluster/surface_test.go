@@ -73,3 +73,12 @@ func TestNoInvokeCapabilityInterfaces(t *testing.T) {
 		t.Errorf("package cluster exports %d interfaces %v, want 1..4", len(exported), exported)
 	}
 }
+
+// TestNewManagerTakesNoArgument: the manager has one selection rule and
+// always keys its retries, so there is no balancing policy or retry
+// switch to choose at construction.
+func TestNewManagerTakesNoArgument(t *testing.T) {
+	if n := reflect.TypeOf(cluster.NewManager).NumIn(); n != 0 {
+		t.Fatalf("NewManager takes %d arguments, want none", n)
+	}
+}

@@ -163,11 +163,8 @@ type adminEnginesView struct {
 	EngineResizes uint64 `json:"engine_resizes"`
 }
 
-// enginesView snapshots the node's engine/autoscale state. The
-// admission clamp is read from the frontend's own admission plane
-// (s.adm) — normally the platform's, but an embedder may inject a
-// custom one (Config.Admission), and the admin surface must report and
-// mutate the plane the batch route actually splits with.
+// enginesView snapshots the node's engine/autoscale state, the
+// admission clamp included.
 func (s *server) enginesView() adminEnginesView {
 	compute, comm := s.p.EngineCounts()
 	auto := s.p.AutoscaleOn()
@@ -218,16 +215,9 @@ func (s *server) handleAdminEngines(w http.ResponseWriter, r *http.Request) {
 			if body.AdmissionMax != nil {
 				max = *body.AdmissionMax
 			}
-			if s.adm == s.p.Admission() {
-				// The platform's own plane: go through the Reconfigurer
-				// setter so the clamp is journaled and survives a restart
-				// (docs/JOURNAL.md).
-				s.p.SetAdmissionClamp(min, max)
-			} else {
-				// An embedder-injected plane the platform does not own;
-				// journaling it would replay onto the wrong plane.
-				s.adm.SetClamp(min, max)
-			}
+			// The Reconfigurer setter journals the clamp, so it
+			// survives a restart (docs/JOURNAL.md).
+			s.p.SetAdmissionClamp(min, max)
 		}
 		writeJSON(w, s.enginesView())
 	default:

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dandelion"
-	"dandelion/internal/autoscale"
 	"dandelion/internal/cluster"
 )
 
@@ -32,7 +31,7 @@ func newAdminServer(t *testing.T) (*dandelion.Platform, *dandelion.Platform, *ht
 		t.Fatal(err)
 	}
 	t.Cleanup(w2.Shutdown)
-	m := cluster.NewManager(cluster.RoundRobin)
+	m := cluster.NewManager()
 	if err := m.Register("w1", w1.Platform); err != nil {
 		t.Fatal(err)
 	}
@@ -233,32 +232,6 @@ func TestAdminEnginesAutoscaleToggleOrder(t *testing.T) {
 	}
 	if c, _ := p.EngineCounts(); c != 9 {
 		t.Fatalf("compute after toggle+resize = %d, want 9", c)
-	}
-}
-
-// TestAdminAdmissionClampActsOnInjectedAdmission: when an embedder
-// injects a custom admission plane (Config.Admission), the admin
-// clamp routes read and mutate that plane — the one the batch route
-// actually splits with — not the platform's default.
-func TestAdminAdmissionClampActsOnInjectedAdmission(t *testing.T) {
-	p, err := dandelion.New(dandelion.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Shutdown)
-	adm := autoscale.NewAdmission(autoscale.AdmissionConfig{MaxBatch: 32})
-	srv := httptest.NewServer(NewWithConfig(p, Config{AdminToken: testAdminToken, Admission: adm}))
-	t.Cleanup(srv.Close)
-
-	code, body := adminDo(t, http.MethodPut, srv.URL+"/admin/engines", []byte(`{"admission_max": 8}`))
-	if code != http.StatusOK || !strings.Contains(body, `"admission_max":8`) {
-		t.Fatalf("PUT admission_max = %d %s", code, body)
-	}
-	if _, max := adm.Clamp(); max != 8 {
-		t.Fatalf("injected admission clamp max = %d, want 8", max)
-	}
-	if _, max := p.AdmissionClamp(); max != 64 {
-		t.Fatalf("platform default admission mutated: max = %d, want untouched 64", max)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dandelion"
-	"dandelion/internal/autoscale"
 	"dandelion/internal/wire"
 )
 
@@ -189,8 +188,8 @@ func (f *flushRecorder) Flush() { f.once.Do(func() { close(f.flushed) }) }
 func TestInvokeBatchBinaryStreamsBeforeEOF(t *testing.T) {
 	// MaxBatch 2 caps the admission window, so the handler must execute
 	// after at most two decoded records — it cannot wait for more.
-	adm := autoscale.NewAdmission(autoscale.AdmissionConfig{MaxBatch: 2})
-	_, h := newEchoServer(t, Config{Admission: adm})
+	p, h := newEchoServer(t, Config{})
+	p.SetAdmissionClamp(0, 2)
 
 	pr, pw := io.Pipe()
 	rec := newFlushRecorder()

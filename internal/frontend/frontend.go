@@ -73,19 +73,20 @@ const DeadlineHeader = "X-Deadline-Ms"
 
 // Config parameterizes the frontend beyond its platform.
 type Config struct {
-	// Admission supplies the per-tenant batch admission windows; nil
-	// uses the platform's own admission plane (Platform.Admission), so
-	// control-plane clamp overrides reach the batch route.
-	Admission *autoscale.Admission
 	// Now is the clock feeding the admission windows (default
 	// time.Now); tests inject a virtual clock.
 	Now func() time.Time
 	// AdminToken enables the authenticated /admin control-plane routes
 	// (see admin.go); empty disables them (403 on every /admin request).
 	AdminToken string
-	// Cluster optionally attaches a cluster manager: tenant-weight
-	// updates fan out to every registered worker, and GET /stats/cluster
-	// serves the manager's aggregated cluster-wide gauges.
+	// Cluster optionally attaches a cluster manager and makes this
+	// frontend a cluster ingress (coordinator mode): invocation routes
+	// dispatch through the manager across the registered workers
+	// instead of into the local platform, so composition existence is
+	// checked by the worker that receives each request. Tenant-weight
+	// updates fan out to every registered worker, and GET
+	// /stats/cluster serves the manager's aggregated cluster-wide
+	// gauges.
 	Cluster *cluster.Manager
 	// Tracker attaches heartbeat-tracked remote membership (it implies
 	// Cluster, which may be left nil): the worker registration surface
@@ -93,12 +94,6 @@ type Config struct {
 	// comes alive, and GET /stats/cluster gains the heartbeat and
 	// eviction gauges.
 	Tracker *cluster.Tracker
-	// RouteViaCluster turns this frontend into a cluster ingress
-	// (coordinator mode): invocation routes dispatch through the
-	// attached cluster manager across the registered workers instead of
-	// into the local platform. Composition existence is then checked by
-	// the worker that receives each request, not locally.
-	RouteViaCluster bool
 	// MaxBodyBytes caps request bodies on the invocation and
 	// registration routes (http.MaxBytesReader; overflow answers 413
 	// with a JSON error body). Zero selects DefaultMaxBodyBytes.
@@ -126,16 +121,17 @@ type server struct {
 	p *dandelion.Platform
 	// target is where invocations go, chosen once at construction: the
 	// local platform, or — in coordinator mode — the cluster manager.
-	target       cluster.Node
-	adm          *autoscale.Admission
-	adminToken   string
-	cluster      *cluster.Manager
-	tracker      *cluster.Tracker
-	routeCluster bool
-	maxBody      int64
-	maxFrame     int
-	now          func() time.Time
-	t0           time.Time
+	target cluster.Node
+	// adm is the platform's own admission plane, so the control plane's
+	// SetAdmissionClamp reaches the batch route of this frontend.
+	adm        *autoscale.Admission
+	adminToken string
+	cluster    *cluster.Manager
+	tracker    *cluster.Tracker
+	maxBody    int64
+	maxFrame   int
+	now        func() time.Time
+	t0         time.Time
 }
 
 // New builds the frontend handler for a platform node with default
@@ -199,9 +195,8 @@ func New(p *dandelion.Platform) http.Handler {
 // settings.
 func NewWithConfig(p *dandelion.Platform, cfg Config) http.Handler {
 	s := &server{
-		p: p, adm: cfg.Admission, adminToken: cfg.AdminToken,
-		cluster: cfg.Cluster, tracker: cfg.Tracker,
-		routeCluster: cfg.RouteViaCluster, now: cfg.Now,
+		p: p, adm: p.Admission(), adminToken: cfg.AdminToken,
+		cluster: cfg.Cluster, tracker: cfg.Tracker, now: cfg.Now,
 		maxBody: cfg.MaxBodyBytes,
 	}
 	if s.maxBody <= 0 {
@@ -221,18 +216,9 @@ func NewWithConfig(p *dandelion.Platform, cfg Config) http.Handler {
 	if s.tracker != nil && s.cluster == nil {
 		s.cluster = s.tracker.Manager()
 	}
-	if s.cluster == nil {
-		// Without a manager there is nothing to route across.
-		s.routeCluster = false
-	}
 	s.target = p.Platform
-	if s.routeCluster {
+	if s.cluster != nil {
 		s.target = s.cluster
-	}
-	if s.adm == nil {
-		// The platform's own admission plane, so the control plane's
-		// SetAdmissionClamp reaches the batch route of this frontend.
-		s.adm = p.Admission()
 	}
 	if s.now == nil {
 		s.now = time.Now
@@ -314,7 +300,7 @@ func requestCtx(r *http.Request) (context.Context, context.CancelFunc, time.Dura
 // cheap. Coordinator mode skips the check (the local queues are not
 // where cluster-routed work waits).
 func (s *server) shed(w http.ResponseWriter, tenant string, budget time.Duration) bool {
-	if budget <= 0 || s.routeCluster {
+	if budget <= 0 || s.cluster != nil {
 		return false
 	}
 	if !s.p.ShouldShed(tenant, budget) {
@@ -447,7 +433,7 @@ func (s *server) invoke(ctx context.Context, req dandelion.Request) (map[string]
 // the workers' registries, so existence is checked by whichever worker
 // receives the request.
 func (s *server) knownComposition(name string) bool {
-	return s.routeCluster || s.p.HasComposition(name)
+	return s.cluster != nil || s.p.HasComposition(name)
 }
 
 func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"dandelion"
-	"dandelion/internal/autoscale"
 	"dandelion/internal/dvm"
 )
 
@@ -499,8 +498,8 @@ func TestBatchAdmissionSplitsOversizedBody(t *testing.T) {
 	}
 	t.Cleanup(p.Shutdown)
 	// A tight admission ceiling forces splitting regardless of demand.
-	adm := autoscale.NewAdmission(autoscale.AdmissionConfig{MaxBatch: 4})
-	srv := httptest.NewServer(NewWithConfig(p, Config{Admission: adm}))
+	p.SetAdmissionClamp(0, 4)
+	srv := httptest.NewServer(New(p))
 	t.Cleanup(srv.Close)
 
 	if err := p.RegisterFunction(dandelion.ComputeFunc{Name: "Echo", Go: func(in []dandelion.Set) ([]dandelion.Set, error) {

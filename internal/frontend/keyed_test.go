@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"dandelion"
-	"dandelion/internal/autoscale"
 	"dandelion/internal/wire"
 )
 
@@ -177,7 +176,8 @@ func TestBinaryBatchKeyedResendByteIdentical(t *testing.T) {
 	// once the server has consumed that record and asks for more: its
 	// payload then sits in a pooled buffer (most likely the one the
 	// first reply aliased), which the server holds while it waits.
-	p, h := newEchoServer(t, Config{Admission: autoscale.NewAdmission(autoscale.AdmissionConfig{MinBatch: 8})})
+	p, h := newEchoServer(t, Config{})
+	p.SetAdmissionClamp(8, 0)
 	held := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(IdempotencyKeyHeader) == "" {

@@ -117,11 +117,10 @@ func newCoordinator(t *testing.T, token string) (*cluster.Tracker, *httptest.Ser
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Shutdown)
-	tr := cluster.NewTracker(cluster.NewManager(cluster.RoundRobin), time.Second, 3, nil)
+	tr := cluster.NewTracker(cluster.NewManager(), time.Second, 3, nil)
 	srv := httptest.NewServer(NewWithConfig(p, Config{
-		AdminToken:      token,
-		Tracker:         tr,
-		RouteViaCluster: true,
+		AdminToken: token,
+		Tracker:    tr,
 	}))
 	t.Cleanup(srv.Close)
 	return tr, srv

@@ -73,8 +73,7 @@ func chaosCluster(t *testing.T, plan *faultinject.Plan, cooldown time.Duration) 
 	w1, c1 := newCountingServer(t)
 	w2, c2 := newCountingServer(t)
 
-	mgr = cluster.NewManager(cluster.RoundRobin)
-	mgr.EnableKeyedRetries("chaos")
+	mgr = cluster.NewManager()
 	if err := mgr.Register("w1", cluster.NewRemoteNode(w1.URL, cluster.RemoteOptions{Seed: 7})); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +94,7 @@ func chaosCluster(t *testing.T, plan *faultinject.Plan, cooldown time.Duration) 
 	}
 	t.Cleanup(cp.Shutdown)
 	coord = httptest.NewServer(frontend.NewWithConfig(cp, frontend.Config{
-		Cluster:         mgr,
-		RouteViaCluster: true,
+		Cluster: mgr,
 	}))
 	t.Cleanup(coord.Close)
 	return coord, mgr, c1, c2
@@ -129,9 +127,10 @@ func chaosRun(t *testing.T, coord *httptest.Server, requests, batch int) Report 
 
 // TestChaosE2E/BreakerTripsAndReroutes: a worker whose batch transport
 // fails every request trips its breaker after exactly threshold
-// consecutive failures; every later chunk fast-fails locally and
-// reroutes onto the survivor, all requests succeed inside their
-// deadline, and nothing executes twice.
+// consecutive failures; its failed chunk reroutes onto the survivor,
+// every later batch and single invoke is routed around the open
+// breaker, all requests succeed inside their deadline, and nothing
+// executes twice.
 func TestChaosE2E(t *testing.T) {
 	t.Run("BreakerTripsAndReroutes", func(t *testing.T) {
 		// failn with a budget far beyond what the breaker lets through:
@@ -143,17 +142,17 @@ func TestChaosE2E(t *testing.T) {
 		})
 		coord, mgr, count1, count2 := chaosCluster(t, plan, time.Hour)
 
-		// 4 sequential batches of 4: each splits into one chunk of 2 per
-		// worker. Batch 1's w2 chunk burns 3 transport attempts (1 + 2
-		// retries) and trips the breaker; batches 2-4 fast-fail their 3
-		// attempts locally. Every w2 chunk reroutes onto w1.
+		// 4 sequential batches of 4. Batch 1 splits into one chunk of 2
+		// per worker; its w2 chunk burns 3 transport attempts (1 + 2
+		// retries), trips the breaker and reroutes onto w1. Batches 2-4
+		// skip the open breaker and go to w1 whole.
 		rep := chaosRun(t, coord, 4, 4)
 		if rep.Errors != 0 {
 			t.Fatalf("errors under faults = %d [%s]: %s", rep.Errors, rep.Classes, rep)
 		}
 
-		// Single invokes after the trip: pick() skips the open breaker,
-		// so they land on w1 without even a fast-fail.
+		// Single invokes after the trip take the same route: around the
+		// open breaker, onto w1, without even a fast-fail.
 		rep2 := chaosRun(t, coord, 4, 1)
 		if rep2.Errors != 0 {
 			t.Fatalf("single-invoke errors = %d: %s", rep2.Errors, rep2)
@@ -176,11 +175,11 @@ func TestChaosE2E(t *testing.T) {
 		if cs.BreakerTrips != 1 {
 			t.Fatalf("BreakerTrips = %d, want exactly 1", cs.BreakerTrips)
 		}
-		if cs.Retries != 8 { // 4 failed chunks x 2 in-place retries
-			t.Fatalf("Retries = %d, want 8", cs.Retries)
+		if cs.Retries != 2 { // the one failed chunk's 2 in-place retries
+			t.Fatalf("Retries = %d, want 2", cs.Retries)
 		}
-		if cs.BreakerOpen != 9 { // 3 post-trip chunks x 3 fast-failed attempts
-			t.Fatalf("BreakerOpen fast-fails = %d, want 9", cs.BreakerOpen)
+		if cs.BreakerOpen != 0 { // nothing was routed to the open breaker
+			t.Fatalf("BreakerOpen fast-fails = %d, want 0", cs.BreakerOpen)
 		}
 		var w2stats cluster.WorkerStats
 		for _, ws := range cs.Routing {
@@ -191,11 +190,17 @@ func TestChaosE2E(t *testing.T) {
 		if w2stats.Breaker != cluster.BreakerOpen {
 			t.Fatalf("w2 breaker state = %q, want open", w2stats.Breaker)
 		}
-		if w2stats.Rerouted != 4 {
-			t.Fatalf("w2 rerouted chunks = %d, want 4", w2stats.Rerouted)
+		if w2stats.Rerouted != 1 {
+			t.Fatalf("w2 rerouted chunks = %d, want 1", w2stats.Rerouted)
 		}
-		// The open breaker also blocks the stats fan-out: w2 is named in
-		// StatsErrors instead of silently vanishing from the aggregate.
+		// After the trip no chunk reached w2: it was handed only batch
+		// 1's chunk of 2.
+		if w2stats.Total != 2 {
+			t.Fatalf("w2 was routed %d invocations, want 2", w2stats.Total)
+		}
+		// The open breaker also refuses the stats fan-out, at once and
+		// without retries: w2 is named in StatsErrors instead of
+		// silently vanishing from the aggregate.
 		if len(cs.StatsErrors) != 1 || cs.StatsErrors[0] != "w2" {
 			t.Fatalf("StatsErrors = %v, want [w2]", cs.StatsErrors)
 		}
@@ -210,8 +215,8 @@ func TestChaosE2E(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&wireCS); err != nil {
 			t.Fatal(err)
 		}
-		if wireCS.BreakerTrips != 1 || wireCS.Retries < 8 {
-			t.Fatalf("/stats/cluster BreakerTrips=%d Retries=%d, want 1/>=8", wireCS.BreakerTrips, wireCS.Retries)
+		if wireCS.BreakerTrips != 1 || wireCS.Retries != 2 {
+			t.Fatalf("/stats/cluster BreakerTrips=%d Retries=%d, want 1/2", wireCS.BreakerTrips, wireCS.Retries)
 		}
 	})
 

@@ -29,13 +29,12 @@ func TestClusterE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cp.Shutdown)
-	mgr := cluster.NewManager(cluster.RoundRobin)
+	mgr := cluster.NewManager()
 	tr := cluster.NewTracker(mgr, 25*time.Millisecond, 8, nil)
 	tr.Start()
 	t.Cleanup(tr.Stop)
 	coord := httptest.NewServer(frontend.NewWithConfig(cp, frontend.Config{
-		Tracker:         tr,
-		RouteViaCluster: true,
+		Tracker: tr,
 	}))
 	t.Cleanup(coord.Close)
 

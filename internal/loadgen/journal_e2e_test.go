@@ -111,14 +111,12 @@ func TestJournalCrashRecoveryE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cp.Shutdown)
-	mgr := cluster.NewManager(cluster.RoundRobin)
-	mgr.EnableKeyedRetries("boot-1")
+	mgr := cluster.NewManager()
 	if err := mgr.Register("w1", cluster.NewRemoteNode(proxy.URL, cluster.RemoteOptions{})); err != nil {
 		t.Fatal(err)
 	}
 	coord := httptest.NewServer(frontend.NewWithConfig(cp, frontend.Config{
-		Cluster:         mgr,
-		RouteViaCluster: true,
+		Cluster: mgr,
 	}))
 	t.Cleanup(coord.Close)
 

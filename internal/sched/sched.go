@@ -14,7 +14,7 @@
 //     it is per-tenant.
 //   - DRR refill: when a window slot frees (a task completes), the next
 //     task is drawn from the backlogged tenants in deficit round robin,
-//     each tenant earning Quantum×weight dispatch credits per round.
+//     each tenant earning weight dispatch credits per round.
 //     With unit-cost tasks a weight-2 tenant gets twice the dispatch
 //     slots of a weight-1 tenant, and an interactive tenant's task is
 //     dispatched after at most one round regardless of how deep another
@@ -75,9 +75,6 @@ type Task struct {
 
 // Config parameterizes a Scheduler. The zero value is usable.
 type Config struct {
-	// Quantum is the dispatch credit a backlogged tenant earns per DRR
-	// round per unit of weight (default 1).
-	Quantum int
 	// Window bounds dispatched-but-unfinished tasks in the engine layer.
 	// Zero consults WindowFn; if that is also nil, 2×GOMAXPROCS.
 	Window int
@@ -87,8 +84,8 @@ type Config struct {
 	// Weights seeds per-tenant weights; unlisted tenants get weight 1.
 	Weights map[string]int
 	// ByteFairness switches the DRR deficit from task counts to payload
-	// bytes: a backlogged tenant earns ByteQuantum×weight byte credits
-	// per round and each dispatch charges the task's Bytes (minimum
+	// bytes: a backlogged tenant earns DefaultByteQuantum×weight byte
+	// credits per round and each dispatch charges the task's Bytes (minimum
 	// minByteCost), so a tenant of 1 MiB analytics scans consumes its
 	// round on a handful of tasks while an equal-weight tenant of tiny
 	// interactive invokes dispatches hundreds — equal *bytes*, not
@@ -97,9 +94,6 @@ type Config struct {
 	// line starvation for oversized tasks); the debt carries into the
 	// next round's credit.
 	ByteFairness bool
-	// ByteQuantum is the byte credit per DRR round per unit weight
-	// under ByteFairness (default DefaultByteQuantum).
-	ByteQuantum int64
 	// Now is the clock behind the dispatch-wait gauges (default
 	// time.Now); tests inject a virtual clock.
 	Now func() time.Time
@@ -160,12 +154,6 @@ type tenantQueue struct {
 
 // New creates a scheduler feeding q.
 func New(q *engine.Queue, cfg Config) *Scheduler {
-	if cfg.Quantum < 1 {
-		cfg.Quantum = 1
-	}
-	if cfg.ByteQuantum < 1 {
-		cfg.ByteQuantum = DefaultByteQuantum
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -341,14 +329,14 @@ func (s *Scheduler) pumpLocked() {
 }
 
 // roundCredit is the dispatch credit a tenant earns per DRR round:
-// weight × Quantum task slots, or weight × ByteQuantum bytes under
+// weight task slots, or weight × DefaultByteQuantum bytes under
 // ByteFairness.
 func (s *Scheduler) roundCredit(tq *tenantQueue) int64 {
 	w := int64(clampWeight(tq.weight))
 	if s.cfg.ByteFairness {
-		return w * s.cfg.ByteQuantum
+		return w * DefaultByteQuantum
 	}
-	return w * int64(s.cfg.Quantum)
+	return w
 }
 
 // taskCost is what one dispatch charges against the deficit: 1 task
