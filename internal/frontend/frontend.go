@@ -134,8 +134,8 @@ type server struct {
 	t0         time.Time
 }
 
-// New builds the frontend handler for a platform node with default
-// admission settings.
+// New builds the frontend handler for a platform node with the zero
+// Config.
 //
 // Routes:
 //
@@ -191,8 +191,8 @@ func New(p *dandelion.Platform) http.Handler {
 	return NewWithConfig(p, Config{})
 }
 
-// NewWithConfig builds the frontend handler with explicit admission
-// settings.
+// NewWithConfig builds the frontend handler with an explicit Config.
+// Batch admission always uses the platform's own admission plane.
 func NewWithConfig(p *dandelion.Platform, cfg Config) http.Handler {
 	s := &server{
 		p: p, adm: p.Admission(), adminToken: cfg.AdminToken,
