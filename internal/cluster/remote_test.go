@@ -7,9 +7,11 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,5 +298,135 @@ func TestRemoteNodeBreakerRefusalNotRetried(t *testing.T) {
 	}
 	if got := rn.Retries(); got != 0 {
 		t.Fatalf("Retries = %d, want 0", got)
+	}
+}
+
+// echoReq is one request for the echo composition E.
+func echoReq(payload string) dandelion.Request {
+	return dandelion.Request{Composition: "E", Inputs: map[string][]dandelion.Item{
+		"In": {{Name: "x", Data: []byte(payload)}},
+	}}
+}
+
+// TestCallerDeadlineIsNotWorkerFailure: a call that its caller's own
+// deadline cuts short says nothing about the worker. Five calls with a
+// 5ms budget against a live worker that answers in 50ms leave its
+// breaker (threshold 5) closed and untripped.
+func TestCallerDeadlineIsNotWorkerFailure(t *testing.T) {
+	p, _ := newWorker(t, "")
+	h := frontend.New(p)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(50 * time.Millisecond):
+			h.ServeHTTP(w, r)
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(srv.Close)
+	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		res := rn.InvokeBatch(ctx, []dandelion.Request{echoReq("x")})
+		cancel()
+		if !errors.Is(res[0].Err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: err = %v, want the caller's deadline", i, res[0].Err)
+		}
+	}
+	if st := rn.BreakerState(); st != cluster.BreakerClosed {
+		t.Fatalf("breaker = %q after five caller deadlines, want closed", st)
+	}
+	if trips, _ := rn.BreakerCounters(); trips != 0 {
+		t.Fatalf("BreakerTrips = %d, want 0", trips)
+	}
+}
+
+// TestHalfOpenProbeCutShortByCaller: a half-open probe that ends by its
+// caller's deadline frees the probe slot and leaves the cooldown as it
+// was, so the very next call goes through as the probe and, answered,
+// closes the breaker.
+func TestHalfOpenProbeCutShortByCaller(t *testing.T) {
+	p, _ := newWorker(t, "")
+	h := frontend.New(p)
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch hits.Add(1) {
+		case 1: // trips the threshold-1 breaker
+			w.WriteHeader(http.StatusBadGateway)
+		case 2: // the probe: slower than its caller's budget
+			io.Copy(io.Discard, r.Body) // a server notices a gone client only once the body is read
+			<-r.Context().Done()
+		default:
+			h.ServeHTTP(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	const cooldown = 100 * time.Millisecond
+	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{BreakerThreshold: 1, BreakerCooldown: cooldown})
+	bg := context.Background()
+
+	if res := rn.InvokeBatch(bg, []dandelion.Request{echoReq("a")}); !errors.Is(res[0].Err, cluster.ErrRemote) {
+		t.Fatalf("tripping call: err = %v, want ErrRemote", res[0].Err)
+	}
+	if st := rn.BreakerState(); st != cluster.BreakerOpen {
+		t.Fatalf("after the 502: breaker = %q, want open", st)
+	}
+	time.Sleep(cooldown + 20*time.Millisecond)
+
+	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
+	res := rn.InvokeBatch(ctx, []dandelion.Request{echoReq("b")})
+	cancel()
+	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("probe: err = %v, want the caller's deadline", res[0].Err)
+	}
+
+	res = rn.InvokeBatch(bg, []dandelion.Request{echoReq("c")})
+	if res[0].Err != nil || string(res[0].Outputs["Result"][0].Data) != "c" {
+		t.Fatalf("call after the cut-short probe: %+v, want it admitted as the probe", res[0])
+	}
+	if st := rn.BreakerState(); st != cluster.BreakerClosed {
+		t.Fatalf("after the answered probe: breaker = %q, want closed", st)
+	}
+	if trips, _ := rn.BreakerCounters(); trips != 1 {
+		t.Fatalf("BreakerTrips = %d, want 1", trips)
+	}
+	if n := hits.Load(); n != 3 {
+		t.Fatalf("worker saw %d requests, want 3", n)
+	}
+}
+
+// TestFailedChunkReachesWorkerOnce: the manager's keyed reroute is the
+// one retry on the coordinator→worker hop. A chunk routed to a worker
+// that answers 502 reaches that worker exactly once, then moves to the
+// survivor.
+func TestFailedChunkReachesWorkerOnce(t *testing.T) {
+	_, good := newWorker(t, "")
+	var hits atomic.Int32
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusBadGateway)
+	}))
+	t.Cleanup(bad.Close)
+	m := cluster.NewManager()
+	if err := m.Register("bad", cluster.NewRemoteNode(bad.URL, cluster.RemoteOptions{})); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Register("good", cluster.NewRemoteNode(good.URL, cluster.RemoteOptions{})); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two requests, two workers: one chunk of one lands on each.
+	res := m.InvokeBatch(context.Background(), []dandelion.Request{echoReq("a"), echoReq("b")})
+	for i, want := range []string{"a", "b"} {
+		if res[i].Err != nil || string(res[i].Outputs["Result"][0].Data) != want {
+			t.Fatalf("result %d: %+v, want %q", i, res[i], want)
+		}
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("the 502 worker was sent its chunk %d times, want 1", n)
+	}
+	for _, ws := range m.Stats() {
+		if ws.Name == "bad" && ws.Rerouted != 1 {
+			t.Fatalf("bad worker Rerouted = %d, want 1", ws.Rerouted)
+		}
 	}
 }

@@ -356,3 +356,52 @@ composition E(In) => Result {
 		t.Fatalf("bare stats/cluster = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestAdminTenantWeightCountsWorkersThatApplied: the PUT answer counts
+// the cluster workers that took the weight, not every worker asked. A
+// worker whose admin route answers 502 is not one of them.
+func TestAdminTenantWeightCountsWorkersThatApplied(t *testing.T) {
+	w, err := dandelion.New(dandelion.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Shutdown)
+	healthy := httptest.NewServer(NewWithConfig(w, Config{AdminToken: testAdminToken}))
+	t.Cleanup(healthy.Close)
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadGateway)
+	}))
+	t.Cleanup(broken.Close)
+
+	m := cluster.NewManager()
+	if err := m.Register("healthy", cluster.NewRemoteNode(healthy.URL, cluster.RemoteOptions{Token: testAdminToken})); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Register("broken", cluster.NewRemoteNode(broken.URL, cluster.RemoteOptions{Token: testAdminToken})); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := dandelion.New(dandelion.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cp.Shutdown)
+	srv := httptest.NewServer(NewWithConfig(cp, Config{AdminToken: testAdminToken, Cluster: m}))
+	t.Cleanup(srv.Close)
+
+	code, body := adminDo(t, http.MethodPut, srv.URL+"/admin/tenants/alice", []byte(`{"weight": 3}`))
+	if code != http.StatusOK {
+		t.Fatalf("PUT weight = %d %s", code, body)
+	}
+	var view struct {
+		Workers int `json:"workers"`
+	}
+	if err := json.Unmarshal([]byte(body), &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Workers != 1 {
+		t.Fatalf("PUT answered workers = %d, want 1 (the 502 worker took nothing)", view.Workers)
+	}
+	if got := w.TenantWeight("alice"); got != 3 {
+		t.Fatalf("healthy worker weight = %d, want 3", got)
+	}
+}
