@@ -1,13 +1,14 @@
 // Per-worker circuit breaker: the isolation layer between the cluster
 // manager and a flapping remote worker. Every RemoteNode owns one; the
-// transport chokepoints (do / doStream) feed it — consecutive
+// transport chokepoint (doStream) feeds it — consecutive
 // transport-shaped failures (ErrRemote) trip it open, and while open
 // every call fast-fails locally instead of burning a timeout on a
 // worker that is known-bad. After a cooldown the breaker half-opens:
 // exactly one probe request is admitted, and its outcome either closes
 // the breaker (worker recovered) or re-opens it for another cooldown.
 // Application errors a worker answers per request never count — a
-// worker that responds is alive, whatever it says.
+// worker that responds is alive, whatever it says — and neither does a
+// call its caller's own context ended.
 //
 // The manager consults breaker state on every route (see routable and
 // pickSurvivor in cluster.go): workers inside an open cooldown are
@@ -37,8 +38,8 @@ const (
 // BreakerNode is the optional transport-health interface of a worker:
 // the manager routes every batch, and so every single invoke, around
 // workers reporting BreakerOpen (unless every breaker is open), and
-// AggregateStats surfaces the breaker state, its counters, and the
-// transport's in-place retries per worker. A RemoteNode satisfies it;
+// AggregateStats surfaces the breaker state and its counters per
+// worker. A RemoteNode satisfies it;
 // in-process platforms (which have no transport to fail) do not.
 type BreakerNode interface {
 	// BreakerState reports "closed", "open", or "half-open". An open
@@ -50,9 +51,6 @@ type BreakerNode interface {
 	// including half-open probes that failed) and fast-fails (calls
 	// refused locally while open).
 	BreakerCounters() (trips, fastFails uint64)
-	// Retries reports in-place transport retries issued (not the
-	// original attempts).
-	Retries() uint64
 }
 
 // breaker is a closed/open/half-open circuit breaker. A nil breaker or
@@ -84,24 +82,34 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 	return &breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
-// allow reports whether a call may proceed. Closed: always. Open: only
-// once the cooldown expired, and then exactly one probe at a time
-// (half-open); everything else fast-fails and is counted.
-func (b *breaker) allow() bool {
+// allow reports whether a call may proceed, and whether it is the
+// half-open probe. Closed: always. Open: only once the cooldown
+// expired, and then exactly one probe at a time (half-open); everything
+// else fast-fails and is counted.
+func (b *breaker) allow() (ok, probe bool) {
 	if b == nil || b.threshold < 0 {
-		return true
+		return true, false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.open {
-		return true
+		return true, false
 	}
 	if !b.probing && b.now().Sub(b.openedAt) >= b.cooldown {
 		b.probing = true
-		return true
+		return true, true
 	}
 	b.fastFails++
-	return false
+	return false, false
+}
+
+// abandonProbe frees the probe slot of a half-open probe that ended
+// without a verdict on the worker (its caller's context ended first).
+// The cooldown stays expired, so the next call is admitted as the probe.
+func (b *breaker) abandonProbe() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // success records a call the worker answered (2xx or an application

@@ -352,17 +352,15 @@ type WorkerStats struct {
 	Rerouted uint64
 	// Breaker is the worker's circuit-breaker state ("closed", "open",
 	// "half-open"), empty for workers without a breaker (in-process
-	// platforms). BreakerTrips counts transitions to open, BreakerOpen
-	// calls fast-failed locally while open, and Retries in-place
-	// transport retries the worker's transport has issued.
+	// platforms). BreakerTrips counts transitions to open, and
+	// BreakerOpen calls fast-failed locally while open.
 	Breaker      string `json:",omitempty"`
-	Retries      uint64
 	BreakerOpen  uint64
 	BreakerTrips uint64
 }
 
 // workerStats assembles one worker's routing counters, folding in the
-// breaker and retry gauges of workers that expose them.
+// breaker gauges of workers that expose them.
 func workerStats(name string, w *member) WorkerStats {
 	ws := WorkerStats{
 		Name: name, InFlight: w.inflight.Load(),
@@ -370,7 +368,6 @@ func workerStats(name string, w *member) WorkerStats {
 		Rerouted: w.rerouted.Load(),
 	}
 	if bn, ok := w.node.(BreakerNode); ok {
-		ws.Retries = bn.Retries()
 		ws.Breaker = bn.BreakerState()
 		ws.BreakerTrips, ws.BreakerOpen = bn.BreakerCounters()
 	}
@@ -404,15 +401,21 @@ func (m *Manager) snapshot() ([]string, []*member) {
 // SetTenantWeight fans a tenant's DRR dispatch weight out to every
 // registered worker implementing Admin and returns how many
 // applied it — the cluster-wide form of the control plane's weight
-// update, so one admin request reconfigures the whole fleet. Workers
-// registered mid-fan-out pick the weight up on the next update; the
-// scheduler clamps non-positive weights to 1 on every node.
+// update, so one admin request reconfigures the whole fleet. A remote
+// worker whose PUT failed did not apply it. Workers registered
+// mid-fan-out pick the weight up on the next update; the scheduler
+// clamps non-positive weights to 1 on every node.
 func (m *Manager) SetTenantWeight(tenant string, weight int) int {
 	_, members := m.snapshot()
 	applied := 0
 	for _, w := range members {
-		if an, ok := w.node.(Admin); ok {
-			an.SetTenantWeight(tenant, weight)
+		switch n := w.node.(type) {
+		case *RemoteNode:
+			if n.setTenantWeight(tenant, weight) == nil {
+				applied++
+			}
+		case Admin:
+			n.SetTenantWeight(tenant, weight)
 			applied++
 		}
 	}
@@ -455,12 +458,11 @@ type ClusterStats struct {
 	// Robustness gauges. TimedOut, Expired, and Shed sum the workers'
 	// deadline counters (invocations failed deadline-class, scheduler
 	// entries dropped expired before dispatch, admissions shed by the
-	// frontend). Retries, BreakerOpen, and BreakerTrips sum the Routing
-	// entries' transport-retry and circuit-breaker counters.
+	// frontend). BreakerOpen and BreakerTrips sum the Routing entries'
+	// circuit-breaker counters.
 	TimedOut     uint64
 	Expired      uint64
 	Shed         uint64
-	Retries      uint64
 	BreakerOpen  uint64
 	BreakerTrips uint64
 	// Tenants carries the per-tenant scheduling gauges merged across
@@ -498,7 +500,6 @@ func (m *Manager) AggregateStats() ClusterStats {
 	cs.Routing = make([]WorkerStats, len(names))
 	for i, w := range members {
 		cs.Routing[i] = workerStats(names[i], w)
-		cs.Retries += cs.Routing[i].Retries
 		cs.BreakerOpen += cs.Routing[i].BreakerOpen
 		cs.BreakerTrips += cs.Routing[i].BreakerTrips
 	}

@@ -528,7 +528,6 @@ type openFake struct{ fakeNode }
 
 func (*openFake) BreakerState() string                       { return BreakerOpen }
 func (*openFake) BreakerCounters() (trips, fastFails uint64) { return 1, 0 }
-func (*openFake) Retries() uint64                            { return 0 }
 
 // TestInvokeBatchSkipsOpenBreaker: a batch routes around a worker whose
 // breaker is open, as a single invoke does, instead of handing it a

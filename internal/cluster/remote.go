@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -62,12 +61,6 @@ const deadlineHeader = "X-Deadline-Ms"
 // into a failed chunk (rerouted by the manager) instead of a hung one.
 const defaultRemoteTimeout = 30 * time.Second
 
-// Retry defaults (see RemoteOptions.MaxRetries / RetryBase).
-const (
-	defaultMaxRetries = 2
-	defaultRetryBase  = 25 * time.Millisecond
-)
-
 // RemoteOptions parameterizes a RemoteNode beyond its base URL.
 type RemoteOptions struct {
 	// Client issues the HTTP requests; nil selects a client with a
@@ -78,17 +71,6 @@ type RemoteOptions struct {
 	// Token is the admin token presented on control-plane calls
 	// (SetTenantWeight's PUT /admin/tenants/); empty sends none.
 	Token string
-	// MaxRetries bounds in-place retries of transport failures (zero
-	// selects 2; negative disables). Only idempotent requests retry:
-	// GETs, PUTs, and invocations/batches where every request carries an
-	// idempotency key — the worker's dedup table absorbs a re-execution,
-	// the PR-8 semantics unkeyed work does not get. Each retry backs off
-	// exponentially from RetryBase with ±50% jitter and respects the
-	// caller's context deadline.
-	MaxRetries int
-	// RetryBase is the first backoff delay (zero selects 25ms); attempt
-	// n waits RetryBase×2ⁿ⁻¹ jittered.
-	RetryBase time.Duration
 	// BreakerThreshold is how many consecutive transport failures trip
 	// the per-worker circuit breaker open (zero selects 5; negative
 	// disables the breaker). While open, calls fast-fail locally with
@@ -97,9 +79,6 @@ type RemoteOptions struct {
 	// BreakerCooldown is how long an open breaker refuses traffic before
 	// half-opening for a probe (zero selects 1s).
 	BreakerCooldown time.Duration
-	// Seed seeds the retry-jitter PRNG; zero seeds from the clock. Fixed
-	// seeds make chaos tests reproducible.
-	Seed int64
 }
 
 // RemoteNode is an HTTP client for one worker frontend, implementing
@@ -108,32 +87,16 @@ type RemoteOptions struct {
 // exactly as it routes to an in-process *core.Platform; transport
 // failures surface as ErrRemote-wrapped per-request errors, which is
 // what trips the manager's wholesale-failure reroute heuristic when a
-// worker dies mid-batch.
+// worker dies mid-batch. A RemoteNode never retries: every call is one
+// attempt, and the manager's keyed reroute is the one retry on the hop.
 type RemoteNode struct {
 	base   string
 	token  string
 	client *http.Client
 
-	// The retry budget (RemoteOptions.MaxRetries/RetryBase) and its
-	// jitter PRNG; rngMu guards rng, which math/rand.Rand is not safe
-	// for concurrent use without.
-	maxRetries int
-	retryBase  time.Duration
-	rngMu      sync.Mutex
-	rng        *rand.Rand
-
 	// brk is the per-worker circuit breaker the transport chokepoint
-	// (doStreamOnce) feeds (see breaker.go).
+	// (doStream) feeds (see breaker.go).
 	brk *breaker
-
-	// ctlErrs counts control-plane calls (SetTenantWeight) that failed
-	// on the wire; Admin.SetTenantWeight has no error return, so the
-	// counter is the only trace.
-	ctlErrs atomic.Uint64
-
-	// retries counts in-place retry attempts actually issued (not the
-	// original attempts), surfaced per worker in /stats/cluster.
-	retries atomic.Uint64
 }
 
 var remoteBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -145,41 +108,16 @@ func NewRemoteNode(baseURL string, opts RemoteOptions) *RemoteNode {
 	if c == nil {
 		c = &http.Client{Timeout: defaultRemoteTimeout}
 	}
-	maxRetries := opts.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = defaultMaxRetries
-	}
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	retryBase := opts.RetryBase
-	if retryBase <= 0 {
-		retryBase = defaultRetryBase
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	return &RemoteNode{
-		base:       strings.TrimRight(baseURL, "/"),
-		token:      opts.Token,
-		client:     c,
-		maxRetries: maxRetries,
-		retryBase:  retryBase,
-		rng:        rand.New(rand.NewSource(seed)),
-		brk:        newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, nil),
+		base:   strings.TrimRight(baseURL, "/"),
+		token:  opts.Token,
+		client: c,
+		brk:    newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, nil),
 	}
 }
 
 // URL reports the worker base URL this node dials.
 func (rn *RemoteNode) URL() string { return rn.base }
-
-// ControlErrors reports how many control-plane fan-out calls failed on
-// the wire.
-func (rn *RemoteNode) ControlErrors() uint64 { return rn.ctlErrs.Load() }
-
-// Retries reports in-place transport retries issued (BreakerNode).
-func (rn *RemoteNode) Retries() uint64 { return rn.retries.Load() }
 
 // BreakerState reports the worker breaker's routing-visible state
 // (BreakerNode): "closed", "open", or "half-open".
@@ -203,34 +141,10 @@ func setDeadlineHeader(req *http.Request, ctx context.Context) {
 	}
 }
 
-// backoff sleeps the jittered exponential delay before retry attempt n
-// (1-based), honoring context cancellation. It reports false when the
-// context is done or would expire before the sleep completes — no point
-// retrying into a dead deadline.
-func (rn *RemoteNode) backoff(ctx context.Context, attempt int) bool {
-	d := rn.retryBase << (attempt - 1)
-	// ±50% jitter, deterministic under RemoteOptions.Seed.
-	rn.rngMu.Lock()
-	d = d/2 + time.Duration(rn.rng.Int63n(int64(d)))
-	rn.rngMu.Unlock()
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
-		return false
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
 // do issues one JSON control-plane request (GET /stats, PUT
-// /admin/tenants/) through doStream and reads the whole 2xx body. Both
-// requests are idempotent, so the retry budget applies.
+// /admin/tenants/) through doStream and reads the whole 2xx body.
 func (rn *RemoteNode) do(method, path string, body []byte) ([]byte, error) {
-	resp, err := rn.doStream(context.Background(), method, path, "", wire.ContentTypeJSON, body, true)
+	resp, err := rn.doStream(context.Background(), method, path, "", wire.ContentTypeJSON, body)
 	if err != nil {
 		return nil, err
 	}
@@ -242,31 +156,18 @@ func (rn *RemoteNode) do(method, path string, body []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// doStream is the transport chokepoint: it issues one request (with
-// in-place retries when idempotent) and hands back the open 2xx
-// response for the caller to decode and close. Any other status is
-// drained and decoded as the frontend's {"error": ...} body, whose
-// reason token core.DecodeReason turns back into the worker's error;
-// only a transport-shaped failure is ErrRemote-wrapped. Transport
-// outcomes feed the circuit breaker; while it is open, calls fast-fail
-// with ErrBreakerOpen. That refusal is final: the breaker refuses until
-// its cooldown ends, so neither it nor a failure that just tripped the
-// breaker is backed off and retried.
-func (rn *RemoteNode) doStream(ctx context.Context, method, path, tenant, contentType string, body []byte, idempotent bool) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := rn.doStreamOnce(ctx, method, path, tenant, contentType, body)
-		if err == nil || !errors.Is(err, ErrRemote) || errors.Is(err, ErrBreakerOpen) {
-			return resp, err
-		}
-		if !idempotent || attempt >= rn.maxRetries || rn.brk.state() == BreakerOpen || !rn.backoff(ctx, attempt+1) {
-			return resp, err
-		}
-		rn.retries.Add(1)
-	}
-}
-
-func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant, contentType string, body []byte) (*http.Response, error) {
-	if !rn.brk.allow() {
+// doStream is the transport chokepoint: it issues one request, once,
+// and hands back the open 2xx response for the caller to decode and
+// close. Any other status is drained and decoded as the frontend's
+// {"error": ...} body, whose reason token core.DecodeReason turns back
+// into the worker's error; only a transport-shaped failure is
+// ErrRemote-wrapped. Transport outcomes feed the circuit breaker; while
+// it is open, calls fast-fail with ErrBreakerOpen. A call that the
+// caller's own context ended says nothing about the worker: it is not
+// counted, and a half-open probe it cut short frees the probe slot.
+func (rn *RemoteNode) doStream(ctx context.Context, method, path, tenant, contentType string, body []byte) (*http.Response, error) {
+	ok, probe := rn.brk.allow()
+	if !ok {
 		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBreakerOpen, rn.base)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, rn.base+path, bytes.NewReader(body))
@@ -283,7 +184,11 @@ func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant, co
 	}
 	resp, err := rn.client.Do(req)
 	if err != nil {
-		rn.brk.failure()
+		if ctx.Err() == nil {
+			rn.brk.failure()
+		} else if probe {
+			rn.brk.abandonProbe()
+		}
 		return nil, fmt.Errorf("%w: %w", ErrRemote, err)
 	}
 	if resp.StatusCode/100 != 2 {
@@ -310,8 +215,7 @@ func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant, co
 // every input set travels, the full output-set map comes back, and the
 // idempotency key rides the record's K frame, so a re-send after a lost
 // response is answered from the worker's completed-key dedup table
-// instead of re-executing. A keyed invocation is retry-eligible for the
-// same reason.
+// instead of re-executing.
 func (rn *RemoteNode) Invoke(ctx context.Context, req core.Request) (map[string][]memctx.Item, error) {
 	var res [1]core.Result
 	rn.invokeBatchGroup(ctx, []core.Request{req}, res[:])
@@ -325,7 +229,6 @@ func (rn *RemoteNode) Invoke(ctx context.Context, req core.Request) (map[string]
 // and tenant (one POST per run); each group fails or succeeds per
 // request, and a transport failure errors every request of its group —
 // the all-failed signature the manager's reroute heuristic keys on.
-// Fully-keyed groups are retry-eligible in place.
 func (rn *RemoteNode) InvokeBatch(ctx context.Context, reqs []core.Request) []core.Result {
 	results := make([]core.Result, len(reqs))
 	for lo := 0; lo < len(reqs); {
@@ -369,11 +272,8 @@ func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.Request,
 		return
 	}
 
-	// A group is retry-eligible only when every request carries an
-	// idempotency key (the worker's dedup absorbs re-execution); a retry
-	// replays the identical encoded bytes.
 	resp, err := rn.doStream(ctx, http.MethodPost, "/invoke-batch/"+url.PathEscape(reqs[0].Composition),
-		reqs[0].Tenant, wire.ContentTypeBinary, buf.Bytes(), fullyKeyed(reqs))
+		reqs[0].Tenant, wire.ContentTypeBinary, buf.Bytes())
 	if err != nil {
 		fail(err)
 		return
@@ -409,29 +309,16 @@ func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.Request,
 	}
 }
 
-// fullyKeyed reports whether every request of a group carries an
-// idempotency key, which makes the group safe to retry in place.
-func fullyKeyed(reqs []core.Request) bool {
-	for _, r := range reqs {
-		if r.Key == "" {
-			return false
-		}
-	}
-	return true
-}
-
 // SetTenantWeight fans one tenant-weight update to the worker's admin
-// surface. Admin.SetTenantWeight has no error return; wire failures
-// are counted in ControlErrors.
-func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) {
-	body, err := json.Marshal(map[string]int{"weight": weight})
-	if err != nil {
-		rn.ctlErrs.Add(1)
-		return
-	}
-	if _, err := rn.do(http.MethodPut, "/admin/tenants/"+url.PathEscape(tenant), body); err != nil {
-		rn.ctlErrs.Add(1)
-	}
+// surface (Admin). Admin.SetTenantWeight has no error return; the
+// manager calls setTenantWeight instead, so its count of workers that
+// applied a weight leaves out the ones that failed.
+func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) { rn.setTenantWeight(tenant, weight) }
+
+func (rn *RemoteNode) setTenantWeight(tenant string, weight int) error {
+	body := []byte(`{"weight":` + strconv.Itoa(weight) + `}`)
+	_, err := rn.do(http.MethodPut, "/admin/tenants/"+url.PathEscape(tenant), body)
+	return err
 }
 
 // NodeStats fetches the worker's gauge snapshot from GET /stats, the

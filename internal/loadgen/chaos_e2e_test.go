@@ -66,24 +66,21 @@ composition U(In) => Result {
 }
 
 // chaosCluster wires a coordinator frontend over two counting workers,
-// the second behind the given fault plan, with a fixed-seed retry and
-// breaker configuration small enough to reason about exactly.
+// the second behind the given fault plan, with a breaker configuration
+// small enough to reason about exactly.
 func chaosCluster(t *testing.T, plan *faultinject.Plan, cooldown time.Duration) (coord *httptest.Server, mgr *cluster.Manager, count1, count2 *atomic.Uint64) {
 	t.Helper()
 	w1, c1 := newCountingServer(t)
 	w2, c2 := newCountingServer(t)
 
 	mgr = cluster.NewManager()
-	if err := mgr.Register("w1", cluster.NewRemoteNode(w1.URL, cluster.RemoteOptions{Seed: 7})); err != nil {
+	if err := mgr.Register("w1", cluster.NewRemoteNode(w1.URL, cluster.RemoteOptions{})); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.Register("w2", cluster.NewRemoteNode(w2.URL, cluster.RemoteOptions{
 		Client:           &http.Client{Transport: plan.RoundTripper(nil), Timeout: 5 * time.Second},
-		MaxRetries:       2,
-		RetryBase:        2 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  cooldown,
-		Seed:             7,
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +124,10 @@ func chaosRun(t *testing.T, coord *httptest.Server, requests, batch int) Report 
 
 // TestChaosE2E/BreakerTripsAndReroutes: a worker whose batch transport
 // fails every request trips its breaker after exactly threshold
-// consecutive failures; its failed chunk reroutes onto the survivor,
-// every later batch and single invoke is routed around the open
-// breaker, all requests succeed inside their deadline, and nothing
-// executes twice.
+// consecutive failures, one per chunk sent to it; each failed chunk
+// reroutes onto the survivor, every later batch and single invoke is
+// routed around the open breaker, all requests succeed inside their
+// deadline, and nothing executes twice.
 func TestChaosE2E(t *testing.T) {
 	t.Run("BreakerTripsAndReroutes", func(t *testing.T) {
 		// failn with a budget far beyond what the breaker lets through:
@@ -142,10 +139,10 @@ func TestChaosE2E(t *testing.T) {
 		})
 		coord, mgr, count1, count2 := chaosCluster(t, plan, time.Hour)
 
-		// 4 sequential batches of 4. Batch 1 splits into one chunk of 2
-		// per worker; its w2 chunk burns 3 transport attempts (1 + 2
-		// retries), trips the breaker and reroutes onto w1. Batches 2-4
-		// skip the open breaker and go to w1 whole.
+		// 4 sequential batches of 4. Batches 1-3 each split into one
+		// chunk of 2 per worker; each w2 chunk is one transport attempt
+		// that fails and reroutes onto w1, and the third trips the
+		// breaker. Batch 4 skips the open breaker and goes to w1 whole.
 		rep := chaosRun(t, coord, 4, 4)
 		if rep.Errors != 0 {
 			t.Fatalf("errors under faults = %d [%s]: %s", rep.Errors, rep.Classes, rep)
@@ -175,9 +172,6 @@ func TestChaosE2E(t *testing.T) {
 		if cs.BreakerTrips != 1 {
 			t.Fatalf("BreakerTrips = %d, want exactly 1", cs.BreakerTrips)
 		}
-		if cs.Retries != 2 { // the one failed chunk's 2 in-place retries
-			t.Fatalf("Retries = %d, want 2", cs.Retries)
-		}
 		if cs.BreakerOpen != 0 { // nothing was routed to the open breaker
 			t.Fatalf("BreakerOpen fast-fails = %d, want 0", cs.BreakerOpen)
 		}
@@ -190,17 +184,17 @@ func TestChaosE2E(t *testing.T) {
 		if w2stats.Breaker != cluster.BreakerOpen {
 			t.Fatalf("w2 breaker state = %q, want open", w2stats.Breaker)
 		}
-		if w2stats.Rerouted != 1 {
-			t.Fatalf("w2 rerouted chunks = %d, want 1", w2stats.Rerouted)
+		if w2stats.Rerouted != 3 {
+			t.Fatalf("w2 rerouted chunks = %d, want 3", w2stats.Rerouted)
 		}
-		// After the trip no chunk reached w2: it was handed only batch
-		// 1's chunk of 2.
-		if w2stats.Total != 2 {
-			t.Fatalf("w2 was routed %d invocations, want 2", w2stats.Total)
+		// After the trip no chunk reached w2: it was handed only the
+		// chunks of 2 of batches 1-3.
+		if w2stats.Total != 6 {
+			t.Fatalf("w2 was routed %d invocations, want 6", w2stats.Total)
 		}
-		// The open breaker also refuses the stats fan-out, at once and
-		// without retries: w2 is named in StatsErrors instead of
-		// silently vanishing from the aggregate.
+		// The open breaker also refuses the stats fan-out, at once: w2
+		// is named in StatsErrors instead of silently vanishing from the
+		// aggregate.
 		if len(cs.StatsErrors) != 1 || cs.StatsErrors[0] != "w2" {
 			t.Fatalf("StatsErrors = %v, want [w2]", cs.StatsErrors)
 		}
@@ -215,8 +209,8 @@ func TestChaosE2E(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&wireCS); err != nil {
 			t.Fatal(err)
 		}
-		if wireCS.BreakerTrips != 1 || wireCS.Retries != 2 {
-			t.Fatalf("/stats/cluster BreakerTrips=%d Retries=%d, want 1/2", wireCS.BreakerTrips, wireCS.Retries)
+		if wireCS.BreakerTrips != 1 || len(wireCS.Routing) != 2 || wireCS.Routing[1].Rerouted != 3 {
+			t.Fatalf("/stats/cluster BreakerTrips=%d Routing=%+v, want 1 and w2 Rerouted 3", wireCS.BreakerTrips, wireCS.Routing)
 		}
 	})
 
@@ -233,7 +227,7 @@ func TestChaosE2E(t *testing.T) {
 		cooldown := 50 * time.Millisecond
 		coord, mgr, count1, count2 := chaosCluster(t, plan, cooldown)
 
-		rep1 := chaosRun(t, coord, 1, 4) // trips w2's breaker, reroutes
+		rep1 := chaosRun(t, coord, 3, 4) // w2's third failed chunk trips its breaker; all reroute
 		if rep1.Errors != 0 {
 			t.Fatalf("errors while tripping = %d: %s", rep1.Errors, rep1)
 		}
