@@ -4,7 +4,7 @@ GO ?= go
 
 # ci is the tier-1 gate: everything must build, vet clean, pass under
 # the race detector, stay green when the concurrent packages' tests
-# are repeated (flake), keep three per-package microbenchmarks running
+# are repeated (flake), keep three packages' microbenchmarks running
 # (bench-smoke catches hot paths that compile fine but no longer
 # execute), keep the binary wire codec and the journal file decoder
 # honest against malformed inputs (fuzz-smoke), keep the multi-process
@@ -46,17 +46,18 @@ race:
 flake:
 	$(GO) test -race -count=20 ./internal/engine ./internal/ctlplane ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
-# bench-smoke runs three per-package microbenchmarks once each: not a
+# bench-smoke runs three packages' microbenchmarks once each: not a
 # performance measurement (bench-e2e is that), just proof the hot paths
 # still execute — the journal append path (memory vs file,
 # with/without batching), the executor's walk over one statement, a
-# chain and a diamond (internal/core BenchmarkInvoke), and the SSB
-# database a worker generates at registration (internal/ssb
-# BenchmarkGenerate).
+# chain and a diamond (internal/core BenchmarkInvoke), and both SSB
+# generators: the dimension tables a worker builds at registration
+# (internal/ssb BenchmarkGenerateDims, ssb.GenerateDims) and the whole
+# database clients and tests build (BenchmarkGenerate, ssb.Generate).
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run XXX -bench 'BenchmarkInvoke' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run XXX -bench 'BenchmarkGenerate' -benchtime 1x -benchmem ./internal/ssb/
+	$(GO) test -run XXX -bench 'BenchmarkGenerate(Dims)?$$' -benchtime 1x -benchmem ./internal/ssb/
 
 # fuzz-smoke runs the codec fuzzers briefly: long enough to replay the
 # corpus and probe a few thousand mutations each of the binary framing

@@ -120,12 +120,16 @@ type Result = core.Result
 // a Request's inputs alias (Request.Borrow): the release
 // hook — typically a decoder-buffer recycle — fires exactly once, when
 // the creator and every compute context that borrowed the memory have
-// all released. See memctx's borrowed-region docs.
+// all released. The region also owns the output buffers the request's
+// functions lease under it (the served StorageFetch blobs, for one);
+// they return to their pool at that final release. See memctx's
+// borrowed-region docs.
 type Region = memctx.Region
 
 // NewRegion wraps a release hook in a region holding the creator's
-// reference; pair it with Region.Release after the results that alias
-// the memory have been consumed.
+// reference; pair it with Region.Release after the results have been
+// consumed: they may alias the borrowed memory or live in buffers the
+// region owns, and neither stays valid past the final release.
 func NewRegion(release func()) *Region { return memctx.NewRegion(release) }
 
 // Options configures a platform node.

@@ -275,7 +275,7 @@ composition Outer(In) => Result {
 func TestMemctxResetIsolation(t *testing.T) {
 	// A reused context must not leak one instance's sets, charge or
 	// borrowed memory into the next.
-	ctx := memctx.New(1 << 12)
+	ctx, _ := memctx.NewPooled(1 << 12)
 	released := false
 	region := memctx.NewRegion(func() { released = true })
 	secret := []memctx.Item{{Name: "s", Data: []byte("secret")}}

@@ -465,8 +465,9 @@ type Request struct {
 	// (memctx.AdoptInputSetBorrowed): every context that aliases them
 	// retains the region for the duration of its use, so the owner's
 	// recycle hook cannot fire while the bytes are live. Outputs may
-	// alias the inputs, so the caller keeps its own reference until it
-	// has consumed the results. Only InvokeBatch consults it.
+	// alias the inputs or live in buffers the region owns
+	// (memctx.Alloc), so the caller keeps its own reference until it
+	// has consumed the results.
 	Borrow *memctx.Region
 }
 

@@ -34,9 +34,11 @@ var (
 // request's Borrow is released. The platform moves sets between
 // functions instead of copying them, so an input payload may be shared
 // with other instances of the same batch, with the caller's request, or
-// with a decoded wire buffer (Request.Borrow). dvm programs honour the
-// contract by construction: their host interface only copies out of
-// inputs.
+// with a decoded wire buffer (Request.Borrow). Outputs may also live in
+// memory the request's Borrow owns: memctx.Alloc leases a function its
+// output buffers under the region its input set was adopted under. dvm
+// programs honour the contract by construction: their host interface
+// only copies out of inputs.
 type GoFunc func(inputs []memctx.Set) ([]memctx.Set, error)
 
 // CommFunc is a trusted communication function (§6.3). Implementations

@@ -96,10 +96,11 @@ type adminTenantView struct {
 	Tenant string  `json:"tenant"`
 	Weight int     `json:"weight"`
 	Share  float64 `json:"share"`
-	// Workers is the number of cluster workers a PUT applied to (the
-	// local node counts when no cluster manager is attached); omitted
-	// on GET.
-	Workers int `json:"workers,omitempty"`
+	// Workers is the number of nodes a PUT applied to: the count
+	// cluster.Manager.SetTenantWeight returns when a cluster manager is
+	// attached (0 when no worker took it), else 1 for the local node.
+	// Always present on PUT, omitted on GET.
+	Workers *int `json:"workers,omitempty"`
 }
 
 func (s *server) handleAdminTenant(w http.ResponseWriter, r *http.Request) {
@@ -133,15 +134,13 @@ func (s *server) handleAdminTenant(w http.ResponseWriter, r *http.Request) {
 		s.p.SetTenantWeight(name, body.Weight)
 		workers := 1
 		if s.cluster != nil {
-			if n := s.cluster.SetTenantWeight(name, body.Weight); n > 0 {
-				workers = n
-			}
+			workers = s.cluster.SetTenantWeight(name, body.Weight)
 		}
 		writeJSON(w, adminTenantView{
 			Tenant:  name,
 			Weight:  s.p.TenantWeight(name),
 			Share:   s.p.TenantShare(name),
-			Workers: workers,
+			Workers: &workers,
 		})
 	default:
 		w.Header().Set("Allow", "GET, PUT")

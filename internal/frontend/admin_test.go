@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -368,17 +369,50 @@ func TestAdminTenantWeightCountsWorkersThatApplied(t *testing.T) {
 	t.Cleanup(w.Shutdown)
 	healthy := httptest.NewServer(NewWithConfig(w, Config{AdminToken: testAdminToken}))
 	t.Cleanup(healthy.Close)
-	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+
+	srv := coordinatorOver(t, healthy.URL, badGatewayWorker(t))
+	if got := putWeightWorkers(t, srv); got != 1 {
+		t.Fatalf("PUT answered workers = %d, want 1 (the 502 worker took nothing)", got)
+	}
+	if got := w.TenantWeight("alice"); got != 3 {
+		t.Fatalf("healthy worker weight = %d, want 3", got)
+	}
+}
+
+// TestAdminTenantWeightNoWorkerApplied: a coordinator whose workers all
+// fail the weight update answers workers: 0 — its own platform does not
+// stand in for them — and the field is present, not dropped as a zero.
+// GET still omits it.
+func TestAdminTenantWeightNoWorkerApplied(t *testing.T) {
+	srv := coordinatorOver(t, badGatewayWorker(t), badGatewayWorker(t))
+	if got := putWeightWorkers(t, srv); got != 0 {
+		t.Fatalf("PUT answered workers = %d, want 0 (both workers answer 502)", got)
+	}
+	code, body := adminDo(t, http.MethodGet, srv+"/admin/tenants/alice", nil)
+	if code != http.StatusOK || strings.Contains(body, "workers") {
+		t.Fatalf("GET = %d %s, want 200 without a workers field", code, body)
+	}
+}
+
+// badGatewayWorker serves 502 on every route and returns its URL.
+func badGatewayWorker(t *testing.T) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadGateway)
 	}))
-	t.Cleanup(broken.Close)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
 
+// coordinatorOver serves a frontend whose cluster manager routes to one
+// RemoteNode per worker URL, and returns the frontend's URL.
+func coordinatorOver(t *testing.T, workers ...string) string {
+	t.Helper()
 	m := cluster.NewManager()
-	if err := m.Register("healthy", cluster.NewRemoteNode(healthy.URL, cluster.RemoteOptions{Token: testAdminToken})); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("broken", cluster.NewRemoteNode(broken.URL, cluster.RemoteOptions{Token: testAdminToken})); err != nil {
-		t.Fatal(err)
+	for i, u := range workers {
+		if err := m.Register(fmt.Sprintf("w%d", i), cluster.NewRemoteNode(u, cluster.RemoteOptions{Token: testAdminToken})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cp, err := dandelion.New(dandelion.Options{})
 	if err != nil {
@@ -387,21 +421,25 @@ func TestAdminTenantWeightCountsWorkersThatApplied(t *testing.T) {
 	t.Cleanup(cp.Shutdown)
 	srv := httptest.NewServer(NewWithConfig(cp, Config{AdminToken: testAdminToken, Cluster: m}))
 	t.Cleanup(srv.Close)
+	return srv.URL
+}
 
-	code, body := adminDo(t, http.MethodPut, srv.URL+"/admin/tenants/alice", []byte(`{"weight": 3}`))
+// putWeightWorkers sets alice's weight to 3 through the admin route at
+// url and returns the answer's workers field, which must be present.
+func putWeightWorkers(t *testing.T, url string) int {
+	t.Helper()
+	code, body := adminDo(t, http.MethodPut, url+"/admin/tenants/alice", []byte(`{"weight": 3}`))
 	if code != http.StatusOK {
 		t.Fatalf("PUT weight = %d %s", code, body)
 	}
 	var view struct {
-		Workers int `json:"workers"`
+		Workers *int `json:"workers"`
 	}
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.Workers != 1 {
-		t.Fatalf("PUT answered workers = %d, want 1 (the 502 worker took nothing)", view.Workers)
+	if view.Workers == nil {
+		t.Fatalf("PUT answer %s has no workers field", body)
 	}
-	if got := w.TenantWeight("alice"); got != 3 {
-		t.Fatalf("healthy worker weight = %d, want 3", got)
-	}
+	return *view.Workers
 }

@@ -95,7 +95,7 @@ func TestRegionConcurrentBorrowers(t *testing.T) {
 func TestAdoptInputSetBorrowedAliasesAndReleasesOnReset(t *testing.T) {
 	released := false
 	r := NewRegion(func() { released = true })
-	c := New(1 << 20)
+	c := newCtx(1 << 20)
 	payload := []byte("borrowed bytes")
 	s := Set{Name: "in", Items: []Item{{Name: "a", Data: payload}}}
 	if err := c.AdoptInputSetBorrowed(s, r); err != nil {
@@ -121,7 +121,7 @@ func TestAdoptInputSetBorrowedAliasesAndReleasesOnReset(t *testing.T) {
 }
 
 func TestAdoptInputSetBorrowedNilRegion(t *testing.T) {
-	c := New(1 << 20)
+	c := newCtx(1 << 20)
 	s := Set{Name: "in", Items: []Item{{Name: "a", Data: []byte("x")}}}
 	if err := c.AdoptInputSetBorrowed(s, nil); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestAdoptInputSetBorrowedNilRegion(t *testing.T) {
 
 func TestAdoptInputSetBorrowedErrorDoesNotRetain(t *testing.T) {
 	r := NewRegion(nil)
-	c := New(4)
+	c := newCtx(4)
 	s := Set{Name: "in", Items: []Item{{Name: "a", Data: []byte("too big for limit")}}}
 	if err := c.AdoptInputSetBorrowed(s, r); err == nil {
 		t.Fatal("adopt past the limit succeeded")

@@ -45,6 +45,10 @@ type Item struct {
 type Set struct {
 	Name  string
 	Items []Item
+	// lease is the Region the set was adopted under
+	// (AdoptInputSetBorrowed), nil if none: Alloc hands out output
+	// buffers that region owns.
+	lease *Region
 }
 
 // Clone returns a deep copy of the set. All item payloads are copied
@@ -98,15 +102,6 @@ type Context struct {
 // DefaultLimit is the context bound used when the caller gives none:
 // 256 MiB, matching common FaaS memory-sizing defaults.
 const DefaultLimit = 256 << 20
-
-// New creates a context bounded at limit bytes. A non-positive limit
-// means "no explicit bound" and is clamped to DefaultLimit.
-func New(limit int) *Context {
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
-	return &Context{limit: limit}
-}
 
 // CommittedBytes reports the bytes charged to this context: its inputs
 // plus its outputs, including outputs already taken.

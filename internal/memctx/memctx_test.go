@@ -7,22 +7,28 @@ import (
 	"testing"
 )
 
+// newCtx draws a context bounded at limit from the context pool.
+func newCtx(limit int) *Context {
+	c, _ := NewPooled(limit)
+	return c
+}
+
 func TestBoundsEnforced(t *testing.T) {
 	big := []Item{{Name: "x", Data: make([]byte, 65)}}
-	if err := New(64).AddInputSet(Set{Name: "in", Items: big}); !errors.Is(err, ErrOutOfBounds) {
+	if err := newCtx(64).AddInputSet(Set{Name: "in", Items: big}); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("oversized input err = %v", err)
 	}
-	if err := New(64).AdoptInputSetBorrowed(Set{Name: "in", Items: big}, nil); !errors.Is(err, ErrOutOfBounds) {
+	if err := newCtx(64).AdoptInputSetBorrowed(Set{Name: "in", Items: big}, nil); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("oversized adopted input err = %v", err)
 	}
-	if err := New(64).SetOutputs([]Set{{Name: "out", Items: big}}); !errors.Is(err, ErrOutOfBounds) {
+	if err := newCtx(64).SetOutputs([]Set{{Name: "out", Items: big}}); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("oversized outputs err = %v", err)
 	}
-	if err := New(64).AdoptOutputs([]Set{{Name: "out", Items: big}}); !errors.Is(err, ErrOutOfBounds) {
+	if err := newCtx(64).AdoptOutputs([]Set{{Name: "out", Items: big}}); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("oversized adopted outputs err = %v", err)
 	}
 	// Inputs and outputs share one bound: 40 bytes in leave 24 out.
-	c := New(64)
+	c := newCtx(64)
 	if err := c.AddInputSet(Set{Name: "in", Items: []Item{{Data: make([]byte, 40)}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +42,14 @@ func TestBoundsEnforced(t *testing.T) {
 
 func TestDefaultLimit(t *testing.T) {
 	for _, limit := range []int{0, -1} {
-		if c := New(limit); c.limit != DefaultLimit {
-			t.Fatalf("New(%d) limit = %d, want default", limit, c.limit)
+		if c, _ := NewPooled(limit); c.limit != DefaultLimit {
+			t.Fatalf("NewPooled(%d) limit = %d, want default", limit, c.limit)
 		}
 	}
 }
 
 func TestCommittedHighWaterMark(t *testing.T) {
-	c := New(1 << 20)
+	c := newCtx(1 << 20)
 	if c.CommittedBytes() != 0 {
 		t.Fatal("fresh context should commit nothing")
 	}
@@ -62,7 +68,7 @@ func TestCommittedHighWaterMark(t *testing.T) {
 }
 
 func TestSealBlocksWrites(t *testing.T) {
-	c := New(128)
+	c := newCtx(128)
 	c.Seal()
 	if err := c.AddInputSet(Set{Name: "x"}); !errors.Is(err, ErrSealed) {
 		t.Fatalf("AddInputSet on sealed err = %v", err)
@@ -83,7 +89,7 @@ func TestSealBlocksWrites(t *testing.T) {
 }
 
 func TestInputSets(t *testing.T) {
-	c := New(1 << 20)
+	c := newCtx(1 << 20)
 	in := Set{Name: "args", Items: []Item{{Name: "a", Data: []byte("1")}, {Name: "b", Data: []byte("22")}}}
 	if err := c.AddInputSet(in); err != nil {
 		t.Fatal(err)
@@ -110,7 +116,7 @@ func TestInputSets(t *testing.T) {
 }
 
 func TestInputLimitCharged(t *testing.T) {
-	c := New(10)
+	c := newCtx(10)
 	err := c.AddInputSet(Set{Name: "big", Items: []Item{{Name: "x", Data: make([]byte, 11)}}})
 	if !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("oversized input err = %v", err)
@@ -118,7 +124,7 @@ func TestInputLimitCharged(t *testing.T) {
 }
 
 func TestOutputs(t *testing.T) {
-	c := New(1 << 20)
+	c := newCtx(1 << 20)
 	payload := []byte("abc")
 	sets := []Set{
 		{Name: "out1", Items: []Item{{Name: "r", Data: payload}}},
@@ -152,7 +158,7 @@ func TestOutputs(t *testing.T) {
 // TestTakeOutputs: the dispatcher-side handoff moves all sets out
 // without cloning, and leaves none behind to read or take again.
 func TestTakeOutputs(t *testing.T) {
-	c := New(1 << 10)
+	c := newCtx(1 << 10)
 	if _, err := c.TakeOutputs(); !errors.Is(err, ErrNotSealed) {
 		t.Fatalf("take from unsealed err = %v, want ErrNotSealed", err)
 	}
@@ -183,7 +189,7 @@ func TestTakeOutputs(t *testing.T) {
 // exactly one of them gets the sets, every other gets none.
 func TestConcurrentTakeOutputs(t *testing.T) {
 	const n = 32
-	c := New(1 << 20)
+	c := newCtx(1 << 20)
 	sets := make([]Set, n)
 	for i := range sets {
 		sets[i] = Set{Name: fmt.Sprint("s", i), Items: []Item{{Name: "x", Data: []byte{byte(i)}}}}
@@ -227,7 +233,7 @@ func TestConcurrentTakeOutputs(t *testing.T) {
 // enforcement (zero-copy changes how bytes move, not how much memory a
 // function may hold).
 func TestAdoptInputSet(t *testing.T) {
-	c := New(1 << 20)
+	c := newCtx(1 << 20)
 	payload := make([]byte, 1<<10)
 	payload[0] = 7
 	if err := c.AdoptInputSetBorrowed(Set{Name: "in", Items: []Item{{Name: "x", Data: payload}}}, nil); err != nil {
@@ -249,7 +255,7 @@ func TestAdoptInputSet(t *testing.T) {
 	}
 
 	// Limits hold in zero-copy mode, for inputs and outputs alike.
-	small := New(16)
+	small := newCtx(16)
 	if err := small.AdoptInputSetBorrowed(Set{Name: "big", Items: []Item{{Name: "x", Data: payload}}}, nil); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("oversized adopt err = %v, want ErrOutOfBounds", err)
 	}

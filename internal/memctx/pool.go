@@ -13,8 +13,9 @@ import "sync"
 
 var ctxPool sync.Pool
 
-// NewPooled returns a context bounded at limit bytes (non-positive
-// limits clamp to DefaultLimit, as in New), drawing from the recycle
+// NewPooled returns a context bounded at limit bytes (a non-positive
+// limit means "no explicit bound" and clamps to DefaultLimit), drawing
+// from the recycle
 // pool when possible. reused reports whether the context came from the
 // pool — its backing allocations are warm — or had to be allocated
 // fresh; callers feed the distinction to their pool-efficiency gauges.

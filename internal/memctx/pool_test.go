@@ -41,7 +41,7 @@ func dirty(t *testing.T, c *Context, tag byte) *Region {
 	return region
 }
 
-// assertPristine fails unless c is observably identical to New(limit):
+// assertPristine fails unless c is observably identical to a new context:
 // no inputs, no outputs, unsealed, nothing committed, and the region
 // the previous cycle borrowed released.
 func assertPristine(t *testing.T, c *Context, round int, borrowed *Region) {
@@ -128,7 +128,7 @@ func TestPooledContextLimitRebind(t *testing.T) {
 // path: Reset between instances must let the next instance install and
 // take output sets under names the previous instance took.
 func TestResetClearsHandoffMarksForChunkReuse(t *testing.T) {
-	c := New(1 << 16)
+	c := newCtx(1 << 16)
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("o%d", i%2) // collide names across instances
 		if err := c.SetOutputs([]Set{{Name: name, Items: []Item{{Name: "x", Data: []byte{byte(i)}}}}}); err != nil {

@@ -35,7 +35,8 @@ func scanAllInto(sel Selection, n int) Selection {
 
 // maxPooledRows caps the scratch a pool keeps: a chunk of at most this
 // many rows reuses its selection and columns, a larger one leaves them
-// to the collector (the fact table a worker serves has 2^16 rows).
+// to the collector. A served chunk is a slice of the 2^16-row fact
+// table clients generate (workloads.MakeSSBChunks), so every one fits.
 const maxPooledRows = 1 << 16
 
 // selPool holds the selection vectors Partial filters in place.

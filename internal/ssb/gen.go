@@ -103,16 +103,52 @@ type DB struct {
 // one rng is drawn in a fixed order, so a seed names the database byte
 // for byte.
 func Generate(factRows int, seed int64) *DB {
-	rng := rand.New(rand.NewSource(seed))
 	factRows = max(factRows, 0)
-	nParts := max(factRows/50, 20)
-	nSupp := max(factRows/100, 10)
-	nCust := max(factRows/30, 10)
+	db, rng := generateDims(factRows, seed)
+	nParts, nSupp, nCust := len(db.Parts), len(db.Suppliers), len(db.Customers)
+	col := func() []int32 { return make([]int32, factRows) }
+	f := &LineOrders{
+		OrderKey: col(), CustKey: col(), PartKey: col(), SuppKey: col(),
+		OrderDate: col(), Quantity: col(), ExtendedPrice: col(),
+		Discount: col(), Revenue: col(), SupplyCost: col(),
+	}
+	db.Facts = f
+	for i := range factRows {
+		price := int32(100 + rng.Intn(10000))
+		f.OrderKey[i] = int32(i + 1)
+		f.CustKey[i] = db.Customers[rng.Intn(nCust)].CustKey
+		f.PartKey[i] = db.Parts[rng.Intn(nParts)].PartKey
+		f.SuppKey[i] = db.Suppliers[rng.Intn(nSupp)].SuppKey
+		f.OrderDate[i] = db.Dates[rng.Intn(len(db.Dates))].DateKey
+		f.Quantity[i] = int32(1 + rng.Intn(50))
+		f.ExtendedPrice[i] = price
+		f.Discount[i] = int32(rng.Intn(11))
+		f.Revenue[i] = price * int32(100-rng.Intn(11)) / 100
+		f.SupplyCost[i] = price * 6 / 10
+	}
+	return db
+}
+
+// GenerateDims builds only the dimension tables of Generate(factRows,
+// seed), byte for byte the same, with an empty fact table: it draws the
+// same rng sequence and stops before the fact loop. Query plans join
+// against dimensions only, so a worker that receives its fact rows as
+// request payload builds this, not the whole database.
+func GenerateDims(factRows int, seed int64) *DB {
+	db, _ := generateDims(max(factRows, 0), seed)
+	return db
+}
+
+// generateDims fills the dimension tables sized for factRows and
+// returns the rng positioned where the fact loop starts drawing.
+func generateDims(factRows int, seed int64) (*DB, *rand.Rand) {
+	rng := rand.New(rand.NewSource(seed))
 	db := &DB{
 		Dates:     make([]Date, 0, 7*12*28),
-		Parts:     make([]Part, nParts),
-		Suppliers: make([]Supplier, nSupp),
-		Customers: make([]Customer, nCust),
+		Parts:     make([]Part, max(factRows/50, 20)),
+		Suppliers: make([]Supplier, max(factRows/100, 10)),
+		Customers: make([]Customer, max(factRows/30, 10)),
+		Facts:     &LineOrders{},
 	}
 
 	// Date dimension: 7 years of days, 1992-1998.
@@ -148,28 +184,7 @@ func Generate(factRows int, seed int64) *DB {
 		r, n, city := place(rng)
 		db.Customers[i] = Customer{CustKey: int32(i + 1), Region: r, Nation: n, City: city}
 	}
-
-	col := func() []int32 { return make([]int32, factRows) }
-	f := &LineOrders{
-		OrderKey: col(), CustKey: col(), PartKey: col(), SuppKey: col(),
-		OrderDate: col(), Quantity: col(), ExtendedPrice: col(),
-		Discount: col(), Revenue: col(), SupplyCost: col(),
-	}
-	db.Facts = f
-	for i := range factRows {
-		price := int32(100 + rng.Intn(10000))
-		f.OrderKey[i] = int32(i + 1)
-		f.CustKey[i] = db.Customers[rng.Intn(nCust)].CustKey
-		f.PartKey[i] = db.Parts[rng.Intn(nParts)].PartKey
-		f.SuppKey[i] = db.Suppliers[rng.Intn(nSupp)].SuppKey
-		f.OrderDate[i] = db.Dates[rng.Intn(len(db.Dates))].DateKey
-		f.Quantity[i] = int32(1 + rng.Intn(50))
-		f.ExtendedPrice[i] = price
-		f.Discount[i] = int32(rng.Intn(11))
-		f.Revenue[i] = price * int32(100-rng.Intn(11)) / 100
-		f.SupplyCost[i] = price * 6 / 10
-	}
-	return db
+	return db, rng
 }
 
 // place draws a supplier's or customer's region, nation and city, the

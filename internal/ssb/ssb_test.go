@@ -19,7 +19,9 @@ func testDB(t *testing.T) *DB {
 // bench validator's expected answers, every client's fact chunks and
 // the worker's join tables each generate the database on their own, so
 // they agree only while the same seed yields the same bytes. The digest
-// covers the encoded fact table and the printed dimension tables.
+// covers the encoded fact table and the printed dimension tables. The
+// worker builds its join tables with GenerateDims, so its dimensions
+// must print the same as Generate's, and its fact table must be empty.
 func TestGenerateDeterministic(t *testing.T) {
 	const empty = "e887e3832adefd4be7cee77e13a78da582943201f4f3a835dfd7f9ae6c88a201"
 	for _, tc := range []struct {
@@ -38,41 +40,71 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 		h := sha256.New()
 		h.Write(EncodeChunk(db.Facts))
-		fmt.Fprintf(h, "%v%v%v%v", db.Dates, db.Parts, db.Suppliers, db.Customers)
+		dims := fmt.Sprintf("%v%v%v%v", db.Dates, db.Parts, db.Suppliers, db.Customers)
+		h.Write([]byte(dims))
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("Generate(%d, 42) digest %s, want %s", tc.rows, got, tc.want)
+		}
+
+		only := GenerateDims(tc.rows, 42)
+		if only.Facts.Len() != 0 {
+			t.Errorf("GenerateDims(%d): %d fact rows, want 0", tc.rows, only.Facts.Len())
+		}
+		if got := fmt.Sprintf("%v%v%v%v", only.Dates, only.Parts, only.Suppliers, only.Customers); got != dims {
+			t.Errorf("GenerateDims(%d, 42) dimension tables differ from Generate's", tc.rows)
 		}
 	}
 }
 
-// A worker generates the 2^16-row database at registration, so
-// Generate's garbage is boot time: it should allocate little beyond
-// the ~3 MB it keeps (ten 256 KiB fact columns, the dimension slices
-// and their names).
+// A worker builds the 2^16-row database's dimension tables at
+// registration (GenerateDims), and clients and tests build the whole
+// database (Generate), so both generators' garbage is start-up time:
+// each should allocate little beyond what it keeps. Generate keeps
+// ~3 MB (ten 256 KiB fact columns, the dimension slices and their
+// names), GenerateDims ~0.3 MB.
 func TestGenerateAllocatesLittle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations blur the count")
 	}
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, func() { Generate(1<<16, 42) })
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-	t.Logf("Generate(1<<16): %.0f allocs, %d B per call", allocs, perRun)
-	if allocs > 6000 {
-		t.Errorf("Generate(1<<16) makes %.0f allocations, want <= 6000", allocs)
-	}
-	if perRun > 3200<<10 {
-		t.Errorf("Generate(1<<16) allocates %d B, want <= 3200 KiB", perRun)
+	for _, tc := range []struct {
+		name      string
+		gen       func(int, int64) *DB
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{"Generate", Generate, 6000, 3200 << 10},
+		{"GenerateDims", GenerateDims, 6000, 400 << 10},
+	} {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { tc.gen(1<<16, 42) })
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		t.Logf("%s(1<<16): %.0f allocs, %d B per call", tc.name, allocs, perRun)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s(1<<16) makes %.0f allocations, want <= %.0f", tc.name, allocs, tc.maxAllocs)
+		}
+		if perRun > tc.maxBytes {
+			t.Errorf("%s(1<<16) allocates %d B, want <= %d KiB", tc.name, perRun, tc.maxBytes>>10)
+		}
 	}
 }
 
-// BenchmarkGenerate times the database a worker builds at registration.
+// BenchmarkGenerate times the whole database clients and tests build.
 func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		Generate(1<<16, 42)
+	}
+}
+
+// BenchmarkGenerateDims times the dimension tables a worker builds at
+// registration.
+func BenchmarkGenerateDims(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		GenerateDims(1<<16, 42)
 	}
 }
 

@@ -106,35 +106,34 @@ func setNamed(in []memctx.Set, name string) (memctx.Set, error) {
 // --- SSB analytics suite -------------------------------------------------
 
 // The SSB suite serves all four query flights over a deterministic
-// database: the worker generates it once per process from a fixed seed
-// and joins against its dimension tables (its fact table is never read
-// on the served path), while fact-table chunks ship through the
-// serving plane as request payloads — the shared-nothing scan shape
-// whose bytes-per-invocation dwarfs every microbench payload. Clients
-// build matching chunks with MakeSSBChunks; any prefix of the fact
-// table is valid input, so request size is tunable without touching
-// the registered plans.
+// database, while fact-table chunks ship through the serving plane as
+// request payloads — the shared-nothing scan shape whose
+// bytes-per-invocation dwarfs every microbench payload. The worker
+// joins chunks against dimension tables it generates once per process
+// from a fixed seed, and builds only those (ssb.GenerateDims): the
+// served path never reads a fact table. Clients build matching chunks
+// with MakeSSBChunks, which generates the whole database on first use;
+// any prefix of the fact table is valid input, so request size is
+// tunable without touching the registered plans.
 const (
 	ssbSeed = 42
 	// ssbRows bounds MakeSSBChunks: the full fact table is ~2.6 MiB
-	// encoded (40 B/row), enough for several 1 MiB-class chunks.
+	// encoded (40 B/row), enough for several 1 MiB-class chunks. It
+	// also sizes the dimension tables.
 	ssbRows = 1 << 16
 )
 
+// ssbData is the whole database, for clients and reference answers;
+// ssbDims its dimension tables alone, for the registered plans.
 var (
-	ssbOnce sync.Once
-	ssbDB   *ssb.DB
+	ssbData = sync.OnceValue(func() *ssb.DB { return ssb.Generate(ssbRows, ssbSeed) })
+	ssbDims = sync.OnceValue(func() *ssb.DB { return ssb.GenerateDims(ssbRows, ssbSeed) })
 )
-
-func ssbData() *ssb.DB {
-	ssbOnce.Do(func() { ssbDB = ssb.Generate(ssbRows, ssbSeed) })
-	return ssbDB
-}
 
 func registerSSB(p Registrar) error {
 	plans := make(map[string]*ssb.Plan, len(ssb.Queries()))
 	for _, q := range ssb.Queries() {
-		plan, err := ssb.NewPlan(ssbData(), q)
+		plan, err := ssb.NewPlan(ssbDims(), q)
 		if err != nil {
 			return err
 		}
@@ -352,10 +351,12 @@ func registerStorage(p Registrar) error {
 			if n > MaxBlobBytes {
 				return nil, fmt.Errorf("workloads: blob size %d above MaxBlobBytes (%d)", n, MaxBlobBytes)
 			}
-			out.Items = append(out.Items, memctx.Item{
-				Name: it.Name,
-				Data: MakeBlob(n, SeedFromName(it.Name)),
-			})
+			// The blob lives in a buffer the request's lease owns
+			// when it has one (memctx.Alloc), so a steady stream of
+			// fetches recycles its response memory.
+			blob := memctx.Alloc(sizes, n)
+			makeBlobInto(blob, SeedFromName(it.Name))
+			out.Items = append(out.Items, memctx.Item{Name: it.Name, Data: blob})
 		}
 		return []memctx.Set{out}, nil
 	}})
@@ -448,10 +449,18 @@ const MaxBlobBytes = 64 << 20
 // overlaps. The leftover rows and the partial last row continue the
 // last lane's chain.
 func MakeBlob(n int, seed uint64) []byte {
+	b := make([]byte, n)
+	makeBlobInto(b, seed)
+	return b
+}
+
+// makeBlobInto writes MakeBlob(len(b), seed)'s bytes into b, so StoreGen
+// can fill a buffer it leased rather than one it made.
+func makeBlobInto(b []byte, seed uint64) {
 	if seed == 0 {
 		seed = fnvOffset
 	}
-	b := make([]byte, n)
+	n := len(b)
 	per := n / blobRow / blobLanes // rows in each lane
 	laneBytes := per * blobRow
 	x0 := seed
@@ -482,7 +491,6 @@ func MakeBlob(n int, seed uint64) []byte {
 		x = xorshift(x)
 		b[i] = ' ' + byte(x%94) // printable, never '\n'
 	}
-	return b
 }
 
 const (
