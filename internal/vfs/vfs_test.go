@@ -258,3 +258,85 @@ func TestInputRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A mount stays under /in/<set>/: a set or item name that climbs out of
+// its folder is refused, so a client cannot plant an input where the
+// function's outputs are harvested.
+func TestMountConfinedToSet(t *testing.T) {
+	for _, s := range []memctx.Set{
+		{Name: "In", Items: []memctx.Item{{Name: "../../out/Res/x", Data: []byte("forged")}}},
+		{Name: "In", Items: []memctx.Item{{Name: "../Other/x"}}},
+		{Name: "In", Items: []memctx.Item{{Name: ""}}},
+		{Name: "../out/Res", Items: []memctx.Item{{Name: "x"}}},
+		{Name: "", Items: []memctx.Item{{Name: "x"}}},
+		{Name: "a/b", Items: []memctx.Item{{Name: "x"}}},
+	} {
+		fs, err := FromInputs([]memctx.Set{s}, 0)
+		if !errors.Is(err, ErrBadPath) {
+			var outs []memctx.Set
+			if fs != nil {
+				outs = fs.Outputs()
+			}
+			t.Errorf("mount set %q item %q: err = %v, outputs %+v; want ErrBadPath",
+				s.Name, s.Items[0].Name, err, outs)
+		}
+	}
+	// A nested item name is a file in a folder of its set.
+	fs, err := FromInputs([]memctx.Set{{Name: "In", Items: []memctx.Item{{Name: "dir/leaf", Data: []byte("x")}}}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.ReadFile("/in/In/dir/leaf"); err != nil || string(got) != "x" {
+		t.Fatalf("nested input = %q, %v", got, err)
+	}
+}
+
+// A path is a file or a directory, never both.
+func TestFileOrDirectory(t *testing.T) {
+	fs := New(0)
+	if err := fs.WriteFile("/out/S/a", []byte("file")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/out/S/a/b", []byte("below a file")); !errors.Is(err, ErrNotDir) {
+		t.Errorf("write below a file: err = %v, want ErrNotDir", err)
+	}
+	if err := fs.WriteFile("/out/T/d/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/out/T/d", []byte("over a directory")); !errors.Is(err, ErrIsDir) {
+		t.Errorf("write over a directory: err = %v, want ErrIsDir", err)
+	}
+	for _, dir := range []string{"/out/S", "/out/T/d", "/out"} {
+		if _, err := fs.ReadFile(dir); !errors.Is(err, ErrIsDir) {
+			t.Errorf("ReadFile(%s): err = %v, want ErrIsDir", dir, err)
+		}
+		if _, err := fs.Open(dir); !errors.Is(err, ErrIsDir) {
+			t.Errorf("Open(%s): err = %v, want ErrIsDir", dir, err)
+		}
+	}
+	var names []string
+	for _, s := range fs.Outputs() {
+		for _, it := range s.Items {
+			names = append(names, s.Name+"/"+it.Name)
+		}
+	}
+	if len(names) != 2 || names[0] != "S/a" || names[1] != "T/d/f" {
+		t.Errorf("outputs = %v, want [S/a T/d/f]", names)
+	}
+	// Removing the last file below a directory frees its name.
+	if err := fs.Remove("/out/T/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/out/T/d", []byte("now a file")); err != nil {
+		t.Errorf("write after the directory emptied: %v", err)
+	}
+	// Inputs obey the same rule, in either order.
+	for _, items := range [][]memctx.Item{
+		{{Name: "a"}, {Name: "a/b"}},
+		{{Name: "a/b"}, {Name: "a"}},
+	} {
+		if _, err := FromInputs([]memctx.Set{{Name: "In", Items: items}}, 0); !errors.Is(err, ErrNotDir) && !errors.Is(err, ErrIsDir) {
+			t.Errorf("mount %q then %q: err = %v, want ErrNotDir or ErrIsDir", items[0].Name, items[1].Name, err)
+		}
+	}
+}
