@@ -38,6 +38,10 @@ var (
 // (pure functions do not spawn threads, §3).
 type FS struct {
 	files map[string]*file // cleaned absolute path -> file
+	// dirs counts the files below each directory, so a path is a file
+	// or a directory, never both, and a directory is gone with its last
+	// file.
+	dirs  map[string]int
 	quota int
 	used  int
 }
@@ -58,25 +62,71 @@ func New(quota int) *FS {
 	if quota <= 0 {
 		quota = DefaultQuota
 	}
-	return &FS{files: map[string]*file{}, quota: quota}
+	return &FS{files: map[string]*file{}, dirs: map[string]int{}, quota: quota}
 }
 
 // FromInputs builds a filesystem view with each input set mounted
-// read-only under /in/<set>/<item>.
+// read-only under /in/<set>/<item>. A set name is one folder, and an
+// item must land inside it: a name that leaves /in/<set>/ fails with
+// ErrBadPath.
 func FromInputs(sets []memctx.Set, quota int) (*FS, error) {
 	fs := New(quota)
 	for _, s := range sets {
+		if s.Name == "" || s.Name == "." || s.Name == ".." || strings.Contains(s.Name, "/") {
+			return nil, fmt.Errorf("%w: input set %q", ErrBadPath, s.Name)
+		}
+		dir := "/in/" + s.Name + "/"
 		for _, it := range s.Items {
-			p := path.Join("/in", s.Name, it.Name)
+			p := path.Join(dir, it.Name)
+			if !strings.HasPrefix(p, dir) {
+				return nil, fmt.Errorf("%w: input item %q of set %q", ErrBadPath, it.Name, s.Name)
+			}
 			if _, ok := fs.files[p]; ok {
 				return nil, fmt.Errorf("%w: %s", ErrExist, p)
 			}
+			if err := fs.checkFile(p); err != nil {
+				return nil, err
+			}
 			d := make([]byte, len(it.Data))
 			copy(d, it.Data)
-			fs.files[p] = &file{data: d, readOnly: true, key: it.Key}
+			fs.add(p, &file{data: d, readOnly: true, key: it.Key})
 		}
 	}
 	return fs, nil
+}
+
+// checkFile fails if p may not be a file: with ErrIsDir when p is a
+// directory, with ErrNotDir when a folder above p is a file.
+func (fs *FS) checkFile(p string) error {
+	if fs.dirs[p] > 0 {
+		return fmt.Errorf("%w: %s", ErrIsDir, p)
+	}
+	for d := path.Dir(p); d != "/"; d = path.Dir(d) {
+		if _, ok := fs.files[d]; ok {
+			return fmt.Errorf("%w: %s", ErrNotDir, d)
+		}
+	}
+	return nil
+}
+
+// add stores a new file at p and counts it in every folder above p.
+func (fs *FS) add(p string, f *file) {
+	fs.files[p] = f
+	for d := path.Dir(p); d != "/"; d = path.Dir(d) {
+		fs.dirs[d]++
+	}
+}
+
+// lookup returns the file at the cleaned path c.
+func (fs *FS) lookup(c string) (*file, error) {
+	f, ok := fs.files[c]
+	if !ok {
+		if fs.dirs[c] > 0 {
+			return nil, fmt.Errorf("%w: %s", ErrIsDir, c)
+		}
+		return nil, fmt.Errorf("%w: %s", ErrNotExist, c)
+	}
+	return f, nil
 }
 
 func clean(p string) (string, error) {
@@ -96,9 +146,9 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, ok := fs.files[c]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, c)
+	f, err := fs.lookup(c)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, len(f.data))
 	copy(out, f.data)
@@ -127,20 +177,26 @@ func (fs *FS) WriteFileKeyed(p string, data []byte, key string) error {
 	if rest == "" || !strings.Contains(rest, "/") {
 		return fmt.Errorf("%w: %s must be /out/<set>/<item>", ErrBadPath, p)
 	}
-	old := 0
-	if f, ok := fs.files[c]; ok {
-		if f.readOnly {
-			return fmt.Errorf("%w: %s", ErrReadOnly, c)
+	f, exists := fs.files[c]
+	if !exists {
+		if err := fs.checkFile(c); err != nil {
+			return err
 		}
-		old = len(f.data)
+		f = &file{}
+	} else if f.readOnly {
+		return fmt.Errorf("%w: %s", ErrReadOnly, c)
 	}
+	old := len(f.data)
 	if fs.used-old+len(data) > fs.quota {
 		return fmt.Errorf("%w: %d bytes over %d", ErrQuota, fs.used-old+len(data), fs.quota)
 	}
 	fs.used += len(data) - old
-	d := make([]byte, len(data))
-	copy(d, data)
-	fs.files[c] = &file{data: d, key: key}
+	f.data = make([]byte, len(data))
+	copy(f.data, data)
+	f.key = key
+	if !exists {
+		fs.add(c, f)
+	}
 	return nil
 }
 
@@ -150,15 +206,20 @@ func (fs *FS) Remove(p string) error {
 	if err != nil {
 		return err
 	}
-	f, ok := fs.files[c]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, c)
+	f, err := fs.lookup(c)
+	if err != nil {
+		return err
 	}
 	if f.readOnly {
 		return fmt.Errorf("%w: %s", ErrReadOnly, c)
 	}
 	fs.used -= len(f.data)
 	delete(fs.files, c)
+	for d := path.Dir(c); d != "/"; d = path.Dir(d) {
+		if fs.dirs[d]--; fs.dirs[d] == 0 {
+			delete(fs.dirs, d)
+		}
+	}
 	return nil
 }
 
@@ -168,9 +229,9 @@ func (fs *FS) Stat(p string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	f, ok := fs.files[c]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotExist, c)
+	f, err := fs.lookup(c)
+	if err != nil {
+		return 0, err
 	}
 	return len(f.data), nil
 }
