@@ -119,6 +119,20 @@ for ref in $(grep -ho '`[A-Za-z0-9_.*/-]*\.\(go\|json\|sh\|md\)`' $docs | tr -d 
   fi
 done
 
+# Rule 10: every backticked package path (a token starting with
+# `internal/`, `cmd/` or `examples/`) must name an existing directory.
+# The path is read up to its first `.`, so `internal/core.Stats` checks
+# `internal/core`; a token that names an existing file
+# (`internal/core/batch.go`, also with a `:line` suffix) passes too.
+# Catches the package paths a move or a deletion leaves behind.
+for ref in $(grep -ho '`\(internal\|cmd\|examples\)/[^` ]*`' $docs | tr -d '`' | sort -u); do
+  dir=${ref%%.*}
+  if [ ! -d "$dir" ] && [ ! -f "${ref%%:*}" ]; then
+    echo "docs-check: package path \`$ref\` referenced in docs but \"$dir\" is not a directory" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
   echo "docs-check: OK"
 fi
