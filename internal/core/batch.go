@@ -53,7 +53,7 @@ func (p *Platform) InvokeBatch(ctx context.Context, reqs []Request) []Result {
 		}
 		return results
 	}
-	p.ctrs.shard().batches.Add(1)
+	p.batches.Add(1)
 	p.dispatch(ctx, reqs, results)
 	return results
 }
@@ -96,7 +96,7 @@ func (p *Platform) dispatch(ctx context.Context, reqs []Request, results []Resul
 			}
 			continue
 		}
-		p.ctrs.shard().invocations.Add(uint64(len(g.reqs)))
+		p.invocations.Add(uint64(len(g.reqs)))
 		g.pl = p.planFor(comp)
 		runnable = append(runnable, g)
 	}
@@ -661,17 +661,16 @@ func (p *Platform) runComputeChunk(ctx context.Context, f *registeredFunc, seg [
 		return
 	}
 	mc, reused := memctx.NewPooled(funcMemBytes(f))
-	sh := p.ctrs.shard()
 	if reused {
-		sh.ctxReused.Add(1)
+		p.ctxReused.Add(1)
 	} else {
-		sh.ctxFresh.Add(1)
+		p.ctxFresh.Add(1)
 	}
 	for i := range seg {
 		if i > 0 {
 			mc.Reset()
 		}
-		seg[i].outs, seg[i].err = p.runComputeIn(mc, f, seg[i].inst, seg[i].borrow, sh)
+		seg[i].outs, seg[i].err = p.runComputeIn(mc, f, seg[i].inst, seg[i].borrow)
 	}
 	memctx.Recycle(mc)
 }

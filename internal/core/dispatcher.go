@@ -174,15 +174,18 @@ type Platform struct {
 	computeSched *sched.Scheduler
 	commSched    *sched.Scheduler
 
-	// ctrs holds every hot-path counter — invocation/batch admissions,
-	// the data-plane set/byte counters, context-pool provenance —
-	// sharded per goroutine affinity so concurrent invokes never
-	// serialize on bookkeeping (see counters.go). Stats() merges lazily.
-	ctrs *hotCounters
+	// Hot-path counters: batch and invocation admissions, the data
+	// plane's set/byte handoffs and context-pool provenance. Plain
+	// atomics, like the memory gauges beside them.
+	invocations atomic.Uint64
+	batches     atomic.Uint64
+	zcHandoffs  atomic.Uint64
+	zcBytes     atomic.Uint64
+	ctxReused   atomic.Uint64
+	ctxFresh    atomic.Uint64
 
-	// Memory gauges stay unsharded: the peak is a max over the summed
-	// committed bytes, which needs the total order a single atomic
-	// provides (rationale in counters.go).
+	// Memory gauges: the peak is a max over the committed bytes, kept
+	// by the CAS loop in chargeMemory.
 	memCommitted atomic.Int64
 	memPeak      atomic.Int64
 
@@ -225,7 +228,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 		reg:     newRegistry(),
 		opts:    opts,
 		execute: sandbox.Execute,
-		ctrs:    newHotCounters(),
 		adm:     autoscale.NewAdmission(autoscale.AdmissionConfig{}),
 	}
 	p.computePool = engine.NewPool(engine.Compute, engine.NewQueue())
@@ -385,11 +387,8 @@ type Stats struct {
 	Tenants []sched.TenantStats
 }
 
-// Stats reports current platform gauges. The hot-path counters are
-// merged from their per-goroutine shards here, on the cold read, so
-// the invoke path never serializes on them.
+// Stats reports current platform gauges.
 func (p *Platform) Stats() Stats {
-	t := p.ctrs.merge()
 	var jBytes int64
 	if s, ok := p.jrnl.(journal.Sizer); ok {
 		jBytes = s.Size()
@@ -414,8 +413,8 @@ func (p *Platform) Stats() Stats {
 		DedupEntries:        p.dedup.Len(),
 
 		Tenants:          tenants,
-		Invocations:      t.invocations,
-		Batches:          t.batches,
+		Invocations:      p.invocations.Load(),
+		Batches:          p.batches.Load(),
 		ComputeEngines:   p.computePool.Count(),
 		CommEngines:      p.commPool.Count(),
 		ComputeQueueLen:  p.computePool.Queue().Len(),
@@ -429,12 +428,12 @@ func (p *Platform) Stats() Stats {
 		AutoscaleOn:      p.AutoscaleOn(),
 		Draining:         p.draining.Load(),
 
-		ZeroCopyHandoffs:     t.zcHandoffs,
-		ZeroCopyHandoffBytes: t.zcBytes,
+		ZeroCopyHandoffs:     p.zcHandoffs.Load(),
+		ZeroCopyHandoffBytes: p.zcBytes.Load(),
 		CopiedSets:           copiedSets,
 		CopiedBytes:          copiedBytes,
-		PooledContextReuses:  t.ctxReused,
-		PooledContextAllocs:  t.ctxFresh,
+		PooledContextReuses:  p.ctxReused.Load(),
+		PooledContextAllocs:  p.ctxFresh.Load(),
 	}
 }
 
@@ -683,13 +682,13 @@ func funcMemBytes(f *registeredFunc) int {
 // instance belongs to (Request.Borrow): the context retains it until
 // its Reset/Recycle, so the decoder slabs the inputs alias cannot be
 // recycled mid-execution.
-func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, inst instance, borrow *memctx.Region, sh *hotShard) (outs []memctx.Set, err error) {
+func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, inst instance, borrow *memctx.Region) (outs []memctx.Set, err error) {
 	for _, s := range inst {
 		if err := ctx.AdoptInputSetBorrowed(s, borrow); err != nil {
 			return nil, err
 		}
-		sh.zcHandoffs.Add(1)
-		sh.zcBytes.Add(uint64(s.TotalBytes()))
+		p.zcHandoffs.Add(1)
+		p.zcBytes.Add(uint64(s.TotalBytes()))
 	}
 	charge := int64(ctx.CommittedBytes())
 	p.chargeMemory(charge)
@@ -738,8 +737,8 @@ func (p *Platform) runComputeIn(ctx *memctx.Context, f *registeredFunc, inst ins
 		return nil, err
 	}
 	for _, s := range taken {
-		sh.zcHandoffs.Add(1)
-		sh.zcBytes.Add(uint64(s.TotalBytes()))
+		p.zcHandoffs.Add(1)
+		p.zcBytes.Add(uint64(s.TotalBytes()))
 	}
 	return taken, nil
 }

@@ -1,4 +1,4 @@
-// Tests for the hot-path overhaul: sharded-counter consistency under
+// Tests for the hot-path overhaul: counter consistency under
 // concurrency, the invocation-plan cache, context pooling through the
 // dispatcher, and sched-aware batch chunking.
 package core
@@ -39,11 +39,11 @@ composition E(In) => Result {
 
 // TestStatsCounterConsistencyConcurrentInvokes drives concurrent
 // single invokes, then one keyed invoke and its duplicate, and requires
-// the merged sharded counters to equal the completed work exactly —
-// increments are atomic per shard and never sampled, so nothing may be
-// lost. Every boundary crossing is a handoff; the one copy is the dedup
-// table's clone of the keyed reply. Run under -race this also checks
-// the shards themselves.
+// the counters to equal the completed work exactly — increments are
+// atomic and never sampled, so nothing may be lost. Every boundary
+// crossing is a handoff; the one copy is the dedup table's clone of the
+// keyed reply. Run under -race this also checks the counters
+// themselves.
 func TestStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
 	t.Run("zerocopy", testStatsCounterConsistencyConcurrentInvokes)
 }
