@@ -370,15 +370,11 @@ type Heartbeater struct {
 	lazyClient *http.Client
 
 	joins atomic.Uint64
-	beats atomic.Uint64
 }
 
 // Joins reports successful join registrations (1 on a healthy run;
 // more after coordinator restarts or evictions).
 func (h *Heartbeater) Joins() uint64 { return h.joins.Load() }
-
-// Beats reports successful heartbeats sent.
-func (h *Heartbeater) Beats() uint64 { return h.beats.Load() }
 
 func (h *Heartbeater) interval() time.Duration {
 	if h.Interval > 0 {
@@ -434,11 +430,7 @@ func (h *Heartbeater) Join() error {
 
 // Beat sends one heartbeat.
 func (h *Heartbeater) Beat() error {
-	err := h.post("/cluster/heartbeat", wire.Heartbeat{Name: h.Name})
-	if err == nil {
-		h.beats.Add(1)
-	}
-	return err
+	return h.post("/cluster/heartbeat", wire.Heartbeat{Name: h.Name})
 }
 
 // Run joins the coordinator (retrying every interval until it answers)

@@ -51,7 +51,6 @@ const (
 type Op byte
 
 const (
-	OpNone Op = 0
 	// OpTenantWeight: Tenant + A=weight.
 	OpTenantWeight Op = 'w'
 	// OpEngineCounts: A=compute engines, B=communication engines.
