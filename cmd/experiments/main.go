@@ -16,7 +16,7 @@ import (
 	"os"
 	"time"
 
-	"dandelion/internal/experiments"
+	"dandelion/internal/model/experiments"
 )
 
 func main() {

@@ -12,7 +12,7 @@ import (
 	"dandelion"
 	"dandelion/internal/cluster"
 	"dandelion/internal/dvm"
-	"dandelion/internal/services"
+	"dandelion/internal/model/services"
 )
 
 func newPlatform(t *testing.T, opts dandelion.Options) *dandelion.Platform {

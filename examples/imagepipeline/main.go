@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"dandelion"
+	"dandelion/internal/model/services"
 	"dandelion/internal/qoiimg"
-	"dandelion/internal/services"
 )
 
 func main() {

@@ -13,7 +13,7 @@ import (
 	"strings"
 
 	"dandelion"
-	"dandelion/internal/services"
+	"dandelion/internal/model/services"
 )
 
 func main() {

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"dandelion"
-	"dandelion/internal/services"
+	"dandelion/internal/model/services"
 	"dandelion/internal/ssb"
 )
 

@@ -11,7 +11,7 @@ import (
 	"log"
 	"time"
 
-	"dandelion/internal/experiments"
+	"dandelion/internal/model/experiments"
 )
 
 func main() {

@@ -22,7 +22,7 @@
 // ShrinkHoldSteps consecutive calm ones before a shrink) keeps it from
 // oscillating on bursty load, and the budget never exceeds Max plus
 // the communication count set at boot or by the last SetCounts. The
-// same Controller drives the discrete-event model in internal/faas.
+// same Controller drives the discrete-event model in internal/model/faas.
 package ctlplane
 
 import (

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"dandelion/internal/faas"
-	"dandelion/internal/isolation"
+	"dandelion/internal/model/faas"
 )
 
 // AblationWarmCache compares Dandelion's always-cold design against a
@@ -18,7 +17,7 @@ func AblationWarmCache() Table {
 		Header: []string{"Config", "RPS", "mean ms", "p99 ms", "cold %"},
 	}
 	for _, warm := range []bool{false, true} {
-		cfg := faas.DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true, WarmCache: warm}
+		cfg := faas.DandelionConfig{Cores: 16, Profile: faas.X86KVM, Cached: true, WarmCache: warm}
 		pts := faas.Sweep(mkDandelion(cfg), faas.MatMul128(), []float64{1000, 3000}, 6, seed)
 		name := "always cold (paper)"
 		if warm {
@@ -48,10 +47,10 @@ func AblationStaticSplit() Table {
 		name string
 		cfg  faas.DandelionConfig
 	}{
-		{"PI controller", faas.DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true, Balance: true}},
-		{"static 15/1", faas.DandelionConfig{Cores: 16, CommCores: 1, Profile: isolation.X86KVM, Cached: true}},
-		{"static 12/4", faas.DandelionConfig{Cores: 16, CommCores: 4, Profile: isolation.X86KVM, Cached: true}},
-		{"static 8/8", faas.DandelionConfig{Cores: 16, CommCores: 8, Profile: isolation.X86KVM, Cached: true}},
+		{"PI controller", faas.DandelionConfig{Cores: 16, Profile: faas.X86KVM, Cached: true, Balance: true}},
+		{"static 15/1", faas.DandelionConfig{Cores: 16, CommCores: 1, Profile: faas.X86KVM, Cached: true}},
+		{"static 12/4", faas.DandelionConfig{Cores: 16, CommCores: 4, Profile: faas.X86KVM, Cached: true}},
+		{"static 8/8", faas.DandelionConfig{Cores: 16, CommCores: 8, Profile: faas.X86KVM, Cached: true}},
 	}
 	for _, c := range configs {
 		pts := faas.Sweep(mkDandelion(c.cfg), app, rates, 6, seed)
@@ -71,9 +70,8 @@ func AblationBinaryCache() Table {
 		Title:  "Ablation: binary cache (load from disk vs in-memory), unloaded cold start [µs]",
 		Header: []string{"Backend", "uncached", "cached", "saved"},
 	}
-	for _, name := range isolation.Names() {
-		b, _ := isolation.New(name)
-		p := b.Cost()
+	for _, name := range faas.Names() {
+		p, _ := faas.MorelloProfile(name)
 		t.Rows = append(t.Rows, []string{
 			name, f0(p.ColdStartUS(false)), f0(p.ColdStartUS(true)),
 			f0(p.ColdStartUS(false) - p.ColdStartUS(true)),

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"dandelion"
-	"dandelion/internal/services"
-	"dandelion/internal/sqlmini"
+	"dandelion/internal/model/services"
+	"dandelion/internal/model/sqlmini"
 	"dandelion/internal/ssb"
 )
 
@@ -29,8 +29,8 @@ func Fig9(factRows int) Table {
 		Header: []string{"Query", "Dandelion ms", "Dandelion ¢", "Athena ms", "Athena ¢"},
 	}
 	db := ssb.Generate(factRows, 42)
-	athena := ssb.DefaultAthena()
-	ec2 := ssb.DefaultEC2()
+	athena := DefaultAthena()
+	ec2 := DefaultEC2()
 	const targetBytes = int64(700) << 20
 	const targetCores = 32.0
 	actualBytes := int64(db.Facts.Len()) * ssb.BytesPerRow

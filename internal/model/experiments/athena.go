@@ -1,4 +1,4 @@
-package ssb
+package experiments
 
 // Athena cost/latency model for Figure 9. AWS Athena bills per byte
 // scanned ($5/TB with a 10 MB minimum per query) and runs on shared

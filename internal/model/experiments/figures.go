@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"dandelion/internal/autoscale"
-	"dandelion/internal/faas"
-	"dandelion/internal/isolation"
-	"dandelion/internal/sim"
-	"dandelion/internal/trace"
-	"dandelion/internal/workload"
+	"dandelion/internal/model/faas"
+	"dandelion/internal/model/load"
+	"dandelion/internal/model/sim"
+	"dandelion/internal/model/trace"
 )
 
 // Seed fixed across drivers for reproducibility.
@@ -37,11 +36,11 @@ func Table1() Table {
 		Title:  "Table 1: Dandelion cold-start latency breakdown [µs] (Morello profiles)",
 		Header: []string{"Phase", "CHERI", "rWasm", "process", "KVM"},
 	}
-	ps := []isolation.CostProfile{
-		isolation.MorelloCheri, isolation.MorelloRWasm,
-		isolation.MorelloProcess, isolation.MorelloKVM,
+	ps := []faas.CostProfile{
+		faas.MorelloCheri, faas.MorelloRWasm,
+		faas.MorelloProcess, faas.MorelloKVM,
 	}
-	row := func(name string, get func(isolation.CostProfile) float64) []string {
+	row := func(name string, get func(faas.CostProfile) float64) []string {
 		cells := []string{name}
 		for _, p := range ps {
 			cells = append(cells, f0(get(p)))
@@ -49,19 +48,19 @@ func Table1() Table {
 		return cells
 	}
 	t.Rows = append(t.Rows,
-		row("Marshal requests", func(p isolation.CostProfile) float64 { return p.MarshalUS }),
-		row("Load from disk", func(p isolation.CostProfile) float64 { return p.LoadUS }),
-		row("Transfer input", func(p isolation.CostProfile) float64 { return p.TransferUS }),
-		row("Execute function", func(p isolation.CostProfile) float64 { return p.ExecuteUS }),
-		row("Get/send output", func(p isolation.CostProfile) float64 { return p.OutputUS }),
-		row("Other", func(p isolation.CostProfile) float64 { return p.OtherUS }),
-		row("Total", func(p isolation.CostProfile) float64 { return p.TotalUS() }),
+		row("Marshal requests", func(p faas.CostProfile) float64 { return p.MarshalUS }),
+		row("Load from disk", func(p faas.CostProfile) float64 { return p.LoadUS }),
+		row("Transfer input", func(p faas.CostProfile) float64 { return p.TransferUS }),
+		row("Execute function", func(p faas.CostProfile) float64 { return p.ExecuteUS }),
+		row("Get/send output", func(p faas.CostProfile) float64 { return p.OutputUS }),
+		row("Other", func(p faas.CostProfile) float64 { return p.OtherUS }),
+		row("Total", func(p faas.CostProfile) float64 { return p.TotalUS() }),
 	)
 	// Cross-check with a measured unloaded run of the model.
-	for _, name := range isolation.Names() {
-		b, _ := isolation.New(name)
+	for _, name := range faas.Names() {
+		p, _ := faas.MorelloProfile(name)
 		lat := faas.UnloadedLatency(mkDandelion(faas.DandelionConfig{
-			Cores: 4, Profile: b.Cost(),
+			Cores: 4, Profile: p,
 		}), faas.MatMul1(), seed)
 		t.Notes = append(t.Notes, fmt.Sprintf("measured unloaded %s: %.0f µs", name, lat*1000))
 	}
@@ -122,10 +121,10 @@ func Fig5(quick bool) Table {
 		name string
 		mk   func(*sim.Engine) faas.Platform
 	}{
-		{"D cheri", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: isolation.MorelloCheri})},
-		{"D rwasm", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: isolation.MorelloRWasm})},
-		{"D process", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: isolation.MorelloProcess})},
-		{"D kvm", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: isolation.MorelloKVM})},
+		{"D cheri", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: faas.MorelloCheri})},
+		{"D rwasm", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: faas.MorelloRWasm})},
+		{"D process", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: faas.MorelloProcess})},
+		{"D kvm", mkDandelion(faas.DandelionConfig{Cores: 4, Profile: faas.MorelloKVM})},
 		{"FC", mkMicroVM(faas.Firecracker(4, 0))},
 		{"FC w/ snapshot", mkMicroVM(faas.FirecrackerSnapshot(4, 0))},
 		{"gVisor", mkMicroVM(faas.GVisor(4, 0))},
@@ -162,9 +161,9 @@ func Fig6(quick bool) Table {
 		name string
 		mk   func(*sim.Engine) faas.Platform
 	}{
-		{"D KVM", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true})},
-		{"D process", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: isolation.X86Process, Cached: true})},
-		{"D rwasm", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: isolation.X86RWasm, Cached: true})},
+		{"D KVM", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: faas.X86KVM, Cached: true})},
+		{"D process", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: faas.X86Process, Cached: true})},
+		{"D rwasm", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: faas.X86RWasm, Cached: true})},
 		{"FC (97% hot)", mkMicroVM(faas.Firecracker(16, 0.97))},
 		{"FC snapshot (97% hot)", mkMicroVM(faas.FirecrackerSnapshot(16, 0.97))},
 		{"WT", mkWT(16)},
@@ -194,8 +193,8 @@ func FigPhases() Table {
 	for _, phases := range []int{2, 4, 8, 16} {
 		app := faas.FetchCompute(phases)
 		row := []string{fmt.Sprintf("%d", phases)}
-		row = append(row, f2(faas.UnloadedLatency(mkDandelion(faas.DandelionConfig{Cores: 16, Profile: isolation.X86KVM}), app, seed)))
-		row = append(row, f2(faas.UnloadedLatency(mkDandelion(faas.DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true}), app, seed)))
+		row = append(row, f2(faas.UnloadedLatency(mkDandelion(faas.DandelionConfig{Cores: 16, Profile: faas.X86KVM}), app, seed)))
+		row = append(row, f2(faas.UnloadedLatency(mkDandelion(faas.DandelionConfig{Cores: 16, Profile: faas.X86KVM, Cached: true}), app, seed)))
 		row = append(row, f2(faas.UnloadedLatency(mkMicroVM(faas.Firecracker(16, 1)), app, seed)))
 		row = append(row, f2(faas.UnloadedLatency(mkMicroVM(faas.FirecrackerSnapshot(16, 0)), app, seed)))
 		row = append(row, f2(faas.UnloadedLatency(mkWT(16), app, seed)))
@@ -219,7 +218,7 @@ func Fig7(quick bool) Table {
 		mk   func(*sim.Engine) faas.Platform
 	}
 	systems := []system{
-		{"Dandelion", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true, Balance: true})},
+		{"Dandelion", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: faas.X86KVM, Cached: true, Balance: true})},
 		{"D-hybrid tpc=3", mkHybrid(faas.DHybrid(16, 3, false))},
 		{"D-hybrid tpc=4", mkHybrid(faas.DHybrid(16, 4, false))},
 		{"D-hybrid tpc=5", mkHybrid(faas.DHybrid(16, 5, false))},
@@ -266,15 +265,15 @@ func Fig8(quick bool) Table {
 	if quick {
 		steps = 40
 	}
-	patterns := [2]workload.Pattern{
-		workload.Bursty(40, 140, steps, 25, 6),
-		workload.Bursty(40, 180, steps, 18, 6),
+	patterns := [2]load.Pattern{
+		load.Bursty(40, 140, steps, 25, 6),
+		load.Bursty(40, 180, steps, 18, 6),
 	}
 	systems := []struct {
 		name string
 		mk   func(*sim.Engine) faas.Platform
 	}{
-		{"Dandelion", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true, Balance: true})},
+		{"Dandelion", mkDandelion(faas.DandelionConfig{Cores: 16, Profile: faas.X86KVM, Cached: true, Balance: true})},
 		{"FC snapshot (97% hot)", mkMicroVM(faas.FirecrackerSnapshot(16, 0.97))},
 		{"WT", mkWT(16)},
 	}
@@ -322,7 +321,7 @@ func azureTable(title string, quick, withDandelion bool) Table {
 		"VMs actively serving", f0(kn.ActiveMB.TimeAverage()), f0(kn.ActiveMB.MaxValue()), "-", "-",
 	})
 	if withDandelion {
-		dd := faas.RunAzureDandelion(tr, faas.DandelionConfig{Cores: 16, Profile: isolation.X86Process}, seed)
+		dd := faas.RunAzureDandelion(tr, faas.DandelionConfig{Cores: 16, Profile: faas.X86Process}, seed)
 		t.Rows = append(t.Rows, []string{
 			"Dandelion committed", f0(dd.CommittedMB.TimeAverage()), f0(dd.CommittedMB.MaxValue()),
 			f1(dd.ColdFraction * 100), f1(dd.LatencyMS.Percentile(99)),

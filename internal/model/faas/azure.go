@@ -2,20 +2,20 @@ package faas
 
 import (
 	"dandelion/internal/autoscale"
-	"dandelion/internal/sim"
-	"dandelion/internal/stats"
-	"dandelion/internal/trace"
+	"dandelion/internal/model/load"
+	"dandelion/internal/model/sim"
+	"dandelion/internal/model/trace"
 )
 
 // AzureResult is the outcome of one Azure-trace replay (Figures 1 and
 // 10): committed and active memory over time plus end-to-end latency.
 type AzureResult struct {
 	// CommittedMB samples total committed memory (MB) every interval.
-	CommittedMB *stats.TimeSeries
+	CommittedMB *load.TimeSeries
 	// ActiveMB samples memory of sandboxes actively serving requests.
-	ActiveMB *stats.TimeSeries
+	ActiveMB *load.TimeSeries
 	// LatencyMS is per-invocation end-to-end latency.
-	LatencyMS *stats.Sample
+	LatencyMS *load.Sample
 	// ColdFraction of invocations that cold-started.
 	ColdFraction float64
 	Invocations  int
@@ -32,9 +32,9 @@ const guestOSOverheadMB = 32
 func RunAzureKnative(tr trace.Trace, cfg MicroVMConfig, asCfg autoscale.Config, seed int64) AzureResult {
 	eng := sim.NewEngine(seed)
 	res := AzureResult{
-		CommittedMB: &stats.TimeSeries{},
-		ActiveMB:    &stats.TimeSeries{},
-		LatencyMS:   &stats.Sample{},
+		CommittedMB: &load.TimeSeries{},
+		ActiveMB:    &load.TimeSeries{},
+		LatencyMS:   &load.Sample{},
 	}
 	scalers := make(map[string]*autoscale.FnScaler, len(tr.Functions))
 	mem := make(map[string]int, len(tr.Functions))
@@ -99,9 +99,9 @@ func RunAzureDandelion(tr trace.Trace, cfg DandelionConfig, seed int64) AzureRes
 	cfg = cfg.withDefaults()
 	eng := sim.NewEngine(seed)
 	res := AzureResult{
-		CommittedMB: &stats.TimeSeries{},
-		ActiveMB:    &stats.TimeSeries{},
-		LatencyMS:   &stats.Sample{},
+		CommittedMB: &load.TimeSeries{},
+		ActiveMB:    &load.TimeSeries{},
+		LatencyMS:   &load.Sample{},
 	}
 	// Track live context memory by function.
 	liveMB := 0.0

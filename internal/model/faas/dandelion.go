@@ -2,8 +2,7 @@ package faas
 
 import (
 	"dandelion/internal/ctlplane"
-	"dandelion/internal/isolation"
-	"dandelion/internal/sim"
+	"dandelion/internal/model/sim"
 )
 
 // DandelionConfig parameterizes the Dandelion platform model.
@@ -14,7 +13,7 @@ type DandelionConfig struct {
 	// paper starts with one I/O core and lets the controller grow it.
 	CommCores int
 	// Profile is the isolation backend cost model (Table 1).
-	Profile isolation.CostProfile
+	Profile CostProfile
 	// Cached selects the in-memory binary cache (§7.4 "cached").
 	Cached bool
 	// Balance enables the PI-controller core reallocation (§5).
@@ -38,7 +37,7 @@ func (c DandelionConfig) withDefaults() DandelionConfig {
 		c.CommCores = c.Cores - 1
 	}
 	if c.Profile.TotalUS() == 0 {
-		c.Profile = isolation.X86KVM
+		c.Profile = X86KVM
 	}
 	if c.CommConcurrency <= 0 {
 		c.CommConcurrency = 64

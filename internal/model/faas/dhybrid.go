@@ -1,7 +1,7 @@
 package faas
 
 import (
-	"dandelion/internal/sim"
+	"dandelion/internal/model/sim"
 )
 
 // DHybridConfig parameterizes Dandelion-hybrid (§7.5): the same

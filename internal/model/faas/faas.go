@@ -6,14 +6,14 @@
 // ablation of §7.5.
 //
 // Every model runs on the deterministic discrete-event kernel in
-// internal/sim, so a full RPS sweep takes milliseconds and reproduces
+// internal/model/sim, so a full RPS sweep takes milliseconds and reproduces
 // bit-for-bit. Cost parameters come from the paper: Table 1 backend
 // breakdowns, §7.2 boot times, and §7.3 saturation points.
 package faas
 
 import (
-	"dandelion/internal/sim"
-	"dandelion/internal/workload"
+	"dandelion/internal/model/load"
+	"dandelion/internal/model/sim"
 )
 
 // App describes one application's per-request work, the knobs the
@@ -77,12 +77,12 @@ type Platform interface {
 
 // Sweep drives an open-loop Poisson arrival process at each RPS for
 // durationS seconds and collects a SweepPoint per rate.
-func Sweep(mk func(eng *sim.Engine) Platform, app App, rpsList []float64, durationS float64, seed int64) []workload.SweepPoint {
-	points := make([]workload.SweepPoint, 0, len(rpsList))
+func Sweep(mk func(eng *sim.Engine) Platform, app App, rpsList []float64, durationS float64, seed int64) []load.SweepPoint {
+	points := make([]load.SweepPoint, 0, len(rpsList))
 	for _, rps := range rpsList {
 		eng := sim.NewEngine(seed)
 		p := mk(eng)
-		rec := workload.NewRecorder()
+		rec := load.NewRecorder()
 		offered := 0
 		inHorizon := 0
 		eng.ExpArrivals(rps, sim.Time(durationS), func(int) {
@@ -101,7 +101,7 @@ func Sweep(mk func(eng *sim.Engine) Platform, app App, rpsList []float64, durati
 		// Run past the horizon so in-flight requests drain, but bound
 		// the drain so a saturated system still terminates.
 		eng.Run(sim.Time(durationS + 30))
-		points = append(points, workload.SweepPoint{
+		points = append(points, load.SweepPoint{
 			RPS:          rps,
 			Summary:      rec.Latency.Summarize(),
 			ColdFraction: rec.ColdFraction(),

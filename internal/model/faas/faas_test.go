@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"dandelion/internal/autoscale"
-	"dandelion/internal/isolation"
-	"dandelion/internal/sim"
-	"dandelion/internal/trace"
-	"dandelion/internal/workload"
+	"dandelion/internal/model/load"
+	"dandelion/internal/model/sim"
+	"dandelion/internal/model/trace"
 )
 
 func mkDandelion(cfg DandelionConfig) func(*sim.Engine) Platform {
@@ -28,8 +27,8 @@ func mkHybrid(cfg DHybridConfig) func(*sim.Engine) Platform {
 
 func TestDandelionUnloadedMatchesProfile(t *testing.T) {
 	// Unloaded 1x1 matmul latency ≈ cold start total (Table 1).
-	for _, p := range []isolation.CostProfile{
-		isolation.MorelloCheri, isolation.MorelloKVM, isolation.X86KVM,
+	for _, p := range []CostProfile{
+		MorelloCheri, MorelloKVM, X86KVM,
 	} {
 		got := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 4, Profile: p}), MatMul1(), 1)
 		want := (p.TotalUS() + 5) / 1000 // + compute 5µs
@@ -51,7 +50,7 @@ func TestFirecrackerUnloadedColdLatency(t *testing.T) {
 	}
 	// Order-of-magnitude headline (§7.2): Dandelion cold start is >10×
 	// faster than FC snapshot restore.
-	d := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 4, Profile: isolation.MorelloKVM}), MatMul1(), 1)
+	d := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 4, Profile: MorelloKVM}), MatMul1(), 1)
 	if snap/d < 10 {
 		t.Fatalf("FC-snapshot/Dandelion-KVM = %.1f, want > 10x", snap/d)
 	}
@@ -62,7 +61,7 @@ func TestFig5SaturationOrder(t *testing.T) {
 	// thousands of RPS; FC snapshot saturates near 120; FC full boot
 	// below 30 (§7.2).
 	rps := []float64{100, 1000, 4000}
-	cheri := Sweep(mkDandelion(DandelionConfig{Cores: 4, Profile: isolation.MorelloCheri}), MatMul1(), rps, 5, 1)
+	cheri := Sweep(mkDandelion(DandelionConfig{Cores: 4, Profile: MorelloCheri}), MatMul1(), rps, 5, 1)
 	for _, pt := range cheri {
 		if pt.Saturated(0.02) {
 			t.Fatalf("cheri saturated at %v RPS", pt.RPS)
@@ -84,7 +83,7 @@ func TestFig5SaturationOrder(t *testing.T) {
 func TestFig6SaturationPoints(t *testing.T) {
 	// 128x128 matmul on 16 cores: D-KVM sustains ~4500 RPS, Wasmtime
 	// saturates by ~2600 (§7.3).
-	dk := Sweep(mkDandelion(DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true}),
+	dk := Sweep(mkDandelion(DandelionConfig{Cores: 16, Profile: X86KVM, Cached: true}),
 		MatMul128(), []float64{4000}, 5, 1)
 	if dk[0].Saturated(0.03) {
 		t.Fatalf("D-KVM saturated at 4000 RPS: completed %d/%d", dk[0].Completed, dk[0].Offered)
@@ -120,7 +119,7 @@ func TestDandelionStableVarianceVsFirecracker(t *testing.T) {
 	// §7.3: Dandelion cold-starts every request yet keeps latency
 	// stable; FC at 97% hot shows a heavy tail.
 	rps := []float64{1000}
-	d := Sweep(mkDandelion(DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true}),
+	d := Sweep(mkDandelion(DandelionConfig{Cores: 16, Profile: X86KVM, Cached: true}),
 		MatMul128(), rps, 20, 1)
 	fc := Sweep(mkMicroVM(FirecrackerSnapshot(16, 0.97)), MatMul128(), rps, 20, 1)
 	if d[0].Summary.RelVarPct > fc[0].Summary.RelVarPct {
@@ -135,7 +134,7 @@ func TestDandelionStableVarianceVsFirecracker(t *testing.T) {
 func TestWarmCacheAblation(t *testing.T) {
 	// With the warm-cache ablation, later requests skip creation.
 	eng := sim.NewEngine(1)
-	d := NewDandelion(eng, DandelionConfig{Cores: 4, Profile: isolation.X86KVM, WarmCache: true})
+	d := NewDandelion(eng, DandelionConfig{Cores: 4, Profile: X86KVM, WarmCache: true})
 	n := 0
 	for i := 0; i < 50; i++ {
 		eng.At(sim.Time(float64(i)*0.01), func() {
@@ -181,7 +180,7 @@ func TestHybridTPCTradeoffs(t *testing.T) {
 	}
 
 	// Dandelion with the controller handles both without retuning.
-	dCfg := DandelionConfig{Cores: cores, Profile: isolation.X86KVM, Cached: true, Balance: true}
+	dCfg := DandelionConfig{Cores: cores, Profile: X86KVM, Cached: true, Balance: true}
 	dMat := Sweep(mkDandelion(dCfg), matmul, []float64{4200}, 5, 1)
 	dIO := Sweep(mkDandelion(dCfg), fetch, []float64{2500}, 5, 1)
 	if dMat[0].Saturated(0.03) {
@@ -194,7 +193,7 @@ func TestHybridTPCTradeoffs(t *testing.T) {
 
 func TestControllerMovesCoresUnderIOLoad(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := NewDandelion(eng, DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true, Balance: true, CommConcurrency: 8})
+	d := NewDandelion(eng, DandelionConfig{Cores: 16, Profile: X86KVM, Cached: true, Balance: true, CommConcurrency: 8})
 	app := FetchCompute(4)
 	eng.ExpArrivals(1200, 10, func(int) { d.Submit(app, func(float64, bool) {}) })
 	eng.RunAll()
@@ -209,8 +208,8 @@ func TestPhasesScaling(t *testing.T) {
 	// stays within ~2x of FC-hot, and far below FC cold-per-phase.
 	for _, phases := range []int{2, 8, 16} {
 		app := FetchCompute(phases)
-		d := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: isolation.X86KVM}), app, 1)
-		dc := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true}), app, 1)
+		d := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: X86KVM}), app, 1)
+		dc := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: X86KVM, Cached: true}), app, 1)
 		fcHot := UnloadedLatency(mkMicroVM(Firecracker(16, 1)), app, 1)
 		fcCold := UnloadedLatency(mkMicroVM(FirecrackerSnapshot(16, 0)), app, 1)
 		if dc > d {
@@ -224,8 +223,8 @@ func TestPhasesScaling(t *testing.T) {
 		}
 	}
 	// Linearity: doubling phases roughly doubles latency.
-	l4 := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: isolation.X86KVM}), FetchCompute(4), 1)
-	l8 := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: isolation.X86KVM}), FetchCompute(8), 1)
+	l4 := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: X86KVM}), FetchCompute(4), 1)
+	l8 := UnloadedLatency(mkDandelion(DandelionConfig{Cores: 16, Profile: X86KVM}), FetchCompute(8), 1)
 	if r := l8 / l4; r < 1.6 || r > 2.4 {
 		t.Fatalf("phase scaling ratio = %.2f, want ~2", r)
 	}
@@ -233,11 +232,11 @@ func TestPhasesScaling(t *testing.T) {
 
 func TestMultiplexFig8Shapes(t *testing.T) {
 	apps := [2]App{ImageCompression(), LogProcessing()}
-	patterns := [2]workload.Pattern{
-		workload.Bursty(40, 120, 60, 20, 5),
-		workload.Bursty(40, 160, 60, 15, 5),
+	patterns := [2]load.Pattern{
+		load.Bursty(40, 120, 60, 20, 5),
+		load.Bursty(40, 160, 60, 15, 5),
 	}
-	dCfg := DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true, Balance: true}
+	dCfg := DandelionConfig{Cores: 16, Profile: X86KVM, Cached: true, Balance: true}
 	d := RunMultiplex(mkDandelion(dCfg), apps, patterns, 1)
 	fc := RunMultiplex(mkMicroVM(FirecrackerSnapshot(16, 0.97)), apps, patterns, 1)
 	wt := RunMultiplex(mkWT(16), apps, patterns, 1)
@@ -267,7 +266,7 @@ func TestMultiplexFig8Shapes(t *testing.T) {
 func TestAzureMemoryCommitment(t *testing.T) {
 	tr := trace.Synthesize(400, 600, 9).Sample(100, 10)
 	kn := RunAzureKnative(tr, FirecrackerSnapshot(16, 0), autoscale.Config{}, 3)
-	dd := RunAzureDandelion(tr, DandelionConfig{Cores: 16, Profile: isolation.X86Process}, 3)
+	dd := RunAzureDandelion(tr, DandelionConfig{Cores: 16, Profile: X86Process}, 3)
 
 	knAvg := kn.CommittedMB.TimeAverage()
 	ddAvg := dd.CommittedMB.TimeAverage()
@@ -305,7 +304,7 @@ func TestGVisorWorseThanFCSnapshot(t *testing.T) {
 }
 
 func TestSweepDeterministic(t *testing.T) {
-	mk := mkDandelion(DandelionConfig{Cores: 8, Profile: isolation.X86KVM})
+	mk := mkDandelion(DandelionConfig{Cores: 8, Profile: X86KVM})
 	a := Sweep(mk, MatMul128(), []float64{500}, 5, 7)
 	b := Sweep(mk, MatMul128(), []float64{500}, 5, 7)
 	if a[0].Summary.Mean != b[0].Summary.Mean || a[0].Completed != b[0].Completed {

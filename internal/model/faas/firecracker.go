@@ -1,7 +1,7 @@
 package faas
 
 import (
-	"dandelion/internal/sim"
+	"dandelion/internal/model/sim"
 )
 
 // MicroVMConfig parameterizes the Firecracker/gVisor-style baseline: a

@@ -1,9 +1,8 @@
 package faas
 
 import (
-	"dandelion/internal/sim"
-	"dandelion/internal/stats"
-	"dandelion/internal/workload"
+	"dandelion/internal/model/load"
+	"dandelion/internal/model/sim"
 )
 
 // UnloadedLatency measures a single request's end-to-end latency on an
@@ -12,7 +11,7 @@ import (
 func UnloadedLatency(mk func(*sim.Engine) Platform, app App, seed int64) float64 {
 	eng := sim.NewEngine(seed)
 	p := mk(eng)
-	var lat stats.Sample
+	var lat load.Sample
 	var submit func(k int)
 	submit = func(k int) {
 		if k >= 9 {
@@ -32,19 +31,19 @@ func UnloadedLatency(mk func(*sim.Engine) Platform, app App, seed int64) float64
 // workload experiment.
 type MultiplexResult struct {
 	App       string
-	Summary   stats.Summary
+	Summary   load.Summary
 	Completed int
 }
 
 // RunMultiplex drives two applications with bursty arrival patterns on
 // one platform (Figure 8) and reports per-app latency statistics.
-func RunMultiplex(mk func(*sim.Engine) Platform, apps [2]App, patterns [2]workload.Pattern, seed int64) [2]MultiplexResult {
+func RunMultiplex(mk func(*sim.Engine) Platform, apps [2]App, patterns [2]load.Pattern, seed int64) [2]MultiplexResult {
 	eng := sim.NewEngine(seed)
 	p := mk(eng)
-	recs := [2]*workload.Recorder{workload.NewRecorder(), workload.NewRecorder()}
+	recs := [2]*load.Recorder{load.NewRecorder(), load.NewRecorder()}
 	for i := 0; i < 2; i++ {
 		i := i
-		workload.GeneratePattern(eng, patterns[i], func(int) {
+		load.GeneratePattern(eng, patterns[i], func(int) {
 			p.Submit(apps[i], func(lat float64, cold bool) { recs[i].Record(lat, cold) })
 		})
 	}

@@ -1,7 +1,7 @@
 package faas
 
 import (
-	"dandelion/internal/sim"
+	"dandelion/internal/model/sim"
 )
 
 // WasmtimeConfig parameterizes the Spin/Wasmtime baseline: pooled

@@ -1,20 +1,18 @@
-// Package workload provides open-loop load generation and latency
+// Package load provides open-loop load generation and latency
 // recording for the performance-model layer: constant-rate and Poisson
-// arrival processes, piecewise bursty load patterns (§7.6), and
-// recorders that produce the statistics the paper's figures plot.
-package workload
+// arrival processes, piecewise bursty load patterns (§7.6), recorders,
+// and the statistics (Sample, Summary, TimeSeries) the paper's figures
+// plot.
+package load
 
-import (
-	"dandelion/internal/sim"
-	"dandelion/internal/stats"
-)
+import "dandelion/internal/model/sim"
 
 // Recorder accumulates per-request results for one experiment run.
 type Recorder struct {
-	Latency *stats.Sample
+	Latency *Sample
 	// ColdLatency and HotLatency split requests by start type.
-	ColdLatency *stats.Sample
-	HotLatency  *stats.Sample
+	ColdLatency *Sample
+	HotLatency  *Sample
 	// Completed counts finished requests; Failed counts errors/drops.
 	Completed int
 	Failed    int
@@ -23,9 +21,9 @@ type Recorder struct {
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		Latency:     &stats.Sample{},
-		ColdLatency: &stats.Sample{},
-		HotLatency:  &stats.Sample{},
+		Latency:     &Sample{},
+		ColdLatency: &Sample{},
+		HotLatency:  &Sample{},
 	}
 }
 
@@ -119,7 +117,7 @@ func GeneratePattern(e *sim.Engine, p Pattern, fn func(i int)) {
 // latency-vs-throughput sweep.
 type SweepPoint struct {
 	RPS     float64
-	Summary stats.Summary
+	Summary Summary
 	// ColdFraction of completed requests.
 	ColdFraction float64
 	// Offered and Completed counts detect saturation (completed

@@ -1,10 +1,10 @@
-package workload
+package load
 
 import (
 	"math"
 	"testing"
 
-	"dandelion/internal/sim"
+	"dandelion/internal/model/sim"
 )
 
 func TestRecorderSplitsColdHot(t *testing.T) {

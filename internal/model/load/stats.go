@@ -1,11 +1,11 @@
-// Package stats provides the statistical primitives used by the workload
-// recorders and experiment harnesses: streaming summaries, exact
-// percentiles over collected samples, and time series.
-//
-// The experiment drivers report the same statistics the paper plots:
-// median, p5/p95 error bars, p99, p99.5, mean, and relative variance
-// (coefficient-of-variation style percentages as used in §7.6).
-package stats
+package load
+
+// The statistical primitives behind the recorders and the experiment
+// harnesses: streaming summaries, exact percentiles over collected
+// samples, and time series. The experiment drivers report the same
+// statistics the paper plots: median, p5/p95 error bars, p99, p99.5,
+// mean, and relative variance (coefficient-of-variation style
+// percentages as used in §7.6).
 
 import (
 	"fmt"
@@ -21,11 +21,6 @@ type Sample struct {
 	sorted bool
 	sum    float64
 	sumSq  float64
-}
-
-// NewSample returns a Sample with capacity pre-allocated for n values.
-func NewSample(n int) *Sample {
-	return &Sample{values: make([]float64, 0, n)}
 }
 
 // Add records one observation.

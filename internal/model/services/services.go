@@ -19,7 +19,7 @@ import (
 	"sync"
 	"time"
 
-	"dandelion/internal/sqlmini"
+	"dandelion/internal/model/sqlmini"
 )
 
 // Server wraps one HTTP service bound to a loopback ephemeral port.

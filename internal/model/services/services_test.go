@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"dandelion/internal/sqlmini"
+	"dandelion/internal/model/sqlmini"
 )
 
 func get(t *testing.T, url string) (int, []byte) {

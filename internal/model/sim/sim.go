@@ -1,5 +1,5 @@
 // Package sim is a deterministic discrete-event simulation kernel used by
-// the performance-model layer (internal/faas) to reproduce the paper's
+// the performance-model layer (internal/model/faas) to reproduce the paper's
 // evaluation at laptop scale.
 //
 // The kernel provides a virtual clock, an event heap, counting resources

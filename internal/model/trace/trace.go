@@ -16,7 +16,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"dandelion/internal/sim"
+	"dandelion/internal/model/sim"
 )
 
 // Function is one serverless function in the trace.

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"dandelion/internal/sim"
+	"dandelion/internal/model/sim"
 )
 
 func TestSynthesizeDeterministic(t *testing.T) {

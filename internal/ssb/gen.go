@@ -2,8 +2,10 @@
 // by the elastic query processing experiment in §7.7: a deterministic
 // data generator, a small columnar query engine with the operators the
 // paper ports from Apache Arrow Acero (filter, projection, hash join,
-// group-by aggregation, order by), the four SSB queries evaluated in
-// Figure 9, and a cost/latency model of AWS Athena for comparison.
+// group-by aggregation, order by) and the four SSB queries evaluated in
+// Figure 9. Workers serve these queries (internal/workloads); the
+// Athena cost/latency model Figure 9 compares against belongs to the
+// paper's model (internal/model/experiments).
 package ssb
 
 import (

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 
 	"dandelion/internal/memctx"
-	"dandelion/internal/services"
+	"dandelion/internal/model/services"
 )
 
 func TestFormatParseOpRoundTrip(t *testing.T) {

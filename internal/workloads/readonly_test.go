@@ -9,8 +9,8 @@ import (
 
 	"dandelion"
 	"dandelion/internal/journal"
+	"dandelion/internal/model/services"
 	"dandelion/internal/qoiimg"
-	"dandelion/internal/services"
 	"dandelion/internal/ssb"
 	"dandelion/internal/workloads"
 )

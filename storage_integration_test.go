@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"dandelion"
-	"dandelion/internal/services"
+	"dandelion/internal/model/services"
 )
 
 // TestStorageCommunicationFunction uses the second communication
