@@ -89,7 +89,7 @@ func FromInputs(sets []memctx.Set, quota int) (*FS, error) {
 			}
 			d := make([]byte, len(it.Data))
 			copy(d, it.Data)
-			fs.add(p, &file{data: d, readOnly: true, key: it.Key})
+			fs.put(p, &file{data: d, readOnly: true, key: it.Key})
 		}
 	}
 	return fs, nil
@@ -109,12 +109,14 @@ func (fs *FS) checkFile(p string) error {
 	return nil
 }
 
-// add stores a new file at p and counts it in every folder above p.
-func (fs *FS) add(p string, f *file) {
-	fs.files[p] = f
-	for d := path.Dir(p); d != "/"; d = path.Dir(d) {
-		fs.dirs[d]++
+// put stores f at p; a new file is counted in every folder above p.
+func (fs *FS) put(p string, f *file) {
+	if _, ok := fs.files[p]; !ok {
+		for d := path.Dir(p); d != "/"; d = path.Dir(d) {
+			fs.dirs[d]++
+		}
 	}
+	fs.files[p] = f
 }
 
 // lookup returns the file at the cleaned path c.
@@ -177,26 +179,22 @@ func (fs *FS) WriteFileKeyed(p string, data []byte, key string) error {
 	if rest == "" || !strings.Contains(rest, "/") {
 		return fmt.Errorf("%w: %s must be /out/<set>/<item>", ErrBadPath, p)
 	}
-	f, exists := fs.files[c]
-	if !exists {
-		if err := fs.checkFile(c); err != nil {
-			return err
+	old := 0
+	if f, ok := fs.files[c]; ok {
+		if f.readOnly {
+			return fmt.Errorf("%w: %s", ErrReadOnly, c)
 		}
-		f = &file{}
-	} else if f.readOnly {
-		return fmt.Errorf("%w: %s", ErrReadOnly, c)
+		old = len(f.data)
+	} else if err := fs.checkFile(c); err != nil {
+		return err
 	}
-	old := len(f.data)
 	if fs.used-old+len(data) > fs.quota {
 		return fmt.Errorf("%w: %d bytes over %d", ErrQuota, fs.used-old+len(data), fs.quota)
 	}
 	fs.used += len(data) - old
-	f.data = make([]byte, len(data))
-	copy(f.data, data)
-	f.key = key
-	if !exists {
-		fs.add(c, f)
-	}
+	d := make([]byte, len(data))
+	copy(d, data)
+	fs.put(c, &file{data: d, key: key})
 	return nil
 }
 
