@@ -42,9 +42,9 @@ func TestNewUnknown(t *testing.T) {
 	}
 }
 
-// The sandbox runs echo from its encoded binary, decoded as
-// registration decodes it.
-func TestExecuteEcho(t *testing.T) {
+// Every backend New accepts (now only "cheri") runs echo from its
+// encoded binary, decoded as registration decodes it.
+func TestAllBackendsExecuteEcho(t *testing.T) {
 	p, err := dvm.Decode(dvm.EchoProgram().Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestExecuteEcho(t *testing.T) {
 	}
 }
 
-func TestExecutePrepared(t *testing.T) {
+func TestAllBackendsPreparedPath(t *testing.T) {
 	out, err := sandbox(t).Execute(echoTask(dvm.EchoProgram()))
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestExecutePrepared(t *testing.T) {
 // it in the error body of a failed invocation.
 const faultPrefix = "cheri: capability fault: "
 
-func TestSyscallTrapped(t *testing.T) {
+func TestSyscallTrappedEverywhere(t *testing.T) {
 	_, err := sandbox(t).Execute(Task{Prepared: dvm.SyscallProgram(), MemBytes: 64})
 	if !errors.Is(err, dvm.ErrSyscallAttempt) || !strings.HasPrefix(err.Error(), faultPrefix) {
 		t.Errorf("err = %v, want a syscall trap", err)

@@ -11,7 +11,7 @@ import (
 
 	"dandelion"
 	"dandelion/internal/model/services"
-	"dandelion/internal/model/sqlmini"
+	"dandelion/internal/sqlmini"
 	"dandelion/internal/ssb"
 )
 

@@ -6,8 +6,8 @@ import (
 	"dandelion/internal/autoscale"
 	"dandelion/internal/model/faas"
 	"dandelion/internal/model/load"
-	"dandelion/internal/model/sim"
-	"dandelion/internal/model/trace"
+	"dandelion/internal/sim"
+	"dandelion/internal/trace"
 )
 
 // Seed fixed across drivers for reproducibility.

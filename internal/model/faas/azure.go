@@ -3,8 +3,8 @@ package faas
 import (
 	"dandelion/internal/autoscale"
 	"dandelion/internal/model/load"
-	"dandelion/internal/model/sim"
-	"dandelion/internal/model/trace"
+	"dandelion/internal/sim"
+	"dandelion/internal/trace"
 )
 
 // AzureResult is the outcome of one Azure-trace replay (Figures 1 and

@@ -2,7 +2,7 @@ package faas
 
 import (
 	"dandelion/internal/ctlplane"
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 // DandelionConfig parameterizes the Dandelion platform model.

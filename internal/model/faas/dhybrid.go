@@ -1,7 +1,7 @@
 package faas
 
 import (
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 // DHybridConfig parameterizes Dandelion-hybrid (§7.5): the same

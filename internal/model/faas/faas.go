@@ -6,14 +6,14 @@
 // ablation of §7.5.
 //
 // Every model runs on the deterministic discrete-event kernel in
-// internal/model/sim, so a full RPS sweep takes milliseconds and reproduces
+// internal/sim, so a full RPS sweep takes milliseconds and reproduces
 // bit-for-bit. Cost parameters come from the paper: Table 1 backend
 // breakdowns, §7.2 boot times, and §7.3 saturation points.
 package faas
 
 import (
 	"dandelion/internal/model/load"
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 // App describes one application's per-request work, the knobs the

@@ -5,8 +5,8 @@ import (
 
 	"dandelion/internal/autoscale"
 	"dandelion/internal/model/load"
-	"dandelion/internal/model/sim"
-	"dandelion/internal/model/trace"
+	"dandelion/internal/sim"
+	"dandelion/internal/trace"
 )
 
 func mkDandelion(cfg DandelionConfig) func(*sim.Engine) Platform {

@@ -1,7 +1,7 @@
 package faas
 
 import (
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 // MicroVMConfig parameterizes the Firecracker/gVisor-style baseline: a

@@ -2,7 +2,7 @@ package faas
 
 import (
 	"dandelion/internal/model/load"
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 // UnloadedLatency measures a single request's end-to-end latency on an

@@ -1,7 +1,7 @@
 package faas
 
 import (
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 // WasmtimeConfig parameterizes the Spin/Wasmtime baseline: pooled

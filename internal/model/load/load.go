@@ -5,7 +5,7 @@
 // plot.
 package load
 
-import "dandelion/internal/model/sim"
+import "dandelion/internal/sim"
 
 // Recorder accumulates per-request results for one experiment run.
 type Recorder struct {

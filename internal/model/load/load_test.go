@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 func TestRecorderSplitsColdHot(t *testing.T) {

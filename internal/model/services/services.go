@@ -19,7 +19,7 @@ import (
 	"sync"
 	"time"
 
-	"dandelion/internal/model/sqlmini"
+	"dandelion/internal/sqlmini"
 )
 
 // Server wraps one HTTP service bound to a loopback ephemeral port.

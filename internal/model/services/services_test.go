@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"dandelion/internal/model/sqlmini"
+	"dandelion/internal/sqlmini"
 )
 
 func get(t *testing.T, url string) (int, []byte) {

@@ -16,7 +16,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"dandelion/internal/model/sim"
+	"dandelion/internal/sim"
 )
 
 // Function is one serverless function in the trace.
