@@ -340,3 +340,32 @@ func TestFileOrDirectory(t *testing.T) {
 		}
 	}
 }
+
+// A name may contain ".." as a substring: only a ".." path element
+// climbs, and a cleaned rooted path has none. Confinement is checked on
+// the cleaned path, so a write that climbs out of /out is still refused.
+func TestDotDotInsideANameIsPlain(t *testing.T) {
+	names := []string{"v1..2", "a..", "..b"}
+	var items []memctx.Item
+	for _, n := range names {
+		items = append(items, memctx.Item{Name: n, Data: []byte("in:" + n)})
+	}
+	fs, err := FromInputs([]memctx.Set{{Name: "In", Items: items}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if got, err := fs.ReadFile("/in/In/" + n); err != nil || string(got) != "in:"+n {
+			t.Errorf("ReadFile(/in/In/%s) = %q, %v", n, got, err)
+		}
+		if err := fs.WriteFile("/out/S/"+n, []byte("out:"+n)); err != nil {
+			t.Errorf("WriteFile(/out/S/%s): %v", n, err)
+		}
+		if got, err := fs.ReadFile("/out/S/" + n); err != nil || string(got) != "out:"+n {
+			t.Errorf("ReadFile(/out/S/%s) = %q, %v", n, got, err)
+		}
+	}
+	if err := fs.WriteFile("/out/S/../../in/In/x", []byte("x")); !errors.Is(err, ErrOutsideIO) {
+		t.Errorf("write climbing out of /out: err = %v, want ErrOutsideIO", err)
+	}
+}
