@@ -67,15 +67,17 @@ bench-smoke:
 # (internal/ssb FuzzDecodeGroupSum — held to the fmt-based decoder it
 # replaced), the storage scan digests (internal/workloads
 # FuzzStoreSumDigest — whatever StoreSum accepts renders back to the
-# same bytes) and the lane-parallel blob generator (internal/workloads
-# FuzzMakeBlob — held to the sequential loop it replaced), short enough
-# for CI.
+# same bytes), the lane-parallel blob generator (internal/workloads
+# FuzzMakeBlob — held to the sequential loop it replaced) and the
+# functions' filesystem (internal/vfs FuzzVFS — held to a map-backed
+# reference), short enough for CI.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 5s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal/
 	$(GO) test -run XXX -fuzz FuzzDecodeGroupSum -fuzztime 5s ./internal/ssb/
 	$(GO) test -run XXX -fuzz FuzzStoreSumDigest -fuzztime 5s ./internal/workloads/
 	$(GO) test -run XXX -fuzz FuzzMakeBlob -fuzztime 5s ./internal/workloads/
+	$(GO) test -run XXX -fuzz FuzzVFS -fuzztime 5s ./internal/vfs/
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json): four
 # served workloads against a separately exec'd cmd/dandelion, validated
