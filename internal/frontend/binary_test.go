@@ -287,9 +287,9 @@ func TestBodyLimits413(t *testing.T) {
 	}
 
 	// JSON batch bodies over the cap answer 413 too.
-	var reqs []WireBatchRequest
+	var reqs []wire.BatchRequest
 	for i := 0; i < 8; i++ {
-		reqs = append(reqs, WireBatchRequest{Inputs: map[string][]WireItem{
+		reqs = append(reqs, wire.BatchRequest{Inputs: map[string][]wire.Item{
 			"In": {{Name: "i", Data: bytes.Repeat([]byte("b"), 512)}},
 		}})
 	}

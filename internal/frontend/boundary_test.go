@@ -24,15 +24,15 @@ const wireChunkSize = 256 << 10
 // error strings.
 func postBatchJSON(t *testing.T, url string, reqs []map[string][]dandelion.Item) (outs [][]byte, errs []string) {
 	t.Helper()
-	wireReqs := make([]WireBatchRequest, len(reqs))
+	wireReqs := make([]wire.BatchRequest, len(reqs))
 	for i, r := range reqs {
-		inputs := map[string][]WireItem{}
+		inputs := map[string][]wire.Item{}
 		for set, items := range r {
 			for _, it := range items {
-				inputs[set] = append(inputs[set], WireItem{Name: it.Name, Data: it.Data})
+				inputs[set] = append(inputs[set], wire.Item{Name: it.Name, Data: it.Data})
 			}
 		}
-		wireReqs[i] = WireBatchRequest{Inputs: inputs}
+		wireReqs[i] = wire.BatchRequest{Inputs: inputs}
 	}
 	buf, err := json.Marshal(wireReqs)
 	if err != nil {
@@ -49,7 +49,7 @@ func postBatchJSON(t *testing.T, url string, reqs []map[string][]dandelion.Item)
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("JSON batch: %d %s", resp.StatusCode, b)
 	}
-	var results []WireBatchResult
+	var results []wire.BatchResult
 	if err := json.NewDecoder(resp.Body).Decode(&results); err != nil {
 		t.Fatal(err)
 	}

@@ -505,21 +505,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSONBuffered(w, s.p.Stats())
 }
 
-// Wire types of the serving protocol, shared with clients
-// (internal/loadgen). The definitions live in the leaf package
-// internal/wire so clients can speak them without importing the
-// frontend; the historical Wire* names are kept as aliases. Item data
-// travels base64-encoded (the encoding/json default for []byte).
-
-// WireItem is one data item on the wire.
-type WireItem = wire.Item
-
-// WireBatchRequest is one request of a POST /invoke-batch/ body.
-type WireBatchRequest = wire.BatchRequest
-
-// WireBatchResult is one slot of a batch response, in request order.
-type WireBatchResult = wire.BatchResult
-
 // setsBytes sums the decoded payload bytes of one request's input
 // sets — the sample the byte-aware admission window divides against.
 func setsBytes(sets map[string][]dandelion.Item) int64 {
@@ -567,7 +552,7 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 		s.handleInvokeBatchBinary(ctx, w, r, name)
 		return
 	}
-	var wireReqs []WireBatchRequest
+	var wireReqs []wire.BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&wireReqs); err != nil {
 		bodyError(w, "bad batch body: ", err)
 		return
@@ -611,7 +596,7 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.adm.Finish(admitTenant, len(reqs), s.clockSeconds())
 
-	wireRes := make([]WireBatchResult, len(results))
+	wireRes := make([]wire.BatchResult, len(results))
 	for i, res := range results {
 		if res.Err != nil {
 			wireRes[i].Error = core.EncodeReason(res.Err)

@@ -13,6 +13,7 @@ import (
 
 	"dandelion"
 	"dandelion/internal/dvm"
+	"dandelion/internal/wire"
 )
 
 func newServer(t *testing.T) (*dandelion.Platform, *httptest.Server) {
@@ -514,9 +515,9 @@ composition E(In) => Result {
 		t.Fatal(err)
 	}
 
-	var reqs []WireBatchRequest
+	var reqs []wire.BatchRequest
 	for i := 0; i < 10; i++ {
-		reqs = append(reqs, WireBatchRequest{Inputs: map[string][]WireItem{
+		reqs = append(reqs, wire.BatchRequest{Inputs: map[string][]wire.Item{
 			"In": {{Name: "i", Data: []byte{byte('a' + i)}}},
 		}})
 	}
@@ -528,7 +529,7 @@ composition E(In) => Result {
 	if code != 200 {
 		t.Fatalf("batch = %d %s", code, body)
 	}
-	var res []WireBatchResult
+	var res []wire.BatchResult
 	if err := json.Unmarshal([]byte(body), &res); err != nil {
 		t.Fatal(err)
 	}

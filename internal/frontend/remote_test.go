@@ -15,6 +15,7 @@ import (
 	"dandelion"
 	"dandelion/internal/cluster"
 	"dandelion/internal/dvm"
+	"dandelion/internal/wire"
 )
 
 // TestInvokeDefaultOutputDeterministic pins the fix for the map-
@@ -215,9 +216,9 @@ func TestCoordinatorRoutesViaCluster(t *testing.T) {
 	}
 
 	var batch bytes.Buffer
-	if err := json.NewEncoder(&batch).Encode([]WireBatchRequest{
-		{Inputs: map[string][]WireItem{"In": {{Name: "x", Data: []byte("b0")}}}},
-		{Inputs: map[string][]WireItem{"In": {{Name: "x", Data: []byte("b1")}}}},
+	if err := json.NewEncoder(&batch).Encode([]wire.BatchRequest{
+		{Inputs: map[string][]wire.Item{"In": {{Name: "x", Data: []byte("b0")}}}},
+		{Inputs: map[string][]wire.Item{"In": {{Name: "x", Data: []byte("b1")}}}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestCoordinatorRoutesViaCluster(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("batch via coordinator: %d %s", code, body)
 	}
-	var results []WireBatchResult
+	var results []wire.BatchResult
 	if err := json.Unmarshal([]byte(body), &results); err != nil {
 		t.Fatal(err)
 	}

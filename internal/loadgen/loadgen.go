@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"dandelion/internal/frontend"
 	"dandelion/internal/memctx"
 	"dandelion/internal/wire"
 )
@@ -589,18 +588,18 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 func doBatch(cfg Config, client, seq int) reqStats {
 	var st reqStats
-	reqs := make([]frontend.WireBatchRequest, cfg.BatchSize)
+	reqs := make([]wire.BatchRequest, cfg.BatchSize)
 	for i := range reqs {
 		in := cfg.inputsFor(client, seq, i)
-		sets := make(map[string][]frontend.WireItem, len(in))
+		sets := make(map[string][]wire.Item, len(in))
 		for set, items := range in {
-			ws := make([]frontend.WireItem, len(items))
+			ws := make([]wire.Item, len(items))
 			for j, it := range items {
-				ws[j] = frontend.WireItem{Name: it.Name, Key: it.Key, Data: it.Data}
+				ws[j] = wire.Item{Name: it.Name, Key: it.Key, Data: it.Data}
 			}
 			sets[set] = ws
 		}
-		reqs[i] = frontend.WireBatchRequest{Inputs: sets, Key: cfg.reqKey(client, seq, i)}
+		reqs[i] = wire.BatchRequest{Inputs: sets, Key: cfg.reqKey(client, seq, i)}
 	}
 	buf := getBodyBuf()
 	defer putBodyBuf(buf)
@@ -627,7 +626,7 @@ func doBatch(cfg Config, client, seq int) reqStats {
 		return st
 	}
 	cr := &countingReader{r: resp.Body}
-	var results []frontend.WireBatchResult
+	var results []wire.BatchResult
 	err = json.NewDecoder(cr).Decode(&results)
 	st.bytesIn = cr.n
 	if err != nil {
@@ -736,7 +735,7 @@ func doBatchBinary(cfg Config, client, seq int) reqStats {
 // firstItem extracts the first item of the named output set, or of the
 // first non-empty set in sorted set-name order when name is empty —
 // mirroring /invoke's deterministic pick.
-func firstItem(outputs map[string][]frontend.WireItem, name string) []byte {
+func firstItem(outputs map[string][]wire.Item, name string) []byte {
 	if name != "" {
 		if its := outputs[name]; len(its) > 0 {
 			return its[0].Data

@@ -2,10 +2,9 @@
 // JSON types here, which travel between clients and frontends and carry
 // cluster membership (Join, Heartbeat), and the binary framing in
 // binary.go, the only form of the coordinator→worker hop. The frontend
-// (internal/frontend) serves these shapes and re-exports the JSON ones
-// under its historical Wire* names; the remote-worker client
-// (internal/cluster.RemoteNode) and the load generator
-// (internal/loadgen) speak them from the client side. Keeping them in a
+// (internal/frontend) serves these shapes; the remote-worker client
+// (internal/cluster.RemoteNode) and the end-to-end test harness in
+// internal/loadgen speak them from the client side. Keeping them in a
 // leaf package lets both ends share one definition without an import
 // cycle (frontend already imports cluster).
 //
