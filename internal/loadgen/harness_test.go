@@ -1,31 +1,31 @@
-// Package loadgen is a deterministic closed-loop load generator for the
-// Dandelion serving path, and the home of the end-to-end tests that
-// drive it (cluster, journal, chaos, mixed tenants). It runs M
-// concurrent clients against a real HTTP frontend (internal/frontend):
-// each client issues its requests sequentially (the next request starts
-// only after the previous response arrives), either one invocation per
-// request through POST /invoke/ or a batch per request through
-// POST /invoke-batch/, tagged with an X-Tenant header when
-// Config.Tenant is set.
+// Package loadgen holds the end-to-end tests of the Dandelion serving
+// path (cluster, journal, chaos, mixed tenants) and the closed-loop
+// harness that drives them. The harness runs M concurrent clients
+// against a real HTTP frontend (internal/frontend): each client issues
+// its requests sequentially (the next request starts only after the
+// previous response arrives), either one invocation per request through
+// POST /invoke/ or a batch per request through POST /invoke-batch/,
+// tagged with an X-Tenant header when Config.Tenant is set.
 //
-// The generator is deterministic by construction: a fixed client count,
+// The harness is deterministic by construction: a fixed client count,
 // a fixed request count per client, and a caller-supplied payload
 // function of (client, seq, index) — no randomness, no time-based
-// admission. The report carries throughput plus p50/p99/max request
-// latency, per run and per tenant. It is a test harness, not the
-// benchmark: performance is measured by bench/ (BENCHMARK.json).
+// admission. Its report counts requests, invocations, failures by
+// class and bytes sent, per run and per tenant; it times nothing.
+// Performance is measured by bench/ (BENCHMARK.json).
 package loadgen
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,12 +74,6 @@ type Config struct {
 	// form (Content-Type: application/x-dandelion-frame, docs/WIRE.md)
 	// instead of JSON. Single-invoke requests are unaffected.
 	Binary bool
-	// KeyPrefix, when set, stamps every invocation with a unique
-	// idempotency key ("<prefix>-c<client>-s<seq>#<i>"): batch requests
-	// carry per-request body keys (JSON field / binary 'K' frames) and
-	// single invokes send the Idempotency-Key header, driving the
-	// journaled keyed serving path end to end (docs/JOURNAL.md).
-	KeyPrefix string
 	// Payload produces the input bytes for invocation index i of
 	// request seq of a client; nil selects a small deterministic
 	// default.
@@ -155,31 +149,13 @@ func (ec *ErrorClasses) failMessage(msg string) {
 	ec.AppErrors++
 }
 
-// TenantReport is one tenant's slice of a run: the same throughput,
-// byte-rate, and request-latency numbers as the top-level report,
-// keyed by the X-Tenant the traffic travelled under ("default" when
-// none was set). This is the view a mixed-tenant run is read by — the
-// combined percentiles of an interactive stream and an analytics flood
-// say nothing about either.
+// TenantReport is one tenant's slice of a run, keyed by the X-Tenant
+// the traffic travelled under ("default" when none was set).
 type TenantReport struct {
 	Requests    int
 	Invocations int
 	Errors      int
-	// Duration spans this tenant's own streams (a tenant that finishes
-	// early is not billed for the rest of the mixed run); Throughput
-	// and BytesPerSec are computed over it.
-	Duration          time.Duration
-	Throughput        float64
-	BytesOut, BytesIn int64
-	BytesPerSec       float64
-	P50, P99, Max     time.Duration
-}
-
-// String renders the one-line per-tenant summary the harnesses log.
-func (t TenantReport) String() string {
-	return fmt.Sprintf("%d reqs (%d inv, %d errors) — %.0f inv/s, %.1f MB/s, p50=%v p99=%v max=%v",
-		t.Requests, t.Invocations, t.Errors, t.Throughput, t.BytesPerSec/1e6,
-		t.P50, t.P99, t.Max)
+	BytesOut    int64
 }
 
 // Report summarizes one run.
@@ -194,71 +170,44 @@ type Report struct {
 	// Classes breaks them down by cause.
 	Errors  int
 	Classes ErrorClasses
-	// Duration is the wall-clock time of the whole run.
-	Duration time.Duration
-	// Throughput is successful invocations per second.
-	Throughput float64
-	// BytesOut and BytesIn are the request and response payload bytes
-	// moved; BytesPerSec is their sum over the run duration — the wire
-	// bandwidth the serialization choice actually achieved.
-	BytesOut, BytesIn int64
-	BytesPerSec       float64
-	// P50, P99, Max are request-latency percentiles.
-	P50, P99, Max time.Duration
+	// BytesOut is the request payload bytes sent.
+	BytesOut int64
 	// Tenants breaks the run down by X-Tenant. A plain Run has one
 	// entry; RunMixed has one per distinct tenant across its streams.
 	Tenants map[string]TenantReport
 }
 
-// String renders the report as the one-line summary the harnesses log,
+// String renders the report as the one-line summary the tests log,
 // with one indented line per tenant when the run was mixed.
 func (r Report) String() string {
-	s := fmt.Sprintf(
-		"loadgen: %d reqs (%d invocations, %d errors) in %v — %.0f inv/s, %.1f MB/s, p50=%v p99=%v max=%v",
-		r.Requests, r.Invocations, r.Errors, r.Duration.Round(time.Millisecond),
-		r.Throughput, r.BytesPerSec/1e6, r.P50, r.P99, r.Max)
+	s := fmt.Sprintf("loadgen: %d reqs (%d invocations, %d errors), %d bytes out",
+		r.Requests, r.Invocations, r.Errors, r.BytesOut)
 	if r.Errors > 0 {
 		s += fmt.Sprintf(" [%s]", r.Classes)
 	}
 	if len(r.Tenants) > 1 {
-		names := make([]string, 0, len(r.Tenants))
-		for name := range r.Tenants {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			s += fmt.Sprintf("\n  tenant %s: %s", name, r.Tenants[name])
+		for _, name := range slices.Sorted(maps.Keys(r.Tenants)) {
+			s += fmt.Sprintf("\n  tenant %s: %+v", name, r.Tenants[name])
 		}
 	}
 	return s
 }
 
-// Run executes the configured closed loop and reports latency and
-// throughput.
-func Run(cfg Config) (Report, error) {
-	sd, err := runStream(cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	return buildReport([]streamData{sd}, sd.duration), nil
-}
+// Run executes the configured closed loop and reports it.
+func Run(cfg Config) (Report, error) { return RunMixed(cfg) }
 
 // RunMixed executes several closed-loop streams concurrently — the
 // mixed multi-tenant shape, typically one Config per tenant — and
 // reports them as one run: the top-level numbers span all streams,
-// and Report.Tenants carries each tenant's own latency percentiles,
-// throughput, and byte rate, which is the only view where fairness
-// between an interactive tenant and a large-payload flood is legible.
+// and Report.Tenants carries each tenant's own.
 func RunMixed(cfgs ...Config) (Report, error) {
 	if len(cfgs) == 0 {
 		return Report{}, errors.New("loadgen: RunMixed needs at least one Config")
 	}
 	sds := make([]streamData, len(cfgs))
 	errs := make([]error, len(cfgs))
-	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range cfgs {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -266,27 +215,32 @@ func RunMixed(cfgs ...Config) (Report, error) {
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return Report{}, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return Report{}, err
 	}
-	return buildReport(sds, elapsed), nil
+	rep := Report{Tenants: make(map[string]TenantReport)}
+	for _, sd := range sds {
+		rep.Requests += sd.requests
+		rep.Invocations += sd.invocations
+		rep.Errors += sd.errs
+		rep.Classes.add(sd.classes)
+		rep.BytesOut += sd.bytesOut
+		tr := rep.Tenants[sd.tenant]
+		tr.Requests += sd.requests
+		tr.Invocations += sd.invocations
+		tr.Errors += sd.errs
+		tr.BytesOut += sd.bytesOut
+		rep.Tenants[sd.tenant] = tr
+	}
+	return rep, nil
 }
 
-// streamData is one closed-loop stream's raw outcome, kept unreduced
-// so buildReport can merge percentiles across streams exactly.
+// streamData is one closed-loop stream's outcome.
 type streamData struct {
 	tenant      string
 	requests    int
 	invocations int
-	latencies   []time.Duration
-	errs        int
-	classes     ErrorClasses
-	bytesOut    int64
-	bytesIn     int64
-	duration    time.Duration
+	reqStats
 }
 
 // runStream drives one Config's closed loop to completion.
@@ -295,15 +249,9 @@ func runStream(cfg Config) (streamData, error) {
 		(cfg.InputSet == "" && cfg.Inputs == nil) {
 		return streamData{}, errors.New("loadgen: BaseURL (or BaseURLs), Composition, and InputSet (or Inputs) are required")
 	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 1
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 1
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1
-	}
+	cfg.Clients = max(cfg.Clients, 1)
+	cfg.Requests = max(cfg.Requests, 1)
+	cfg.BatchSize = max(cfg.BatchSize, 1)
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
@@ -313,125 +261,42 @@ func runStream(cfg Config) (streamData, error) {
 		}
 	}
 
-	type clientResult struct {
-		latencies []time.Duration
-		errs      int
-		classes   ErrorClasses
-		bytesOut  int64
-		bytesIn   int64
-	}
-	results := make([]clientResult, cfg.Clients)
-
-	start := time.Now()
+	results := make([]reqStats, cfg.Clients)
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
+	for c := range cfg.Clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := &results[c]
-			res.latencies = make([]time.Duration, 0, cfg.Requests)
-			for seq := 0; seq < cfg.Requests; seq++ {
-				t0 := time.Now()
-				st := doRequest(cfg, c, seq)
-				res.latencies = append(res.latencies, time.Since(t0))
-				res.errs += st.errs
-				res.classes.add(st.classes)
-				res.bytesOut += st.bytesOut
-				res.bytesIn += st.bytesIn
+			for seq := range cfg.Requests {
+				results[c].add(doRequest(cfg, c, seq))
 			}
 		}()
 	}
 	wg.Wait()
 
 	sd := streamData{
-		tenant:      tenantKey(cfg.Tenant),
+		tenant:      cmp.Or(cfg.Tenant, "default"),
 		requests:    cfg.Clients * cfg.Requests,
 		invocations: cfg.Clients * cfg.Requests * cfg.BatchSize,
-		duration:    time.Since(start),
 	}
 	for _, res := range results {
-		sd.latencies = append(sd.latencies, res.latencies...)
-		sd.errs += res.errs
-		sd.classes.add(res.classes)
-		sd.bytesOut += res.bytesOut
-		sd.bytesIn += res.bytesIn
+		sd.add(res)
 	}
 	return sd, nil
 }
 
-// tenantKey names the report bucket for a configured tenant.
-func tenantKey(tenant string) string {
-	if tenant == "" {
-		return "default"
-	}
-	return tenant
-}
-
-// buildReport reduces the streams into one Report: combined totals and
-// percentiles over every request, plus the per-tenant breakdown
-// (streams sharing a tenant merge).
-func buildReport(sds []streamData, elapsed time.Duration) Report {
-	rep := Report{Duration: elapsed, Tenants: make(map[string]TenantReport)}
-	var all []time.Duration
-	byTenant := map[string][]*streamData{}
-	for i := range sds {
-		sd := &sds[i]
-		rep.Requests += sd.requests
-		rep.Invocations += sd.invocations
-		rep.Errors += sd.errs
-		rep.Classes.add(sd.classes)
-		rep.BytesOut += sd.bytesOut
-		rep.BytesIn += sd.bytesIn
-		all = append(all, sd.latencies...)
-		byTenant[sd.tenant] = append(byTenant[sd.tenant], sd)
-	}
-	slices.Sort(all)
-	rep.P50 = percentile(all, 0.50)
-	rep.P99 = percentile(all, 0.99)
-	if len(all) > 0 {
-		rep.Max = all[len(all)-1]
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.Throughput = float64(rep.Invocations-rep.Errors) / secs
-		rep.BytesPerSec = float64(rep.BytesOut+rep.BytesIn) / secs
-	}
-	for tenant, group := range byTenant {
-		var tr TenantReport
-		var lats []time.Duration
-		for _, sd := range group {
-			tr.Requests += sd.requests
-			tr.Invocations += sd.invocations
-			tr.Errors += sd.errs
-			tr.BytesOut += sd.bytesOut
-			tr.BytesIn += sd.bytesIn
-			lats = append(lats, sd.latencies...)
-			if sd.duration > tr.Duration {
-				tr.Duration = sd.duration
-			}
-		}
-		slices.Sort(lats)
-		tr.P50 = percentile(lats, 0.50)
-		tr.P99 = percentile(lats, 0.99)
-		if len(lats) > 0 {
-			tr.Max = lats[len(lats)-1]
-		}
-		if secs := tr.Duration.Seconds(); secs > 0 {
-			tr.Throughput = float64(tr.Invocations-tr.Errors) / secs
-			tr.BytesPerSec = float64(tr.BytesOut+tr.BytesIn) / secs
-		}
-		rep.Tenants[tenant] = tr
-	}
-	return rep
-}
-
-// reqStats is what one round trip reports upward: failed invocations
-// and the payload bytes moved in each direction.
+// reqStats is what round trips add up to: failed invocations by class
+// and the request payload bytes sent.
 type reqStats struct {
 	errs     int
 	classes  ErrorClasses
 	bytesOut int64
-	bytesIn  int64
+}
+
+func (st *reqStats) add(o reqStats) {
+	st.errs += o.errs
+	st.classes.add(o.classes)
+	st.bytesOut += o.bytesOut
 }
 
 // failStatus / failTransport / failMessage count n failed invocations
@@ -488,37 +353,40 @@ func (cfg Config) targetURL(client, seq int) string {
 	return cfg.BaseURLs[(client+seq)%len(cfg.BaseURLs)]
 }
 
-// post issues one POST with the tenant header applied.
-func post(cfg Config, url, contentType string, body []byte) (*http.Response, error) {
-	return postKeyed(cfg, url, contentType, "", body)
-}
-
-// postKeyed is post with an optional Idempotency-Key header.
-func postKeyed(cfg Config, url, contentType, key string, body []byte) (*http.Response, error) {
+// send POSTs body with the tenant and deadline headers applied and
+// returns the response when it answered 200. Any other outcome fails
+// all n invocations the request carries, classified into st, and
+// returns nil.
+func send(cfg Config, st *reqStats, n int, url, contentType string, body []byte) *http.Response {
+	st.bytesOut = int64(len(body))
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		st.failTransport(n, err)
+		return nil
 	}
 	req.Header.Set("Content-Type", contentType)
 	if cfg.Tenant != "" {
 		req.Header.Set("X-Tenant", cfg.Tenant)
 	}
-	if key != "" {
-		req.Header.Set("Idempotency-Key", key)
-	}
 	if cfg.Deadline > 0 {
 		req.Header.Set("X-Deadline-Ms", strconv.FormatInt(int64(cfg.Deadline/time.Millisecond), 10))
 	}
-	return cfg.Client.Do(req)
-}
-
-// reqKey renders the idempotency key of invocation i of round trip
-// (client, seq); "" when keying is off.
-func (cfg Config) reqKey(client, seq, i int) string {
-	if cfg.KeyPrefix == "" {
-		return ""
+	resp, err := cfg.Client.Do(req)
+	if err != nil {
+		st.failTransport(n, err)
+		return nil
 	}
-	return fmt.Sprintf("%s-c%d-s%d#%d", cfg.KeyPrefix, client, seq, i)
+	if resp.StatusCode != http.StatusOK {
+		_, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			st.failTransport(n, err)
+		} else {
+			st.failStatus(n, resp.StatusCode)
+		}
+		return nil
+	}
+	return resp
 }
 
 func doSingle(cfg Config, client, seq int) reqStats {
@@ -526,22 +394,15 @@ func doSingle(cfg Config, client, seq int) reqStats {
 	if cfg.OutputSet != "" {
 		url += "&output=" + cfg.OutputSet
 	}
-	payload := cfg.Payload(client, seq, 0)
-	st := reqStats{bytesOut: int64(len(payload))}
-	resp, err := postKeyed(cfg, url, "application/octet-stream", cfg.reqKey(client, seq, 0), payload)
-	if err != nil {
-		st.failTransport(1, err)
+	var st reqStats
+	resp := send(cfg, &st, 1, url, "application/octet-stream", cfg.Payload(client, seq, 0))
+	if resp == nil {
 		return st
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	st.bytesIn = int64(len(body))
 	if err != nil {
 		st.failTransport(1, err)
-		return st
-	}
-	if resp.StatusCode != http.StatusOK {
-		st.failStatus(1, resp.StatusCode)
 		return st
 	}
 	if cfg.Validate != nil && cfg.Validate(client, seq, 0, body) != nil {
@@ -550,86 +411,29 @@ func doSingle(cfg Config, client, seq int) reqStats {
 	return st
 }
 
-// bodyBufPool recycles the request-body staging buffers across round
-// trips: a closed-loop client re-sending multi-MiB batches would
-// otherwise re-allocate (and re-grow) a body-sized buffer per request,
-// and that allocation dominated the client side of a large-payload
-// run. Buffers grown past maxPooledBodyBytes by one
-// outsized batch are dropped instead of pinned warm.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBodyBytes = 64 << 20
-
-func getBodyBuf() *bytes.Buffer {
-	b := bodyBufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-func putBodyBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBodyBytes {
-		bodyBufPool.Put(b)
-	}
-}
-
-// countingReader counts the bytes a streaming decode consumed, so the
-// report's wire-bandwidth numbers stay exact without buffering the
-// whole response first.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 func doBatch(cfg Config, client, seq int) reqStats {
 	var st reqStats
 	reqs := make([]wire.BatchRequest, cfg.BatchSize)
 	for i := range reqs {
-		in := cfg.inputsFor(client, seq, i)
-		sets := make(map[string][]wire.Item, len(in))
-		for set, items := range in {
-			ws := make([]wire.Item, len(items))
-			for j, it := range items {
-				ws[j] = wire.Item{Name: it.Name, Key: it.Key, Data: it.Data}
-			}
-			sets[set] = ws
+		sets := map[string][]wire.Item{}
+		for set, items := range cfg.inputsFor(client, seq, i) {
+			sets[set] = wire.FromItems(items)
 		}
-		reqs[i] = wire.BatchRequest{Inputs: sets, Key: cfg.reqKey(client, seq, i)}
+		reqs[i] = wire.BatchRequest{Inputs: sets}
 	}
-	buf := getBodyBuf()
-	defer putBodyBuf(buf)
-	if err := json.NewEncoder(buf).Encode(reqs); err != nil {
+	body, err := json.Marshal(reqs)
+	if err != nil {
 		st.failApp(cfg.BatchSize)
 		return st
 	}
-	st.bytesOut = int64(buf.Len())
-	resp, err := post(cfg, cfg.targetURL(client, seq)+"/invoke-batch/"+cfg.Composition,
-		"application/json", buf.Bytes())
-	if err != nil {
-		st.failTransport(cfg.BatchSize, err)
+	resp := send(cfg, &st, cfg.BatchSize, cfg.targetURL(client, seq)+"/invoke-batch/"+cfg.Composition,
+		"application/json", body)
+	if resp == nil {
 		return st
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, rerr := io.ReadAll(resp.Body)
-		st.bytesIn = int64(len(raw))
-		if rerr != nil {
-			st.failTransport(cfg.BatchSize, rerr)
-			return st
-		}
-		st.failStatus(cfg.BatchSize, resp.StatusCode)
-		return st
-	}
-	cr := &countingReader{r: resp.Body}
 	var results []wire.BatchResult
-	err = json.NewDecoder(cr).Decode(&results)
-	st.bytesIn = cr.n
-	if err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&results); err != nil {
 		st.failTransport(cfg.BatchSize, err)
 		return st
 	}
@@ -642,31 +446,21 @@ func doBatch(cfg Config, client, seq int) reqStats {
 			st.failMessage(res.Error)
 			continue
 		}
-		if cfg.Validate != nil {
-			payload := firstItem(res.Outputs, cfg.OutputSet)
-			if cfg.Validate(client, seq, i, payload) != nil {
-				st.failApp(1)
-			}
+		if cfg.Validate != nil && cfg.Validate(client, seq, i, firstItem(res.Outputs, cfg.OutputSet).Data) != nil {
+			st.failApp(1)
 		}
 	}
 	return st
 }
 
-// doBatchBinary is doBatch in the length-prefixed binary framing: no
-// base64, no JSON reflection, pooled frame buffers on both sides. The
-// request body is staged in a pooled buffer (the encoder's vectored
-// payload writes land in it without intermediate copies growing a
-// fresh allocation per request) and the response is decoded straight
-// off the body stream into the decoder's pooled slabs — no
-// io.ReadAll of a multi-MiB response.
+// doBatchBinary is doBatch in the length-prefixed binary framing; the
+// response is decoded straight off the body stream.
 func doBatchBinary(cfg Config, client, seq int) reqStats {
 	var st reqStats
-	buf := getBodyBuf()
-	defer putBodyBuf(buf)
-	enc := wire.NewEncoder(buf)
-	for i := 0; i < cfg.BatchSize; i++ {
-		if err := enc.EncodeKeyedRequest(cfg.reqKey(client, seq, i),
-			cfg.inputsFor(client, seq, i)); err != nil {
+	var buf bytes.Buffer
+	enc := wire.NewEncoder(&buf)
+	for i := range cfg.BatchSize {
+		if err := enc.EncodeRequest(cfg.inputsFor(client, seq, i)); err != nil {
 			enc.Release()
 			st.failApp(cfg.BatchSize)
 			return st
@@ -678,26 +472,13 @@ func doBatchBinary(cfg Config, client, seq int) reqStats {
 		st.failApp(cfg.BatchSize)
 		return st
 	}
-	st.bytesOut = int64(buf.Len())
-	resp, err := post(cfg, cfg.targetURL(client, seq)+"/invoke-batch/"+cfg.Composition,
+	resp := send(cfg, &st, cfg.BatchSize, cfg.targetURL(client, seq)+"/invoke-batch/"+cfg.Composition,
 		wire.ContentTypeBinary, buf.Bytes())
-	if err != nil {
-		st.failTransport(cfg.BatchSize, err)
+	if resp == nil {
 		return st
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, rerr := io.ReadAll(resp.Body)
-		st.bytesIn = int64(len(raw))
-		if rerr != nil {
-			st.failTransport(cfg.BatchSize, rerr)
-			return st
-		}
-		st.failStatus(cfg.BatchSize, resp.StatusCode)
-		return st
-	}
-	cr := &countingReader{r: resp.Body}
-	dec := wire.NewDecoder(cr)
+	dec := wire.NewDecoder(resp.Body)
 	n := 0
 	for ; ; n++ {
 		outputs, errMsg, derr := dec.DecodeResult()
@@ -714,15 +495,12 @@ func doBatchBinary(cfg Config, client, seq int) reqStats {
 			st.failMessage(errMsg)
 			continue
 		}
-		if cfg.Validate != nil {
-			if cfg.Validate(client, seq, n, firstItemSets(outputs, cfg.OutputSet)) != nil {
-				st.failApp(1)
-			}
+		if cfg.Validate != nil && cfg.Validate(client, seq, n, firstItem(outputs, cfg.OutputSet).Data) != nil {
+			st.failApp(1)
 		}
 	}
 	dec.Recycle()
 	dec.Release()
-	st.bytesIn = cr.n
 	if n != cfg.BatchSize {
 		// A truncated or malformed stream fails the whole batch; undo the
 		// per-slot classifications counted above so classes still sum.
@@ -732,63 +510,20 @@ func doBatchBinary(cfg Config, client, seq int) reqStats {
 	return st
 }
 
-// firstItem extracts the first item of the named output set, or of the
+// firstItem returns the first item of the named output set, or of the
 // first non-empty set in sorted set-name order when name is empty —
-// mirroring /invoke's deterministic pick.
-func firstItem(outputs map[string][]wire.Item, name string) []byte {
-	if name != "" {
-		if its := outputs[name]; len(its) > 0 {
-			return its[0].Data
-		}
-		return nil
+// mirroring /invoke's deterministic pick — in either framing's item
+// type; the zero item when there is none.
+func firstItem[T any](outputs map[string][]T, name string) T {
+	sets := []string{name}
+	if name == "" {
+		sets = slices.Sorted(maps.Keys(outputs))
 	}
-	sets := make([]string, 0, len(outputs))
-	for set := range outputs {
-		sets = append(sets, set)
-	}
-	sort.Strings(sets)
 	for _, set := range sets {
 		if its := outputs[set]; len(its) > 0 {
-			return its[0].Data
+			return its[0]
 		}
 	}
-	return nil
-}
-
-// firstItemSets is firstItem for the binary framing's platform-shaped
-// output maps.
-func firstItemSets(outputs map[string][]memctx.Item, name string) []byte {
-	if name != "" {
-		if its := outputs[name]; len(its) > 0 {
-			return its[0].Data
-		}
-		return nil
-	}
-	sets := make([]string, 0, len(outputs))
-	for set := range outputs {
-		sets = append(sets, set)
-	}
-	sort.Strings(sets)
-	for _, set := range sets {
-		if its := outputs[set]; len(its) > 0 {
-			return its[0].Data
-		}
-	}
-	return nil
-}
-
-// percentile reads the q-quantile from sorted latencies using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(q*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	var zero T
+	return zero
 }

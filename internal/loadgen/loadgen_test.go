@@ -76,12 +76,6 @@ func TestRunSingleMode(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Fatalf("errors = %d: %s", rep.Errors, rep)
 	}
-	if rep.Throughput <= 0 {
-		t.Fatalf("throughput = %v", rep.Throughput)
-	}
-	if rep.P50 > rep.P99 || rep.P99 > rep.Max || rep.Max <= 0 {
-		t.Fatalf("percentiles out of order: %s", rep)
-	}
 	if st := p.Stats(); st.Invocations != 40 {
 		t.Fatalf("platform saw %d invocations, want 40", st.Invocations)
 	}
@@ -140,27 +134,11 @@ func TestRunCountsErrors(t *testing.T) {
 	if rep.Errors != rep.Invocations {
 		t.Fatalf("errors = %d, want all %d invocations", rep.Errors, rep.Invocations)
 	}
-	if rep.Throughput != 0 {
-		t.Fatalf("throughput with all errors = %v, want 0", rep.Throughput)
-	}
 }
 
 func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("empty config accepted")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	sorted := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := percentile(sorted, 0.50); p != 5 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := percentile(sorted, 0.99); p != 10 {
-		t.Fatalf("p99 = %v", p)
-	}
-	if p := percentile(nil, 0.5); p != 0 {
-		t.Fatalf("empty percentile = %v", p)
 	}
 }
 
@@ -351,8 +329,8 @@ composition S(In) => Result {
 }
 
 // TestRunBatchModeBinary drives the closed loop over the binary wire
-// framing: results validate exactly as in JSON mode, byte accounting
-// is populated, and the platform sees the same invocation count.
+// framing: results validate exactly as in JSON mode, bytes sent are
+// counted, and the platform sees the same invocation count.
 func TestRunBatchModeBinary(t *testing.T) {
 	p, srv := newEchoServer(t)
 	rep, err := Run(Config{
@@ -381,8 +359,8 @@ func TestRunBatchModeBinary(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Fatalf("errors = %d: %s", rep.Errors, rep)
 	}
-	if rep.BytesOut <= 0 || rep.BytesIn <= 0 || rep.BytesPerSec <= 0 {
-		t.Fatalf("byte accounting missing: out=%d in=%d rate=%v", rep.BytesOut, rep.BytesIn, rep.BytesPerSec)
+	if rep.BytesOut <= 0 {
+		t.Fatalf("byte accounting missing: out=%d", rep.BytesOut)
 	}
 	if st := p.Stats(); st.Invocations != 120 {
 		t.Fatalf("platform saw %d invocations, want 120", st.Invocations)
@@ -409,12 +387,6 @@ func TestRunReportsTenantBreakdown(t *testing.T) {
 	}
 	if tr.Requests != rep.Requests || tr.Invocations != rep.Invocations {
 		t.Fatalf("tenant slice %+v disagrees with report %s", tr, rep)
-	}
-	if tr.P50 > tr.P99 || tr.P99 > tr.Max || tr.Max <= 0 {
-		t.Fatalf("tenant percentiles out of order: %+v", tr)
-	}
-	if tr.BytesPerSec <= 0 || tr.Throughput <= 0 {
-		t.Fatalf("tenant rates not computed: %+v", tr)
 	}
 }
 
