@@ -122,6 +122,30 @@ func TestHostileBinaryDoesNotKillNode(t *testing.T) {
 	}
 }
 
+// The raw route's answer is the function's bytes, whatever they look
+// like: an output that starts with <html must not be sniffed into
+// text/html, on the default path or the ?output= path.
+func TestInvokeAnswersOctetStream(t *testing.T) {
+	_, h := newEchoServer(t, Config{})
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	page := "<html><body>x</body></html>"
+	for _, path := range []string{"/invoke/E?input=In", "/invoke/E?input=In&output=Result"} {
+		resp, err := http.Post(srv.URL+path, "application/octet-stream", strings.NewReader(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || string(b) != page {
+			t.Fatalf("POST %s = %d %q", path, resp.StatusCode, b)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Errorf("POST %s Content-Type = %q, want application/octet-stream", path, ct)
+		}
+	}
+}
+
 func TestFrontendErrors(t *testing.T) {
 	_, srv := newServer(t)
 	cases := []struct {
