@@ -480,7 +480,7 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		w.Write(items[0].Data)
+		writeRaw(w, items[0].Data)
 		return
 	}
 	// No output requested: pick the first non-empty set in sorted
@@ -494,11 +494,19 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(sets)
 	for _, set := range sets {
 		if items := out[set]; len(items) > 0 {
-			w.Write(items[0].Data)
+			writeRaw(w, items[0].Data)
 			return
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// writeRaw answers a function's output bytes as they are. Naming the
+// type keeps net/http from sniffing it: an output that starts with
+// <html would otherwise go out as text/html.
+func writeRaw(w http.ResponseWriter, data []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(data)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
