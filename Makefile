@@ -4,9 +4,9 @@ GO ?= go
 
 # ci is the tier-1 gate: everything must build, vet clean, pass under
 # the race detector, stay green when the concurrent packages' tests
-# are repeated (flake), keep three packages' microbenchmarks running
+# are repeated (flake), keep four packages' microbenchmarks running
 # (bench-smoke catches hot paths that compile fine but no longer
-# execute), keep the binary wire codec and the journal file decoder
+# execute), keep the wire codecs and the journal file decoder
 # honest against malformed inputs (fuzz-smoke), keep the multi-process
 # cluster path alive (e2e-cluster), keep crash recovery honest
 # (e2e-journal), keep the deadline/retry/breaker machinery honest under
@@ -46,22 +46,29 @@ race:
 flake:
 	$(GO) test -race -count=20 ./internal/engine ./internal/ctlplane ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
-# bench-smoke runs three packages' microbenchmarks once each: not a
+# bench-smoke runs four packages' microbenchmarks once each: not a
 # performance measurement (bench-e2e is that), just proof the hot paths
 # still execute — the journal append path (memory vs file,
 # with/without batching), the executor's walk over one statement, a
-# chain and a diamond (internal/core BenchmarkInvoke), and both SSB
+# chain and a diamond (internal/core BenchmarkInvoke), both SSB
 # generators: the dimension tables a worker builds at registration
 # (internal/ssb BenchmarkGenerateDims, ssb.GenerateDims) and the whole
-# database clients and tests build (BenchmarkGenerate, ssb.Generate).
+# database clients and tests build (BenchmarkGenerate, ssb.Generate),
+# and the JSON batch body decode, encoding/json beside the scanner
+# wire.DecodeBatchJSON takes for the compact form (internal/wire
+# BenchmarkDecodeBatchJSON).
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run XXX -bench 'BenchmarkInvoke' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Dims)?$$' -benchtime 1x -benchmem ./internal/ssb/
+	$(GO) test -run XXX -bench 'BenchmarkDecodeBatchJSON' -benchtime 1x -benchmem ./internal/wire/
 
 # fuzz-smoke runs the codec fuzzers briefly: long enough to replay the
 # corpus and probe a few thousand mutations each of the binary framing
-# grammar (internal/wire FuzzWireRoundTrip), the journal file format
+# grammar (internal/wire FuzzWireRoundTrip), the JSON batch body
+# decoder (internal/wire FuzzDecodeBatchJSON — held to encoding/json,
+# and the compact form json.Marshal writes must take the scanner),
+# the journal file format
 # (internal/journal FuzzJournalReplay — torn writes, flipped CRCs,
 # adversarial lengths), the SSB partial-aggregate rows
 # (internal/ssb FuzzDecodeGroupSum — held to the fmt-based decoder it
@@ -73,6 +80,7 @@ bench-smoke:
 # reference), short enough for CI.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 5s ./internal/wire/
+	$(GO) test -run XXX -fuzz FuzzDecodeBatchJSON -fuzztime 5s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal/
 	$(GO) test -run XXX -fuzz FuzzDecodeGroupSum -fuzztime 5s ./internal/ssb/
 	$(GO) test -run XXX -fuzz FuzzStoreSumDigest -fuzztime 5s ./internal/workloads/

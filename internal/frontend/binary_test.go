@@ -306,8 +306,15 @@ func TestBodyLimits413(t *testing.T) {
 		t.Fatalf("oversized batch: %d %s", resp.StatusCode, b)
 	}
 
+	// The whole JSON body counts, not just its first value: a batch
+	// that ends inside the cap but is followed past it is 413 too.
+	code, body := post(t, srv.URL+"/invoke-batch/E", nil, append([]byte("[]"), bytes.Repeat([]byte(" "), 2048)...))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch with trailing bytes past the cap: %d %s", code, body)
+	}
+
 	// A within-limit request still works.
-	code, body := post(t, srv.URL+"/invoke/E?input=In", nil, []byte("small"))
+	code, body = post(t, srv.URL+"/invoke/E?input=In", nil, []byte("small"))
 	if code != 200 || body != "small" {
 		t.Fatalf("within-limit invoke: %d %q", code, body)
 	}

@@ -25,6 +25,7 @@
 package frontend
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,6 +35,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dandelion"
@@ -560,8 +562,12 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 		s.handleInvokeBatchBinary(ctx, w, r, name)
 		return
 	}
-	var wireReqs []wire.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&wireReqs); err != nil {
+	buf := jsonBodies.Get().(*bytes.Buffer)
+	wireReqs, err := decodeJSONBatch(buf, r.Body)
+	if buf.Cap() <= maxPooledBody {
+		jsonBodies.Put(buf)
+	}
+	if err != nil {
 		bodyError(w, "bad batch body: ", err)
 		return
 	}
@@ -614,6 +620,23 @@ func (s *server) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(wireRes)
+}
+
+// jsonBodies pools the JSON batch route's body buffers. A buffer that
+// grew past maxPooledBody is dropped rather than kept alive.
+var jsonBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// decodeJSONBatch reads a whole JSON batch body, up to limitBody's cap,
+// into buf and decodes it. wire.DecodeBatchJSON copies everything out
+// of the body, so buf may be reused as soon as this returns.
+func decodeJSONBatch(buf *bytes.Buffer, body io.Reader) ([]wire.BatchRequest, error) {
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return nil, err
+	}
+	return wire.DecodeBatchJSON(buf.Bytes())
 }
 
 // handleInvokeBatchBinary is the streaming form of the batch route

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,6 +143,33 @@ func TestInvokeAnswersOctetStream(t *testing.T) {
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 			t.Errorf("POST %s Content-Type = %q, want application/octet-stream", path, ct)
+		}
+	}
+}
+
+// The JSON batch route decodes out of a pooled buffer that the next
+// request overwrites: on both decode paths, what the next body writes
+// there must not reach the requests decoded before.
+func TestJSONBatchPooledBodyPoisoned(t *testing.T) {
+	for _, body := range []string{
+		`[{"inputs":{"In":[{"name":"x","key":"k","data":"aGk="}]},"key":"r"}]`,            // scanner
+		`[ {"inputs": {"In": [{"name": "x", "key": "k", "data": "aGk="}]}, "key": "r"} ]`, // encoding/json
+	} {
+		want, err := wire.DecodeBatchJSON([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		got, err := decodeJSONBatch(&buf, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		poison := buf.Bytes()[:buf.Cap()]
+		for i := range poison {
+			poison[i] = 0xAA
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %s: after the buffer was overwritten got %#v, want %#v", body, got, want)
 		}
 	}
 }
