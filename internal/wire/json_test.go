@@ -210,7 +210,7 @@ func BenchmarkDecodeBatchJSON(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				if _, err := c.decode(body); err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,10 @@
 //
 // Item data travels base64-encoded (the encoding/json default for
 // []byte). Field names are the protocol; changing a tag is a wire
-// break.
+// break. The frontend reads a whole JSON batch body, up to its body
+// cap, and decodes it with DecodeBatchJSON (json.go): the compact form
+// json.Marshal writes takes a one-pass scanner and every other body
+// takes encoding/json, so both give the same value or the same error.
 package wire
 
 import "dandelion/internal/memctx"
