@@ -1,26 +1,35 @@
 GO ?= go
 
-.PHONY: ci fmt build vet test race flake bench-smoke bench-e2e fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+.PHONY: ci fmt build cross vet test race flake bench-smoke bench-e2e fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
 
-# ci is the tier-1 gate: everything must build, vet clean, pass under
-# the race detector, stay green when the concurrent packages' tests
-# are repeated (flake), keep four packages' microbenchmarks running
-# (bench-smoke catches hot paths that compile fine but no longer
-# execute), keep the wire codecs and the journal file decoder
-# honest against malformed inputs (fuzz-smoke), keep the multi-process
-# cluster path alive (e2e-cluster), keep crash recovery honest
-# (e2e-journal), keep the deadline/retry/breaker machinery honest under
-# injected faults (e2e-chaos), keep byte-fair scheduling honest under a
-# mixed large-payload load (e2e-mixed), keep the docs honest
-# (docs-check catches references to removed symbols and files), and
-# keep every Go file gofmt clean (fmt).
-ci: fmt build vet race flake bench-smoke fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+# ci is the tier-1 gate: everything must build, here and for windows
+# and darwin (cross), vet clean, pass under the race detector, stay
+# green when the concurrent packages' tests are repeated (flake), keep
+# four packages' microbenchmarks running (bench-smoke catches hot paths
+# that compile fine but no longer execute), keep the wire codecs, the
+# journal file decoder and the completed-key table honest against
+# malformed inputs and operation scripts (fuzz-smoke), keep the
+# multi-process cluster path alive (e2e-cluster), keep crash recovery
+# honest (e2e-journal), keep the deadline/retry/breaker machinery
+# honest under injected faults (e2e-chaos), keep byte-fair scheduling
+# honest under a mixed large-payload load (e2e-mixed), keep the docs
+# honest (docs-check catches references to removed symbols and files),
+# and keep every Go file gofmt clean (fmt).
+ci: fmt build cross vet race flake bench-smoke fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
 
 fmt:
 	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
+
+# cross builds the tree for windows and darwin: the dedup table's log
+# takes its chunks from anonymous mmap on unix and from the heap
+# elsewhere (internal/journal chunk_unix.go, chunk_other.go), and both
+# sources must keep compiling.
+cross:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=darwin GOARCH=amd64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -49,7 +58,9 @@ flake:
 # bench-smoke runs four packages' microbenchmarks once each: not a
 # performance measurement (bench-e2e is that), just proof the hot paths
 # still execute — the journal append path (memory vs file,
-# with/without batching), the executor's walk over one statement, a
+# with/without batching), the completed-key table at its full default
+# bound, a Complete that evicts and a duplicate hit (internal/journal
+# BenchmarkDedup), the executor's walk over one statement, a
 # chain and a diamond (internal/core BenchmarkInvoke), both SSB
 # generators: the dimension tables a worker builds at registration
 # (internal/ssb BenchmarkGenerateDims, ssb.GenerateDims) and the whole
@@ -58,7 +69,7 @@ flake:
 # wire.DecodeBatchJSON takes for the compact form (internal/wire
 # BenchmarkDecodeBatchJSON).
 bench-smoke:
-	$(GO) test -run XXX -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
+	$(GO) test -run XXX -bench 'BenchmarkJournalAppend|BenchmarkDedup' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run XXX -bench 'BenchmarkInvoke' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Dims)?$$' -benchtime 1x -benchmem ./internal/ssb/
 	$(GO) test -run XXX -bench 'BenchmarkDecodeBatchJSON' -benchtime 1x -benchmem ./internal/wire/
@@ -70,7 +81,8 @@ bench-smoke:
 # and the compact form json.Marshal writes must take the scanner),
 # the journal file format
 # (internal/journal FuzzJournalReplay — torn writes, flipped CRCs,
-# adversarial lengths), the SSB partial-aggregate rows
+# adversarial lengths), the completed-key table (internal/journal
+# FuzzDedup — operation scripts held to a map-and-FIFO reference), the SSB partial-aggregate rows
 # (internal/ssb FuzzDecodeGroupSum — held to the fmt-based decoder it
 # replaced), the storage scan digests (internal/workloads
 # FuzzStoreSumDigest — whatever StoreSum accepts renders back to the
@@ -82,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 5s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzDecodeBatchJSON -fuzztime 5s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal/
+	$(GO) test -run XXX -fuzz FuzzDedup -fuzztime 5s ./internal/journal/
 	$(GO) test -run XXX -fuzz FuzzDecodeGroupSum -fuzztime 5s ./internal/ssb/
 	$(GO) test -run XXX -fuzz FuzzStoreSumDigest -fuzztime 5s ./internal/workloads/
 	$(GO) test -run XXX -fuzz FuzzMakeBlob -fuzztime 5s ./internal/workloads/

@@ -234,18 +234,25 @@ func randomDedupOps(rng *rand.Rand, n, keys int) []dedupOp {
 	return ops
 }
 
+// collidingHashMask sends every key to one of four hashes, so that
+// schedules run through the log's same-hash chains and their eviction.
+const collidingHashMask = 3
+
 // TestDedupMatchesReference is the table's differential test: seeded
 // random schedules of Reserve, Complete, Release, MarkReplayed, Lookup
 // and Len, with max from 1 to 8, must give the reference's answers,
-// error classes, Hits, Copied and Len at every step.
+// error classes, Hits, Copied and Len at every step — with the real
+// key hash, and with one that sends every key to one of four values.
 func TestDedupMatchesReference(t *testing.T) {
-	for max := 1; max <= 8; max++ {
-		for seed := int64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewSource(seed*100 + int64(max)))
-			keys := 2*max + 3
-			ops := randomDedupOps(rng, 1500, keys)
-			if err := checkDedupSchedule(NewDedup(max), max, keys, ops, rng); err != nil {
-				t.Fatalf("max %d seed %d: %v", max, seed, err)
+	for _, mask := range []uint64{^uint64(0), collidingHashMask} {
+		for max := 1; max <= 8; max++ {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed*100 + int64(max)))
+				keys := 2*max + 3
+				ops := randomDedupOps(rng, 1500, keys)
+				if err := checkDedupSchedule(newDedup(max, mask), max, keys, ops, rng); err != nil {
+					t.Fatalf("hash mask %x, max %d, seed %d: %v", mask, max, seed, err)
+				}
 			}
 		}
 	}
@@ -292,8 +299,9 @@ func TestDedupHitOutlivesEntry(t *testing.T) {
 }
 
 // FuzzDedup holds the table to the reference on fuzzer-written
-// schedules: the first byte sets max (1 to 8), then every three bytes
-// name a call, a key and a reply kind.
+// schedules: the first byte sets max (1 to 8) and, with its bit 3,
+// the colliding key hash; then every three bytes name a call, a key
+// and a reply kind.
 func FuzzDedup(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 2, 1, 5, 0, 1, 5})
 	f.Add([]byte{3, 0, 2, 3, 2, 2, 4, 0, 2, 0, 4, 3, 0, 5, 0, 0, 4, 0, 2, 3, 6, 0, 3, 6})
@@ -307,7 +315,11 @@ func FuzzDedup(f *testing.F) {
 		for p := data[1:]; len(p) >= 3; p = p[3:] {
 			ops = append(ops, dedupOp{op: int(p[0]), key: int(p[1]), reply: int(p[2]), digest: uint64(p[2]) << 8 * uint64(p[1]+1)})
 		}
-		if err := checkDedupSchedule(NewDedup(max), max, keys, ops, rand.New(rand.NewSource(int64(len(data))))); err != nil {
+		mask := ^uint64(0)
+		if data[0]&8 != 0 {
+			mask = collidingHashMask
+		}
+		if err := checkDedupSchedule(newDedup(max, mask), max, keys, ops, rand.New(rand.NewSource(int64(len(data))))); err != nil {
 			t.Fatal(err)
 		}
 	})

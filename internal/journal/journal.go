@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -255,11 +256,14 @@ const maxCachedOutputBytes = 1 << 20
 // completions cache their outputs (bounded) so a retried request gets
 // the original reply; keys recovered by replay carry only the outcome
 // digest and answer retries with ErrDuplicate.
+//
+// Completed keys live in a keyLog, off the GC heap where the platform
+// allows: every key in the window stays resident, so its bytes set how
+// peak memory follows keyed throughput (docs/JOURNAL.md).
 type Dedup struct {
 	mu      sync.Mutex
-	done    map[string]dedupEntry
+	log     *keyLog
 	pending map[string]struct{}
-	order   []string // completed keys in completion order (FIFO eviction)
 	max     int
 	hits    atomic.Uint64
 	// copiedSets / copiedBytes count the output sets and payload bytes
@@ -268,44 +272,45 @@ type Dedup struct {
 	copiedBytes atomic.Uint64
 }
 
-// dedupEntry is held by value: every completed key in the window stays
-// resident, so its size is the table's footprint.
-type dedupEntry struct {
-	digest uint64
-	// outputs are the cached outputs packed by packOutputs; nil when
-	// none are cached (replayed, oversized, or completed without outputs).
-	outputs []byte
-}
-
 // NewDedup returns a table bounded to max completed keys
 // (DefaultDedupEntries if max <= 0).
-func NewDedup(max int) *Dedup {
+func NewDedup(max int) *Dedup { return newDedup(max, ^uint64(0)) }
+
+// newDedup is NewDedup with every key hash masked by hashMask; tests
+// narrow it so that keys share hashes.
+func newDedup(max int, hashMask uint64) *Dedup {
 	if max <= 0 {
 		max = DefaultDedupEntries
 	}
-	return &Dedup{
-		done:    make(map[string]dedupEntry),
-		pending: make(map[string]struct{}),
-		max:     max,
-	}
+	d := &Dedup{log: newKeyLog(hashMask), pending: make(map[string]struct{}), max: max}
+	// The log's chunks are not the GC's to free: release them once the
+	// table is unreachable.
+	runtime.AddCleanup(d, (*keyLog).free, d.log)
+	return d
 }
 
 // Reserve claims key for execution. outs/err report a duplicate: a
-// completed key returns its cached outputs — unpacked from the table's
-// own copy, whose payloads callers must not mutate — (or ErrDuplicate
-// when only the digest survives), an executing key returns ErrInFlight
-// — both count as dedup hits and execute=false. A fresh key is marked
-// in-flight and returns execute=true; the caller must follow with
-// Complete or Release.
+// completed key returns a fresh copy of its cached outputs, which the
+// caller owns (or ErrDuplicate when only the digest survives), an
+// executing key returns ErrInFlight — both count as dedup hits and
+// execute=false. A fresh key is marked in-flight and returns
+// execute=true; the caller must follow with Complete or Release.
 func (d *Dedup) Reserve(key string) (outs map[string][]memctx.Item, err error, execute bool) {
 	d.mu.Lock()
-	if e, ok := d.done[key]; ok {
+	if r, ok := d.log.find(key); ok {
+		// Copy the reply before unlocking: the log's memory is
+		// released when the entry is evicted, so none of it may leave
+		// the mutex.
+		var reply []byte
+		if len(r.reply) > 0 {
+			reply = append([]byte(nil), r.reply...)
+		}
 		d.mu.Unlock()
 		d.hits.Add(1)
-		if e.outputs != nil {
-			return unpackOutputs(e.outputs), nil, false
+		if reply != nil {
+			return unpackOutputs(reply), nil, false
 		}
-		return nil, fmt.Errorf("%w: key %q already completed (outcome digest %016x)", ErrDuplicate, key, e.digest), false
+		return nil, fmt.Errorf("%w: key %q already completed (outcome digest %016x)", ErrDuplicate, key, r.digest), false
 	}
 	if _, ok := d.pending[key]; ok {
 		d.mu.Unlock()
@@ -331,11 +336,9 @@ func (d *Dedup) Complete(key string, digest uint64, outs map[string][]memctx.Ite
 	}
 	d.mu.Lock()
 	delete(d.pending, key)
-	_, dup := d.done[key]
+	_, dup := d.log.find(key)
 	if !dup {
-		d.done[key] = dedupEntry{digest: digest, outputs: packed}
-		d.order = append(d.order, key)
-		d.evictLocked()
+		d.log.add(key, digest, packed, d.max)
 	}
 	d.mu.Unlock()
 	if !dup && packed != nil {
@@ -435,19 +438,10 @@ func (d *Dedup) Release(key string) {
 // a previous process life, outcome digest only, no cached outputs.
 func (d *Dedup) MarkReplayed(key string, digest uint64) {
 	d.mu.Lock()
-	if _, ok := d.done[key]; !ok {
-		d.done[key] = dedupEntry{digest: digest}
-		d.order = append(d.order, key)
-		d.evictLocked()
+	if _, ok := d.log.find(key); !ok {
+		d.log.add(key, digest, nil, d.max)
 	}
 	d.mu.Unlock()
-}
-
-func (d *Dedup) evictLocked() {
-	for len(d.order) > d.max {
-		delete(d.done, d.order[0])
-		d.order = d.order[1:]
-	}
 }
 
 // Hits reports how many duplicate reservations the table absorbed.
@@ -463,17 +457,25 @@ func (d *Dedup) Copied() (sets, bytes uint64) {
 func (d *Dedup) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.done)
+	return d.log.len()
 }
 
 // Lookup reports whether key has completed, without counting a hit.
 func (d *Dedup) Lookup(key string) (digest uint64, done bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if e, ok := d.done[key]; ok {
-		return e.digest, true
+	if r, ok := d.log.find(key); ok {
+		return r.digest, true
 	}
 	return 0, false
+}
+
+// offHeapBytes reports the bytes the table's log holds outside the GC
+// heap.
+func (d *Dedup) offHeapBytes() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.log.offHeapBytes()
 }
 
 func outputBytes(outs map[string][]memctx.Item) int {
