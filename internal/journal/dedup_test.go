@@ -305,6 +305,7 @@ func TestDedupHitOutlivesEntry(t *testing.T) {
 func FuzzDedup(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 2, 1, 5, 0, 1, 5})
 	f.Add([]byte{3, 0, 2, 3, 2, 2, 4, 0, 2, 0, 4, 3, 0, 5, 0, 0, 4, 0, 2, 3, 6, 0, 3, 6})
+	f.Add([]byte{8 | 2, 2, 3, 5, 2, 4, 5, 2, 5, 5, 2, 6, 5, 0, 3, 0, 0, 4, 0, 5, 6, 2, 7, 5, 0, 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -313,7 +314,7 @@ func FuzzDedup(f *testing.F) {
 		keys := 2*max + 3
 		var ops []dedupOp
 		for p := data[1:]; len(p) >= 3; p = p[3:] {
-			ops = append(ops, dedupOp{op: int(p[0]), key: int(p[1]), reply: int(p[2]), digest: uint64(p[2]) << 8 * uint64(p[1]+1)})
+			ops = append(ops, dedupOp{op: int(p[0]), key: int(p[1]), reply: int(p[2]), digest: uint64(p[1])<<8 | uint64(p[2])})
 		}
 		mask := ^uint64(0)
 		if data[0]&8 != 0 {

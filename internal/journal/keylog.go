@@ -90,7 +90,7 @@ func (l *keyLog) record(seq uint64) logRecord {
 	b = b[n:]
 	o, n := binary.Uvarint(b)
 	b = b[n:]
-	r.key, r.reply = b[:k:k], b[k:k+o:k+o]
+	r.key, r.reply = b[:k], b[k:k+o]
 	return r
 }
 
@@ -139,7 +139,7 @@ func (l *keyLog) releaseChunks() {
 	keep := l.pos[l.first&uint64(len(l.pos)-1)].chunk
 	for l.firstChunk != keep {
 		freeChunk(l.chunks[0])
-		l.chunks[0] = logChunk{}
+		l.chunks[0] = logChunk{} // let the GC have a heap chunk
 		l.chunks = l.chunks[1:]
 		l.firstChunk++
 	}
