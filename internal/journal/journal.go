@@ -470,14 +470,6 @@ func (d *Dedup) Lookup(key string) (digest uint64, done bool) {
 	return 0, false
 }
 
-// offHeapBytes reports the bytes the table's log holds outside the GC
-// heap.
-func (d *Dedup) offHeapBytes() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.offHeapBytes()
-}
-
 func outputBytes(outs map[string][]memctx.Item) int {
 	n := 0
 	for _, items := range outs {

@@ -419,7 +419,7 @@ func TestDedupBytesPerKey(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	heap := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / keys
-	log := float64(d.offHeapBytes()) / keys
+	log := float64(d.log.offHeapBytes()) / keys
 	runtime.KeepAlive(d)
 	if heap+log > limit {
 		t.Fatalf("%.0f bytes per completed key (%.0f of live heap, %.0f of log), want <= %d", heap+log, heap, log, limit)
