@@ -2,10 +2,10 @@ GO ?= go
 
 .PHONY: ci fmt build cross vet test race flake bench-smoke bench-e2e fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
 
-# ci is the tier-1 gate: everything must build, here and for windows
-# and darwin (cross), vet clean, pass under the race detector, stay
-# green when the concurrent packages' tests are repeated (flake), keep
-# four packages' microbenchmarks running (bench-smoke catches hot paths
+# ci is the tier-1 gate: everything must build, here and for windows,
+# darwin and arm64 (cross), vet clean, pass under the race detector,
+# stay green when the concurrent packages' tests are repeated (flake),
+# keep five packages' microbenchmarks running (bench-smoke catches hot paths
 # that compile fine but no longer execute), keep the wire codecs, the
 # journal file decoder and the completed-key table honest against
 # malformed inputs and operation scripts (fuzz-smoke), keep the
@@ -23,13 +23,16 @@ fmt:
 build:
 	$(GO) build ./...
 
-# cross builds the tree for windows and darwin: the dedup table's log
-# takes its chunks from anonymous mmap on unix and from the heap
-# elsewhere (internal/journal chunk_unix.go, chunk_other.go), and both
-# sources must keep compiling.
+# cross builds the tree for windows, darwin and linux/arm64: the dedup
+# table's log takes its chunks from anonymous mmap on unix and from the
+# heap elsewhere (internal/journal chunk_unix.go, chunk_other.go), and
+# MakeBlob's AVX2 fill exists only on amd64 (internal/workloads
+# makeblob_amd64.s, makeblob_other.go), so every source must keep
+# compiling.
 cross:
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	GOOS=darwin GOARCH=amd64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -55,7 +58,7 @@ race:
 flake:
 	$(GO) test -race -count=20 ./internal/engine ./internal/ctlplane ./internal/sched ./internal/cluster ./internal/core ./internal/frontend ./internal/journal ./internal/memctx ./internal/autoscale ./internal/dvm ./internal/isolation ./internal/ssb ./internal/qoiimg ./internal/workloads
 
-# bench-smoke runs four packages' microbenchmarks once each: not a
+# bench-smoke runs five packages' microbenchmarks once each: not a
 # performance measurement (bench-e2e is that), just proof the hot paths
 # still execute — the journal append path (memory vs file,
 # with/without batching), the completed-key table at its full default
@@ -67,12 +70,16 @@ flake:
 # database clients and tests build (BenchmarkGenerate, ssb.Generate),
 # and the JSON batch body decode, encoding/json beside the scanner
 # wire.DecodeBatchJSON takes for the compact form (internal/wire
-# BenchmarkDecodeBatchJSON).
+# BenchmarkDecodeBatchJSON), and the served kernels: one SSBQuery
+# invocation per query (internal/workloads BenchmarkSSBQuery) and the
+# storage suite's StoreGen and StoreScan on one 256 KiB blob
+# (BenchmarkStorageKernels).
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkJournalAppend|BenchmarkDedup' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run XXX -bench 'BenchmarkInvoke' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Dims)?$$' -benchtime 1x -benchmem ./internal/ssb/
 	$(GO) test -run XXX -bench 'BenchmarkDecodeBatchJSON' -benchtime 1x -benchmem ./internal/wire/
+	$(GO) test -run XXX -bench 'BenchmarkSSBQuery|BenchmarkStorageKernels' -benchtime 1x -benchmem ./internal/workloads/
 
 # fuzz-smoke runs the codec fuzzers briefly: long enough to replay the
 # corpus and probe a few thousand mutations each of the binary framing

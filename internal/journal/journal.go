@@ -297,7 +297,7 @@ func newDedup(max int, hashMask uint64) *Dedup {
 // execute=true; the caller must follow with Complete or Release.
 func (d *Dedup) Reserve(key string) (outs map[string][]memctx.Item, err error, execute bool) {
 	d.mu.Lock()
-	if r, ok := d.log.find(key); ok {
+	if r, _, ok := d.log.find(key); ok {
 		// Copy the reply before unlocking: the log's memory is
 		// released when the entry is evicted, so none of it may leave
 		// the mutex.
@@ -336,9 +336,9 @@ func (d *Dedup) Complete(key string, digest uint64, outs map[string][]memctx.Ite
 	}
 	d.mu.Lock()
 	delete(d.pending, key)
-	_, dup := d.log.find(key)
+	_, c, dup := d.log.find(key)
 	if !dup {
-		d.log.add(key, digest, packed, d.max)
+		d.log.add(c, key, digest, packed, d.max)
 	}
 	d.mu.Unlock()
 	if !dup && packed != nil {
@@ -438,8 +438,8 @@ func (d *Dedup) Release(key string) {
 // a previous process life, outcome digest only, no cached outputs.
 func (d *Dedup) MarkReplayed(key string, digest uint64) {
 	d.mu.Lock()
-	if _, ok := d.log.find(key); !ok {
-		d.log.add(key, digest, nil, d.max)
+	if _, c, ok := d.log.find(key); !ok {
+		d.log.add(c, key, digest, nil, d.max)
 	}
 	d.mu.Unlock()
 }
@@ -464,7 +464,7 @@ func (d *Dedup) Len() int {
 func (d *Dedup) Lookup(key string) (digest uint64, done bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if r, ok := d.log.find(key); ok {
+	if r, _, ok := d.log.find(key); ok {
 		return r.digest, true
 	}
 	return 0, false

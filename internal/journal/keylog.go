@@ -69,16 +69,24 @@ func newKeyLog(hashMask uint64) *keyLog {
 
 func (l *keyLog) len() int { return int(l.next - l.first) }
 
-// find returns key's live record.
-func (l *keyLog) find(key string) (logRecord, bool) {
-	for s := l.index[maphash.String(l.seed, key)&l.mask]; s >= l.first; {
+// chain names the records a key's hash leads to: the hash, and the
+// sequence number of the newest record with it (0 if none) when find
+// looked.
+type chain struct{ hash, head uint64 }
+
+// find returns key's live record, and key's chain for an add that
+// follows with no change to the log in between.
+func (l *keyLog) find(key string) (logRecord, chain, bool) {
+	h := maphash.String(l.seed, key) & l.mask
+	head := l.index[h]
+	for s := head; s >= l.first; {
 		r := l.record(s)
 		if string(r.key) == key {
-			return r, true
+			return r, chain{}, true
 		}
 		s = r.prev
 	}
-	return logRecord{}, false
+	return logRecord{}, chain{hash: h, head: head}, false
 }
 
 func (l *keyLog) record(seq uint64) logRecord {
@@ -95,8 +103,12 @@ func (l *keyLog) record(seq uint64) logRecord {
 }
 
 // add appends a record for key, which must not be live, first evicting
-// the oldest records so that at most max stay live.
-func (l *keyLog) add(key string, digest uint64, reply []byte, max int) {
+// the oldest records so that at most max stay live. c is the chain
+// find returned for key. The head it names stays the record to chain
+// to even if add evicts it: evict drops the index slot exactly when it
+// names the evicted record, and lookups stop at records older than
+// first, so a stale head ends the chain as 0 would.
+func (l *keyLog) add(c chain, key string, digest uint64, reply []byte, max int) {
 	for l.len() >= max {
 		l.evict()
 	}
@@ -108,16 +120,15 @@ func (l *keyLog) add(key string, digest uint64, reply []byte, max int) {
 		l.growRing()
 	}
 	active := len(l.chunks) - 1
-	h := maphash.String(l.seed, key) & l.mask
 	b := l.chunks[active].mem[l.used:l.used:len(l.chunks[active].mem)]
 	b = binary.LittleEndian.AppendUint64(b, digest)
-	b = binary.LittleEndian.AppendUint64(b, l.index[h])
+	b = binary.LittleEndian.AppendUint64(b, c.head)
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = binary.AppendUvarint(b, uint64(len(reply)))
 	b = append(b, key...)
 	_ = append(b, reply...)
 	l.pos[l.next&uint64(len(l.pos)-1)] = recordPos{chunk: l.firstChunk + uint32(active), off: uint32(l.used)}
-	l.index[h] = l.next
+	l.index[c.hash] = l.next
 	l.next++
 	l.used += need
 	l.releaseChunks()

@@ -439,15 +439,17 @@ const MaxBlobBytes = 64 << 20
 // (fnvOffset for 0); byte i is '\n' when i%64 == 63, and otherwise x
 // takes one xorshift64 step and byte i is ' ' + x%94. Clients rebuild
 // fetched blobs with MakeBlob, so the output must never drift from it;
-// internal/workloads/reference_test.go holds MakeBlob to that loop.
+// internal/workloads/reference_test.go holds MakeBlob, and each of its
+// fill paths, to that loop.
 //
 // Run as written, each step waits on the one before it, so the loop
 // runs at the latency of one xorshift step per byte. MakeBlob splits the
-// full rows into blobLanes contiguous lanes, seeds each lane by jumping
-// the previous lane's seed ahead over its rows (see jump), and fills
-// one row of every lane per iteration: independent chains the CPU
-// overlaps. The leftover rows and the partial last row continue the
-// last lane's chain.
+// full rows into contiguous lanes, seeds each lane by jumping the
+// previous lane's seed ahead over its rows (see jump), and fills one row
+// of every lane at a time: independent chains the CPU overlaps. On amd64
+// with AVX2 there are 16 lanes, stepped four to a vector register
+// (makeblob_amd64.s); elsewhere fillLanes4 runs 4 lanes in Go. The
+// leftover rows and the partial last row continue the last lane's chain.
 func MakeBlob(n int, seed uint64) []byte {
 	b := make([]byte, n)
 	makeBlobInto(b, seed)
@@ -460,6 +462,17 @@ func makeBlobInto(b []byte, seed uint64) {
 	if seed == 0 {
 		seed = fnvOffset
 	}
+	if hasAVX2 {
+		done, x := fillLanes16(b, seed)
+		fillTail(b[done:], x)
+		return
+	}
+	fillLanes4(b, seed)
+}
+
+// fillLanes4 writes MakeBlob's bytes for a nonzero seed into b with
+// blobLanes chains in Go.
+func fillLanes4(b []byte, seed uint64) {
 	n := len(b)
 	per := n / blobRow / blobLanes // rows in each lane
 	laneBytes := per * blobRow
@@ -482,8 +495,13 @@ func makeBlobInto(b []byte, seed uint64) {
 		}
 		r0[blobRow-1], r1[blobRow-1], r2[blobRow-1], r3[blobRow-1] = '\n', '\n', '\n', '\n'
 	}
-	x := x3
-	for i := blobLanes * laneBytes; i < n; i++ {
+	fillTail(b[blobLanes*laneBytes:], x3)
+}
+
+// fillTail continues the chain whose state is x over b, which starts
+// on a row boundary, one step per byte.
+func fillTail(b []byte, x uint64) {
+	for i := range b {
 		if (i+1)%blobRow == 0 {
 			b[i] = '\n'
 			continue
@@ -495,7 +513,7 @@ func makeBlobInto(b []byte, seed uint64) {
 
 const (
 	blobRow   = 64 // bytes per MakeBlob row: 63 xorshift bytes and a '\n'
-	blobLanes = 4  // MakeBlob's independent chains, x0..x3 in its fill loop
+	blobLanes = 4  // fillLanes4's independent chains, x0..x3 in its loop
 )
 
 func xorshift(x uint64) uint64 {
