@@ -2,11 +2,13 @@
 
 // MakeBlob's 16-lane row fill. Y0..Y3 hold the xorshift64 states of
 // lanes 0-3, 4-7, 8-11 and 12-15. Each step turns a state x into the
-// byte x%94 without a 64-bit multiply: with y = x>>1, x%94 is
-// 2·(y mod 47) + (x&1). Since 2^23 ≡ 1 (mod 47), y folds to
-// s = (y & (2^23-1)) + ((y>>23) & (2^23-1)) + (y>>46) ≡ y, with s < 2^25.
-// s/47 is (s·91382283)>>32 (91382283 = ⌈2^32/47⌉, exact for s < 2^32/5),
-// and one more multiply and a subtract leave s mod 47.
+// byte x%94 without a 64-bit multiply-high. x%94 is 2·((x>>1) mod 47)
+// + (x&1), and 2^23 ≡ 1 (mod 47), so 2^24 ≡ 2^47 ≡ 2 (mod 94): x folds
+// to t = (x & (2^24-1)) + 2·((x>>24) & (2^23-1)) + 2·(x>>47), with
+// t ≡ x (mod 94) and t < 2^26. t%94 is t - 94·q for q = (t>>1)/47, and
+// q = (t·91382283)>>33 (91382283 = ⌈2^32/47⌉): (s·91382283)>>32 is s/47
+// for s = t>>1 < 2^32/5, and t's low bit adds under 0.011 to a quotient
+// whose fraction is at most 46/47 plus 5·s/(47·2^32).
 //
 // Eight steps fill one 8-byte word per lane, byte j shifted to bits
 // 8j..8j+7. A row is seven full words and a last word of seven bytes,
@@ -14,17 +16,19 @@
 // and goes out with one 8-byte store per lane.
 //
 // Registers: Y4..Y7 collect the words of lanes 0-3, ..., 12-15;
-// Y8 = 2^23-1, Y9 = 91382283, Y10 = 47, Y11 = 1, Y15 = the word bias;
-// Y12..Y14 are scratch.
+// Y8, Y9 and Y10 are the masks of t's three terms, Y11 = 91382283,
+// Y14 = 94, Y15 = the word bias; Y12 and Y13 are scratch.
 
-DATA mask23<>+0(SB)/8, $0x7fffff
-GLOBL mask23<>(SB), RODATA|NOPTR, $8
+DATA mask24<>+0(SB)/8, $0xffffff
+GLOBL mask24<>(SB), RODATA|NOPTR, $8
+DATA mask24even<>+0(SB)/8, $0xfffffe
+GLOBL mask24even<>(SB), RODATA|NOPTR, $8
+DATA mask18even<>+0(SB)/8, $0x3fffe
+GLOBL mask18even<>(SB), RODATA|NOPTR, $8
 DATA magic47<>+0(SB)/8, $91382283
 GLOBL magic47<>(SB), RODATA|NOPTR, $8
-DATA const47<>+0(SB)/8, $47
-GLOBL const47<>(SB), RODATA|NOPTR, $8
-DATA const1<>+0(SB)/8, $1
-GLOBL const1<>(SB), RODATA|NOPTR, $8
+DATA const94<>+0(SB)/8, $94
+GLOBL const94<>(SB), RODATA|NOPTR, $8
 DATA bias<>+0(SB)/8, $0x2020202020202020
 GLOBL bias<>(SB), RODATA|NOPTR, $8
 DATA lastbias<>+0(SB)/8, $0x0020202020202020
@@ -40,14 +44,11 @@ GLOBL newline<>(SB), RODATA|NOPTR, $8
 
 // MOD94 sets out to x%94 for the four states in x.
 #define MOD94(x, out) \
-	VPSRLQ $1, x, Y12; VPAND Y8, Y12, Y12; \
-	VPSRLQ $24, x, Y13; VPAND Y8, Y13, Y13; \
-	VPADDQ Y13, Y12, Y12; \
-	VPSRLQ $47, x, Y13; VPADDQ Y13, Y12, Y12; \
-	VPMULUDQ Y9, Y12, Y13; VPSRLQ $32, Y13, Y13; \
-	VPMULUDQ Y10, Y13, Y13; VPSUBQ Y13, Y12, Y12; \
-	VPADDQ Y12, Y12, Y12; \
-	VPAND Y11, x, Y13; VPOR Y13, Y12, out
+	VPAND Y8, x, Y12; \
+	VPSRLQ $23, x, Y13; VPAND Y9, Y13, Y13; VPADDQ Y13, Y12, Y12; \
+	VPSRLQ $46, x, Y13; VPAND Y10, Y13, Y13; VPADDQ Y13, Y12, Y12; \
+	VPMULUDQ Y11, Y12, Y13; VPSRLQ $33, Y13, Y13; \
+	VPMULUDQ Y14, Y13, Y13; VPSUBQ Y13, Y12, out
 
 // FIRST starts the words in Y4..Y7 with one step's bytes.
 #define FIRST \
@@ -58,7 +59,7 @@ GLOBL newline<>(SB), RODATA|NOPTR, $8
 
 // NEXT1 adds one step's byte for the lanes in x to word a at bit sh.
 #define NEXT1(x, a, sh) \
-	XORSHIFT(x); MOD94(x, Y14); VPSLLQ $sh, Y14, Y14; VPOR Y14, a, a
+	XORSHIFT(x); MOD94(x, Y12); VPSLLQ $sh, Y12, Y12; VPOR Y12, a, a
 
 #define NEXT(sh) \
 	NEXT1(Y0, Y4, sh); NEXT1(Y1, Y5, sh); NEXT1(Y2, Y6, sh); NEXT1(Y3, Y7, sh)
@@ -91,10 +92,11 @@ TEXT ·fill16(SB), NOSPLIT, $0-32
 	VMOVDQU 32(DI), Y1
 	VMOVDQU 64(DI), Y2
 	VMOVDQU 96(DI), Y3
-	VPBROADCASTQ mask23<>(SB), Y8
-	VPBROADCASTQ magic47<>(SB), Y9
-	VPBROADCASTQ const47<>(SB), Y10
-	VPBROADCASTQ const1<>(SB), Y11
+	VPBROADCASTQ mask24<>(SB), Y8
+	VPBROADCASTQ mask24even<>(SB), Y9
+	VPBROADCASTQ mask18even<>(SB), Y10
+	VPBROADCASTQ magic47<>(SB), Y11
+	VPBROADCASTQ const94<>(SB), Y14
 	VPBROADCASTQ bias<>(SB), Y15
 
 row:
